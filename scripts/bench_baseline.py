@@ -1,15 +1,16 @@
-"""Record (or check) the figure-6 performance baseline of the two backends.
+"""Record (or check) the figure-6 performance baseline.
 
 Runs ``bench_fig6_time_vs_n`` (the Figure 6 driver at ``BENCH_CONFIG`` scale)
-once per backend — the vectorized NumPy data plane and the pure-Python
-reference path — and writes the per-algorithm time-vs-n trajectories plus the
-end-to-end speedup at the largest cardinality to a JSON baseline::
+and writes the per-algorithm time-vs-n trajectories plus the total at the
+largest cardinality to a JSON baseline::
 
     PYTHONPATH=src python scripts/bench_baseline.py --output BENCH_fig6.json
 
-Future PRs compare against the committed ``BENCH_fig6.json``; the CI smoke
-mode re-times only the NumPy backend (fast) and fails when it has regressed
-more than ``--tolerance``-fold against the recorded baseline::
+Every timing sits under a ``"numpy"`` key, the name the committed baselines
+and the planner's calibration (``repro.service.planner``) read.  Future PRs
+compare against the committed ``BENCH_fig6.json``; the CI smoke mode
+re-times the sweep and fails when it has regressed more than
+``--tolerance``-fold against the recorded baseline::
 
     PYTHONPATH=src python scripts/bench_baseline.py --check BENCH_fig6.json
 """
@@ -25,7 +26,6 @@ from datetime import datetime, timezone
 sys.path.insert(0, "benchmarks")
 from _config import BENCH_CONFIG  # noqa: E402
 
-from repro.backend import use_backend  # noqa: E402
 from repro.engine.cache import default_cache  # noqa: E402
 from repro.experiments import figures  # noqa: E402
 
@@ -66,12 +66,9 @@ def _total_at_max_n(series: dict[str, dict[str, float]]) -> float:
 
 
 def record(dataset: str, repeats: int, output: str) -> None:
-    print(f"timing figure6 [{dataset}] at BENCH_CONFIG scale, {repeats} repeats per backend")
-    numpy_series, numpy_stages = _series(dataset, repeats)
-    with use_backend("reference"):
-        reference_series, reference_stages = _series(dataset, repeats)
-    numpy_total = _total_at_max_n(numpy_series)
-    reference_total = _total_at_max_n(reference_series)
+    print(f"timing figure6 [{dataset}] at BENCH_CONFIG scale, {repeats} repeats")
+    series, stages = _series(dataset, repeats)
+    total = _total_at_max_n(series)
     baseline = {
         "benchmark": "bench_fig6_time_vs_n",
         "dataset": dataset,
@@ -86,20 +83,17 @@ def record(dataset: str, repeats: int, output: str) -> None:
             "domain_scale": BENCH_CONFIG.domain_scale,
             "base_dimension": BENCH_CONFIG.base_dimension,
         },
-        "seconds": {"numpy": numpy_series, "reference": reference_series},
+        "seconds": {"numpy": series},
         # Per-stage attribution (whole figure-6 sweep, last repeat): a future
         # regression in the BENCH totals can be pinned on the anonymize or
         # the metrics stage without re-profiling.
-        "stage_seconds": {"numpy": numpy_stages, "reference": reference_stages},
-        "total_seconds_at_max_n": {"numpy": numpy_total, "reference": reference_total},
-        "speedup_at_max_n": reference_total / numpy_total,
+        "stage_seconds": {"numpy": stages},
+        "total_seconds_at_max_n": {"numpy": total},
     }
     with open(output, "w") as handle:
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"numpy backend total at n={max(BENCH_CONFIG.sample_sizes)}: {numpy_total * 1000:.2f} ms")
-    print(f"reference backend total:            {reference_total * 1000:.2f} ms")
-    print(f"end-to-end speedup:                 {baseline['speedup_at_max_n']:.2f}x")
+    print(f"total at n={max(BENCH_CONFIG.sample_sizes)}: {total * 1000:.2f} ms")
     print(f"baseline written to {output}")
 
 
@@ -111,7 +105,7 @@ def check(dataset: str, repeats: int, baseline_path: str, tolerance: float) -> i
     current = _total_at_max_n(series)
     ratio = current / recorded if recorded else float("inf")
     print(
-        f"figure6 [{dataset}] numpy backend at n={max(BENCH_CONFIG.sample_sizes)}: "
+        f"figure6 [{dataset}] at n={max(BENCH_CONFIG.sample_sizes)}: "
         f"{current * 1000:.2f} ms (baseline {recorded * 1000:.2f} ms, {ratio:.2f}x)"
     )
     if ratio > tolerance:
@@ -126,12 +120,12 @@ def main() -> int:
     parser.add_argument("--dataset", default="SAL", choices=["SAL", "OCC"])
     parser.add_argument("--output", default="BENCH_fig6.json")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="runs per backend; per-point minimum is kept"
+        "--repeats", type=int, default=3, help="runs per point; the minimum is kept"
     )
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        help="smoke mode: re-time only the NumPy backend and compare against this baseline",
+        help="smoke mode: re-time the sweep and compare against this baseline",
     )
     parser.add_argument(
         "--tolerance",

@@ -2,9 +2,8 @@
 
 For each cardinality, a seeded synthetic table is converted to an on-disk
 column store and anonymized through the memory-mapped engine path with stage
-profiling enabled, once per backend (the pure-Python reference backend only
-up to ``--reference-max-n``).  The per-stage attribution and the end-to-end
-numpy-vs-reference speedups are written to a JSON trajectory::
+profiling enabled.  The per-stage attribution is written to a JSON
+trajectory::
 
     PYTHONPATH=src python scripts/bench_scale.py --output BENCH_scale.json
 
@@ -39,12 +38,6 @@ def main() -> int:
     parser.add_argument(
         "--repeats", type=int, default=1, help="runs per point; the minimum is kept"
     )
-    parser.add_argument(
-        "--reference-max-n",
-        type=int,
-        default=1_000_000,
-        help="skip the reference backend above this n",
-    )
     arguments = parser.parse_args()
     sizes = tuple(int(part) for part in arguments.sizes.split(",") if part.strip())
     config = BenchScaleConfig(
@@ -55,7 +48,6 @@ def main() -> int:
         seed=arguments.seed,
         qi_scale=arguments.qi_scale,
         repeats=arguments.repeats,
-        reference_max_n=arguments.reference_max_n,
     )
     write_bench_scale(arguments.output, config)
     return 0

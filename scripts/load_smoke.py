@@ -283,8 +283,8 @@ def phase_result_artifacts(base_url: str) -> None:
             fail(f"artifact-served table violates {ARTIFACT_L}-diversity")
 
         spec = {"algorithm": "TP+", "l": ARTIFACT_L, "metrics": [], "shards": None,
-                "backend": None, "seed": seed, "chunk_rows": None,
-                "include_rows": True, "source": source}
+                "seed": seed, "chunk_rows": None, "include_rows": True,
+                "source": source}
         with tempfile.TemporaryDirectory() as legacy_workspace:
             started = time.perf_counter()
             legacy = execute_job(spec, legacy_workspace, False)

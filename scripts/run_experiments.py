@@ -3,8 +3,7 @@
 Used to produce the numbers recorded in EXPERIMENTS.md::
 
     python scripts/run_experiments.py [--scale default|smoke|paper|report] \
-        [--output results.txt] [--workers N] [--backend numpy|reference] \
-        [--workspace DIR]
+        [--output results.txt] [--workers N] [--workspace DIR]
 
 Figure drivers are taken from ``repro.experiments.figures.FIGURES`` and all
 runs go through the engine's result cache, so combinations shared between
@@ -20,7 +19,6 @@ import argparse
 import dataclasses
 import time
 
-from repro import backend
 from repro.engine.cache import default_cache
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
@@ -64,14 +62,7 @@ def main() -> None:
         help="back the run cache with this workspace's persistent store, so "
         "repeated sweeps reuse results across processes",
     )
-    parser.add_argument(
-        "--backend",
-        default="numpy",
-        choices=["numpy", "reference"],
-        help="data-plane backend: vectorized NumPy or the pure-Python reference",
-    )
     arguments = parser.parse_args()
-    backend.set_backend(arguments.backend)
     if arguments.workspace:
         from repro.service import Workspace
 

@@ -1,4 +1,4 @@
-"""CI smoke for the raw-speed path: mmap bit-identity + vectorized speedup.
+"""CI smoke for the raw-speed path: mmap bit-identity, warm start, overheads.
 
 Builds a 10^5-row synthetic table, persists it as an on-disk column store,
 and checks the acceptance properties of the zero-copy pipeline:
@@ -6,22 +6,16 @@ and checks the acceptance properties of the zero-copy pipeline:
 1. **Bit-identity** — the memory-mapped, chunk-capped engine run publishes
    exactly the same bytes as the unsharded in-memory run (table fingerprints
    and rendered CSV output compared verbatim).
-2. **Speedup** — the vectorized backend beats the pure-Python reference
-   backend by at least ``MIN_SPEEDUP``x end-to-end on the same store.
-3. **Fused metrics** — on a freshly published run, the fused one-pass
-   metrics sweep (:func:`repro.metrics.fused_metrics`) emits values equal to
-   the historical standalone passes and beats their summed cost by at least
-   ``MIN_FUSED_SPEEDUP``x.
-4. **Warm start** — a second engine run against the same column store loads
+2. **Warm start** — a second engine run against the same column store loads
    the persisted ``order.npy`` sort permutation instead of re-sorting: the
    cold run's profile must contain the ``sort`` stage and the warm run's
    must not.
-5. **Telemetry overhead** — the serving stack's per-job observability cost
+3. **Telemetry overhead** — the serving stack's per-job observability cost
    (stage profiling force-enabled in the worker plus every registry
    mutation a served job implies) is replayed on the benched mmap run and
    must add less than ``TELEMETRY_OVERHEAD_CAP - 1`` (2%) over the bare
    run, best-of-``BENCH_ROUNDS`` timings on both sides.
-6. **Encode/publish kernels** — the packed-sort encode
+4. **Encode/publish kernels** — the packed-sort encode
    (:meth:`GroupingContext.build`) and the columnar publish
    (:meth:`GeneralizedTable.from_partition`) are bit-identical to their
    retained serial oracles (including with the chunked pool paths forced)
@@ -49,7 +43,6 @@ from repro.engine import (
 )
 from repro.engine.cache import ResultCache
 from repro.dataset.synthetic import CensusConfig, make_sal
-from repro.metrics import fused_metrics, unfused_metrics
 
 N = 100_000
 L = 6
@@ -57,7 +50,6 @@ SEED = 7
 QI_SCALE = 0.24
 CHUNK_ROWS = 20_000
 MIN_SPEEDUP = 2.0
-MIN_FUSED_SPEEDUP = 1.5
 BENCH_ROUNDS = 3
 TELEMETRY_OVERHEAD_CAP = 1.02
 #: Absolute slack on top of the 2% cap so scheduler jitter on a sub-second
@@ -65,14 +57,13 @@ TELEMETRY_OVERHEAD_CAP = 1.02
 TELEMETRY_EPSILON_SECONDS = 0.010
 
 
-def _run(source, backend: str, chunk_rows: int | None = None):
+def _run(source, chunk_rows: int | None = None):
     return Engine(cache=ResultCache()).run(
         RunPlan(
             source=source,
             algorithm="TP+",
             l=L,
             shards=1,
-            backend=backend,
             chunk_rows=chunk_rows,
             use_cache=False,
         )
@@ -85,53 +76,12 @@ def _rendered(report, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _fresh_publish():
-    """A freshly anonymized (table, generalized) pair with cold metric caches."""
-    from repro.core import hybrid
-
-    table = make_sal(N, seed=SEED, config=CensusConfig.scaled(QI_SCALE))
-    return table, hybrid.anonymize(table, L).generalized
-
-
-def _check_fused_metrics() -> bool:
-    """Fused one-pass metrics: equal values, >= MIN_FUSED_SPEEDUP vs unfused.
-
-    Each sweep is timed against its own freshly published run so neither
-    benefits from caches the other materialized.
-    """
-    table, generalized = _fresh_publish()
-    started = time.perf_counter()
-    fused = fused_metrics(table, generalized)
-    fused_seconds = time.perf_counter() - started
-
-    table, generalized = _fresh_publish()
-    started = time.perf_counter()
-    unfused = unfused_metrics(table, generalized)
-    unfused_seconds = time.perf_counter() - started
-
-    if fused != unfused:
-        diverging = sorted(
-            name for name in fused if fused[name] != unfused[name]
-        )
-        print(f"FAIL: fused metrics diverge from standalone passes: {diverging}")
-        return False
-    ratio = unfused_seconds / fused_seconds if fused_seconds else float("inf")
-    print(
-        f"fused metrics: {fused_seconds:.3f}s vs unfused {unfused_seconds:.3f}s "
-        f"-> {ratio:.2f}x (values identical)"
-    )
-    if ratio < MIN_FUSED_SPEEDUP:
-        print(f"FAIL: fused metrics below the {MIN_FUSED_SPEEDUP:g}x floor")
-        return False
-    return True
-
-
 def _profiled_run(store_dir: Path) -> dict[str, float]:
     """One engine run against ``store_dir`` with stage profiling captured."""
     profiling.set_enabled(True)
     profiling.reset()
     try:
-        _run(ColumnStoreSource(str(store_dir)), "numpy")
+        _run(ColumnStoreSource(str(store_dir)))
     finally:
         profiling.set_enabled(False)
     return profiling.snapshot()
@@ -188,14 +138,14 @@ def _check_telemetry_overhead(mmap_source) -> bool:
     )
 
     def bare() -> None:
-        _run(mmap_source, "numpy", chunk_rows=CHUNK_ROWS)
+        _run(mmap_source, chunk_rows=CHUNK_ROWS)
 
     def instrumented() -> None:
         profiling.set_enabled(True)
         profiling.reset()
         started = time.perf_counter()
         try:
-            _run(mmap_source, "numpy", chunk_rows=CHUNK_ROWS)
+            _run(mmap_source, chunk_rows=CHUNK_ROWS)
         finally:
             elapsed = time.perf_counter() - started
             profile = profiling.snapshot()
@@ -346,8 +296,8 @@ def main() -> int:
             print("FAIL: mmap table fingerprint differs from in-memory table")
             return 1
 
-        memory = _run(TableSource(table), "numpy")
-        mapped = _run(mmap_source, "numpy", chunk_rows=CHUNK_ROWS)
+        memory = _run(TableSource(table))
+        mapped = _run(mmap_source, chunk_rows=CHUNK_ROWS)
         if _rendered(memory, Path(tmp) / "memory.csv") != _rendered(
             mapped, Path(tmp) / "mapped.csv"
         ):
@@ -358,24 +308,7 @@ def main() -> int:
             f"{memory.generalized.suppressed_tuple_count()} suppressed"
         )
 
-        reference = _run(mmap_source, "reference")
-        if reference.generalized.star_count() != mapped.generalized.star_count():
-            print("FAIL: reference backend output diverges")
-            return 1
-        numpy_seconds = mapped.timings.anonymize_seconds
-        reference_seconds = reference.timings.anonymize_seconds
-        speedup = reference_seconds / numpy_seconds if numpy_seconds else float("inf")
-        print(
-            f"anonymize: numpy {numpy_seconds:.3f}s, reference "
-            f"{reference_seconds:.3f}s -> {speedup:.2f}x"
-        )
-        if speedup < MIN_SPEEDUP:
-            print(f"FAIL: speedup below the {MIN_SPEEDUP:g}x floor")
-            return 1
-
         if not _check_encode_publish(table):
-            return 1
-        if not _check_fused_metrics():
             return 1
         if not _check_warm_start(table, Path(tmp)):
             return 1

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.baselines.hilbert.curve import bits_needed, hilbert_index, hilbert_indices_vectorized
 from repro.core import kernels
 from repro.core.eligibility import is_l_eligible
@@ -61,10 +60,10 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
     """Row indices sorted by Hilbert index over the QI space.
 
     Ties (identical QI vectors) are broken by row index so the order is
-    deterministic.
+    deterministic.  Keys wider than 62 bits take the pure-Python path.
     """
     bits = bits_needed([attribute.size for attribute in table.schema.qi])
-    if vectorized_enabled() and bits * table.dimension <= 62:
+    if bits * table.dimension <= 62:
         if rows is None:
             row_index = np.arange(len(table), dtype=np.int64)
             coords = table.qi_columns

@@ -5,7 +5,7 @@ Sub-commands:
 ``ldiversity anonymize``
     Anonymize a CSV file with one of the registered algorithms and export
     the published table with a :class:`~repro.engine.sinks.CsvSink`.
-    Shards / workers / backend left unspecified are chosen by the
+    Shards / workers left unspecified are chosen by the
     cost-based planner; runs are memoized in the workspace's persistent
     :class:`~repro.service.store.RunStore`, so repeating an invocation in a
     fresh process replays the stored result (``--no-store`` opts out).
@@ -129,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--qi-scale", type=float, default=0.24)
     bench.add_argument(
         "--repeats", type=int, default=1, help="runs per point; the minimum is kept"
-    )
-    bench.add_argument(
-        "--reference-max-n",
-        type=int,
-        default=1_000_000,
-        help="skip the pure-Python reference backend above this n",
     )
 
     plan = subparsers.add_parser(
@@ -381,12 +375,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="process-pool width for sharded runs (default: cost-based planner)",
     )
     parser.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "reference"],
-        default=None,
-        help="data-plane backend (default: process default; auto = planner)",
-    )
-    parser.add_argument(
         "--chunk-rows",
         type=int,
         default=None,
@@ -454,7 +442,6 @@ def _run_plan(arguments: argparse.Namespace, spec: PrivacySpec) -> RunPlan:
         privacy=spec,
         shards=arguments.shards,
         workers=arguments.workers,
-        backend=arguments.backend,
         chunk_rows=arguments.chunk_rows,
     )
 
@@ -494,8 +481,7 @@ def _command_anonymize(arguments: argparse.Namespace) -> int:
         print(f"sharded over {len(report.shard_sizes)} shards: {list(report.shard_sizes)}")
     if report.decision is not None and arguments.shards is None:
         print(
-            f"planner: shards={report.decision.shards} workers={report.decision.workers} "
-            f"backend={report.decision.backend}"
+            f"planner: shards={report.decision.shards} workers={report.decision.workers}"
         )
     print(_cache_line(report))
     if arguments.output:
@@ -525,7 +511,6 @@ def _command_anonymize_stream(
         privacy=spec,
         shards=arguments.shards,
         chunk_rows=arguments.chunk_rows or 50_000,
-        backend=arguments.backend,
     )
     print(report.format())
     print(f"published table written to {arguments.output}")
@@ -547,7 +532,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
         seed=arguments.seed,
         qi_scale=arguments.qi_scale,
         repeats=arguments.repeats,
-        reference_max_n=arguments.reference_max_n,
     )
     write_bench_scale(arguments.output, config)
     return 0
@@ -573,7 +557,6 @@ def _command_plan(arguments: argparse.Namespace) -> int:
         l=spec.anonymize_l(),
         shards=arguments.shards,
         workers=arguments.workers,
-        backend=arguments.backend,
         privacy=spec,
     )
     print(

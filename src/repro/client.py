@@ -303,7 +303,6 @@ class Client:
         csv_path: str | None = None,
         metrics: list[str] | None = None,
         shards: int | None = None,
-        backend: str | None = None,
         seed: int = 0,
         include_rows: bool = True,
         privacy: dict | object | None = None,
@@ -350,8 +349,6 @@ class Client:
                 params["metrics"] = ",".join(metrics)
             if shards is not None:
                 params["shards"] = str(shards)
-            if backend is not None:
-                params["backend"] = backend
             if not include_rows:
                 params["include_rows"] = "false"
             _status, _headers, raw = self._request(
@@ -372,8 +369,6 @@ class Client:
             payload["metrics"] = list(metrics)
         if shards is not None:
             payload["shards"] = shards
-        if backend is not None:
-            payload["backend"] = backend
         if rows is not None:
             payload["rows"] = rows
             payload["qi"] = list(qi or ())

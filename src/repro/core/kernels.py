@@ -12,8 +12,9 @@ the pickling cost of processes, and integer addition is associative, so the
 chunked results are bit-identical to the single-pass ones.
 
 Every kernel has a pure-Python oracle next to it (``*_reference``) used by
-the property tests; the algorithm-level oracle remains the reference backend
-plus the pinned digests of ``scripts/privacy_smoke.py``.
+the property tests; the algorithm-level oracles are the ``*_reference``
+paths the equivalence tests swap in, plus the pinned digests of
+``scripts/privacy_smoke.py``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,22 @@ def _pool() -> ThreadPoolExecutor:
             max_workers=workers, thread_name_prefix="repro-kernel"
         )
     return _POOL
+
+
+def _forget_pool_in_child() -> None:
+    """Drop the inherited pool in a forked child.
+
+    ``fork`` copies the executor object but none of its threads; its idle
+    bookkeeping still counts the parent's parked workers, so work submitted
+    in the child would wait forever (a sharded run on a process pool forked
+    from a process that already used the kernels).  The child builds its
+    own pool on first use instead.
+    """
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def group_sizes_heights(

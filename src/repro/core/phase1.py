@@ -45,7 +45,7 @@ def run_phase_one(state: AlgorithmState) -> PhaseOneReport:
     (:meth:`~repro.core.state.AlgorithmState.shave_group_bulk`) — the paper's
     observation that the removal multiset is tie-break-independent is what
     licenses computing it directly.  Groups the bulk path cannot serve (the
-    reference backend, custom state factories, groups mutated before the
+    eager reference state, custom state factories, groups mutated before the
     phase) fall back to the one-removal-at-a-time loop the bulk operation is
     proven against.
     """

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.baselines.hierarchy import Taxonomy
 from repro.core import hybrid as hybrid_module
 from repro.core import three_phase
@@ -96,21 +95,14 @@ def coarsen(
         attributes.append(Attribute(attribute.name, labels))
 
     schema = Schema(qi=tuple(attributes), sensitive=table.schema.sensitive)
-    if vectorized_enabled():
-        # Remap every column through its code map with one gather per attribute.
-        columns = table.qi_columns
-        coarse_columns = np.empty_like(columns)
-        for position, code_map in enumerate(code_maps):
-            coarse_columns[:, position] = np.asarray(code_map, dtype=np.int32)[
-                columns[:, position]
-            ]
-        coarse = Table.from_arrays(schema, coarse_columns, table.sa_array)
-    else:
-        qi_rows = [
-            tuple(code_maps[position][row[position]] for position in range(table.dimension))
-            for row in table.qi_rows
+    # Remap every column through its code map with one gather per attribute.
+    columns = table.qi_columns
+    coarse_columns = np.empty_like(columns)
+    for position, code_map in enumerate(code_maps):
+        coarse_columns[:, position] = np.asarray(code_map, dtype=np.int32)[
+            columns[:, position]
         ]
-        coarse = Table(schema, qi_rows, list(table.sa_values))
+    coarse = Table.from_arrays(schema, coarse_columns, table.sa_array)
     return CoarsenedTable(
         table=coarse,
         original=table,

@@ -6,12 +6,11 @@ then move the minimum number of tuples to a residue set ``R`` such that every
 ``Q_i`` and ``R`` are l-eligible.  :class:`AlgorithmState` owns that state
 and the vocabulary the phases use: thin/fat, conflicting, dead/alive.
 
-On the vectorized backend the per-group multiset states are **lazy**: the
-state keeps the table's run encoding (:meth:`Table.qi_sa_runs_arrays`) plus
-per-group size/height arrays computed by one fused
-:func:`~repro.core.kernels.group_sizes_heights` pass, and a
-:class:`~repro.core.groups.GroupState` is only materialized for the groups a
-phase actually mutates.  Every read the phases need — size, height,
+The per-group multiset states are **lazy**: the state keeps the table's run
+encoding (:meth:`Table.qi_sa_runs_arrays`) plus per-group size/height arrays
+computed by one fused :func:`~repro.core.kernels.group_sizes_heights` pass,
+and a :class:`~repro.core.groups.GroupState` is only materialized for the
+groups a phase actually mutates.  Every read the phases need — size, height,
 eligibility, pillars, liveness, per-value counts — is answered from the
 arrays for untouched groups, which is what makes million-row tables viable:
 the overwhelming majority of QI-groups are born l-eligible and never touched,
@@ -27,7 +26,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.core import kernels
 from repro.core.groups import GroupState
 from repro.dataset.table import Table
@@ -77,7 +75,7 @@ class AlgorithmState:
         self._pillar_runs: tuple[np.ndarray, np.ndarray] | None = None
         self._run_gids: np.ndarray | None = None
         self._context = None
-        if vectorized_enabled() and len(table) > 0:
+        if len(table) > 0:
             if state_factory is GroupState:
                 self._init_lazy(table)
             else:
@@ -87,7 +85,11 @@ class AlgorithmState:
         self._residue = state_factory()
 
     def _init_reference(self, table: Table, state_factory: StateFactory) -> None:
-        """Build the per-group multiset states one :meth:`add` at a time."""
+        """Build the per-group multiset states one :meth:`add` at a time.
+
+        The path for empty tables, and the oracle the equivalence tests swap
+        in for :meth:`_init_lazy`.
+        """
         # Deterministic group order: sort by QI vector so runs are reproducible.
         grouped = sorted(table.group_by_qi().items())
         self._group_keys = [key for key, _rows in grouped]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import profiling
-from repro.backend import vectorized_enabled
 from repro.core.groups import GroupState
 from repro.core.phase1 import PhaseOneReport, run_phase_one
 from repro.core.phase2 import PhaseTwoReport, run_phase_two
@@ -115,14 +114,10 @@ def run_state(
     of publishing it as a single QI-group.
     """
     # Touch the table-level grouping before the state-init stage so its cost
-    # is attributed to ``encode`` identically on both backends (the reference
-    # path historically folded the grouping into state-init, reporting
-    # encode: 0.0).  Both calls are cached on the table, so the work is never
-    # repeated inside AlgorithmState.
-    if vectorized_enabled() and len(table) > 0:
+    # is attributed to ``encode``; it is cached on the table, so the work is
+    # never repeated inside AlgorithmState.
+    if len(table) > 0:
         table.grouping()
-    else:
-        table.group_by_qi()
     with profiling.profile_stage("state-init"):
         state = AlgorithmState(table, l, state_factory=state_factory)
 

@@ -24,7 +24,6 @@ from typing import Any
 import numpy as np
 
 from repro import profiling
-from repro.backend import vectorized_enabled
 from repro.dataset.table import Schema, Table
 
 __all__ = ["STAR", "GeneralizedTable", "Partition", "cell_size", "cell_contains"]
@@ -82,15 +81,12 @@ class Partition:
 
     def __init__(self, groups: Iterable[Sequence[int]], n_rows: int) -> None:
         cleaned = [list(group) for group in groups if len(group) > 0]
-        if vectorized_enabled():
-            self._validate_vectorized(cleaned, n_rows)
-        else:
-            self._validate_reference(cleaned, n_rows)
+        self._validate(cleaned, n_rows)
         self._groups = cleaned
         self._n_rows = n_rows
 
     @staticmethod
-    def _validate_vectorized(cleaned: list[list[int]], n_rows: int) -> None:
+    def _validate(cleaned: list[list[int]], n_rows: int) -> None:
         """Coverage/disjointness checks via one concatenation and bincount."""
         if not cleaned:
             if n_rows:
@@ -107,23 +103,6 @@ class Partition:
             raise ValueError(
                 f"row index {int(duplicates[0])} appears in more than one group"
             )
-        if total != n_rows:
-            missing = n_rows - total
-            raise ValueError(f"partition covers {total} of {n_rows} rows ({missing} missing)")
-
-    @staticmethod
-    def _validate_reference(cleaned: list[list[int]], n_rows: int) -> None:
-        """Pure-Python validation (one pass over every index)."""
-        seen: set[int] = set()
-        total = 0
-        for group in cleaned:
-            for index in group:
-                if not 0 <= index < n_rows:
-                    raise ValueError(f"row index {index} out of range for n={n_rows}")
-                if index in seen:
-                    raise ValueError(f"row index {index} appears in more than one group")
-                seen.add(index)
-            total += len(group)
         if total != n_rows:
             missing = n_rows - total
             raise ValueError(f"partition covers {total} of {n_rows} rows ({missing} missing)")
@@ -347,8 +326,6 @@ class GeneralizedTable:
         artifact) reads the columnar form directly.
         :meth:`from_partition_reference` is the retained serial oracle.
         """
-        if not vectorized_enabled():
-            return cls.from_partition_reference(table, partition)
         if partition.n_rows != len(table):
             raise ValueError("partition size does not match table size")
         n = len(table)
@@ -555,7 +532,9 @@ class GeneralizedTable:
         treated as read-only; the metrics all share one computation.
         """
         if self._groups_cache is None:
-            if vectorized_enabled() and len(self):
+            if not len(self):
+                self._groups_cache = {}
+            else:
                 gids = self.group_ids_array()
                 order = np.argsort(gids, kind="stable")
                 sorted_gids = gids[order]
@@ -575,11 +554,6 @@ class GeneralizedTable:
                     ids[block]: ordered[starts_list[block] : ends_list[block]]
                     for block in appearance.tolist()
                 }
-            else:
-                result: dict[int, list[int]] = {}
-                for index, group_id in enumerate(self.group_ids):
-                    result.setdefault(group_id, []).append(index)
-                self._groups_cache = result
         return self._groups_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -640,10 +614,7 @@ class GeneralizedTable:
     def star_count(self) -> int:
         """Total number of suppressed QI cells (the Problem 1 objective)."""
         if self._star_count is None:
-            if vectorized_enabled():
-                self._star_count = int(np.count_nonzero(self.star_mask()))
-            else:
-                self._star_count = self.star_count_reference()
+            self._star_count = int(np.count_nonzero(self.star_mask()))
         return self._star_count
 
     def star_count_reference(self) -> int:
@@ -653,10 +624,7 @@ class GeneralizedTable:
     def suppressed_tuple_count(self) -> int:
         """Number of rows with at least one star (the Problem 2 objective)."""
         if self._suppressed_count is None:
-            if vectorized_enabled():
-                self._suppressed_count = int(self.star_mask().any(axis=1).sum())
-            else:
-                self._suppressed_count = self.suppressed_tuple_count_reference()
+            self._suppressed_count = int(self.star_mask().any(axis=1).sum())
         return self._suppressed_count
 
     def suppressed_tuple_count_reference(self) -> int:
@@ -680,8 +648,6 @@ class GeneralizedTable:
         """
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
-        if not vectorized_enabled():
-            return self.is_l_diverse_reference(l)
         if not len(self):
             return True
         gids = self.group_ids_array()
@@ -710,8 +676,6 @@ class GeneralizedTable:
         """Whether every QI-group has at least ``k`` rows."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not vectorized_enabled():
-            return self.is_k_anonymous_reference(k)
         if not len(self):
             return True
         gids = self.group_ids_array()

@@ -250,7 +250,7 @@ def make_census(
     schema = Schema(qi=qi_attributes, sensitive=sensitive_attribute)
 
     qi_matrix = np.column_stack([columns[name] for name in CENSUS_QI_NAMES])
-    # Hand the generator's code arrays straight to the columnar backend; the
+    # Hand the generator's code arrays straight to the columnar form; the
     # row-tuple representation is materialized only if an algorithm asks.
     return Table.from_arrays(schema, qi_matrix, columns[sensitive])
 

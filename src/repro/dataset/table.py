@@ -37,7 +37,6 @@ from typing import Any
 import numpy as np
 
 from repro import profiling
-from repro.backend import vectorized_enabled
 
 __all__ = ["Attribute", "Schema", "Table"]
 
@@ -457,10 +456,7 @@ class Table:
         """
         positions = [self._schema.qi_position(name) for name in qi_names]
         schema = self._schema.project(qi_names)
-        if vectorized_enabled():
-            return Table.from_arrays(schema, self.qi_columns[:, positions], self.sa_array)
-        qi_rows = [tuple(row[position] for position in positions) for row in self.qi_rows]
-        return Table(schema, qi_rows, list(self.sa_values))
+        return Table.from_arrays(schema, self.qi_columns[:, positions], self.sa_array)
 
     def sample(self, size: int, seed: int = 0) -> "Table":
         """Return a uniform random sample of ``size`` rows (without replacement)."""
@@ -472,14 +468,10 @@ class Table:
 
     def subset(self, indices: Sequence[int]) -> "Table":
         """Return a table containing exactly the given rows (in the given order)."""
-        if vectorized_enabled():
-            index_array = np.asarray(list(indices), dtype=np.intp)
-            return Table.from_arrays(
-                self._schema, self.qi_columns[index_array], self.sa_array[index_array]
-            )
-        qi_rows = [self.qi_rows[index] for index in indices]
-        sa_values = [self.sa_values[index] for index in indices]
-        return Table(self._schema, qi_rows, sa_values)
+        index_array = np.asarray(list(indices), dtype=np.intp)
+        return Table.from_arrays(
+            self._schema, self.qi_columns[index_array], self.sa_array[index_array]
+        )
 
     def group_by_qi(self) -> dict[tuple[int, ...], list[int]]:
         """Group row indices by identical QI vector.
@@ -493,17 +485,13 @@ class Table:
         be treated as read-only by callers.
         """
         if self._qi_groups is None:
-            if vectorized_enabled():
-                # The shared grouping context holds the one (QI, SA) sort of
-                # the table; deriving the QI grouping from it kills the
-                # historical second lexsort.  grouping() times itself under
-                # the ``encode`` stage; the derivation is attributed there too.
-                context = self.grouping()
-                with profiling.profile_stage("encode"):
-                    self._qi_groups = context.group_by_qi()
-            else:
-                with profiling.profile_stage("encode"):
-                    self._qi_groups = self.group_by_qi_reference()
+            # The shared grouping context holds the one (QI, SA) sort of the
+            # table; deriving the QI grouping from it kills the historical
+            # second lexsort.  grouping() times itself under the ``encode``
+            # stage; the derivation is attributed there too.
+            context = self.grouping()
+            with profiling.profile_stage("encode"):
+                self._qi_groups = context.group_by_qi()
         return self._qi_groups
 
     def attach_order_cache(self, cache) -> None:

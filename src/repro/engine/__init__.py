@@ -19,7 +19,7 @@ consumers (CLI, experiment harness, scripts) and consists of:
 * :mod:`repro.engine.sinks` — incremental CSV export of published tables
   (:class:`CsvSink`), shared by the CLI and the streaming pipeline;
 * :mod:`repro.engine.cache` — per-run result caching keyed by
-  ``(fingerprint, algorithm, l, shards, backend, seed, privacy)``, optionally
+  ``(fingerprint, algorithm, l, shards, seed, privacy)``, optionally
   read-through over the persistent :class:`~repro.service.store.RunStore`;
 * :mod:`repro.engine.core` — the :class:`Engine` executor tying it together;
   plan dimensions left unset are resolved by the cost-based

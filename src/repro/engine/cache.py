@@ -7,12 +7,9 @@ the :class:`~repro.engine.registry.AlgorithmOutput` *and* the seconds the
 original run took, so a hit reproduces both the published table and a
 faithful timing record.
 
-The cache key is ``(fingerprint, algorithm, l, shards, backend, seed,
-privacy)``.  Backend and seed are part of the key because a run's output is
-only guaranteed reproducible for a fixed data-plane backend (group traversal
-order can differ between the NumPy and reference paths) and a fixed RNG
-seed; omitting them allowed a ``repro.backend`` toggle to replay stale runs.
-``privacy`` is the canonical :meth:`~repro.privacy.spec.PrivacySpec.token`
+The cache key is ``(fingerprint, algorithm, l, shards, seed, privacy)``.
+The seed is part of the key because a run's output is only guaranteed
+reproducible for a fixed RNG seed.  ``privacy`` is the canonical :meth:`~repro.privacy.spec.PrivacySpec.token`
 of the requested privacy model and is present **even on the default path**
 (``"frequency-l(l=...)"``) for the same reason: before it existed, a run
 requesting a stricter spec (e.g. entropy l-diversity) at the same ``l``
@@ -38,7 +35,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro import backend as _backend
 from repro.engine.registry import AlgorithmOutput
 from repro.privacy.spec import FrequencyLDiversity, PrivacySpec
 
@@ -48,9 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> engine)
 
 __all__ = ["CachedRun", "ResultCache", "default_cache"]
 
-#: Cache key: (table fingerprint, algorithm name, l, shard count, data-plane
-#: backend, RNG seed, canonical privacy-spec token).
-CacheKey = tuple[str, str, int, int, str, int, str]
+#: Cache key: (table fingerprint, algorithm name, l, shard count, RNG seed,
+#: canonical privacy-spec token).
+CacheKey = tuple[str, str, int, int, int, str]
 
 
 @dataclass(frozen=True)
@@ -98,24 +94,21 @@ class ResultCache:
         algorithm: str,
         l: int,
         shards: int = 1,
-        backend: str | None = None,
         seed: int = 0,
         privacy: "PrivacySpec | str | None" = None,
     ) -> CacheKey:
-        """Build a cache key; ``backend`` defaults to the active backend.
+        """Build a cache key.
 
         ``privacy`` may be a spec, its canonical token, or ``None`` — the
         default keeps the ``l``-as-sugar contract and resolves to the
         frequency-l token, so two different specs with equal ``l`` can never
         share an entry.
         """
-        if backend is None:
-            backend = _backend.current_backend()
         if privacy is None:
             privacy = FrequencyLDiversity(int(l)).token()
         elif isinstance(privacy, PrivacySpec):
             privacy = privacy.token()
-        return (fingerprint, algorithm, l, shards, backend, seed, privacy)
+        return (fingerprint, algorithm, l, shards, seed, privacy)
 
     def get(self, key: CacheKey, table: "Table | None" = None) -> CachedRun | None:
         """Look up a run; memory first, then the persistent store.

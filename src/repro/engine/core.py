@@ -26,7 +26,7 @@ harness, the job service and the scripts run anonymization:
   :class:`~repro.service.planner.ExecutionPlanner` from the loaded table's
   statistics, replacing hand-tuned per-invocation defaults;
 * results are memoized in a :class:`~repro.engine.cache.ResultCache` keyed
-  by ``(fingerprint, algorithm, l, shards, backend, seed, privacy)``; when
+  by ``(fingerprint, algorithm, l, shards, seed, privacy)``; when
   the cache is backed by a persistent :class:`~repro.service.store.RunStore`,
   repeated runs are served across processes and the report says which tier
   answered.
@@ -42,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro import backend, profiling
+from repro import profiling
 from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Table
 from repro.engine import algorithms as _builtin_algorithms  # noqa: F401 - registers entries
@@ -91,9 +91,7 @@ class RunPlan:
 
     ``shards`` and ``workers`` default to ``None``, meaning *let the
     cost-based planner decide from the loaded table's statistics*; pass
-    explicit integers to pin them.  ``backend`` of ``None`` keeps the
-    process-wide data-plane backend, ``"auto"`` asks the planner for the
-    calibrated choice, and a concrete name pins it for this run.
+    explicit integers to pin them.
     """
 
     source: DataSource
@@ -110,8 +108,6 @@ class RunPlan:
     shards: int | None = None
     #: Process-pool width for sharded runs; 1 = sequential, None = planner.
     workers: int | None = None
-    #: Data-plane backend: None = process default, "auto" = planner-chosen.
-    backend: str | None = None
     #: RNG seed recorded in the cache key (reserved for randomized algorithms;
     #: every built-in is deterministic and ignores it).
     seed: int = 0
@@ -198,12 +194,9 @@ def run_with_spec(runner, table: Table, spec: PrivacySpec) -> AlgorithmOutput:
     return output
 
 
-def _run_shard(job: tuple[str, Table, PrivacySpec, str]) -> AlgorithmOutput:
+def _run_shard(job: tuple[str, Table, PrivacySpec]) -> AlgorithmOutput:
     """Process-pool entry point: anonymize one shard."""
-    name, shard, spec, backend_name = job
-    # Workers started via spawn/forkserver re-import repro.backend and would
-    # otherwise fall back to the default; mirror the parent's choice.
-    backend.set_backend(backend_name)
+    name, shard, spec = job
     return run_with_spec(algorithm_registry.get(name).runner, shard, spec)
 
 
@@ -268,30 +261,28 @@ class Engine:
             l=plan.l,
             shards=plan.shards,
             workers=plan.workers,
-            backend=plan.backend,
             privacy=spec,
         )
 
-        with backend.use_backend(decision.backend):
-            output, anonymize_seconds, tier, shard_sizes, merges = self._anonymize(
-                plan, info.name, table, decision, cacheable=info.deterministic,
-                spec=spec,
-            )
+        output, anonymize_seconds, tier, shard_sizes, merges = self._anonymize(
+            plan, info.name, table, decision, cacheable=info.deterministic,
+            spec=spec,
+        )
 
-            started = time.perf_counter()
-            verified = False
-            with profiling.profile_stage("metrics"):
-                if plan.verify:
-                    if not spec.check_generalized(output.generalized):
-                        raise VerificationError(
-                            f"published table violates {spec.describe()}"
-                        )
-                    verified = True
-                metric_values = {
-                    name: self.metrics.compute(name, table, output.generalized)
-                    for name in plan.metrics
-                }
-            metrics_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        verified = False
+        with profiling.profile_stage("metrics"):
+            if plan.verify:
+                if not spec.check_generalized(output.generalized):
+                    raise VerificationError(
+                        f"published table violates {spec.describe()}"
+                    )
+                verified = True
+            metric_values = {
+                name: self.metrics.compute(name, table, output.generalized)
+                for name in plan.metrics
+            }
+        metrics_seconds = time.perf_counter() - started
 
         return RunReport(
             plan=plan,
@@ -348,7 +339,6 @@ class Engine:
                 name,
                 spec.anonymize_l(),
                 decision.shards,
-                decision.backend,
                 plan.seed,
                 privacy=spec,
             )
@@ -406,9 +396,7 @@ class Engine:
     ) -> tuple[AlgorithmOutput, tuple[int, ...]]:
         shard_rows = qi_prefix_shards(table, decision.shards, spec)
         shard_tables = [table.subset(rows) for rows in shard_rows]
-        jobs = [
-            (name, shard, spec, backend.current_backend()) for shard in shard_tables
-        ]
+        jobs = [(name, shard, spec) for shard in shard_tables]
         if decision.workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=min(decision.workers, len(jobs))) as pool:
                 outputs = list(pool.map(_run_shard, jobs))

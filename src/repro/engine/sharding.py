@@ -160,8 +160,8 @@ def qi_prefix_shards(
     if shard_count == 1:
         return [list(range(n))]
 
-    # group_by_qi is insertion-ordered by backend-dependent traversal; sort
-    # keys so shard layout is identical on the numpy and reference backends.
+    # Sort the keys so shard layout never depends on group_by_qi's insertion
+    # order (the same sorted order the streaming pipeline uses).
     groups = table.group_by_qi()
     ordered_keys = sorted(groups)
     sa_values = table.sa_values

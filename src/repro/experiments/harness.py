@@ -15,7 +15,7 @@ size the pool from the calibrated run estimates — smoke-scale suites stay
 sequential, heavy sweeps fan out to the machine's cores.
 
 Runs are memoized in the engine's result cache (keyed by table fingerprint,
-algorithm, ``l``, shard count, data-plane backend and seed), so sweeps that
+algorithm, ``l``, shard count and seed), so sweeps that
 revisit a combination — e.g. the stars-vs-l and time-vs-l figures, which
 share every run — replay the stored output and its original timing instead
 of recomputing.  When the cache is backed by a persistent
@@ -32,7 +32,6 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from repro import backend
 from repro.dataset.table import Table
 from repro.engine.cache import CachedRun, ResultCache, default_cache
 from repro.engine.core import RunReport
@@ -176,17 +175,14 @@ def record_from_report(report: RunReport, dataset: str | None = None) -> RunReco
 
 
 def _run_job(
-    job: tuple[str, Table, int, str, bool, str],
+    job: tuple[str, Table, int, str, bool],
 ) -> tuple[RunRecord, CachedRun | None]:
     """Process-pool entry point: one (algorithm, table, l) measurement.
 
     Besides the scalar record, the run's output travels back so the parent
     can memoize it; ``None`` when the algorithm is not deterministic.
     """
-    name, table, l, label, with_kl, backend_name = job
-    # Workers started via spawn/forkserver re-import repro.backend and would
-    # otherwise fall back to the default; mirror the parent's choice.
-    backend.set_backend(backend_name)
+    name, table, l, label, with_kl = job
     info = algorithm_registry.get(name)
     started = time.perf_counter()
     output = info.runner(table, l)
@@ -223,7 +219,7 @@ def run_suite(
     """
     cache = cache if cache is not None else default_cache()
     jobs = [
-        (name, table, l, label, with_kl, backend.current_backend())
+        (name, table, l, label, with_kl)
         for label, table in tables
         for name in algorithms
     ]
@@ -233,24 +229,24 @@ def run_suite(
         return _run_jobs_parallel(jobs, workers, cache)
     return [
         run_algorithm(name, table, l, dataset=label, with_kl=with_kl, cache=cache)
-        for name, table, l, label, with_kl, _backend_name in jobs
+        for name, table, l, label, with_kl in jobs
     ]
 
 
-def _auto_workers(jobs: list[tuple[str, Table, int, str, bool, str]]) -> int:
+def _auto_workers(jobs: list[tuple[str, Table, int, str, bool]]) -> int:
     """Planner-chosen pool width for a batch of independent runs."""
     from repro.service.planner import default_planner
 
     planner = default_planner()
     estimated = sum(
-        planner.estimate_run_seconds(name, len(table), backend_name)
-        for name, table, _l, _label, _kl, backend_name in jobs
+        planner.estimate_run_seconds(name, len(table))
+        for name, table, _l, _label, _kl in jobs
     )
     return planner.suite_workers(len(jobs), estimated)
 
 
 def _run_jobs_parallel(
-    jobs: list[tuple[str, Table, int, str, bool, str]],
+    jobs: list[tuple[str, Table, int, str, bool]],
     workers: int,
     cache: ResultCache,
 ) -> list[RunRecord]:
@@ -264,12 +260,12 @@ def _run_jobs_parallel(
     records: list[RunRecord | None] = [None] * len(jobs)
     keys: dict[int, tuple] = {}
     misses: list[int] = []
-    for position, (name, table, l, label, with_kl, backend_name) in enumerate(jobs):
+    for position, (name, table, l, label, with_kl) in enumerate(jobs):
         info = algorithm_registry.get(name)
         if not info.deterministic:
             misses.append(position)
             continue
-        key = ResultCache.key(table.fingerprint(), name, l, backend=backend_name)
+        key = ResultCache.key(table.fingerprint(), name, l)
         keys[position] = key
         cached = cache.get(key, table)
         if cached is None:

@@ -8,12 +8,10 @@
 * :mod:`repro.metrics.loss` — auxiliary information-loss measures used for
   the extension experiments (NCP/GCP, discernibility, group sizes);
 * :mod:`repro.metrics.fused` — the fused one-pass sweep emitting the whole
-  standard metric set from the shared grouping structure, plus the
-  historical standalone passes (``unfused_metrics``) the scale-smoke
-  regression guard measures against.
+  standard metric set from the shared grouping structure.
 """
 
-from repro.metrics.fused import FUSED_METRIC_NAMES, fused_metrics, unfused_metrics
+from repro.metrics.fused import FUSED_METRIC_NAMES, fused_metrics
 from repro.metrics.kl import kl_divergence
 from repro.metrics.loss import average_group_size, discernibility, gcp, ncp
 from repro.metrics.stars import (
@@ -35,5 +33,4 @@ __all__ = [
     "star_count_by_attribute",
     "suppressed_tuple_count",
     "suppression_ratio",
-    "unfused_metrics",
 ]

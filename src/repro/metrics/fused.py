@@ -10,34 +10,24 @@ per-group caches on the :class:`~repro.dataset.generalized.GeneralizedTable`
 now reads the same boundaries — :func:`fused_metrics` emits the whole
 standard set from that one grouped sweep.
 
-:func:`unfused_metrics` runs the historical standalone implementations
-(``*_unfused``) on the same inputs; the scale-smoke CI guard asserts the
-fused sweep beats the summed standalone passes.  Values are identical:
-integer metrics bit-equal by construction, float metrics bit-equal because
-the fused reductions preserve the exact summation order of the standalone
-ones (see the per-metric docstrings).
+Values are bit-equal to the per-metric ``*_reference`` oracles for
+integer metrics and, for float metrics, the fused reductions sum in the
+same order as the row-level ones (see the per-metric docstrings).
 """
 
 from __future__ import annotations
 
 from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Table
-from repro.metrics.kl import kl_divergence, kl_divergence_unfused
-from repro.metrics.loss import (
-    average_group_size,
-    discernibility,
-    discernibility_unfused,
-    gcp,
-    ncp,
-    ncp_unfused,
-)
+from repro.metrics.kl import kl_divergence
+from repro.metrics.loss import average_group_size, discernibility, gcp, ncp
 from repro.metrics.stars import (
     star_count,
     suppressed_tuple_count,
     suppression_ratio,
 )
 
-__all__ = ["FUSED_METRIC_NAMES", "fused_metrics", "unfused_metrics"]
+__all__ = ["FUSED_METRIC_NAMES", "fused_metrics"]
 
 #: Registry names the fused sweep can emit, keyed exactly as
 #: :mod:`repro.engine.metrics` registers them.
@@ -77,29 +67,3 @@ def fused_metrics(
         "kl": kl_divergence(table, generalized),
     }
 
-
-def unfused_metrics(
-    table: Table, generalized: GeneralizedTable
-) -> dict[str, float | int]:
-    """The same metric set via the historical standalone passes.
-
-    Each value re-derives its own grouped view (full-table ``np.unique`` for
-    KL and discernibility, the ``(n, d)`` width reduction for NCP) — the
-    measured-against baseline of the scale-smoke regression guard.  Star
-    counts have no standalone variant (they were always cached reductions),
-    so they are shared with :func:`fused_metrics`.
-    """
-    ncp_value = ncp_unfused(generalized)
-    cells = len(generalized) * generalized.dimension
-    return {
-        "stars": star_count(generalized),
-        "suppressed": suppressed_tuple_count(generalized),
-        "suppression_ratio": suppression_ratio(generalized),
-        "ncp": ncp_value,
-        "gcp": ncp_value / cells if cells else 0.0,
-        "discernibility": discernibility_unfused(generalized),
-        "average_group_size": len(generalized) / len(generalized.groups())
-        if len(generalized)
-        else 0.0,
-        "kl": kl_divergence_unfused(table, generalized),
-    }

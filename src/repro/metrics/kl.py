@@ -20,13 +20,10 @@ counts), distinct generalized cell-vectors (deduplicated by tuple identity —
 rows of a QI-group share one tuple) become per-attribute membership matrices,
 and the mixture is evaluated with a couple of matrix products.  This keeps
 the metric fast enough to run inside the figure-7/8 benchmarks.
-:func:`kl_divergence_unfused` retains the historical standalone
-``np.unique`` construction (used by the scale-smoke regression guard), and
 :func:`kl_divergence_reference` retains a direct pure-Python evaluation of
-Equation 2 as the oracle for the property tests.  All three are
-bit-identical: re-sorting the runs stably by SA keeps QI vectors ascending
-within each SA bucket — exactly the ``np.unique`` lexicographic order — so
-the summation order never changes.
+Equation 2 as the oracle for the property tests.  Re-sorting the runs
+stably by SA keeps QI vectors ascending within each SA bucket — the
+lexicographic ``(SA, QI..)`` order — so the summation order is fixed.
 """
 
 from __future__ import annotations
@@ -36,11 +33,10 @@ from collections import Counter
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.dataset.table import Table
 
-__all__ = ["kl_divergence", "kl_divergence_reference", "kl_divergence_unfused"]
+__all__ = ["kl_divergence", "kl_divergence_reference"]
 
 
 def kl_divergence(table: Table, generalized: GeneralizedTable) -> float:
@@ -52,8 +48,6 @@ def kl_divergence(table: Table, generalized: GeneralizedTable) -> float:
     """
     if len(table) != len(generalized):
         raise ValueError("table and generalization must have the same number of rows")
-    if not vectorized_enabled():
-        return kl_divergence_reference(table, generalized)
     n = len(table)
     if n == 0:
         return 0.0
@@ -62,7 +56,7 @@ def kl_divergence(table: Table, generalized: GeneralizedTable) -> float:
     # enumerates the distinct (QI, SA) points in (QI, SA) order; a stable
     # argsort over the run SA codes regroups them into contiguous SA buckets
     # while keeping QI ascending within each bucket — the exact lexicographic
-    # (SA, QI..) order the historical np.unique construction produced.
+    # (SA, QI..) order.
     context = table.grouping()
     by_sa = np.argsort(context.run_values, kind="stable")
     sa_column = context.run_values[by_sa]
@@ -73,31 +67,6 @@ def kl_divergence(table: Table, generalized: GeneralizedTable) -> float:
     )
     return _kl_from_points(
         table, generalized, sa_column, qi_points, all_counts, run_starts
-    )
-
-
-def kl_divergence_unfused(table: Table, generalized: GeneralizedTable) -> float:
-    """The historical standalone construction: one full-table ``np.unique``.
-
-    Kept as the measured-against baseline for the fused-metrics regression
-    guard (``scripts/scale_smoke.py``); bit-identical to
-    :func:`kl_divergence`.
-    """
-    if len(table) != len(generalized):
-        raise ValueError("table and generalization must have the same number of rows")
-    if not vectorized_enabled():
-        return kl_divergence_reference(table, generalized)
-    n = len(table)
-    if n == 0:
-        return 0.0
-    stacked = np.column_stack((table.sa_array, table.qi_columns))
-    unique_points, point_counts = np.unique(stacked, axis=0, return_counts=True)
-    sa_column = unique_points[:, 0]
-    run_starts = np.concatenate(
-        ([0], np.flatnonzero(sa_column[1:] != sa_column[:-1]) + 1, [len(sa_column)])
-    )
-    return _kl_from_points(
-        table, generalized, sa_column, unique_points[:, 1:], point_counts, run_starts
     )
 
 
@@ -125,9 +94,7 @@ def _suppression_fstar(
     distinct per-group star sets (dozens, not thousands).
 
     Deterministic by construction: masks are visited in ascending bit order,
-    per-key weight sums are exact small integers, and the fused and
-    standalone KL paths feed the same combo list — so the two stay
-    bit-identical to each other.
+    and per-key weight sums are exact small integers.
 
     Returns the unnormalized mixture ``sum_c w_c P(point | combo c)`` per
     distinct point, or ``None`` when a combo holds a sub-domain

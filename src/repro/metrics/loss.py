@@ -11,28 +11,24 @@ generalization baselines on equal footing:
 
 NCP and discernibility run as group-level reductions over the generalized
 table's shared per-group caches (star flags and sizes seeded by
-``from_partition``, the bincount of the group-id vector otherwise); the
-``*_unfused`` variants retain the historical full-table reductions as the
-measured-against baselines for the scale-smoke regression guard, and the
-``*_reference`` variants retain the pure-Python loops as oracles for the
-property tests.
+``from_partition``, the bincount of the group-id vector otherwise).  Tables
+without that group form (sub-domain baselines, negative group ids) take
+row-level reductions instead.  The ``*_reference`` variants retain the
+pure-Python loops as oracles for the property tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.dataset.generalized import GeneralizedTable, cell_size
 
 __all__ = [
     "ncp",
     "ncp_reference",
-    "ncp_unfused",
     "gcp",
     "discernibility",
     "discernibility_reference",
-    "discernibility_unfused",
     "average_group_size",
 ]
 
@@ -48,43 +44,25 @@ def ncp(generalized: GeneralizedTable) -> float:
     to (stars among multi-valued attributes per group) x (group size) — a
     reduction over ``s`` groups instead of ``n`` rows.  Every cell penalty
     is 0.0 or 1.0 and the partial sums are exact integers, so the group
-    path is bit-identical to the row-level ``width_matrix`` reduction.
+    path is bit-identical to the row-level ``width_matrix`` reduction,
+    which remains the path for tables without star flags (sub-domain
+    baselines).
     """
-    if not vectorized_enabled():
-        return ncp_reference(generalized)
     if len(generalized) == 0 or generalized.dimension == 0:
+        return 0.0
+    domains = np.asarray(
+        [attribute.size for attribute in generalized.schema.qi], dtype=np.float64
+    )
+    multi = domains > 1
+    if not multi.any():
         return 0.0
     star = generalized.group_star_flags()
     if star is not None:
         sizes = generalized.group_sizes_array()
         if sizes.shape[0] == star.shape[0]:
-            multi = np.asarray(
-                [attribute.size > 1 for attribute in generalized.schema.qi], dtype=bool
-            )
-            if not multi.any():
-                return 0.0
             per_group = star[:, multi].sum(axis=1).astype(np.int64)
             return float((per_group * sizes).sum())
-    return ncp_unfused(generalized)
-
-
-def ncp_unfused(generalized: GeneralizedTable) -> float:
-    """The historical full-table reduction over the ``(n, d)`` width matrix.
-
-    The generic path for tables without per-group star flags (sub-domain
-    baselines), and the measured-against baseline for the fused-metrics
-    regression guard.
-    """
-    if not vectorized_enabled():
-        return ncp_reference(generalized)
-    if len(generalized) == 0 or generalized.dimension == 0:
-        return 0.0
-    sizes = np.asarray([attribute.size for attribute in generalized.schema.qi], dtype=np.float64)
-    widths = generalized.width_matrix()
-    multi = sizes > 1
-    if not multi.any():
-        return 0.0
-    penalties = (widths[:, multi] - 1.0) / (sizes[multi] - 1.0)
+    penalties = (generalized.width_matrix()[:, multi] - 1.0) / (domains[multi] - 1.0)
     return float(penalties.sum())
 
 
@@ -115,31 +93,16 @@ def discernibility(generalized: GeneralizedTable) -> int:
 
     Reads the cached per-group size array (a bincount shared with the other
     metrics and the privacy checks) instead of running its own full-table
-    ``np.unique`` pass.
+    ``np.unique`` pass; explicitly constructed tables with negative group
+    ids still take the ``np.unique`` pass.
     """
-    if not vectorized_enabled():
-        return discernibility_reference(generalized)
     if len(generalized) == 0:
         return 0
     gids = generalized.group_ids_array()
-    if int(gids.min()) < 0:  # non-dense explicit ids: bincount inapplicable
-        return discernibility_unfused(generalized)
-    sizes = generalized.group_sizes_array().astype(np.int64)
-    return int((sizes**2).sum())
-
-
-def discernibility_unfused(generalized: GeneralizedTable) -> int:
-    """The historical standalone ``np.unique`` pass over the group ids.
-
-    Kept as the measured-against baseline for the fused-metrics regression
-    guard, and the fallback for explicitly constructed tables with negative
-    group ids.
-    """
-    if not vectorized_enabled():
-        return discernibility_reference(generalized)
-    if len(generalized) == 0:
-        return 0
-    _ids, counts = np.unique(np.asarray(generalized.group_ids), return_counts=True)
+    if int(gids.min()) >= 0:
+        sizes = generalized.group_sizes_array().astype(np.int64)
+        return int((sizes**2).sum())
+    _ids, counts = np.unique(gids, return_counts=True)
     return int((counts.astype(np.int64) ** 2).sum())
 
 
@@ -150,7 +113,7 @@ def discernibility_reference(generalized: GeneralizedTable) -> int:
 
 def average_group_size(generalized: GeneralizedTable) -> float:
     """Average QI-group size of the anonymized table."""
-    if vectorized_enabled() and len(generalized):
+    if len(generalized):
         gids = generalized.group_ids_array()
         if int(gids.min()) >= 0:
             sizes = generalized.group_sizes_array()

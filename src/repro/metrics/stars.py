@@ -7,7 +7,6 @@ variants are retained as oracles for the property tests.
 
 from __future__ import annotations
 
-from repro.backend import vectorized_enabled
 from repro.dataset.generalized import STAR, GeneralizedTable
 
 __all__ = [
@@ -26,8 +25,6 @@ def star_count(generalized: GeneralizedTable) -> int:
 
 def star_count_by_attribute(generalized: GeneralizedTable) -> dict[str, int]:
     """Number of stars per QI attribute (useful for diagnosing which attributes hurt)."""
-    if not vectorized_enabled():
-        return star_count_by_attribute_reference(generalized)
     names = generalized.schema.qi_names
     per_column = generalized.star_mask().sum(axis=0)
     return {name: int(count) for name, count in zip(names, per_column)}

@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
 
-from repro.backend import vectorized_enabled
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import DuplicateRegistrationError, UnknownEntryError, VerificationError
@@ -88,11 +87,11 @@ def group_histograms(generalized: GeneralizedTable) -> list[Counter]:
     """Per-QI-group sensitive-value histograms of a published table.
 
     Histograms come out in the same first-appearance group order as
-    ``generalized.groups()``.  On the vectorized backend the Counters are
-    assembled from the table's sparse per-(group, SA) count triples — one
-    columnar pass instead of a Python Counter fill per group.
+    ``generalized.groups()``.  The Counters are assembled from the table's
+    sparse per-(group, SA) count triples — one columnar pass instead of a
+    Python Counter fill per group — unless the group ids are negative.
     """
-    if vectorized_enabled() and len(generalized):
+    if len(generalized):
         gids = generalized.group_ids_array()
         if int(gids.min()) >= 0:
             triple_gids, values, counts = generalized.group_sa_counts()
@@ -129,8 +128,8 @@ def group_histograms(generalized: GeneralizedTable) -> list[Counter]:
 
 
 def _sa_total(generalized: GeneralizedTable) -> Counter:
-    """The table-wide SA histogram (one bincount on the vectorized backend)."""
-    if vectorized_enabled() and len(generalized):
+    """The table-wide SA histogram (one bincount for non-negative codes)."""
+    if len(generalized):
         codes = generalized.sa_codes()
         if int(codes.min()) >= 0:
             counts = np.bincount(codes)

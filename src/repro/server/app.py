@@ -97,8 +97,6 @@ __all__ = ["AnonymizationServer"]
 
 _LOG = logging.getLogger("repro.server")
 
-_BACKENDS = (None, "auto", "numpy", "reference")
-
 Handler = Callable[["AnonymizationServer", Request], Awaitable[bytes]]
 _ROUTES: list[tuple[str, re.Pattern[str], str, str]] = []
 
@@ -843,9 +841,6 @@ class AnonymizationServer:
                 raise HttpError(
                     400, f"algorithm {info.name!r} does not support sharded execution"
                 )
-        backend = payload.get("backend")
-        if backend not in _BACKENDS:
-            raise HttpError(400, f"unknown backend {backend!r}; known: {_BACKENDS[1:]}")
         chunk_rows = payload.get("chunk_rows")
         if chunk_rows is not None:
             chunk_rows = _require_int(payload, "chunk_rows", minimum=1)
@@ -864,7 +859,6 @@ class AnonymizationServer:
             "privacy": privacy_spec.to_dict(),
             "metrics": list(metrics),
             "shards": shards,
-            "backend": backend,
             "seed": _require_int(payload, "seed") if "seed" in payload else 0,
             "chunk_rows": chunk_rows,
             # metrics-only workloads skip rendering/pickling/retaining the
@@ -1058,7 +1052,6 @@ class AnonymizationServer:
                     d=result["d"],
                     shards=decision.get("shards", 1),
                     workers=decision.get("workers", 1),
-                    backend=decision.get("backend", ""),
                     stars=result["stars"],
                     suppressed_tuples=result["suppressed_tuples"],
                     groups=result["groups"],
@@ -1520,7 +1513,6 @@ class AnonymizationServer:
                 l=l,
                 shards=payload.get("shards"),
                 workers=payload.get("workers"),
-                backend=payload.get("backend"),
                 privacy=spec,
             )
         except ValueError as error:
@@ -1530,7 +1522,6 @@ class AnonymizationServer:
             {
                 "shards": decision.shards,
                 "workers": decision.workers,
-                "backend": decision.backend,
                 "estimated_seconds": decision.estimated_seconds,
                 "privacy": decision.privacy,
                 "reasons": list(decision.reasons),

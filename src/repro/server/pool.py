@@ -161,7 +161,6 @@ def execute_job(
         privacy=privacy_from_dict(privacy) if privacy else None,
         shards=spec.get("shards"),
         workers=max(1, int(core_budget)),
-        backend=spec.get("backend"),
         seed=int(spec.get("seed", 0)),
         metrics=tuple(spec.get("metrics", ())),
         chunk_rows=spec.get("chunk_rows"),
@@ -215,7 +214,6 @@ def execute_job(
         "decision": {
             "shards": report.decision.shards,
             "workers": report.decision.workers,
-            "backend": report.decision.backend,
         }
         if report.decision is not None
         else None,

@@ -8,7 +8,7 @@ long-lived deployment needs beyond a single in-process run:
   through, so repeated CLI invocations and figure sweeps reuse results
   **across processes**;
 * :mod:`repro.service.planner` — the cost-based :class:`ExecutionPlanner`
-  that picks shards / workers / backend from table statistics, calibrated
+  that picks shards / workers from table statistics, calibrated
   against the committed ``BENCH_fig6.json`` baseline (and the large-``n``
   ``BENCH_scale.json`` trajectory when present);
 * :mod:`repro.service.benchscale` — the ``BENCH_scale.json`` driver: the

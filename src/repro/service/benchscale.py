@@ -4,7 +4,7 @@ Where ``BENCH_fig6.json`` tracks the paper's figure sweep at smoke scale,
 ``BENCH_scale.json`` records the *million-row* behaviour of the pipeline:
 one synthetic table per cardinality is converted to an on-disk
 :class:`~repro.engine.columnstore.ColumnStore` and anonymized through the
-memory-mapped engine path with stage profiling enabled, once per backend.
+memory-mapped engine path with stage profiling enabled.
 Each point carries the full per-stage attribution (``load`` / ``encode`` /
 ``state-init`` / ``phase1``..``phase3`` / ``publish`` / ``metrics``), so a
 future regression is pinned on a stage, not a rerun.  The committed file
@@ -60,19 +60,13 @@ class BenchScaleConfig:
     #: second pass doubles minutes of wall clock for no extra signal.
     repeats: int = 1
     repeat_max_n: int = 1_000_000
-    #: The pure-Python reference backend is only timed up to this ``n``
-    #: (it is the *comparison* baseline, not the thing being optimized,
-    #: and at 10^7 rows it would run for an hour).
-    reference_max_n: int = 1_000_000
 
     def census_config(self) -> CensusConfig:
         return CensusConfig.scaled(self.qi_scale)
 
 
-def _measure_point(
-    store_dir: Path, n: int, backend_name: str, config: BenchScaleConfig
-) -> dict:
-    """Best-of-repeats stage-attributed timing of one (n, backend) run."""
+def _measure_point(store_dir: Path, n: int, config: BenchScaleConfig) -> dict:
+    """Best-of-repeats stage-attributed timing of one run at ``n`` rows."""
     best: dict | None = None
     repeats = max(config.repeats, 1) if n <= config.repeat_max_n else 1
     for _ in range(repeats):
@@ -85,7 +79,6 @@ def _measure_point(
                     algorithm=config.algorithm,
                     l=config.l,
                     shards=1,
-                    backend=backend_name,
                     use_cache=False,
                 )
             )
@@ -101,7 +94,6 @@ def _measure_point(
             seconds[stage] = stages.get(stage, 0.0)
         point = {
             "n": n,
-            "backend": backend_name,
             "seconds": seconds,
             "stars": report.generalized.star_count(),
             "suppressed_tuples": report.generalized.suppressed_tuple_count(),
@@ -122,8 +114,6 @@ def run_bench_scale(
 
     maker = make_sal if config.dataset.upper() == "SAL" else make_occ
     points: list[dict] = []
-    speedup: dict[str, float | None] = {}
-    speedup_notes: dict[str, str] = {}
     for n in config.sizes:
         echo(f"[bench_scale] n={n}: generating {config.dataset} table")
         table = maker(n, seed=config.seed, config=config.census_config())
@@ -137,44 +127,14 @@ def run_bench_scale(
             )
             del table  # the engine must run off the mmap, not this copy
 
-            numpy_point = _measure_point(store_dir, n, "numpy", config)
-            points.append(numpy_point)
+            point = _measure_point(store_dir, n, config)
+            points.append(point)
             echo(
-                f"[bench_scale] n={n} numpy: total "
-                f"{numpy_point['seconds']['total']:.3f}s "
-                f"(anonymize {numpy_point['seconds']['anonymize']:.3f}s, "
-                f"stars {numpy_point['stars']})"
+                f"[bench_scale] n={n}: total "
+                f"{point['seconds']['total']:.3f}s "
+                f"(anonymize {point['seconds']['anonymize']:.3f}s, "
+                f"stars {point['stars']})"
             )
-            if n <= config.reference_max_n:
-                reference_point = _measure_point(store_dir, n, "reference", config)
-                points.append(reference_point)
-                ratio = (
-                    reference_point["seconds"]["total"]
-                    / numpy_point["seconds"]["total"]
-                )
-                speedup[str(n)] = ratio
-                echo(
-                    f"[bench_scale] n={n} reference: total "
-                    f"{reference_point['seconds']['total']:.3f}s "
-                    f"-> speedup {ratio:.2f}x"
-                )
-                if reference_point["stars"] != numpy_point["stars"]:
-                    raise RuntimeError(
-                        f"backend outputs diverge at n={n}: "
-                        f"{numpy_point['stars']} vs {reference_point['stars']} stars"
-                    )
-            else:
-                # Record the hole explicitly: a silently absent key reads as
-                # "never measured" while null + note says "deliberately
-                # skipped".  Consumers (load_scale_rates, the README table)
-                # ignore null entries.
-                speedup[str(n)] = None
-                speedup_notes[str(n)] = "reference_skipped"
-                echo(
-                    f"[bench_scale] n={n} reference: skipped "
-                    f"(> reference_max_n={config.reference_max_n}); "
-                    "speedup recorded as null"
-                )
     return {
         "benchmark": "bench_scale",
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -191,8 +151,6 @@ def run_bench_scale(
             "source": "columnstore-mmap",
         },
         "points": points,
-        "speedup": speedup,
-        "speedup_notes": speedup_notes,
     }
 
 

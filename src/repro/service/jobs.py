@@ -122,7 +122,6 @@ class JobRecord:
     d: int = 0
     shards: int = 1
     workers: int = 1
-    backend: str = ""
     stars: int = 0
     suppressed_tuples: int = 0
     groups: int = 0
@@ -467,7 +466,6 @@ class JobService:
             d=report.d,
             shards=decision.shards if decision else 1,
             workers=decision.workers if decision else 1,
-            backend=decision.backend if decision else "",
             stars=report.generalized.star_count(),
             suppressed_tuples=report.generalized.suppressed_tuple_count(),
             groups=len(report.generalized.groups()),

@@ -1,4 +1,4 @@
-"""Cost-based execution planning: pick shards / workers / backend from table stats.
+"""Cost-based execution planning: pick shards / workers from table stats.
 
 Hand-tuning ``--shards`` and ``--workers`` per invocation does not survive
 contact with a figure sweep that spans three orders of magnitude in ``n``.
@@ -12,9 +12,7 @@ baseline:
   fall back to the mean benched rate;
 * **sharding** — ``s`` QI-prefix shards of ``n/s`` rows run in
   ``ceil(s / w)`` waves on ``w`` workers, at the price of per-shard setup,
-  per-worker process spawn, and an O(n) merge pass;
-* **backend** — whichever backend the calibration says is faster for the
-  algorithm at hand (NumPy, on every committed baseline).
+  per-worker process spawn, and an O(n) merge pass.
 
 The planner enumerates a small candidate grid, estimates each
 configuration's wall-clock seconds, and returns the argmin as an
@@ -36,7 +34,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import backend as _backend
 from repro.engine.registry import AlgorithmInfo
 from repro.privacy.spec import PrivacySpec
 
@@ -60,8 +57,11 @@ MERGE_SECONDS_PER_ROW = 2.5e-7
 MIN_SHARD_ROWS = 2_000
 #: Shard counts the planner considers.
 SHARD_CANDIDATES = (1, 2, 4, 8, 16, 32)
-#: Fallback per-``n log2 n`` rates when no benchmark file is available.
-DEFAULT_RATES = {"numpy": 1.0e-7, "reference": 4.0e-7}
+#: Fallback per-``n log2 n`` rate when no benchmark file is available.
+DEFAULT_RATE = 1.0e-7
+#: The benchmark files' name for the production data plane; their other
+#: entries time retired implementations and do not calibrate anything.
+BENCH_DATA_PLANE = "numpy"
 
 
 def _nlogn(n: int | float) -> float:
@@ -87,33 +87,29 @@ def per_job_worker_budget(pool_workers: int, cpu_count: int | None = None) -> in
 
 @dataclass(frozen=True)
 class PlannerCalibration:
-    """Per-backend, per-algorithm cost rates (seconds per ``n log2 n`` unit)."""
+    """Per-algorithm cost rates (seconds per ``n log2 n`` unit)."""
 
-    #: backend -> algorithm -> rate.
-    rates: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: algorithm -> rate.
+    rates: dict[str, float] = field(default_factory=dict)
     #: Where the rates came from ("BENCH_fig6.json" or "defaults").
     source: str = "defaults"
 
-    def rate(self, algorithm: str, backend: str) -> float:
-        per_algorithm = self.rates.get(backend, {})
-        if algorithm in per_algorithm:
-            return per_algorithm[algorithm]
-        if per_algorithm:
-            return sum(per_algorithm.values()) / len(per_algorithm)
-        return DEFAULT_RATES.get(backend, DEFAULT_RATES["numpy"])
-
-    def backends(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rates)) or tuple(sorted(DEFAULT_RATES))
+    def rate(self, algorithm: str) -> float:
+        if algorithm in self.rates:
+            return self.rates[algorithm]
+        if self.rates:
+            return sum(self.rates.values()) / len(self.rates)
+        return DEFAULT_RATE
 
 
 def load_scale_rates(
     path: str | Path | None = None,
-) -> tuple[dict[str, dict[str, float]], str]:
-    """Per-(backend, algorithm) rates from a ``BENCH_scale.json`` trajectory.
+) -> tuple[dict[str, float], str]:
+    """Per-algorithm rates from a ``BENCH_scale.json`` trajectory.
 
     The scale benchmark (``scripts/bench_scale.py``) records per-stage
     seconds at 10^5..10^7 rows; its ``anonymize`` seconds at the largest
-    measured ``n`` per backend give a far better rate estimate than the
+    measured ``n`` give a far better rate estimate than the
     small-``n`` figure-6 sweep, so these rates *override* the figure-6 ones
     for the benched algorithm.  Returns ``({}, "")`` when no readable file
     exists — callers fall through to the figure-6 / default calibration.
@@ -133,26 +129,24 @@ def load_scale_rates(
         algorithm = payload.get("config", {}).get("algorithm")
         if not algorithm:
             continue
-        best: dict[str, tuple[int, float]] = {}
+        best: tuple[int, float] | None = None
         for point in payload.get("points", []):
-            backend_name = point.get("backend")
+            if point.get("backend", BENCH_DATA_PLANE) != BENCH_DATA_PLANE:
+                continue
             n = int(point.get("n", 0))
             raw_seconds = point.get("seconds", {}).get("anonymize")
             if raw_seconds is None:
                 # Explicit null: the point was recorded but not measured
-                # (e.g. a skipped reference run) — ignore, don't crash.
+                # — ignore, don't crash.
                 continue
             seconds = float(raw_seconds)
-            if not backend_name or n < 2 or seconds <= 0:
+            if n < 2 or seconds <= 0:
                 continue
-            if backend_name not in best or n > best[backend_name][0]:
-                best[backend_name] = (n, seconds)
-        rates = {
-            backend_name: {algorithm: seconds / _nlogn(n)}
-            for backend_name, (n, seconds) in best.items()
-        }
-        if rates:
-            return rates, str(candidate)
+            if best is None or n > best[0]:
+                best = (n, seconds)
+        if best is not None:
+            n, seconds = best
+            return {algorithm: seconds / _nlogn(n)}, str(candidate)
     return {}, ""
 
 
@@ -179,7 +173,7 @@ def load_bench_calibration(
     else:
         candidates.append(Path.cwd() / "BENCH_fig6.json")
         candidates.append(Path(__file__).resolve().parents[3] / "BENCH_fig6.json")
-    rates: dict[str, dict[str, float]] = {}
+    rates: dict[str, float] = {}
     source = "defaults"
     for candidate in candidates:
         try:
@@ -187,15 +181,15 @@ def load_bench_calibration(
                 payload = json.load(handle)
         except (OSError, json.JSONDecodeError):
             continue
-        for backend_name, algorithms in payload.get("seconds", {}).items():
-            for algorithm, by_n in algorithms.items():
-                points = sorted(
-                    (int(n), float(seconds)) for n, seconds in by_n.items() if float(seconds) > 0
-                )
-                if not points:
-                    continue
-                n_ref, t_ref = points[-1]
-                rates.setdefault(backend_name, {})[algorithm] = t_ref / _nlogn(n_ref)
+        algorithms = payload.get("seconds", {}).get(BENCH_DATA_PLANE, {})
+        for algorithm, by_n in algorithms.items():
+            points = sorted(
+                (int(n), float(seconds)) for n, seconds in by_n.items() if float(seconds) > 0
+            )
+            if not points:
+                continue
+            n_ref, t_ref = points[-1]
+            rates[algorithm] = t_ref / _nlogn(n_ref)
         if rates:
             source = str(candidate)
             break
@@ -204,8 +198,7 @@ def load_bench_calibration(
     else:
         scale_rates, scale_source = {}, ""
     if scale_rates:
-        for backend_name, per_algorithm in scale_rates.items():
-            rates.setdefault(backend_name, {}).update(per_algorithm)
+        rates.update(scale_rates)
         source = f"{source} + {scale_source}" if rates else scale_source
     if rates:
         return PlannerCalibration(rates=rates, source=source)
@@ -218,7 +211,6 @@ class ExecutionDecision:
 
     shards: int
     workers: int
-    backend: str
     estimated_seconds: float
     #: Every (shards, workers, estimated seconds) configuration considered.
     candidates: tuple[tuple[int, int, float], ...] = ()
@@ -231,7 +223,7 @@ class ExecutionDecision:
         """Human-readable account of the decision (``ldiversity plan``)."""
         lines = [
             f"chosen: shards={self.shards} workers={self.workers} "
-            f"backend={self.backend} (estimated {self.estimated_seconds:.4f}s)"
+            f"(estimated {self.estimated_seconds:.4f}s)"
         ]
         if self.privacy:
             lines.append(f"  privacy: {self.privacy}")
@@ -245,7 +237,7 @@ class ExecutionDecision:
 
 
 class ExecutionPlanner:
-    """Chooses shards/workers/backend for a run from (n, d, l) table stats."""
+    """Chooses shards/workers for a run from (n, d, l) table stats."""
 
     def __init__(
         self,
@@ -260,9 +252,9 @@ class ExecutionPlanner:
 
     # ------------------------------------------------------------- cost model
 
-    def estimate_run_seconds(self, algorithm: str, n: int, backend: str) -> float:
+    def estimate_run_seconds(self, algorithm: str, n: int) -> float:
         """Estimated anonymize seconds of one unsharded run."""
-        return self.calibration.rate(algorithm, backend) * _nlogn(n)
+        return self.calibration.rate(algorithm) * _nlogn(n)
 
     def _estimate(self, rate: float, n: int, shards: int, workers: int) -> float:
         per_shard = rate * _nlogn(n / shards)
@@ -284,18 +276,19 @@ class ExecutionPlanner:
         l: int,
         shards: int | None = None,
         workers: int | None = None,
-        backend: str | None = None,
+        backend: None = None,
         privacy: "PrivacySpec | None" = None,
     ) -> ExecutionDecision:
         """Resolve a run configuration, honouring caller-fixed dimensions.
 
-        ``shards``/``workers``/``backend`` left as ``None`` are chosen by the
-        cost model; ``backend`` may also be ``"auto"`` to request the
-        calibrated choice explicitly (``None`` keeps the process backend).
+        ``shards``/``workers`` left as ``None`` are chosen by the cost model.
         ``privacy`` keys the decision on the requested spec: its group floor
         bounds how finely the table may be sharded, and the decision echoes
         the spec so ``ldiversity plan`` output is spec-aware.
         """
+        # Compatibility shim: perfbench/layers.py still passes backend=None.
+        if backend is not None:
+            raise ValueError(f"there is one data plane; backend={backend!r} is not accepted")
         del d  # current cost model depends on n (and the spec's floor) only
         reasons: list[str] = [f"calibration: {self.calibration.source}"]
         floor = privacy.group_floor() if privacy is not None else max(int(l), 1)
@@ -304,8 +297,7 @@ class ExecutionPlanner:
                 f"privacy: {privacy.describe()} (group floor {floor})"
             )
 
-        chosen_backend = self._decide_backend(info.name, backend, reasons)
-        rate = self.calibration.rate(info.name, chosen_backend)
+        rate = self.calibration.rate(info.name)
 
         shard_candidates = self._shard_candidates(info, n, shards, reasons, floor)
         candidates: list[tuple[int, int, float]] = []
@@ -324,31 +316,11 @@ class ExecutionPlanner:
         return ExecutionDecision(
             shards=best_shards,
             workers=best_workers,
-            backend=chosen_backend,
             estimated_seconds=best_seconds,
             candidates=tuple(candidates),
             reasons=tuple(reasons),
             privacy=privacy.token() if privacy is not None else "",
         )
-
-    def _decide_backend(
-        self, algorithm: str, requested: str | None, reasons: list[str]
-    ) -> str:
-        if requested is not None and requested != "auto":
-            reasons.append(f"backend fixed by caller: {requested}")
-            return requested
-        if requested is None:
-            current = _backend.current_backend()
-            reasons.append(f"backend: keeping process backend {current!r}")
-            return current
-        best = min(
-            self.calibration.backends(),
-            key=lambda name: self.calibration.rate(algorithm, name),
-        )
-        reasons.append(
-            f"backend: {best!r} has the lowest calibrated rate for {algorithm!r}"
-        )
-        return best
 
     def _shard_candidates(
         self,

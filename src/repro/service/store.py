@@ -4,18 +4,22 @@ The :class:`RunStore` supersedes the purely in-process LRU as the durable
 tier of result caching: the engine's :class:`~repro.engine.cache.ResultCache`
 reads through it, so figure sweeps and repeated CLI invocations reuse
 results **across processes**.  Records are keyed exactly like the in-memory
-cache — ``(fingerprint, algorithm, l, shards, backend, seed, privacy)``,
-where ``privacy`` is the canonical privacy-spec token — and hold the
-*encoded* generalization only.
+cache — ``(fingerprint, algorithm, l, shards, seed, privacy)``, where
+``privacy`` is the canonical privacy-spec token — and hold the *encoded*
+generalization only.
 
-**Key migration note:** the ``privacy`` component was added when the scalar
-``l`` grew into the :class:`~repro.privacy.spec.PrivacySpec` hierarchy.
-Two different specs with equal ``l`` previously collided on one record, so
-a stricter (e.g. entropy-checked) rerun could replay a frequency-l hit.
-Legacy six-element records fail :meth:`RunStore._parse`'s key-shape check,
+**Key migration note:** the key has had three shapes.  The oldest was
+``(fingerprint, algorithm, l, shards, backend, seed)``; the ``privacy``
+component was appended when the scalar ``l`` grew into the
+:class:`~repro.privacy.spec.PrivacySpec` hierarchy (two specs with equal
+``l`` had collided on one record), and the ``backend`` component was
+dropped when the pure-Python data plane stopped being a runtime choice.
+:meth:`RunStore._parse` accepts only the current six-element shape, typed
+element by element, so both legacy shapes — seven elements with a backend,
+and six elements with a backend where the seed belongs — fail the check,
 are counted in :attr:`RunStore.recovered` and are dropped by the next
-compaction — a store written before the migration simply recomputes on
-first use, it never replays under the wrong spec.
+compaction.  A store written before a migration simply recomputes on first
+use; it never replays a record under a key it was not computed for.
 
 Each record holds:
 
@@ -52,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dataset.table import Table
 
 __all__ = ["RunStore", "StoreError"]
+
+#: Element types of a stored key: (fingerprint, algorithm, l, shards, seed,
+#: privacy token).
+_KEY_TYPES = (str, str, int, int, int, str)
 
 
 class StoreError(Exception):
@@ -151,10 +159,14 @@ class RunStore:
         if not isinstance(record, dict):
             return None
         key = record.get("key")
-        # Exactly the 7-element (fingerprint, algorithm, l, shards, backend,
-        # seed, privacy) shape; legacy 6-element pre-PrivacySpec records are
-        # dropped here (see the migration note in the module docstring).
-        if not isinstance(key, list) or len(key) != 7:
+        # Exactly the current key shape; legacy shapes are dropped here (see
+        # the migration note in the module docstring).
+        if not isinstance(key, list) or len(key) != len(_KEY_TYPES):
+            return None
+        if not all(
+            isinstance(part, kind) and not isinstance(part, bool)
+            for part, kind in zip(key, _KEY_TYPES)
+        ):
             return None
         group_cells = record.get("group_cells")
         group_ids = record.get("group_ids")

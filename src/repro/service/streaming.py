@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import backend as _backend
 from repro.dataset.table import Table
 from repro.engine.core import run_with_spec
 from repro.engine.registry import algorithm_registry
@@ -97,18 +96,18 @@ class StreamReport:
 def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int]:
     """Pass 1: per-QI-key sensitive-value histograms, streamed.
 
-    On the vectorized backend each chunk is reduced with one run-length
-    encoding pass (:meth:`~repro.dataset.table.Table.qi_sa_runs_arrays`):
-    every ``(QI key, sensitive value)`` run contributes a single Counter
-    update weighted by its length, so the Python-level work is O(distinct
-    runs) instead of O(rows).  The histograms are identical to the per-tuple
+    Each chunk is reduced with one run-length encoding pass
+    (:meth:`~repro.dataset.table.Table.qi_sa_runs_arrays`): every ``(QI key,
+    sensitive value)`` run contributes a single Counter update weighted by
+    its length, so the Python-level work is O(distinct runs) instead of
+    O(rows).  The histograms are identical to the per-tuple
     :func:`_scan_reference` (the regression test asserts this) because a
     histogram is order-insensitive.
     """
     key_histograms: dict[tuple, Counter] = {}
     n = 0
     for chunk in source.iter_chunks(chunk_rows):
-        if _backend.vectorized_enabled() and len(chunk):
+        if len(chunk):
             group_keys, group_run_bounds, run_bounds, run_values, _ = (
                 chunk.qi_sa_runs_arrays()
             )
@@ -119,8 +118,6 @@ def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int
                 histogram = key_histograms.setdefault(key, Counter())
                 for run in range(bounds[group_id], bounds[group_id + 1]):
                     histogram[values[run]] += run_lengths[run]
-        else:
-            _scan_chunk_reference(chunk, key_histograms)
         n += len(chunk)
     return key_histograms, n
 
@@ -152,41 +149,35 @@ def _scan_reference(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Cou
 def _spill_chunk(chunk: Table, shard_of: dict, spills: list, d: int) -> None:
     """Pass 2 inner loop: route one chunk's encoded rows to the shard spills.
 
-    Rows are written as raw ``(d + 1)`` int32 blocks.  The vectorized path
-    must land rows in each spill in exactly the order the per-group loop
-    produces — QI keys ascending, original row index ascending within a key —
-    because the spill's row order is the shard table's row order and hence
+    Rows are written as raw ``(d + 1)`` int32 blocks, landing in each spill
+    with QI keys ascending and original row index ascending within a key —
+    the spill's row order is the shard table's row order and hence
     observable in the published bytes.  A QI-only stable lexsort delivers
     precisely that order (it is the same sort ``group_by_qi`` uses), after
     which one boolean mask per shard appends every row in a single write.
     """
+    if not len(chunk):
+        return
     columns = chunk.qi_columns
     sa = chunk.sa_array
-    if _backend.vectorized_enabled() and len(chunk):
-        order = np.lexsort(columns.T[::-1])
-        block = np.empty((len(chunk), d + 1), dtype=np.int32)
-        block[:, :d] = columns[order]
-        block[:, d] = sa[order]
-        starts = np.empty(len(chunk), dtype=bool)
-        starts[0] = True
-        np.any(block[1:, :d] != block[:-1, :d], axis=1, out=starts[1:])
-        start_rows = np.flatnonzero(starts)
-        group_shards = np.asarray(
-            [shard_of[key] for key in map(tuple, block[start_rows, :d].tolist())],
-            dtype=np.intp,
-        )
-        sizes = np.diff(np.append(start_rows, len(chunk)))
-        row_shards = np.repeat(group_shards, sizes)
-        for index, spill in enumerate(spills):
-            mask = row_shards == index
-            if mask.any():
-                spill.write(block[mask].tobytes())
-    else:
-        for key, rows in chunk.group_by_qi().items():
-            block = np.empty((len(rows), d + 1), dtype=np.int32)
-            block[:, :d] = columns[rows]
-            block[:, d] = sa[rows]
-            spills[shard_of[key]].write(block.tobytes())
+    order = np.lexsort(columns.T[::-1])
+    block = np.empty((len(chunk), d + 1), dtype=np.int32)
+    block[:, :d] = columns[order]
+    block[:, d] = sa[order]
+    starts = np.empty(len(chunk), dtype=bool)
+    starts[0] = True
+    np.any(block[1:, :d] != block[:-1, :d], axis=1, out=starts[1:])
+    start_rows = np.flatnonzero(starts)
+    group_shards = np.asarray(
+        [shard_of[key] for key in map(tuple, block[start_rows, :d].tolist())],
+        dtype=np.intp,
+    )
+    sizes = np.diff(np.append(start_rows, len(chunk)))
+    row_shards = np.repeat(group_shards, sizes)
+    for index, spill in enumerate(spills):
+        mask = row_shards == index
+        if mask.any():
+            spill.write(block[mask].tobytes())
 
 
 def stream_anonymize(
@@ -198,7 +189,6 @@ def stream_anonymize(
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     planner=None,
     spill_dir: str | Path | None = None,
-    backend: str | None = None,
     privacy: "PrivacySpec | dict | None" = None,
 ) -> StreamReport:
     """Anonymize a CSV source into a CSV file without materializing the table.
@@ -209,9 +199,7 @@ def stream_anonymize(
     published file.  ``shards`` of ``None`` asks the cost-based planner;
     streaming always processes shards sequentially (one shard resident at a
     time is the whole point), so the planner's worker choice is ignored
-    here.  ``backend`` of ``None`` keeps the process data-plane backend,
-    ``"auto"`` picks the planner's calibrated choice, and a concrete name
-    pins it for this run.
+    here.
     """
     started = time.perf_counter()
     info = algorithm_registry.get(algorithm)
@@ -244,19 +232,12 @@ def stream_anonymize(
             "no satisfying generalization exists"
         )
 
-    if shards is None or backend == "auto":
+    if shards is None:
         if planner is None:
             from repro.service.planner import default_planner
 
             planner = default_planner()
-        decision = planner.decide(
-            info, n=n, d=schema.dimension, l=l, shards=shards, backend=backend,
-            privacy=spec,
-        )
-        shards = decision.shards
-        backend = decision.backend
-    elif backend is None:
-        backend = _backend.current_backend()
+        shards = planner.decide(info, n=n, d=schema.dimension, l=l, privacy=spec).shards
     key_shards = partition_group_keys(
         sorted(key_histograms), key_histograms, shards, spec, n
     )
@@ -267,7 +248,7 @@ def stream_anonymize(
     suppressed = 0
     groups = 0
     shard_sizes: list[int] = []
-    with _backend.use_backend(backend), tempfile.TemporaryDirectory(
+    with tempfile.TemporaryDirectory(
         dir=None if spill_dir is None else str(spill_dir)
     ) as tmp:
         # Spill files are raw little-endian int32 row blocks of width d + 1

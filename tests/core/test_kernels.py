@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -334,3 +341,49 @@ def test_grouped_min_max_single_group_is_whole_table_reduction():
     minima, maxima = kernels.grouped_min_max(columns, members, starts)
     assert minima.tolist() == [[2, 0]]
     assert maxima.tolist() == [[3, 5]]
+
+
+# ------------------------------------------------------------- fork safety
+
+_WARM_POOL_THEN_SHARD = textwrap.dedent(
+    """
+    import time
+    from repro.core import kernels
+    from repro.dataset.synthetic import make_sal
+    from repro.engine import Engine
+    from repro.engine.cache import ResultCache
+
+    kernels.PARALLEL_THRESHOLD = 1
+    kernels.MIN_SORT_CHUNKS = 2
+    for _ in range(4):
+        kernels._pool().submit(int).result()
+    time.sleep(0.2)  # let the warmed threads park as idle
+    report = Engine(cache=ResultCache()).run_table(
+        make_sal(4000, seed=7), "TP+", 4, shards=2, workers=2, use_cache=False
+    )
+    assert len(report.shard_sizes) == 2
+    """
+)
+
+
+def test_sharded_process_pool_after_warm_kernel_pool():
+    """A forked shard worker must not inherit the parent's kernel pool.
+
+    The child got the executor object without its threads; with the parent's
+    workers parked as idle, the child's first kernel submit waited forever.
+    Runs in its own session so a hang can be killed with its workers.
+    """
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    process = subprocess.Popen(
+        [sys.executable, "-c", _WARM_POOL_THEN_SHARD], env=env, start_new_session=True
+    )
+    try:
+        assert process.wait(timeout=60) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.wait()
+        raise AssertionError("sharded run deadlocked in a forked shard worker") from None

@@ -1,11 +1,11 @@
-"""The fused one-pass metric sweep against the standalone and reference paths.
+"""The fused one-pass metric sweep against the row-level and reference paths.
 
 Satellite of the GroupingContext work: across every registered algorithm and
 a representative PrivacySpec slice, the fused sweep must be *bit-equal* to
-the historical standalone passes (they share summation orders by
-construction) and must agree with the pure-Python ``*_reference`` oracles —
-exactly for integer metrics, to float tolerance for the KL/NCP oracles
-(which sum in a different order).  The chunk-sort path is forced via
+the row-level paths a table without group form takes (they share summation
+orders by construction) and must agree with the pure-Python ``*_reference``
+oracles — exactly for integer metrics, to float tolerance for the KL/NCP
+oracles (which sum in a different order).  The chunk-sort path is forced via
 ``PARALLEL_THRESHOLD = 1`` to prove the parallel sort does not perturb any
 downstream metric.
 """
@@ -17,9 +17,10 @@ import math
 import pytest
 
 from repro.core import kernels
+from repro.dataset.generalized import GeneralizedTable
 from repro.engine.core import run_with_spec
 from repro.engine.registry import algorithm_registry
-from repro.metrics import FUSED_METRIC_NAMES, fused_metrics, unfused_metrics
+from repro.metrics import FUSED_METRIC_NAMES, fused_metrics
 from repro.metrics.kl import kl_divergence_reference
 from repro.metrics.loss import discernibility_reference, ncp_reference
 from repro.privacy.spec import (
@@ -46,12 +47,20 @@ def _published(table, algorithm, spec):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.describe())
 class TestFusedAcrossAlgorithmAndSpec:
-    def test_fused_bit_equals_unfused(self, small_census, algorithm, spec):
+    def test_fused_bit_equals_row_level_paths(self, small_census, algorithm, spec):
         generalized = _published(small_census, algorithm, spec)
         fused = fused_metrics(small_census, generalized)
-        unfused = unfused_metrics(small_census, generalized)
+        # The same cells rebuilt without the per-group caches take the
+        # row-level paths (width-matrix NCP, row star mask).
+        rows = GeneralizedTable(
+            generalized.schema,
+            generalized.cell_rows,
+            generalized.sa_values,
+            generalized.group_ids,
+        )
+        assert rows.group_star_flags() is None
         assert set(fused) == set(FUSED_METRIC_NAMES)
-        assert fused == unfused  # bit-equal, floats included
+        assert fused == fused_metrics(small_census, rows)  # bit-equal, floats included
 
     def test_fused_matches_reference_oracles(self, small_census, algorithm, spec):
         generalized = _published(small_census, algorithm, spec)

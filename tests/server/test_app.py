@@ -206,6 +206,18 @@ class TestValidation:
                 self._raw_post(server, json.dumps(payload).encode())
             assert error.value.code == 400, payload
 
+    def test_backend_field_is_ignored_like_any_unknown_field(
+        self, server, client, hospital_rows
+    ):
+        rows, qi, sa = hospital_rows
+        for extra in ({"backend": "reference"}, {"backend": "fortran"}, {"colour": "blue"}):
+            payload = {"rows": rows, "qi": qi, "sa": sa, "l": 2, "algorithm": "TP", **extra}
+            with self._raw_post(server, json.dumps(payload).encode()) as response:
+                job_id = json.loads(response.read())["id"]
+            record = client.wait(job_id)
+            assert record["status"] == "done", extra
+            assert "backend" not in record
+
     def test_csv_upload_missing_column_is_400(self, client):
         with pytest.raises(ClientError) as error:
             client.submit(csv_text="Age,Disease\n30,flu\n", qi=["Zip"], sa="Disease", l=2)
@@ -652,7 +664,7 @@ class TestIntrospection:
         decision = client.plan(n=50_000, l=4, algorithm="TP+", d=3)
         assert decision["shards"] >= 1
         assert decision["workers"] >= 1
-        assert decision["backend"] in ("numpy", "reference")
+        assert "backend" not in decision
         assert decision["reasons"]
         assert decision["candidates"]
 

@@ -53,7 +53,6 @@ class TestExecuteJob:
             "l": 4,
             "metrics": ["stars"],
             "shards": None,
-            "backend": None,
             "seed": 0,
             "chunk_rows": None,
             "include_rows": True,

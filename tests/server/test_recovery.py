@@ -16,6 +16,7 @@ a real SIGKILL server restart end to end.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -57,7 +58,6 @@ def _queued_spec(seed: int = 3, n: int = 80) -> dict:
         "privacy": resolve_privacy(None, 2).to_dict(),
         "metrics": [],
         "shards": None,
-        "backend": None,
         "seed": seed,
         "chunk_rows": None,
         "include_rows": True,
@@ -180,6 +180,29 @@ class TestRestartReplay:
             assert record["attempts"] >= 2
             history = [r.status for r in ledger.history(interrupted.id)]
             assert "retrying" in history
+        finally:
+            handle.stop()
+
+    def test_legacy_record_with_a_backend_replays_on_the_one_data_plane(self, tmp_path):
+        """Ledgers written while the backend was a runtime choice carry it in
+        the record and in the stored spec; both are ignored on replay."""
+        workspace = tmp_path / "server-ws"
+        ledger = JobLedger(workspace / "jobs.jsonl")
+        legacy = ledger.create(
+            label="SAL-2@80", algorithm="TP", l=2,
+            privacy=resolve_privacy(None, 2).to_dict(),
+            spec={**_queued_spec(seed=13), "backend": "reference"}, max_attempts=3,
+        )
+        line = json.loads(ledger.path.read_text())
+        ledger.path.write_text(json.dumps({**line, "backend": "reference"}) + "\n")
+
+        handle = _handle(tmp_path)
+        try:
+            client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
+            record = _wait_status(client, legacy.id, ("done", "failed"))
+            assert record["status"] == "done"
+            assert "backend" not in record
+            assert handle.server.stats["replayed"] == 1
         finally:
             handle.stop()
 

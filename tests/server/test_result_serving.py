@@ -26,7 +26,6 @@ def _spec(**overrides) -> dict:
         "l": 4,
         "metrics": [],
         "shards": None,
-        "backend": None,
         "seed": 0,
         "chunk_rows": None,
         "include_rows": True,

@@ -19,6 +19,7 @@ from repro.service.planner import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_fig6.json"
+SCALE_PATH = REPO_ROOT / "BENCH_scale.json"
 
 
 def _noop_runner(table, l):  # pragma: no cover - never executed
@@ -40,20 +41,19 @@ class TestCalibration:
     def test_loads_committed_bench(self):
         calibration = load_bench_calibration(BENCH_PATH)
         assert calibration.source == str(BENCH_PATH)
-        assert set(calibration.rates) == {"numpy", "reference"}
-        for backend in ("numpy", "reference"):
-            for algorithm in ("TP", "TP+", "Hilbert"):
-                assert calibration.rate(algorithm, backend) > 0
+        assert set(calibration.rates) == {"TP", "TP+", "Hilbert"}
+        for algorithm in ("TP", "TP+", "Hilbert"):
+            assert calibration.rate(algorithm) > 0
 
     def test_missing_file_falls_back_to_defaults(self, tmp_path):
         calibration = load_bench_calibration(tmp_path / "absent.json")
         assert calibration.source == "defaults"
-        assert calibration.rate("TP", "numpy") > 0
+        assert calibration.rate("TP") > 0
 
     def test_unknown_algorithm_uses_mean_rate(self):
         calibration = load_bench_calibration(BENCH_PATH)
-        benched = [calibration.rate(name, "numpy") for name in ("TP", "TP+", "Hilbert")]
-        assert min(benched) <= calibration.rate("TDS", "numpy") <= max(benched)
+        benched = [calibration.rate(name) for name in ("TP", "TP+", "Hilbert")]
+        assert min(benched) <= calibration.rate("TDS") <= max(benched)
 
 
 class TestShardDecisions:
@@ -155,7 +155,6 @@ class TestDegenerateInputs:
     def test_single_column_qi(self, planner, tp):
         decision = planner.decide(tp, n=100_000, d=1, l=4)
         assert decision.shards >= 1
-        assert decision.backend in ("numpy", "reference")
 
     def test_degenerate_inputs_are_deterministic(self, planner, tp):
         for n, d, l in ((0, 1, 2), (1, 1, 2), (2, 1, 1000)):
@@ -166,22 +165,53 @@ class TestDegenerateInputs:
         assert decision.workers == 1
 
 
-class TestBackendDecisions:
-    def test_auto_picks_the_calibrated_faster_backend(self, planner, tp):
-        decision = planner.decide(tp, n=100_000, d=4, l=4, backend="auto")
-        # Every committed baseline has NumPy at or below the reference rate.
-        assert decision.backend == "numpy"
+class TestBackendShim:
+    def test_none_is_accepted(self, planner, tp):
+        assert planner.decide(tp, n=1_000, d=4, l=4, backend=None) == planner.decide(
+            tp, n=1_000, d=4, l=4
+        )
 
-    def test_none_keeps_the_process_backend(self, planner, tp):
-        from repro.backend import use_backend
+    @pytest.mark.parametrize("name", ["numpy", "reference", "auto"])
+    def test_any_named_backend_is_rejected(self, planner, tp, name):
+        with pytest.raises(ValueError, match="one data plane"):
+            planner.decide(tp, n=1_000, d=4, l=4, backend=name)
 
-        with use_backend("reference"):
-            assert planner.decide(tp, n=1_000, d=4, l=4).backend == "reference"
-        assert planner.decide(tp, n=1_000, d=4, l=4).backend == "numpy"
 
-    def test_explicit_backend_wins(self, planner, tp):
-        decision = planner.decide(tp, n=1_000, d=4, l=4, backend="reference")
-        assert decision.backend == "reference"
+#: (cpus, algorithm) -> (shards, workers) at n = 10^3, 10^5, 10^6, 10^7, as
+#: decided with the committed BENCH_fig6.json + BENCH_scale.json calibration
+#: when the planner still carried a per-backend calibration level; the same
+#: for every l in GRID_LS.
+_SMALL = [(1, 1), (1, 1)]
+PINNED_DECISIONS = {
+    (2, "Hilbert"): _SMALL + [(8, 2), (32, 2)],
+    (2, "Mondrian"): _SMALL + [(4, 2), (32, 2)],
+    (2, "TDS"): _SMALL + [(4, 2), (32, 2)],
+    (2, "TP"): _SMALL + [(8, 2), (32, 2)],
+    (2, "TP+"): _SMALL + [(1, 1), (1, 1)],
+    (8, "Hilbert"): _SMALL + [(4, 4), (16, 8)],
+    (8, "Mondrian"): _SMALL + [(4, 4), (16, 8)],
+    (8, "TDS"): _SMALL + [(4, 4), (16, 8)],
+    (8, "TP"): _SMALL + [(4, 4), (16, 8)],
+    (8, "TP+"): _SMALL + [(1, 1), (1, 1)],
+}
+GRID_NS = (10**3, 10**5, 10**6, 10**7)
+GRID_LS = (2, 6, 10)
+
+
+class TestPinnedDecisionGrid:
+    @pytest.mark.parametrize("cpus, algorithm", sorted(PINNED_DECISIONS))
+    def test_decisions_match_the_pinned_grid(self, cpus, algorithm):
+        from repro.privacy.spec import resolve_privacy
+
+        calibration = load_bench_calibration(BENCH_PATH, scale_path=SCALE_PATH)
+        planner = ExecutionPlanner(calibration=calibration, cpu_count=cpus)
+        info = algorithm_registry.get(algorithm)
+        for n, expected in zip(GRID_NS, PINNED_DECISIONS[cpus, algorithm]):
+            for l in GRID_LS:
+                decision = planner.decide(
+                    info, n=n, d=7, l=l, privacy=resolve_privacy(None, l)
+                )
+                assert (decision.shards, decision.workers) == expected, (n, l)
 
 
 class TestExplain:
@@ -244,12 +274,7 @@ class TestPerJobWorkerBudget:
 
 class TestScaleRates:
     def _payload(self, points):
-        return {
-            "config": {"algorithm": "TP+"},
-            "points": points,
-            "speedup": {"10000000": None},
-            "speedup_notes": {"10000000": "reference_skipped"},
-        }
+        return {"config": {"algorithm": "TP+"}, "points": points}
 
     def test_null_seconds_points_are_ignored(self, tmp_path):
         target = tmp_path / "BENCH_scale.json"
@@ -281,11 +306,9 @@ class TestScaleRates:
         # The null 10^7 entries must not crash the parse *or* win the
         # largest-n selection: the measured 10^6 point calibrates the rate.
         expected = 0.5 / (1_000_000 * math.log2(1_000_000))
-        assert rates["numpy"]["TP+"] == pytest.approx(expected)
-        assert "reference" not in rates
+        assert rates == {"TP+": pytest.approx(expected)}
 
-    def test_committed_bench_scale_parses_with_null_speedups(self):
-        rates, source = load_scale_rates(REPO_ROOT / "BENCH_scale.json")
+    def test_committed_bench_scale_parses(self):
+        rates, source = load_scale_rates(SCALE_PATH)
         assert source.endswith("BENCH_scale.json")
-        assert rates["numpy"]["TP+"] > 0
-        assert rates["reference"]["TP+"] > 0
+        assert rates["TP+"] > 0

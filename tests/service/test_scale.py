@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from repro.backend import use_backend
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.engine import CsvSource
 from repro.service.planner import (
-    DEFAULT_RATES,
+    DEFAULT_RATE,
     ExecutionPlanner,
     PlannerCalibration,
     _nlogn,
@@ -39,26 +38,17 @@ def census_csv(tmp_path_factory):
 class TestVectorizedScan:
     def test_matches_per_tuple_oracle(self, census_csv):
         source = CsvSource(census_csv, QI, SA)
-        with use_backend("numpy"):
-            histograms, n = _scan(source, chunk_rows=333)
+        histograms, n = _scan(source, chunk_rows=333)
         expected_histograms, expected_n = _scan_reference(source, chunk_rows=333)
         assert n == expected_n
         assert histograms == expected_histograms
 
     def test_chunk_size_invariant(self, census_csv):
         source = CsvSource(census_csv, QI, SA)
-        with use_backend("numpy"):
-            small, n_small = _scan(source, chunk_rows=7)
-            large, n_large = _scan(source, chunk_rows=10_000)
+        small, n_small = _scan(source, chunk_rows=7)
+        large, n_large = _scan(source, chunk_rows=10_000)
         assert n_small == n_large
         assert small == large
-
-    def test_reference_backend_uses_reference_path(self, census_csv):
-        source = CsvSource(census_csv, QI, SA)
-        with use_backend("reference"):
-            histograms, n = _scan(source, chunk_rows=333)
-        expected_histograms, expected_n = _scan_reference(source, chunk_rows=333)
-        assert (histograms, n) == (expected_histograms, expected_n)
 
 
 # ------------------------------------------------------- scale-rate loading
@@ -79,13 +69,20 @@ def _scale_payload(algorithm="TP+", points=None):
 
 
 class TestLoadScaleRates:
-    def test_picks_largest_n_per_backend(self, tmp_path):
+    def test_picks_largest_numpy_n(self, tmp_path):
         path = tmp_path / "BENCH_scale.json"
         path.write_text(json.dumps(_scale_payload()))
         rates, source = load_scale_rates(path)
         assert source == str(path)
-        assert rates["numpy"]["TP+"] == pytest.approx(1.0 / _nlogn(1_000_000))
-        assert rates["reference"]["TP+"] == pytest.approx(4.0 / _nlogn(1_000_000))
+        # The retired reference entry in the file calibrates nothing.
+        assert rates == {"TP+": pytest.approx(1.0 / _nlogn(1_000_000))}
+
+    def test_points_without_a_backend_field_count(self, tmp_path):
+        path = tmp_path / "BENCH_scale.json"
+        point = {"n": 1_000_000, "seconds": {"anonymize": 2.0}}
+        path.write_text(json.dumps(_scale_payload(points=[point])))
+        rates, _source = load_scale_rates(path)
+        assert rates == {"TP+": pytest.approx(2.0 / _nlogn(1_000_000))}
 
     def test_missing_file_falls_through(self, tmp_path):
         rates, source = load_scale_rates(tmp_path / "absent.json")
@@ -120,10 +117,8 @@ class TestLoadScaleRates:
         scale.write_text(json.dumps(_scale_payload()))
         calibration = load_bench_calibration(fig6, scale_path=scale)
         # TP+ rate comes from the large-n trajectory, TP keeps the fig6 rate.
-        assert calibration.rate("TP+", "numpy") == pytest.approx(
-            1.0 / _nlogn(1_000_000)
-        )
-        assert calibration.rate("TP", "numpy") == pytest.approx(2.0 / _nlogn(5_000))
+        assert calibration.rate("TP+") == pytest.approx(1.0 / _nlogn(1_000_000))
+        assert calibration.rate("TP") == pytest.approx(2.0 / _nlogn(5_000))
         assert str(fig6) in calibration.source
         assert str(scale) in calibration.source
 
@@ -132,22 +127,19 @@ class TestLoadScaleRates:
             tmp_path / "absent_fig6.json", scale_path=tmp_path / "absent_scale.json"
         )
         assert calibration.source == "defaults"
-        assert calibration.rate("TP+", "numpy") == DEFAULT_RATES["numpy"]
+        assert calibration.rate("TP+") == DEFAULT_RATE
 
 
 # ------------------------------------------------------- planner monotonicity
 
 
 class TestPlannerScaleBehaviour:
-    CALIBRATION = PlannerCalibration(
-        rates={"numpy": {"TP+": 1.0e-7}, "reference": {"TP+": 4.0e-7}},
-        source="test",
-    )
+    CALIBRATION = PlannerCalibration(rates={"TP+": 1.0e-7}, source="test")
 
     def _shards_at(self, n: int) -> int:
         planner = ExecutionPlanner(calibration=self.CALIBRATION, cpu_count=8)
         info = algorithm_registry.get("TP+")
-        return planner.decide(info, n=n, d=3, l=6, backend="numpy").shards
+        return planner.decide(info, n=n, d=3, l=6).shards
 
     def test_shard_choice_is_monotone_in_n(self):
         sizes = [1_000, 5_000, 20_000, 100_000, 500_000, 2_000_000, 10_000_000, 30_000_000]
@@ -159,7 +151,7 @@ class TestPlannerScaleBehaviour:
     def test_scale_calibration_changes_the_estimate_not_the_contract(self):
         planner = ExecutionPlanner(calibration=self.CALIBRATION, cpu_count=8)
         info = algorithm_registry.get("TP+")
-        decision = planner.decide(info, n=1_000_000, d=3, l=6, backend="numpy")
+        decision = planner.decide(info, n=1_000_000, d=3, l=6)
         assert decision.estimated_seconds > 0
         assert decision.shards * min(decision.workers, 8) >= decision.workers
         assert any("calibration" in reason for reason in decision.reasons)

@@ -239,13 +239,12 @@ class TestHardening:
         assert reread.get(_key(hospital, l=3), hospital) is not None  # not clobbered
 
 
-class TestPrivacyKeyMigration:
-    """The cache/store key grew a canonical privacy-spec token (7th element)."""
+class TestKeyMigration:
+    """The key grew a privacy-spec token, then lost its backend element."""
 
     def test_default_key_carries_the_frequency_token(self, hospital):
-        key = _key(hospital, l=3)
-        assert len(key) == 7
-        assert key[-1] == FrequencyLDiversity(3).token()
+        key = _key(hospital, l=3, seed=5)
+        assert key == (hospital.fingerprint(), "TP", 3, 1, 5, FrequencyLDiversity(3).token())
 
     def test_specs_with_equal_l_never_share_a_record(self, hospital, tmp_path):
         # Regression: pre-migration an entropy-checked rerun could replay a
@@ -265,19 +264,26 @@ class TestPrivacyKeyMigration:
         assert fresh.get(_key(hospital, l=2, privacy=EntropyLDiversity(2.0)), hospital) is None
         assert fresh.get(_key(hospital, l=2), hospital) is not None
 
-    def test_legacy_six_element_records_are_dropped_on_load(self, hospital, tmp_path):
-        # A store written before the migration holds 6-element keys; they
+    def test_legacy_key_shapes_are_dropped_on_load(self, hospital, tmp_path):
+        # Both legacy shapes carry a backend: (fp, algorithm, l, shards,
+        # backend, seed, privacy) and the older (..., backend, seed).  They
         # must be treated as unparseable (recovered + compacted away), never
-        # replayed under whatever spec happens to share the l value.
+        # replayed — the older one even has the current key's length.
         path = tmp_path / "runs.jsonl"
         store = RunStore(path)
+        store.put(_key(hospital, seed=1), _cached_run(hospital))
         store.put(_key(hospital, l=2), _cached_run(hospital))
-        record = json.loads(path.read_text().splitlines()[0])
-        legacy = dict(record)
-        legacy["key"] = record["key"][:6]  # strip the privacy token
-        legacy["anonymize_seconds"] = 9.9
-        path.write_text(json.dumps(legacy) + "\n")
+        current, record = (json.loads(line) for line in path.read_text().splitlines())
+        fingerprint, algorithm, l, shards, seed, privacy = record["key"]
+        with_backend = [fingerprint, algorithm, l, shards, "reference", seed, privacy]
+        pre_privacy = [fingerprint, algorithm, l, shards, "numpy", seed]
+        lines = [current] + [
+            dict(record, key=key, anonymize_seconds=9.9)
+            for key in (with_backend, pre_privacy)
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         fresh = RunStore(path)
-        assert fresh.recovered == 1
-        assert len(fresh) == 0
+        assert fresh.recovered == 2
+        assert fresh.keys() == [_key(hospital, seed=1)]
         assert fresh.get(_key(hospital, l=2), hospital) is None
+        assert len(path.read_text().splitlines()) == 1  # compacted away

@@ -128,25 +128,16 @@ class TestCProfileMode:
 
 
 class TestEngineSnapshot:
-    def _report(self, table, backend_name):
+    def _report(self, table):
         return Engine(cache=ResultCache()).run(
-            RunPlan(
-                source=TableSource(table),
-                algorithm="TP+",
-                l=2,
-                backend=backend_name,
-                use_cache=False,
-            )
+            RunPlan(source=TableSource(table), algorithm="TP+", l=2, use_cache=False)
         )
 
     def test_profile_is_none_when_disabled(self, hospital):
-        report = self._report(hospital, "numpy")
+        report = self._report(hospital)
         assert report.profile is None
 
-    @pytest.mark.parametrize("backend_name", ["numpy", "reference"])
-    def test_profile_snapshot_has_identical_stage_attribution(
-        self, small_census, backend_name
-    ):
+    def test_profile_snapshot_has_stage_attribution(self, small_census):
         from repro.dataset.table import Table
 
         # A fresh table: the session-scoped fixture may already carry a
@@ -157,12 +148,11 @@ class TestEngineSnapshot:
         profiling.set_enabled(True)
         profiling.reset()
         try:
-            report = self._report(cold, backend_name)
+            report = self._report(cold)
         finally:
             profiling.set_enabled(False)
         assert report.profile is not None
-        # Both backends must attribute the same stage boundaries: the run
-        # encoding is "encode" (not folded into state-init), state
+        # The run encoding is "encode" (not folded into state-init), state
         # construction is "state-init", publication is "publish".
         for stage in ("load", "encode", "state-init", "phase1", "publish", "metrics"):
             assert stage in report.profile, stage

@@ -4,23 +4,25 @@ Every vectorized hot path — columnar construction, QI-grouping, suppression
 (Definition 1), star/NCP/discernibility/KL metrics, Hilbert keys, and the
 bulk-built three-phase algorithm state — is validated against its retained
 ``*_reference`` implementation on random tables, mirroring the
-``GroupState`` / ``NaiveGroupState`` ablation pattern.
+``GroupState`` / ``NaiveGroupState`` ablation pattern.  Whole-algorithm
+checks swap the vectorized entry points for their reference twins with
+:func:`_reference_data_plane`.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import current_backend, use_backend, vectorized_enabled
 from repro.baselines.hilbert.anonymizer import hilbert_order, hilbert_order_reference
 from repro.baselines.hilbert.curve import hilbert_index, hilbert_indices_vectorized
 from repro.core import three_phase
+from repro.core.groups import GroupState
 from repro.core.state import AlgorithmState
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition
 from repro.dataset.table import Attribute, DomainError, Schema, Table
@@ -33,36 +35,37 @@ from repro.metrics.stars import (
 from tests.strategies import small_tables, tables_with_partitions
 
 
-@pytest.fixture(autouse=True)
-def _force_numpy_backend():
-    """Equivalence tests compare numpy against reference explicitly."""
-    with use_backend("numpy"):
+@contextmanager
+def _reference_data_plane():
+    """Swap the vectorized entry points for their ``*_reference`` twins.
+
+    Inside the block the algorithm state is built eagerly one tuple at a
+    time (so the phases take their per-group paths), QI-grouping scans rows,
+    and suppression and the star counts run their pure-Python loops.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            AlgorithmState,
+            "_init_lazy",
+            lambda self, table: self._init_reference(table, GroupState),
+        )
+        patch.setattr(Table, "group_by_qi", Table.group_by_qi_reference)
+        patch.setattr(
+            GeneralizedTable,
+            "from_partition",
+            classmethod(GeneralizedTable.from_partition_reference.__func__),
+        )
+        patch.setattr(GeneralizedTable, "star_count", GeneralizedTable.star_count_reference)
+        patch.setattr(
+            GeneralizedTable,
+            "suppressed_tuple_count",
+            GeneralizedTable.suppressed_tuple_count_reference,
+        )
         yield
 
 
 def _single_attribute_schema() -> Schema:
     return Schema(qi=(Attribute("Q", (0, 1)),), sensitive=Attribute("S", (0, 1)))
-
-
-class TestBackendSwitch:
-    def test_default_is_numpy(self):
-        if os.environ.get("REPRO_BACKEND", "numpy") != "numpy":
-            pytest.skip("REPRO_BACKEND overrides the default")
-        assert current_backend() == "numpy"
-        assert vectorized_enabled()
-
-    def test_context_manager_restores(self):
-        before = current_backend()
-        with use_backend("reference"):
-            assert not vectorized_enabled()
-        with use_backend("numpy"):
-            assert vectorized_enabled()
-        assert current_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            with use_backend("fortran"):
-                pass  # pragma: no cover
 
 
 class TestColumnarTable:
@@ -246,8 +249,9 @@ class TestAlgorithmStateEquivalence:
         if not table.is_l_eligible(2):
             return
         fast = AlgorithmState(table, 2)
-        with use_backend("reference"):
+        with _reference_data_plane():
             slow = AlgorithmState(table, 2)
+        assert fast._lazy == (len(table) > 0) and not slow._lazy
         assert fast.group_count == slow.group_count
         for group_id in range(fast.group_count):
             assert fast.group_qi_vector(group_id) == slow.group_qi_vector(group_id)
@@ -258,12 +262,13 @@ class TestAlgorithmStateEquivalence:
 
     @given(table=small_tables(max_rows=12, max_dimension=3), l=st.integers(2, 4))
     @settings(deadline=None)
-    def test_three_phase_identical_across_backends(self, table, l):
+    def test_three_phase_identical_to_reference_data_plane(self, table, l):
         if not table.is_l_eligible(l):
             return
         fast = three_phase.anonymize(table, l)
-        with use_backend("reference"):
+        with _reference_data_plane():
             slow = three_phase.anonymize(table, l)
+        assert slow.generalized.columnar_publish() is None  # the oracle published
         assert fast.generalized.cell_rows == slow.generalized.cell_rows
         assert fast.residue_rows == slow.residue_rows
         assert fast.stats == slow.stats
