@@ -27,8 +27,10 @@
 # returned table must be independently l-diverse, repeated submissions must
 # be served from the persistent run store, a slice of jobs submitted under
 # non-default privacy specs must verify with the matching checkers, a burst
-# past the queue cap must produce 429 + Retry-After, and the server must
-# exit 0 on SIGTERM.
+# past the queue cap must produce 429 + Retry-After, a 10^5-row job's CSV
+# served off its result artifact must be byte-identical to an independent
+# in-script render (a repeat fetch must hit the render cache), and the
+# server must exit 0 on SIGTERM.
 #
 # The chaos smoke (scripts/chaos_smoke.py) boots the server under a
 # fixed-seed fault plan (workers killed every Nth job, a poison seed, delays

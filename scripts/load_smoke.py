@@ -23,10 +23,9 @@ running server), then:
    payloads must echo the resolved spec;
 5. **result artifacts** — a 10^5-row job is served end-to-end
    (submit → ``result_csv``) off its zero-copy artifact: the bytes must be
-   identical to the legacy render-and-pickle path replayed in-process, the
-   round trip must beat that legacy pipeline by ``MIN_ARTIFACT_SPEEDUP``x,
-   the fetched table must still satisfy its privacy spec, and a repeat
-   fetch must be a render-cache hit (the cache-hit counter moves, the
+   identical to the same job run in-process and rendered row by row in this
+   script, the fetched table must still satisfy its privacy spec, and a
+   repeat fetch must be a render-cache hit (the cache-hit counter moves, the
    render counter does not);
 6. **telemetry** — ``GET /v1/telemetry`` is scraped (and parsed as
    Prometheus text) before and after the run: request/submission counters
@@ -72,7 +71,6 @@ BURST_JOBS = 20
 BURST_N = 25_000
 ARTIFACT_N = 100_000
 ARTIFACT_L = 4
-MIN_ARTIFACT_SPEEDUP = 1.5
 
 
 def fail(message: str) -> None:
@@ -242,72 +240,52 @@ def phase_privacy(base_url: str) -> None:
     )
 
 
-def phase_result_artifacts(base_url: str) -> None:
-    """Zero-copy artifact serving: byte-identical, faster, cached on repeat.
+def render_csv(generalized) -> str:
+    """The published table rendered row by row from its decoded records —
+    independent of the server's artifact renderer (TP+ publishes stars and
+    exact values only, so every cell is ``str`` of its decoded value)."""
+    schema = generalized.schema
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(list(schema.qi_names) + [schema.sensitive.name])
+    for row in range(len(generalized)):
+        writer.writerow([str(value) for value in generalized.decoded_record(row).values()])
+    return buffer.getvalue()
 
-    The legacy baseline is replayed in-process: the same job spec through
-    :func:`repro.server.pool.execute_job` *without* the ``result_artifact``
-    marker renders and pickles every row-string list exactly as the old
-    worker did, then the server-side CSV write is repeated on those rows.
-    That baseline omits the HTTP/polling overhead the served path pays, so
-    the speedup floor is conservative.
-    """
-    from repro.server.pool import execute_job
+
+def phase_result_artifacts(base_url: str) -> None:
+    """Zero-copy artifact serving: byte-identical to an independent render,
+    cached on repeat fetches."""
+    from repro.engine import Engine, ResultCache, RunPlan, SyntheticSource
 
     client = Client(
         base_url, client_id="artifact", retries=30, backoff_seconds=0.05, timeout=120.0
     )
+    source = {"kind": "synthetic", "dataset": "SAL", "n": ARTIFACT_N, "seed": 0,
+              "dimension": 3}
+    started = time.perf_counter()
+    job_id = client.submit(source=source, l=ARTIFACT_L, algorithm="TP+")
+    client.wait(job_id, timeout=240.0)
+    served_csv = client.result_csv(job_id)
+    served_seconds = time.perf_counter() - started
 
-    # Best-of-two timing on both sides (distinct seeds, so neither attempt is
-    # a run-store replay): a single-shot measurement is too noisy to hold a
-    # 1.5x floor when the absolute times are a few hundred milliseconds.
-    served_times, legacy_times = [], []
-    job_id = None
-    served_csv = ""
-    for seed in (0, 1):
-        source = {"kind": "synthetic", "dataset": "SAL", "n": ARTIFACT_N,
-                  "seed": seed, "dimension": 3}
-        started = time.perf_counter()
-        job_id = client.submit(source=source, l=ARTIFACT_L, algorithm="TP+")
-        client.wait(job_id, timeout=240.0)
-        served_csv = client.result_csv(job_id)
-        served_times.append(time.perf_counter() - started)
-
-        reader = csv.reader(io.StringIO(served_csv))
-        header = next(reader)
-        rows = list(reader)
-        qi_width = len(header) - 1
-        if len(rows) != ARTIFACT_N:
-            fail(f"artifact CSV carries {len(rows)} rows, expected {ARTIFACT_N}")
-        if not rows_l_diverse(rows, qi_width, ARTIFACT_L):
-            fail(f"artifact-served table violates {ARTIFACT_L}-diversity")
-
-        spec = {"algorithm": "TP+", "l": ARTIFACT_L, "metrics": [], "shards": None,
-                "seed": seed, "chunk_rows": None, "include_rows": True,
-                "source": source}
-        with tempfile.TemporaryDirectory() as legacy_workspace:
-            started = time.perf_counter()
-            legacy = execute_job(spec, legacy_workspace, False)
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
-            writer.writerow(legacy["header"])
-            writer.writerows(legacy["rows"])
-            legacy_csv = buffer.getvalue()
-            legacy_times.append(time.perf_counter() - started)
-        if "result_artifact" in legacy or "rows" not in legacy:
-            fail("legacy baseline unexpectedly took the artifact path")
-        if legacy_csv != served_csv:
-            fail("artifact-served CSV is not byte-identical to the legacy render")
-
-    artifact_seconds = min(served_times)
-    legacy_seconds = min(legacy_times)
-    speedup = legacy_seconds / artifact_seconds if artifact_seconds else float("inf")
-    if speedup < MIN_ARTIFACT_SPEEDUP:
-        fail(
-            f"submit->result_csv took {artifact_seconds:.3f}s vs legacy "
-            f"{legacy_seconds:.3f}s ({speedup:.2f}x), floor is "
-            f"{MIN_ARTIFACT_SPEEDUP:g}x"
+    reader = csv.reader(io.StringIO(served_csv))
+    header = next(reader)
+    rows = list(reader)
+    if len(rows) != ARTIFACT_N:
+        fail(f"artifact CSV carries {len(rows)} rows, expected {ARTIFACT_N}")
+    if not rows_l_diverse(rows, len(header) - 1, ARTIFACT_L):
+        fail(f"artifact-served table violates {ARTIFACT_L}-diversity")
+    report = Engine(cache=ResultCache()).run(
+        RunPlan(
+            source=SyntheticSource(dataset="SAL", n=ARTIFACT_N, seed=0, dimension=3),
+            algorithm="TP+",
+            l=ARTIFACT_L,
+            workers=1,
         )
+    )
+    if render_csv(report.generalized) != served_csv:
+        fail("artifact-served CSV is not byte-identical to the independent render")
 
     before = parse_prometheus_text(client.telemetry_text())
     renders = metric(before, "repro_result_renders_total", format="csv")
@@ -322,9 +300,9 @@ def phase_result_artifacts(base_url: str) -> None:
     if metric(after, "repro_result_artifact_bytes") <= 0:
         fail("repro_result_artifact_bytes gauge never saw the resident artifact")
     print(
-        f"result artifacts: {ARTIFACT_N} rows served in {artifact_seconds:.2f}s "
-        f"vs legacy {legacy_seconds:.2f}s ({speedup:.2f}x, bytes identical), "
-        "repeat fetch cache-hit with no re-render"
+        f"result artifacts: {ARTIFACT_N} rows served in {served_seconds:.2f}s "
+        "(bytes identical to the independent render), repeat fetch cache-hit "
+        "with no re-render"
     )
 
 

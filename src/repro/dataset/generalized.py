@@ -235,7 +235,7 @@ class GeneralizedTable:
         self._group_sizes_arr: np.ndarray | None = None
         self._group_sa_counts_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Per-group star flags ((g, d) bool) when every row of a group shares
-        # one representative cells tuple — the from_partition invariant the
+        # one representative cells tuple — the from_groups invariant the
         # fused metrics sweep exploits.
         self._group_star: np.ndarray | None = None
         # Per-group surviving codes ((g, d) int, the reduction minima) —
@@ -245,9 +245,9 @@ class GeneralizedTable:
 
     @property
     def _cells(self) -> list[tuple[Cell, ...]]:
-        # Per-row cells materialize lazily: a from_partition output carries
-        # only the (g, d) representatives and the row->group map until
-        # something actually reads row tuples (CSV render, width matrix).
+        # Per-row cells materialize lazily: a from_groups table carries only
+        # the (g, d) representatives and the row->group map until something
+        # actually reads row tuples (width matrix, the row-level oracles).
         # The bench/serving hot paths never do — group-level stats are all
         # seeded — so publish stays O(g + n) array work instead of building
         # n Python tuples.
@@ -348,17 +348,28 @@ class GeneralizedTable:
         group_of = np.empty(n, dtype=np.intp)
         group_of[members] = np.repeat(np.arange(len(groups), dtype=np.intp), sizes)
 
-        # Adopt the columnar data directly: the SA column is the source
-        # table's (shared, read-only) code array, the group ids stay an
-        # array, and the per-row cells stay unmaterialized; the list/tuple
-        # views build lazily if something asks.
-        result = cls._from_trusted(table.schema, None, table.sa_array, group_of)
+        result = cls.from_groups(table, minima, star, group_of)
         stars_per_group = star.sum(axis=1)
         result._star_count = int((stars_per_group * sizes).sum())
         result._suppressed_count = int(sizes[stars_per_group > 0].sum())
         result._group_sizes_arr = sizes
-        result._group_star = star
-        result._group_reps = minima
+        return result
+
+    @classmethod
+    def from_groups(
+        cls,
+        table: Table,
+        rep_codes: np.ndarray,
+        rep_star: np.ndarray,
+        group_of: np.ndarray,
+    ) -> "GeneralizedTable":
+        """Adopt a suppression output's columnar group form without copying
+        or validating: ``(g, d)`` per-group codes and star flags (a starred
+        code is never read), the ``(n,)`` row→group map, and ``table``'s SA
+        column.  Per-row cell tuples build lazily if something asks."""
+        result = cls._from_trusted(table.schema, None, table.sa_array, group_of)
+        result._group_star = rep_star
+        result._group_reps = rep_codes
         return result
 
     @classmethod
@@ -492,7 +503,7 @@ class GeneralizedTable:
     def group_star_flags(self) -> np.ndarray | None:
         """Per-group ``(g, d)`` star flags, or ``None`` when unknown.
 
-        Seeded by :meth:`from_partition`, whose groups all share one
+        Seeded by :meth:`from_groups`, whose groups all share one
         representative cells tuple; explicit constructors (sub-domain
         baselines) leave it unset and the metrics fall back to row-level
         reductions.  Read-only.
@@ -507,11 +518,12 @@ class GeneralizedTable:
         Returns ``(rep_codes, rep_star, group_of, sa_codes)``: per-group
         ``(g, d)`` surviving QI codes and star flags, the ``(n,)`` row→group
         map, and the ``(n,)`` SA codes.  Together these determine every
-        published cell without materializing row tuples — the zero-copy
-        result artifact serializes exactly these arrays.  Only tables built
-        by :meth:`from_partition` carry the form (merged shards, store
-        reconstructions, and explicit constructors return ``None``).  All
-        arrays are shared and must be treated as read-only.
+        published cell without materializing row tuples — the result
+        artifact serializes exactly these arrays.  Every suppression output
+        carries the form (:meth:`from_partition`, merged shards, run-store
+        hits, all through :meth:`from_groups`); tables built from explicit
+        cells return ``None``.  All arrays are shared and must be treated as
+        read-only.
         """
         if self._group_reps is None or self._group_star is None:
             return None

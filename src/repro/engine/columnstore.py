@@ -30,6 +30,7 @@ import json
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,34 @@ def _attribute_payload(attribute: Attribute) -> dict:
 
 def _attribute_from_payload(payload: dict) -> Attribute:
     return Attribute(payload["name"], tuple(payload["values"]))
+
+
+def _load_dir(
+    directory: str | Path,
+    meta_file: str,
+    format_name: str,
+    version: int,
+    array_files: Sequence[str],
+    mmap_mode: str | None,
+    build,
+):
+    """Open a directory of a versioned meta JSON plus ``.npy`` buffers and
+    ``build(payload, *arrays)`` the object.  A missing, truncated, foreign,
+    unknown-version or inconsistent directory raises :class:`DataSourceError`."""
+    path = Path(directory)
+    try:
+        payload = json.loads((path / meta_file).read_text())
+        if not isinstance(payload, dict) or payload.get("format") != format_name:
+            raise DataSourceError(f"{path}: not a {format_name} directory")
+        if payload.get("version") != version:
+            raise DataSourceError(
+                f"{path}: unsupported {format_name} version "
+                f"{payload.get('version')!r} (expected {version})"
+            )
+        arrays = [np.load(path / name, mmap_mode=mmap_mode) for name in array_files]
+        return build(payload, *arrays)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise DataSourceError(f"cannot load {format_name} {path}: {error}") from error
 
 
 class ColumnStore:
@@ -278,37 +307,24 @@ class ColumnStore:
         return directory
 
     @classmethod
-    def _read_schema(cls, directory: Path) -> tuple[Schema, int]:
-        path = directory / SCHEMA_FILE
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as error:
-            raise DataSourceError(f"cannot load column store {directory}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise DataSourceError(f"{path}: invalid schema JSON: {error}") from error
-        if payload.get("format") != FORMAT_NAME:
-            raise DataSourceError(f"{path}: not a {FORMAT_NAME} schema file")
-        schema = Schema(
-            qi=tuple(_attribute_from_payload(entry) for entry in payload["qi"]),
-            sensitive=_attribute_from_payload(payload["sensitive"]),
-        )
-        return schema, int(payload["n"])
-
-    @classmethod
     def _open(cls, store_dir: str | Path, mmap_mode: str | None) -> "ColumnStore":
-        directory = Path(store_dir)
-        schema, n = cls._read_schema(directory)
-        try:
-            qi = np.load(directory / QI_FILE, mmap_mode=mmap_mode)
-            sa = np.load(directory / SA_FILE, mmap_mode=mmap_mode)
-        except OSError as error:
-            raise DataSourceError(f"cannot load column store {directory}: {error}") from error
-        if qi.shape[0] != n or sa.shape[0] != n:
-            raise DataSourceError(
-                f"{directory}: schema says {n} rows but buffers hold "
-                f"{qi.shape[0]}/{sa.shape[0]}"
+        def build(payload: dict, qi: np.ndarray, sa: np.ndarray) -> "ColumnStore":
+            schema = Schema(
+                qi=tuple(_attribute_from_payload(entry) for entry in payload["qi"]),
+                sensitive=_attribute_from_payload(payload["sensitive"]),
             )
-        return cls(schema, qi, sa)
+            n = int(payload["n"])
+            if qi.shape[0] != n or sa.shape[0] != n:
+                raise DataSourceError(
+                    f"{store_dir}: schema says {n} rows but buffers hold "
+                    f"{qi.shape[0]}/{sa.shape[0]}"
+                )
+            return cls(schema, qi, sa)
+
+        return _load_dir(
+            store_dir, SCHEMA_FILE, FORMAT_NAME, FORMAT_VERSION, (QI_FILE, SA_FILE),
+            mmap_mode, build,
+        )
 
     @classmethod
     def mmap(cls, store_dir: str | Path) -> "ColumnStore":
@@ -333,15 +349,17 @@ class ColumnStore:
 
 
 class ResultArtifact:
-    """A published table's columnar result form, in memory or on disk.
+    """A published table's one result form, in memory or on disk.
 
-    The serving stack's zero-copy bridge out of a pool worker: instead of
-    rendering every published row into Python string lists and pickling them
-    back through the process pool, the worker saves the *group-level* form —
-    per-group surviving QI codes and star flags, the row→group map and the
-    SA codes (:meth:`GeneralizedTable.columnar_publish
+    Under Definition 1 every published row is its QI-group's cells plus the
+    row's own SA value, so the artifact holds the *group-level* form —
+    per-group QI codes and star flags, the row→group map and the SA codes
+    (:meth:`GeneralizedTable.columnar_publish
     <repro.dataset.generalized.GeneralizedTable.columnar_publish>`) — plus
-    the pre-rendered per-code string tables needed to decode them.  On disk
+    the pre-rendered per-code string tables needed to decode them.  Every
+    published table renders through it: :class:`~repro.engine.sinks.CsvSink`
+    streams its rows into a file, and a pool worker saves it under the
+    workspace instead of pickling row strings back to the server.  On disk
     an artifact is a directory::
 
         result/
@@ -352,11 +370,9 @@ class ResultArtifact:
           sa_codes.npy    (n,) int32 sensitive codes
 
     The server reopens it memory-mapped and streams ``?format=csv``
-    responses chunk-wise; rendering goes through the same string tables the
-    legacy row path used (``str(attribute.decode(code))``, stars as ``"*"``)
-    and the same ``csv.writer``, so the bytes are identical by construction.
-    Only cell-exact tables qualify (no frozenset sub-domain cells) — exactly
-    the tables that carry a columnar publish form.
+    responses chunk-wise.  Exact cells render as ``str(attribute.decode(code))``,
+    stars as ``"*"``, and a sub-domain cell (TDS, Mondrian) as one more entry
+    of its column's string table, ``{a|b}`` over its sorted decoded values.
     """
 
     STAR_TEXT = "*"
@@ -392,7 +408,6 @@ class ResultArtifact:
             raise ValueError("group_of and sa_codes must be matching (n,) vectors")
         if len(self.header) != len(self.qi_tables) + 1:
             raise ValueError("header must cover every QI column plus the SA column")
-        self._group_rows: list[list[str]] | None = None
 
     # ------------------------------------------------------------------ basics
 
@@ -408,47 +423,40 @@ class ResultArtifact:
     def d(self) -> int:
         return int(self.rep_codes.shape[1])
 
-    @property
-    def nbytes(self) -> int:
-        """In-memory bytes of the array payload (the string tables are tiny)."""
-        return int(
-            self.rep_codes.nbytes
-            + self.rep_star.nbytes
-            + self.group_of.nbytes
-            + self.sa_codes.nbytes
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultArtifact(n={self.n}, g={self.g}, d={self.d})"
 
     # --------------------------------------------------------------- rendering
 
-    def group_row_prefixes(self) -> list[list[str]]:
-        """Per-group rendered QI cells (``g`` rows of ``d`` strings; cached).
+    def iter_rows(
+        self, chunk_rows: int = RESULT_CSV_CHUNK_ROWS
+    ) -> Iterator[list[str]]:
+        """Every published row as rendered strings, decoding ``chunk_rows``
+        codes at a time so memory stays bounded by one chunk.
 
-        All rows of a group share one prefix list, so full-table rendering
-        is O(g·d) string work plus an O(n) gather.
+        The QI cells render once per group (O(g·d) string work); every row
+        of a group shares that prefix list.
         """
-        if self._group_rows is None:
-            codes = self.rep_codes.tolist()
-            stars = self.rep_star.tolist()
-            self._group_rows = [
-                [
-                    self.STAR_TEXT if starred else table[code]
-                    for table, code, starred in zip(self.qi_tables, values, flags)
-                ]
-                for values, flags in zip(codes, stars)
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        prefixes = [
+            [
+                self.STAR_TEXT if starred else table[code]
+                for table, code, starred in zip(self.qi_tables, codes, flags)
             ]
-        return self._group_rows
+            for codes, flags in zip(self.rep_codes.tolist(), self.rep_star.tolist())
+        ]
+        sa_table = self.sa_table
+        for start in range(0, self.n, chunk_rows):
+            stop = min(start + chunk_rows, self.n)
+            for group, sa in zip(
+                self.group_of[start:stop].tolist(), self.sa_codes[start:stop].tolist()
+            ):
+                yield prefixes[group] + [sa_table[sa]]
 
     def rows(self) -> list[list[str]]:
-        """Every published row as rendered strings — the legacy payload shape."""
-        prefixes = self.group_row_prefixes()
-        sa_table = self.sa_table
-        return [
-            prefixes[group] + [sa_table[sa]]
-            for group, sa in zip(self.group_of.tolist(), self.sa_codes.tolist())
-        ]
+        """Every published row as rendered strings (the JSON result shape)."""
+        return list(self.iter_rows())
 
     def iter_csv_chunks(
         self, chunk_rows: int = RESULT_CSV_CHUNK_ROWS
@@ -463,21 +471,12 @@ class ResultArtifact:
 
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        prefixes = self.group_row_prefixes()
-        sa_table = self.sa_table
+        rows = self.iter_rows(chunk_rows)
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(self.header)
-        group_of = self.group_of
-        sa_codes = self.sa_codes
-        for start in range(0, self.n, chunk_rows):
-            stop = min(start + chunk_rows, self.n)
-            writer.writerows(
-                prefixes[group] + [sa_table[sa]]
-                for group, sa in zip(
-                    group_of[start:stop].tolist(), sa_codes[start:stop].tolist()
-                )
-            )
+        for _start in range(0, self.n, chunk_rows):
+            writer.writerows(islice(rows, chunk_rows))
             yield buffer.getvalue().encode("utf-8")
             buffer.seek(0)
             buffer.truncate()
@@ -490,14 +489,11 @@ class ResultArtifact:
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def from_generalized(cls, generalized) -> "ResultArtifact | None":
-        """Build an artifact from a published table, or ``None`` when the
-        table has no columnar group form (merged shards, store hits,
-        explicit constructors) — callers fall back to the row path."""
-        columnar = generalized.columnar_publish()
-        if columnar is None:
-            return None
-        rep_codes, rep_star, group_of, sa_codes = columnar
+    def from_generalized(cls, generalized) -> "ResultArtifact":
+        """Build the artifact of any published table: suppression outputs
+        (merged shards and store hits included) adopt their columnar group
+        form without copying; tables with explicit cells (TDS, Mondrian,
+        ``preprocess``) group by distinct cells tuple."""
         schema = generalized.schema
         header = list(schema.qi_names) + [schema.sensitive.name]
         qi_tables = [
@@ -508,7 +504,10 @@ class ResultArtifact:
             str(schema.sensitive.decode(code))
             for code in range(schema.sensitive.size)
         ]
-        return cls(header, qi_tables, sa_table, rep_codes, rep_star, group_of, sa_codes)
+        columnar = generalized.columnar_publish()
+        if columnar is None:
+            columnar = _explicit_groups(generalized, qi_tables)
+        return cls(header, qi_tables, sa_table, *columnar)
 
     # ----------------------------------------------------------- persistence
 
@@ -545,37 +544,22 @@ class ResultArtifact:
 
     @classmethod
     def _open(cls, directory: str | Path, mmap_mode: str | None) -> "ResultArtifact":
-        path = Path(directory)
-        try:
-            payload = json.loads((path / RESULT_META_FILE).read_text())
-        except OSError as error:
-            raise DataSourceError(f"cannot load result artifact {path}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise DataSourceError(f"{path}: invalid artifact meta JSON: {error}") from error
-        if payload.get("format") != RESULT_FORMAT_NAME:
-            raise DataSourceError(f"{path}: not a {RESULT_FORMAT_NAME} directory")
-        try:
-            rep_codes = np.load(path / RESULT_REPS_FILE, mmap_mode=mmap_mode)
-            rep_star = np.load(path / RESULT_STAR_FILE, mmap_mode=mmap_mode)
-            group_of = np.load(path / RESULT_GROUPS_FILE, mmap_mode=mmap_mode)
-            sa_codes = np.load(path / RESULT_SA_FILE, mmap_mode=mmap_mode)
-        except OSError as error:
-            raise DataSourceError(f"cannot load result artifact {path}: {error}") from error
-        artifact = cls(
-            payload["header"],
-            payload["qi_tables"],
-            payload["sa_table"],
-            rep_codes,
-            rep_star,
-            group_of,
-            sa_codes,
-        )
-        if artifact.n != int(payload["n"]) or artifact.g != int(payload["g"]):
-            raise DataSourceError(
-                f"{path}: meta says n={payload['n']} g={payload['g']} but "
-                f"buffers hold n={artifact.n} g={artifact.g}"
+        def build(payload: dict, *arrays: np.ndarray) -> "ResultArtifact":
+            artifact = cls(
+                payload["header"], payload["qi_tables"], payload["sa_table"], *arrays
             )
-        return artifact
+            if artifact.n != int(payload["n"]) or artifact.g != int(payload["g"]):
+                raise DataSourceError(
+                    f"{directory}: meta says n={payload['n']} g={payload['g']} but "
+                    f"buffers hold n={artifact.n} g={artifact.g}"
+                )
+            return artifact
+
+        return _load_dir(
+            directory, RESULT_META_FILE, RESULT_FORMAT_NAME, RESULT_FORMAT_VERSION,
+            (RESULT_REPS_FILE, RESULT_STAR_FILE, RESULT_GROUPS_FILE, RESULT_SA_FILE),
+            mmap_mode, build,
+        )
 
     @classmethod
     def mmap(cls, directory: str | Path) -> "ResultArtifact":
@@ -587,14 +571,35 @@ class ResultArtifact:
         """Read an on-disk artifact fully into memory."""
         return cls._open(directory, mmap_mode=None)
 
-    @staticmethod
-    def is_artifact_dir(path: str | Path) -> bool:
-        directory = Path(path)
-        return (
-            directory.is_dir()
-            and (directory / RESULT_META_FILE).is_file()
-            and (directory / RESULT_GROUPS_FILE).is_file()
-        )
+
+def _explicit_groups(generalized, qi_tables: list[list[str]]) -> tuple:
+    """The group form of a table with explicit cells: one group per distinct
+    cells tuple.  A sub-domain cell becomes one more entry of its column's
+    string table — its sorted decoded values, as :func:`render_cell_value
+    <repro.engine.sinks.render_cell_value>` renders them."""
+    from repro.dataset.generalized import STAR
+    from repro.engine.sinks import render_cell_value
+
+    qi = generalized.schema.qi
+
+    def code(position: int, cell) -> int:
+        if not isinstance(cell, frozenset):
+            return 0 if cell is STAR else cell
+        decoded = sorted(qi[position].decode(item) for item in cell)
+        qi_tables[position].append(render_cell_value(tuple(decoded)))
+        return len(qi_tables[position]) - 1
+
+    groups: dict[tuple, int] = {}
+    group_of = [groups.setdefault(cells, len(groups)) for cells in generalized.cell_rows]
+    shape = (len(groups), len(qi))
+    rep_codes = [[code(position, cell) for position, cell in enumerate(cells)] for cells in groups]
+    rep_star = [[cell is STAR for cell in cells] for cells in groups]
+    return (
+        np.asarray(rep_codes, dtype=np.int64).reshape(shape),
+        np.asarray(rep_star, dtype=bool).reshape(shape),
+        np.asarray(group_of, dtype=np.intp),
+        generalized.sa_codes(),
+    )
 
 
 class StoreOrderCache:

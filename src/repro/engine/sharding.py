@@ -43,6 +43,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Table
 from repro.engine.registry import AlgorithmOutput
@@ -186,32 +188,43 @@ def merge_shard_outputs(
     ``outputs[i]`` must be the anonymization of ``table.subset(shard_rows[i])``;
     its rows therefore correspond positionally to ``shard_rows[i]``.  Group
     ids are offset per shard so groups never collide across shards.
+
+    Suppression shards merge in their columnar group form (concatenated
+    ``(rep_codes, rep_star)`` plus the scattered row→group maps), without
+    per-row cell tuples; shards with explicit cells merge their cell rows.
     """
     if len(shard_rows) != len(outputs):
         raise ValueError(
             f"{len(shard_rows)} shards but {len(outputs)} outputs to merge"
         )
     n = len(table)
-    cells: list = [None] * n
-    group_ids = [0] * n
+    tables = [output.generalized for output in outputs]
+    group_of = np.full(n, -1, dtype=np.intp)
     group_offset = 0
-    for rows, output in zip(shard_rows, outputs):
-        shard_table = output.generalized
+    for rows, shard_table in zip(shard_rows, tables):
         if len(shard_table) != len(rows):
             raise ShardMergeError(
                 f"shard output has {len(shard_table)} rows, expected {len(rows)}"
             )
-        shard_cells = shard_table.cell_rows
-        shard_groups = shard_table.group_ids
-        for local, global_index in enumerate(rows):
-            cells[global_index] = shard_cells[local]
-            group_ids[global_index] = group_offset + shard_groups[local]
-        group_offset += len(shard_table.groups())
-    if any(cell is None for cell in cells):
+        if len(rows):
+            shard_groups = shard_table.group_ids_array()
+            group_of[np.asarray(rows, dtype=np.intp)] = group_offset + shard_groups
+            group_offset += int(shard_groups.max()) + 1
+    if n and int(group_of.min()) < 0:
         raise ShardMergeError("shards do not cover every row of the table")
-    merged = GeneralizedTable._from_trusted(
-        table.schema, cells, table.sa_values, group_ids
-    )
+    forms = [shard_table.columnar_publish() for shard_table in tables]
+    if forms and None not in forms:
+        rep_codes = np.concatenate([form[0] for form in forms])
+        rep_star = np.concatenate([form[1] for form in forms])
+        merged = GeneralizedTable.from_groups(table, rep_codes, rep_star, group_of)
+    else:
+        cells: list = [None] * n
+        for rows, shard_table in zip(shard_rows, tables):
+            for global_index, row_cells in zip(rows, shard_table.cell_rows):
+                cells[global_index] = row_cells
+        merged = GeneralizedTable._from_trusted(
+            table.schema, cells, table.sa_values, group_of.tolist()
+        )
     if verify:
         spec = resolve_privacy(privacy)
         if not spec.check_generalized(merged):

@@ -1,16 +1,18 @@
 """Output adapters: incremental CSV export of published tables.
 
 The mirror image of :mod:`repro.engine.sources`: a :class:`CsvSink` writes
-the published generalized table to a CSV file **incrementally** — header
-first, then any number of row batches — so the streaming pipeline can emit
-each anonymized shard as soon as it is finished instead of materializing the
-whole published table.  The in-memory CLI path uses the same sink for its
-``--output`` export, so both paths render cells identically:
+published generalized tables to a CSV file **incrementally** — header
+first, then any number of tables — so the streaming pipeline can emit each
+anonymized shard as soon as it is finished instead of materializing the
+whole published table.  The CLI, the job service and the streaming
+pipeline all export through it, and every table renders through its
+:class:`~repro.engine.columnstore.ResultArtifact` — the same renderer the
+server streams results from — a bounded chunk of rows at a time:
 
 * exact cells decode to their raw value;
 * suppressed cells render as ``*``;
 * sub-domain cells (TDS / Mondrian) render as ``{a|b|c}`` over the sorted
-  decoded values.
+  decoded values (:func:`render_cell_value`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 
 from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Schema
+from repro.engine.columnstore import ResultArtifact
 
 __all__ = ["CsvSink", "render_cell_value"]
 
@@ -32,7 +35,7 @@ def render_cell_value(value: object) -> object:
 
 
 class CsvSink:
-    """Writes published generalized rows to a CSV file, batch by batch.
+    """Writes published generalized rows to a CSV file, table by table.
 
     Usage::
 
@@ -46,34 +49,26 @@ class CsvSink:
         self.path = str(path)
         self.delimiter = delimiter
         self._handle = None
-        self._writer: csv.DictWriter | None = None
-        self._field_names: list[str] = []
+        self._writer = None
         self.rows_written = 0
 
     def open(self, schema: Schema) -> "CsvSink":
         """Open the file and write the header row for ``schema``."""
         if self._writer is not None:
             raise ValueError(f"sink for {self.path} is already open")
-        self._field_names = list(schema.qi_names) + [schema.sensitive.name]
         self._handle = open(self.path, "w", newline="")
-        self._writer = csv.DictWriter(
-            self._handle, fieldnames=self._field_names, delimiter=self.delimiter
-        )
-        self._writer.writeheader()
+        self._writer = csv.writer(self._handle, delimiter=self.delimiter)
+        self._writer.writerow(list(schema.qi_names) + [schema.sensitive.name])
         return self
 
     def write_table(self, generalized: GeneralizedTable) -> int:
         """Append every row of ``generalized``; returns the rows written."""
         if self._writer is None:
             self.open(generalized.schema)
-        assert self._writer is not None
-        for row in range(len(generalized)):
-            record = generalized.decoded_record(row)
-            self._writer.writerow(
-                {name: render_cell_value(record[name]) for name in self._field_names}
-            )
-        self.rows_written += len(generalized)
-        return len(generalized)
+        artifact = ResultArtifact.from_generalized(generalized)
+        self._writer.writerows(artifact.iter_rows())
+        self.rows_written += artifact.n
+        return artifact.n
 
     def close(self) -> None:
         if self._handle is not None:

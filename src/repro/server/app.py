@@ -591,12 +591,6 @@ class AnonymizationServer:
         # The trace id rides inside the spec so the pool worker (and, on a
         # restart, the replayed job) can stamp it on the engine run.
         spec["request_id"] = request.request_id
-        # Row-carrying jobs publish through a workspace result artifact
-        # instead of pickling rendered row-strings back through the process
-        # pool; the flag (rather than a default) keeps direct execute_job
-        # callers on the legacy inline-rows payload.
-        if spec.get("include_rows", True):
-            spec["result_artifact"] = True
 
         # The full spec is persisted on the queued record (with an upload's
         # spool path still empty — replay reconstructs it from the job id),
@@ -701,7 +695,7 @@ class AnonymizationServer:
         if (rows is None) == (source is None):
             raise HttpError(400, "provide exactly one of 'rows' or 'source'")
         if rows is not None:
-            label, spool = self._validate_inline_rows(payload, spec)
+            label, spool = self._validate_inline_rows(payload, rows, spec)
             return label, spec, spool
         if not isinstance(source, dict):
             raise HttpError(400, f"'source' must be an object, got {source!r}")
@@ -931,10 +925,11 @@ class AnonymizationServer:
             raise HttpError(400, f"sensitive column {sa!r} cannot also be a QI column")
         return list(qi), sa
 
-    def _validate_inline_rows(self, payload: dict, spec: dict) -> tuple[str, bytes]:
-        """Validate inline ``rows`` and spool them into CSV bytes."""
+    def _validate_inline_rows(
+        self, payload: dict, rows: object, spec: dict
+    ) -> tuple[str, bytes]:
+        """Validate a submission's inline ``rows`` and spool them into CSV bytes."""
         qi, sa = self._validate_qi_sa(payload)
-        rows = payload["rows"]
         if not isinstance(rows, list) or not rows:
             raise HttpError(400, "'rows' must be a non-empty list")
         columns = payload.get("columns")
@@ -1314,17 +1309,16 @@ class AnonymizationServer:
     async def _handle_result(self, request: Request) -> bytes:
         """Serve a done job's published table.
 
-        Artifact-backed results (the default for row-carrying submissions)
-        render from the memory-mapped workspace artifact off the event loop;
-        either way the rendered body is cached on the resident job entry, so
-        a repeat fetch is a cache hit that re-renders nothing (the
-        ``repro_result_renders_total`` / ``repro_result_cache_hits_total``
-        counters make that observable).
+        Every row-carrying job's result is a workspace artifact; it renders
+        memory-mapped off the event loop, and the rendered body is cached on
+        the resident job entry, so a repeat fetch is a cache hit that
+        re-renders nothing (the ``repro_result_renders_total`` /
+        ``repro_result_cache_hits_total`` counters make that observable).
         """
         job_id = request.path_params["id"]
         result = await self._result_for(job_id)
         artifact = result.get("result_artifact")
-        if "rows" not in result and not artifact:
+        if not artifact:
             raise HttpError(
                 409,
                 "job was submitted with include_rows=false; "
@@ -1342,17 +1336,10 @@ class AnonymizationServer:
             if body is not None:
                 self._result_cache_hits.inc(format="csv")
                 return render_response(200, body, content_type="text/csv")
-            if artifact:
-                body = await self._render_artifact(artifact["path"], "csv")
-            else:
-                body = await self._offload(
-                    self._render_rows_csv, result["header"], result["rows"]
-                )
+            body = await self._render_artifact(artifact["path"], "csv")
             self._result_renders.inc(format="csv")
             cache["csv"] = body
             return render_response(200, body, content_type="text/csv")
-        if "rows" in result:
-            return json_response(200, result)
         rows = cache.get("rows")
         if rows is not None:
             self._result_cache_hits.inc(format="json")
@@ -1380,14 +1367,6 @@ class AnonymizationServer:
                 "resubmit and the run store will answer it",
             ) from None
 
-    @staticmethod
-    def _render_rows_csv(header: list, rows: list) -> bytes:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue().encode("utf-8")
-
     def _resident_artifact_bytes(self) -> float:
         """Gauge callback: on-disk bytes of every resident job's artifact."""
         return float(
@@ -1400,7 +1379,7 @@ class AnonymizationServer:
     @_route("GET", r"/v1/jobs/(?P<id>[\w.-]+)/metrics")
     async def _handle_job_metrics(self, request: Request) -> bytes:
         result = await self._result_for(request.path_params["id"])
-        payload = {key: value for key, value in result.items() if key not in ("rows", "header")}
+        payload = {key: value for key, value in result.items() if key != "header"}
         return json_response(200, payload)
 
     @_route("GET", r"/v1/jobs/(?P<id>[\w.-]+)/trace")

@@ -59,7 +59,6 @@ from typing import Callable
 from repro import profiling
 from repro.engine.cache import ResultCache
 from repro.engine.core import Engine, RunPlan
-from repro.engine.sinks import render_cell_value
 from repro.engine.sources import CsvSource, DataSource, SyntheticSource
 from repro.errors import JobTimeoutError, WorkerCrashError
 from repro.obs.metrics import MetricsRegistry
@@ -152,6 +151,8 @@ def execute_job(
     product ``pool workers × budget`` never oversubscribes the machine.
     """
     apply_worker_faults(spec)
+    include_rows = spec.get("include_rows", True)
+    artifact_dir = _result_artifact_dir(spec, workspace_root) if include_rows else None
     source = build_source(spec["source"])
     privacy = spec.get("privacy")
     plan = RunPlan(
@@ -218,52 +219,37 @@ def execute_job(
         if report.decision is not None
         else None,
     }
-    if spec.get("include_rows", True):
-        schema = generalized.schema
-        header = list(schema.qi_names) + [schema.sensitive.name]
-        payload["header"] = header
-        artifact_dir = _result_artifact_dir(spec, workspace_root)
-        if artifact_dir is not None:
-            from repro.engine.columnstore import RESULT_FORMAT_NAME, ResultArtifact
+    if include_rows:
+        from repro.engine.columnstore import RESULT_FORMAT_NAME, ResultArtifact
 
-            artifact = ResultArtifact.from_generalized(generalized)
-            if artifact is not None:
-                # Zero-copy handoff: the group-level arrays go to disk under
-                # the workspace and only their path rides back through the
-                # pickle channel — the n row-string lists are never built.
-                artifact_bytes = artifact.save(artifact_dir)
-                payload["result_artifact"] = {
-                    "path": str(artifact_dir),
-                    "rows": artifact.n,
-                    "bytes": artifact_bytes,
-                    "format": RESULT_FORMAT_NAME,
-                }
-                return payload
-        rows = []
-        for row in range(len(generalized)):
-            record = generalized.decoded_record(row)
-            rows.append([str(render_cell_value(record[name])) for name in header])
-        payload["rows"] = rows
+        # The group-level arrays go to disk under the workspace and only
+        # their path rides back through the pickle channel — the n
+        # row-string lists are never built.
+        artifact = ResultArtifact.from_generalized(generalized)
+        payload["header"] = artifact.header
+        payload["result_artifact"] = {
+            "path": artifact_dir,
+            "rows": artifact.n,
+            "bytes": artifact.save(artifact_dir),
+            "format": RESULT_FORMAT_NAME,
+        }
     return payload
 
 
 _ARTIFACT_KEY_PATTERN = re.compile(r"[\w.-]{1,128}")
 
 
-def _result_artifact_dir(spec: dict, workspace_root: str | None) -> str | None:
-    """Where this job should save its result artifact, or ``None`` to skip.
+def _result_artifact_dir(spec: dict, workspace_root: str | None) -> str:
+    """Where this job saves its result artifact: ``results/<job_id>``.
 
-    Artifacts are opt-in via the server-stamped ``result_artifact`` spec flag
-    (direct :func:`execute_job` callers keep the legacy inline-rows payload)
-    and keyed by the ledger job id — server-minted, so directories never
-    collide across concurrent jobs and the key is always path-safe (the
-    pattern check is defence in depth, not a trust boundary).
+    Keyed by the ledger job id the pool stamps on every spec — server-minted,
+    so directories never collide across concurrent jobs and the key is
+    always path-safe (the pattern check is defence in depth, not a trust
+    boundary).  Raises :class:`ValueError` when the spec has no valid job id.
     """
-    if not spec.get("result_artifact") or workspace_root is None:
-        return None
     job_id = str(spec.get("job_id", "")).strip()
     if not _ARTIFACT_KEY_PATTERN.fullmatch(job_id) or job_id.startswith("."):
-        return None
+        raise ValueError(f"job spec needs a path-safe job_id, got {job_id!r}")
     from repro.service.workspace import Workspace
 
     return str(Workspace(workspace_root).results_dir / job_id)

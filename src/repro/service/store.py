@@ -48,6 +48,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.engine.cache import CachedRun, CacheKey
 from repro.engine.registry import AlgorithmOutput
@@ -107,6 +109,33 @@ def _encode_run(key: CacheKey, run: CachedRun) -> dict:
         "phase_reached": run.output.phase_reached,
         "enforcement_merges": run.enforcement_merges,
     }
+
+
+def _rehydrate(record: dict, table: "Table") -> GeneralizedTable:
+    """A record's published table over its (fingerprint-identical) table: the
+    columnar group form, or explicit cells when a cell is a sub-domain."""
+    if record["n"] != len(table):
+        raise ValueError("row count mismatch (stale or colliding record)")
+    group_ids = np.asarray(record["group_ids"], dtype=np.intp)
+    decoded = [tuple(_decode_cell(cell) for cell in row) for row in record["group_cells"]]
+    if any(len(row) != table.dimension for row in decoded):
+        raise ValueError("cell row width does not match the table dimension")
+    if group_ids.size and int(group_ids.min()) < 0:
+        raise ValueError("negative group id")
+    if any(isinstance(cell, frozenset) for row in decoded for cell in row):
+        cells = [decoded[group_id] for group_id in group_ids.tolist()]
+        return GeneralizedTable._from_trusted(
+            table.schema, cells, table.sa_values, group_ids.tolist()
+        )
+    shape = (len(decoded), table.dimension)
+    rep_star = [[cell is STAR for cell in row] for row in decoded]
+    rep_codes = [[0 if cell is STAR else cell for cell in row] for row in decoded]
+    return GeneralizedTable.from_groups(
+        table,
+        np.asarray(rep_codes, dtype=np.int64).reshape(shape),
+        np.asarray(rep_star, dtype=bool).reshape(shape),
+        group_ids,
+    )
 
 
 class RunStore:
@@ -236,20 +265,9 @@ class RunStore:
             self.misses += 1
             return None
         try:
-            if record["n"] != len(table):
-                raise ValueError("row count mismatch (stale or colliding record)")
-            decoded_groups = [
-                tuple(_decode_cell(cell) for cell in row) for row in record["group_cells"]
-            ]
-            if any(len(row) != table.dimension for row in decoded_groups):
-                raise ValueError("cell row width does not match the table dimension")
-            cells = [decoded_groups[group_id] for group_id in record["group_ids"]]
             run = CachedRun(
                 output=AlgorithmOutput(
-                    GeneralizedTable._from_trusted(
-                        table.schema, cells, table.sa_values, list(record["group_ids"])
-                    ),
-                    phase_reached=record["phase_reached"],
+                    _rehydrate(record, table), phase_reached=record["phase_reached"]
                 ),
                 anonymize_seconds=record["anonymize_seconds"],
                 shard_sizes=tuple(record["shard_sizes"]),

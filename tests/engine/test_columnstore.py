@@ -96,6 +96,31 @@ def test_mmap_rejects_row_count_mismatch(census, store_dir):
         ColumnStore.mmap(store_dir)
 
 
+@pytest.mark.parametrize("opener", [ColumnStore.mmap, ColumnStore.load])
+def test_truncated_buffer_is_a_data_source_error(store_dir, opener):
+    buffer = store_dir / "qi.npy"
+    buffer.write_bytes(buffer.read_bytes()[:-64])
+    with pytest.raises(DataSourceError):
+        opener(store_dir)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload.pop("qi"),
+        lambda payload: payload.update(sensitive=7),
+        lambda payload: payload.update(version=99),
+    ],
+    ids=["missing-key", "wrong-type", "unknown-version"],
+)
+def test_malformed_schema_is_a_data_source_error(store_dir, edit):
+    payload = json.loads((store_dir / "schema.json").read_text())
+    edit(payload)
+    (store_dir / "schema.json").write_text(json.dumps(payload))
+    with pytest.raises(DataSourceError):
+        ColumnStore.mmap(store_dir)
+
+
 def test_from_csv_and_convert_csv_match_csv_source(census, tmp_path):
     csv_path = tmp_path / "data.csv"
     census.to_csv(str(csv_path))

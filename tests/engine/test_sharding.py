@@ -92,6 +92,20 @@ class TestMergeShardOutputs:
         merged = merge_shard_outputs(hospital, shard_rows, outputs, l)
         assert merged.sa_values == hospital.sa_values
 
+    @pytest.mark.parametrize("algorithm", ["TP", "Mondrian"])
+    def test_merge_keeps_every_shard_row(self, algorithm):
+        table = make_sal(600, seed=7, config=CensusConfig.scaled(0.3)).project(
+            ("Age", "Gender", "Race")
+        )
+        shard_rows = qi_prefix_shards(table, 3, 2)
+        assert len(shard_rows) == 3
+        outputs = _run_shards(table, shard_rows, 2, algorithm)
+        merged = merge_shard_outputs(table, shard_rows, outputs, 2)
+        assert (merged.columnar_publish() is not None) == (algorithm == "TP")
+        for rows, output in zip(shard_rows, outputs):
+            for local, global_index in enumerate(rows):
+                assert merged.row_cells(global_index) == output.generalized.row_cells(local)
+
     def test_merge_offsets_group_ids(self, hospital):
         l = 2
         shard_rows = qi_prefix_shards(hospital, 2, l)

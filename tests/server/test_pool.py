@@ -6,9 +6,13 @@ import asyncio
 
 import pytest
 
+from repro.engine import Engine, ResultCache, RunPlan
+from repro.engine.columnstore import ResultArtifact
+from repro.server.faults import FaultPlan, clear_plan, install_plan
 from repro.server.pool import QueueFullError, WorkerPool, build_source, execute_job
 from repro.server.ratelimit import RateLimiter
 from repro.service import verify_csv_l_diverse
+from tests.render_oracle import legacy_csv, legacy_rows
 
 
 class TestRateLimiter:
@@ -58,38 +62,68 @@ class TestExecuteJob:
             "include_rows": True,
             "source": {"kind": "synthetic", "dataset": "SAL", "n": 200, "seed": 3,
                        "dimension": 3},
+            "job_id": "job-0001",
         }
         spec.update(overrides)
         return spec
 
+    def _oracle(self, spec):
+        report = Engine(cache=ResultCache()).run(
+            RunPlan(source=build_source(spec["source"]), algorithm=spec["algorithm"],
+                    l=spec["l"])
+        )
+        return report.generalized
+
+    @staticmethod
+    def _artifact(result):
+        return ResultArtifact.mmap(result["result_artifact"]["path"])
+
     def test_synthetic_round_trip_without_store(self, tmp_path):
-        result = execute_job(self._spec(), str(tmp_path / "ws"), False)
+        spec = self._spec()
+        result = execute_job(spec, str(tmp_path / "ws"), False)
         assert result["n"] == 200
         assert result["verified"] is True
         assert result["metric_values"]["stars"] == result["stars"]
-        assert len(result["rows"]) == 200
+        assert "rows" not in result
+        assert result["result_artifact"]["rows"] == 200
+        assert result["result_artifact"]["path"] == str(tmp_path / "ws" / "results" / "job-0001")
+        generalized = self._oracle(spec)
+        assert (result["header"], self._artifact(result).rows()) == legacy_rows(generalized)
+        assert self._artifact(result).csv_bytes() == legacy_csv(generalized)
         assert not result["store_hit"]
 
     def test_store_hit_across_executions(self, tmp_path):
-        first = execute_job(self._spec(), str(tmp_path / "ws"), True)
-        second = execute_job(self._spec(), str(tmp_path / "ws"), True)
+        first = execute_job(self._spec(job_id="job-1"), str(tmp_path / "ws"), True)
+        second = execute_job(self._spec(job_id="job-2"), str(tmp_path / "ws"), True)
         assert not first["store_hit"]
         assert second["store_hit"] and second["cache_hit"]
-        assert second["rows"] == first["rows"]
+        assert self._artifact(second).csv_bytes() == legacy_csv(self._oracle(self._spec()))
 
     def test_include_rows_false_omits_the_table(self, tmp_path):
-        result = execute_job(self._spec(include_rows=False), str(tmp_path / "ws"), False)
-        assert "rows" not in result and "header" not in result
+        result = execute_job(
+            self._spec(include_rows=False, job_id=""), str(tmp_path / "ws"), False
+        )
+        assert "result_artifact" not in result and "header" not in result
+        assert not (tmp_path / "ws" / "results").exists()
+
+    @pytest.mark.parametrize("job_id", [None, "", "../escape", ".hidden", "a/b"])
+    def test_row_carrying_spec_needs_a_path_safe_job_id(self, tmp_path, job_id):
+        spec = self._spec()
+        if job_id is None:
+            del spec["job_id"]
+        else:
+            spec["job_id"] = job_id
+        with pytest.raises(ValueError, match="job_id"):
+            execute_job(spec, str(tmp_path / "ws"), False)
+
+    def test_a_legacy_result_artifact_flag_is_ignored(self, tmp_path):
+        result = execute_job(self._spec(result_artifact=False), str(tmp_path / "ws"), False)
+        assert "rows" not in result and result["result_artifact"]["rows"] == 200
 
     def test_rows_are_l_diverse_as_csv(self, tmp_path):
         result = execute_job(self._spec(), str(tmp_path / "ws"), False)
         path = tmp_path / "out.csv"
-        import csv
-
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(result["header"])
-            writer.writerows(result["rows"])
+        path.write_bytes(self._artifact(result).csv_bytes())
         assert verify_csv_l_diverse(path, result["header"][:-1], result["header"][-1], 4)
 
     def test_build_source_rejects_unknown_kind(self):
@@ -221,14 +255,21 @@ class TestWorkerPool:
             await pool.start()
             pool.submit(
                 "job-slow",
-                {"algorithm": "TP", "l": 2,
+                {"algorithm": "TP", "l": 2, "seed": 777,
                  "source": {"kind": "synthetic", "n": 30_000, "dimension": 3}},
             )
             while ("job-slow", "running") not in events:
                 await asyncio.sleep(0.005)
             return await pool.shutdown(grace_seconds=0.01)
 
-        abandoned, interrupted = self._run(scenario())
+        # Wedge the worker with a delay fault so the run reliably outlives the
+        # grace window — the engine is fast enough that a plain job can finish
+        # inside it.
+        install_plan(FaultPlan(delay_seconds=1.0, delay_seeds=(777,)))
+        try:
+            abandoned, interrupted = self._run(scenario())
+        finally:
+            clear_plan()
         assert abandoned == []
         assert interrupted == ["job-slow"]
         # its drainer was cancelled, so no terminal transition was recorded

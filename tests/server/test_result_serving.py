@@ -1,78 +1,84 @@
 """Zero-copy result artifacts through the serving stack.
 
-The contract under test: a worker that publishes through the columnar
-artifact path must serve **byte-identical** CSV to the legacy
-render-and-pickle path, repeat fetches must come from the render cache
-instead of re-rendering, and the on-disk artifacts must be reclaimed with
-their resident entries.
+The contract under test: every row-carrying job publishes through its
+workspace result artifact, the served CSV and JSON rows equal the row-level
+rendering oracle byte for byte (suppression runs, store hits and sub-domain
+baselines alike), repeat fetches come from the render cache instead of
+re-rendering, a corrupt artifact answers 404, and the on-disk artifacts are
+reclaimed with their resident entries.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import pytest
 
-from repro.client import Client
-from repro.server.pool import execute_job
+from repro.client import Client, ClientError
+from repro.engine import Engine, ResultCache, RunPlan
+from repro.engine.columnstore import RESULT_GROUPS_FILE
+from repro.server.pool import build_source
+from tests.render_oracle import legacy_csv, legacy_rows
 from tests.server.server_harness import ServerHandle
 from tests.server.test_telemetry import parse_exposition, sample
 
 SOURCE = {"kind": "synthetic", "dataset": "SAL", "n": 400, "dimension": 3}
 
 
-def _spec(**overrides) -> dict:
-    spec = {
-        "algorithm": "TP+",
-        "l": 4,
-        "metrics": [],
-        "shards": None,
-        "seed": 0,
-        "chunk_rows": None,
-        "include_rows": True,
-        "source": dict(SOURCE),
-    }
-    spec.update(overrides)
-    return spec
+def _oracle(algorithm="TP+", l=4):
+    """The same deterministic job run in-process."""
+    report = Engine(cache=ResultCache()).run(
+        RunPlan(source=build_source(dict(SOURCE)), algorithm=algorithm, l=l)
+    )
+    return report.generalized
 
 
-def _legacy_csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _assert_served_like_oracle(client, payload, job_id, generalized):
+    assert payload["result_artifact"]["rows"] == SOURCE["n"]
+    assert client.result_csv(job_id).encode("utf-8") == legacy_csv(generalized)
+    result = client.result(job_id)
+    header, rows = legacy_rows(generalized)
+    assert result["header"] == header
+    assert result["rows"] == rows
+    # /metrics is the payload without the table: no rows, no header.
+    expected = {key: value for key, value in result.items() if key not in ("rows", "header")}
+    assert client.job_metrics(job_id) == expected
+    assert expected["stars"] == generalized.star_count()
 
 
 class TestArtifactServing:
-    def test_served_csv_is_byte_identical_to_legacy_pickled_path(
-        self, client, tmp_path
-    ):
+    def test_served_csv_and_json_rows_equal_the_oracle(self, server, client):
         job_id = client.submit(source=dict(SOURCE), l=4)
         client.wait(job_id)
-        served = client.result_csv(job_id)
-        # The same deterministic job through the historical path: no
-        # ``result_artifact`` in the spec, so the worker renders and pickles
-        # every row-string list.
-        legacy = execute_job(_spec(), str(tmp_path / "legacy-ws"), False)
-        assert "rows" in legacy and "result_artifact" not in legacy
-        assert served == _legacy_csv(legacy["header"], legacy["rows"])
-
-    def test_json_rows_match_legacy_and_payload_omits_them(
-        self, server, client, tmp_path
-    ):
-        job_id = client.submit(source=dict(SOURCE), l=4)
-        client.wait(job_id)
-        # The resident worker payload carries the artifact pointer, not the
-        # n rendered row lists that used to ride through the pickle channel.
         payload = server.server._jobs[job_id]["result"]
-        assert "rows" not in payload
-        info = payload["result_artifact"]
-        assert info["rows"] == SOURCE["n"] and info["bytes"] > 0
-        # ... while the JSON view still materializes the historical shape.
-        result = client.result(job_id)
-        legacy = execute_job(_spec(), str(tmp_path / "legacy-ws"), False)
-        assert result["header"] == legacy["header"]
-        assert result["rows"] == legacy["rows"]
+        # The resident worker payload carries the artifact pointer, not the
+        # n rendered row lists.
+        assert "rows" not in payload and payload["result_artifact"]["bytes"] > 0
+        _assert_served_like_oracle(client, payload, job_id, _oracle())
+
+    def test_store_hit_is_served_from_its_artifact(self, server, client):
+        client.wait(client.submit(source=dict(SOURCE), l=4))
+        job_id = client.submit(source=dict(SOURCE), l=4)
+        client.wait(job_id)
+        payload = server.server._jobs[job_id]["result"]
+        assert payload["store_hit"]
+        _assert_served_like_oracle(client, payload, job_id, _oracle())
+
+    def test_mondrian_subdomains_are_served_from_the_artifact(self, server, client):
+        job_id = client.submit(source=dict(SOURCE), l=4, algorithm="Mondrian")
+        client.wait(job_id)
+        payload = server.server._jobs[job_id]["result"]
+        generalized = _oracle("Mondrian")
+        assert generalized.columnar_publish() is None  # explicit sub-domain cells
+        _assert_served_like_oracle(client, payload, job_id, generalized)
+        assert "{" in client.result_csv(job_id)
+
+    def test_corrupt_artifact_answers_404(self, server, client):
+        job_id = client.submit(source=dict(SOURCE), l=4)
+        client.wait(job_id)
+        buffer = server.server.workspace.results_dir / job_id / RESULT_GROUPS_FILE
+        buffer.write_bytes(buffer.read_bytes()[:-64])
+        with pytest.raises(ClientError) as error:
+            client.result_csv(job_id)
+        assert error.value.status == 404
 
     def test_repeat_csv_fetches_render_once(self, client):
         job_id = client.submit(source=dict(SOURCE), l=4)
