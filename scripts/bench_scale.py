@@ -1,8 +1,8 @@
 """Record the BENCH_scale raw-speed trajectory (10^5..10^7 rows).
 
 For each cardinality, a seeded synthetic table is converted to an on-disk
-column store and anonymized through the memory-mapped engine path with stage
-profiling enabled.  The per-stage attribution is written to a JSON
+column store and anonymized through the memory-mapped engine path.  The
+per-stage attribution, read from each run's span tree, is written to a JSON
 trajectory::
 
     PYTHONPATH=src python scripts/bench_scale.py --output BENCH_scale.json

@@ -51,6 +51,7 @@ from pathlib import Path
 
 from repro.client import Client, ClientError, JobFailedError
 from repro.obs.metrics import parse_prometheus_text
+from repro.obs.trace import grafted_problems
 from repro.privacy.spec import privacy_from_dict
 from repro.server.faults import FaultPlan
 
@@ -229,13 +230,9 @@ def check_trace_of_timed_out_job(probe: Client, record: dict) -> None:
         fail(f"attempt-1 of {job_id} did not record the retry outcome")
     if spans[final_attempt]["attributes"]["outcome"] != "done":
         fail(f"{final_attempt} of {job_id} did not record the done outcome")
-    engine_spans = [
-        span for span in trace["spans"] if span["name"].startswith("engine:")
-    ]
-    if not engine_spans:
-        fail(f"trace of {job_id} carries no engine stage spans")
-    if any(span["parent"] != final_attempt for span in engine_spans):
-        fail(f"engine spans of {job_id} are not parented to {final_attempt}")
+    problems = grafted_problems(trace["spans"], final_attempt, "engine:")
+    if problems:
+        fail(f"engine tree of {job_id} is not nested under {final_attempt}: {problems}")
     print(
         f"trace: {job_id} narrates timeout -> retry -> done in "
         f"{len(trace['spans'])} spans (request {trace['request_id'][:8]}…)"

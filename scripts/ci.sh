@@ -46,8 +46,10 @@
 # through the memory-mapped column-store engine path under capped chunks and
 # asserts (a) bit-identical published output vs the unsharded in-memory run,
 # (b) a repeat run against the same column store warm-starts from the
-# persisted order.npy sort permutation (no sort stage in its profile),
-# (c) telemetry adds < 2% to the benched run, and (d) the parallel
+# persisted order.npy sort permutation (no sort span in its span tree),
+# (c) the always-on span recorder (measured per-span cost x spans per run)
+# plus the tree hand-off and registry mutations of a served job cost < 2%
+# of the benched run, and (d) the parallel
 # encode/publish kernels are bit-identical to their serial oracles and
 # >= 2x faster.  Fused-metric values are pinned against the *_reference
 # oracles by tests/metrics/test_fused.py.

@@ -32,8 +32,8 @@ running server), then:
    must have moved by at least the work performed, the queue-full rejections
    of phase 3 must appear under ``repro_jobs_rejected_total``, and a fixed
    job's trace (``GET /v1/jobs/{id}/trace``) must contain every lifecycle
-   span — submit, queue-wait, attempt-1, engine stages, publish — keyed by
-   the client-minted request id;
+   span — submit, queue-wait, attempt-1, the engine tree nested under it,
+   publish — keyed by the client-minted request id;
 7. **clean shutdown** — the server subprocess must exit with code 0 on
    SIGTERM.
 
@@ -63,6 +63,7 @@ from collections import Counter
 from repro.client import BackpressureError, Client, ClientError
 from repro.dataset.examples import hospital_microdata
 from repro.obs.metrics import parse_prometheus_text
+from repro.obs.trace import grafted_problems
 from repro.privacy.spec import privacy_from_dict, privacy_registry
 
 QUEUE_CAP = 8
@@ -371,13 +372,9 @@ def phase_telemetry(probe: Client, before: dict) -> None:
     expected = {"submit", "queue-wait", "attempt-1", "publish"}
     if not expected <= spans:
         fail(f"trace of {job_id} is missing spans {sorted(expected - spans)}")
-    engine_spans = [
-        span for span in trace["spans"] if span["name"].startswith("engine:")
-    ]
-    if not engine_spans:
-        fail(f"trace of {job_id} carries no engine stage spans")
-    if any(span["parent"] != "attempt-1" for span in engine_spans):
-        fail(f"engine spans of {job_id} are not parented to attempt-1")
+    problems = grafted_problems(trace["spans"], "attempt-1", "engine:")
+    if problems:
+        fail(f"engine tree of {job_id} is not nested under attempt-1: {problems}")
     print(
         f"telemetry: {requests_total(after):.0f} requests scraped, "
         f"{submitted:.0f} submissions counted, trace of {job_id} complete "

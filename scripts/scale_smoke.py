@@ -8,13 +8,14 @@ and checks the acceptance properties of the zero-copy pipeline:
    and rendered CSV output compared verbatim).
 2. **Warm start** — a second engine run against the same column store loads
    the persisted ``order.npy`` sort permutation instead of re-sorting: the
-   cold run's profile must contain the ``sort`` stage and the warm run's
+   cold run's span tree must contain a ``sort`` span and the warm run's
    must not.
 3. **Telemetry overhead** — the serving stack's per-job observability cost
-   (stage profiling force-enabled in the worker plus every registry
-   mutation a served job implies) is replayed on the benched mmap run and
-   must add less than ``TELEMETRY_OVERHEAD_CAP - 1`` (2%) over the bare
-   run, best-of-``BENCH_ROUNDS`` timings on both sides.
+   must stay under ``TELEMETRY_OVERHEAD_CAP - 1`` (2%) of the benched mmap
+   run.  The span recorder is always on, so its share is measured rather
+   than toggled: the per-span cost times the spans the benched run records,
+   plus the tree hand-off and every registry mutation a served job implies,
+   best-of-``BENCH_ROUNDS`` timings throughout.
 4. **Encode/publish kernels** — the packed-sort encode
    (:meth:`GroupingContext.build`) and the columnar publish
    (:meth:`GeneralizedTable.from_partition`) are bit-identical to their
@@ -27,12 +28,12 @@ Run with ``PYTHONPATH=src python scripts/scale_smoke.py`` (wired into
 
 from __future__ import annotations
 
+import pickle
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro import profiling
 from repro.engine import (
     ColumnStore,
     ColumnStoreSource,
@@ -43,6 +44,8 @@ from repro.engine import (
 )
 from repro.engine.cache import ResultCache
 from repro.dataset.synthetic import CensusConfig, make_sal
+from repro.obs import trace
+from repro.obs.trace import TraceStore
 
 N = 100_000
 L = 6
@@ -55,6 +58,8 @@ TELEMETRY_OVERHEAD_CAP = 1.02
 #: Absolute slack on top of the 2% cap so scheduler jitter on a sub-second
 #: benched run cannot fail the guard spuriously.
 TELEMETRY_EPSILON_SECONDS = 0.010
+#: Spans opened and closed per round when measuring the per-span cost.
+SPAN_PROBES = 10_000
 
 
 def _run(source, chunk_rows: int | None = None):
@@ -76,35 +81,24 @@ def _rendered(report, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _profiled_run(store_dir: Path) -> dict[str, float]:
-    """One engine run against ``store_dir`` with stage profiling captured."""
-    profiling.set_enabled(True)
-    profiling.reset()
-    try:
-        _run(ColumnStoreSource(str(store_dir)))
-    finally:
-        profiling.set_enabled(False)
-    return profiling.snapshot()
-
-
 def _check_warm_start(table, tmp: Path) -> bool:
     """order.npy warm start: the second run on the same store skips the sort."""
     store_dir = tmp / "warm-store"
     ColumnStore.from_table(table).save(store_dir)
-    cold = _profiled_run(store_dir)
-    warm = _profiled_run(store_dir)
-    if cold.get("sort", 0.0) <= 0.0:
-        print("FAIL: cold run recorded no sort stage (guard cannot bite)")
+    cold = _run(ColumnStoreSource(str(store_dir))).trace
+    warm = _run(ColumnStoreSource(str(store_dir))).trace
+    if cold.total("sort") <= 0.0:
+        print("FAIL: cold run recorded no sort span (guard cannot bite)")
         return False
-    if "sort" in warm:
+    if warm.find("sort") is not None:
         print("FAIL: warm run re-sorted despite the persisted order.npy")
         return False
     if not (store_dir / "order.npy").exists():
         print("FAIL: order.npy sidecar missing after the cold run")
         return False
     print(
-        f"warm start: cold sort {cold['sort']:.3f}s, warm run served from "
-        "order.npy (no sort stage)"
+        f"warm start: cold sort {cold.total('sort'):.3f}s, warm run served from "
+        "order.npy (no sort span)"
     )
     return True
 
@@ -112,12 +106,10 @@ def _check_warm_start(table, tmp: Path) -> bool:
 def _check_telemetry_overhead(mmap_source) -> bool:
     """Telemetry must cost < 2% of the benched run.
 
-    The serving path adds two kinds of per-job observability cost: stage
-    profiling is force-enabled inside the pool worker (to bridge engine
-    spans back through the result payload) and the server mutates registry
-    instruments around the job.  Both are replayed here on top of the
-    benched mmap run and compared with the bare run, best of
-    ``BENCH_ROUNDS`` timings each so scheduler noise is damped.
+    A served job pays for the always-on span recorder (the measured
+    per-span cost times the spans of the benched run), the tree's pickled
+    trip into the server's trace store, and the registry mutations around
+    the job; each is timed best of ``BENCH_ROUNDS``.
     """
     from repro.obs.metrics import MetricsRegistry
 
@@ -136,34 +128,7 @@ def _check_telemetry_overhead(mmap_source) -> bool:
     stage_seconds = registry.histogram(
         "repro_engine_stage_seconds", "", ("stage",)
     )
-
-    def bare() -> None:
-        _run(mmap_source, chunk_rows=CHUNK_ROWS)
-
-    def instrumented() -> None:
-        profiling.set_enabled(True)
-        profiling.reset()
-        started = time.perf_counter()
-        try:
-            _run(mmap_source, chunk_rows=CHUNK_ROWS)
-        finally:
-            elapsed = time.perf_counter() - started
-            profile = profiling.snapshot()
-            profiling.set_enabled(False)
-        # The registry mutations one served job implies (submit, one status
-        # poll, the result fetch, lifecycle counters, stage histograms).
-        for route, method in (
-            ("/v1/jobs", "POST"),
-            ("/v1/jobs/{id}", "GET"),
-            ("/v1/jobs/{id}/result", "GET"),
-        ):
-            http_requests.inc(route=route, method=method, status="200")
-            http_seconds.observe(0.001, route=route)
-        submitted.inc()
-        terminal.inc(state="done")
-        attempt_seconds.observe(elapsed, outcome="done")
-        for stage, seconds in profile.items():
-            stage_seconds.observe(seconds, stage=stage)
+    traces = TraceStore()
 
     def best_of(function) -> float:
         best = float("inf")
@@ -173,16 +138,45 @@ def _check_telemetry_overhead(mmap_source) -> bool:
             best = min(best, time.perf_counter() - started)
         return best
 
-    bare_seconds = best_of(bare)
-    instrumented_seconds = best_of(instrumented)
-    added = instrumented_seconds - bare_seconds
-    allowed = bare_seconds * (TELEMETRY_OVERHEAD_CAP - 1.0) + TELEMETRY_EPSILON_SECONDS
+    tree = _run(mmap_source, chunk_rows=CHUNK_ROWS).trace
+    span_count = sum(1 for _ in tree.walk())
+    bench_seconds = best_of(lambda: _run(mmap_source, chunk_rows=CHUNK_ROWS))
+
+    def spans() -> None:
+        with trace.record("probe"):
+            for _ in range(SPAN_PROBES):
+                with trace.span("probe"):
+                    pass
+
+    span_seconds = best_of(spans) / SPAN_PROBES
+
+    def served() -> None:
+        # Submit, one status poll, the result fetch, lifecycle counters and
+        # one stage observation per span.
+        traces.begin("job", "request")
+        root = pickle.loads(pickle.dumps(tree))
+        for node in root.walk():
+            stage_seconds.observe(node.seconds, stage=node.name)
+        traces.add_tree("job", root, parent="attempt-1", prefix="engine:")
+        for route, method in (
+            ("/v1/jobs", "POST"),
+            ("/v1/jobs/{id}", "GET"),
+            ("/v1/jobs/{id}/result", "GET"),
+        ):
+            http_requests.inc(route=route, method=method, status="200")
+            http_seconds.observe(0.001, route=route)
+        submitted.inc()
+        terminal.inc(state="done")
+        attempt_seconds.observe(root.seconds, outcome="done")
+
+    served_seconds = best_of(served)
+    added = span_seconds * span_count + served_seconds
+    allowed = bench_seconds * (TELEMETRY_OVERHEAD_CAP - 1.0) + TELEMETRY_EPSILON_SECONDS
     print(
-        f"telemetry overhead: bare {bare_seconds:.3f}s, instrumented "
-        f"{instrumented_seconds:.3f}s -> {100.0 * added / bare_seconds:+.2f}% "
-        f"(cap {100.0 * (TELEMETRY_OVERHEAD_CAP - 1.0):.0f}% + "
-        f"{1000.0 * TELEMETRY_EPSILON_SECONDS:.0f}ms noise floor "
-        f"= {allowed:.3f}s allowed)"
+        f"telemetry overhead: {span_count} spans x {1e6 * span_seconds:.2f}us "
+        f"+ served {1000.0 * served_seconds:.3f}ms = {1000.0 * added:.3f}ms, "
+        f"{100.0 * added / bench_seconds:+.3f}% of the {bench_seconds:.3f}s run "
+        f"({allowed:.3f}s allowed: 2% + 10ms noise floor)"
     )
     if added > allowed:
         print(

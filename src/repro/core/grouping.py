@@ -17,7 +17,7 @@ friendly) and argsorted stably — chunked across the kernel thread pool
 above :data:`~repro.core.kernels.PARALLEL_THRESHOLD` when the pool has real
 parallelism.  Callers that already know the permutation (the ``order.npy``
 sidecar of a :class:`~repro.engine.columnstore.ColumnStore`) pass it in and
-skip the sort entirely; the ``sort`` profiling sub-stage is recorded only
+skip the sort entirely; the ``sort`` span of the run's tree is recorded only
 when a sort actually ran, which is what the warm-start CI guard asserts.
 """
 
@@ -27,8 +27,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro import profiling
 from repro.core import kernels
+from repro.obs import trace
 
 __all__ = ["GroupingContext", "sort_qi_sa"]
 
@@ -50,10 +50,10 @@ def sort_qi_sa(
     lexsort when the combined domains overflow 62 bits (no realistic
     census-style domain does).  A caller that already packed the composite keys passes them via
     ``keys`` (``None`` means "pack here").  The actual sort is wrapped in
-    the ``sort`` profiling sub-stage so warm starts (a persisted
+    a ``sort`` span (:mod:`repro.obs.trace`) so warm starts (a persisted
     permutation) are observable by its absence.
     """
-    with profiling.profile_stage("sort"):
+    with trace.span("sort"):
         if keys is None:
             keys = kernels.composite_codes(columns, sa, qi_sizes, sa_size)
         if keys is not None:
@@ -140,7 +140,7 @@ class GroupingContext:
 
         A supplied ``order`` (the warm-start path) must be the stable
         ``(QI, SA)`` permutation of exactly these rows; only the boundary
-        scan runs then, and no ``sort`` profiling stage is recorded.
+        scan runs then, and no ``sort`` span is recorded.
 
         The boundary scan is key-derived when the composite packing fits
         62 bits (always, for census-style domains): the packed key is
@@ -152,7 +152,7 @@ class GroupingContext:
         the QI vectors and SA codes are then gathered only at the ``s``
         group starts and ``r`` run starts.  Both the packing and the key
         gather run on the kernel pool above ``PARALLEL_THRESHOLD``
-        (``encode-chunks`` profiling sub-stage); :meth:`build_reference` is
+        (``encode-chunks`` span); :meth:`build_reference` is
         the retained serial oracle.
         """
         n, dimension = columns.shape
@@ -164,7 +164,7 @@ class GroupingContext:
                 np.zeros(0, dtype=np.int32),
                 np.zeros(0, dtype=np.intp),
             )
-        with profiling.profile_stage("encode-chunks"):
+        with trace.span("encode-chunks"):
             keys = kernels.composite_codes(columns, sa, qi_sizes, sa_size)
         if keys is None:
             if order is None:
@@ -173,13 +173,13 @@ class GroupingContext:
                 order = np.asarray(order, dtype=np.intp)
             return cls._build_from_wide_scan(columns, sa, order)
         if order is None:
-            with profiling.profile_stage("sort"):
+            with trace.span("sort"):
                 order, sorted_keys = kernels.stable_sort_pairs(
                     keys, _key_span(qi_sizes, sa_size)
                 )
         else:
             order = np.asarray(order, dtype=np.intp)
-            with profiling.profile_stage("encode-chunks"):
+            with trace.span("encode-chunks"):
                 sorted_keys = kernels.take(keys, order)
         if n == 1:
             new_group = np.zeros(0, dtype=bool)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro import profiling
 from repro.core.eligibility import is_l_eligible
 from repro.core.groups import GroupState
 from repro.core.refiners import Refiner
@@ -23,6 +22,7 @@ from repro.core.three_phase import ThreePhaseStats, run_state
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
 from repro.errors import AlgorithmInvariantError
+from repro.obs import trace
 
 __all__ = ["HybridResult", "anonymize"]
 
@@ -83,12 +83,14 @@ def anonymize(
 
     refined: list[list[int]] = []
     if residue:
-        # Custom refiners may emit empty groups; drop them before the trusted
-        # partition (which, unlike Partition(), adopts groups unfiltered).
-        refined = [list(group) for group in refiner(table, residue, l) if len(group) > 0]
-        _validate_refinement(table, residue, refined, l)
+        with trace.span("refine"):
+            # Custom refiners may emit empty groups; drop them before the
+            # trusted partition (which, unlike Partition(), adopts groups
+            # unfiltered).
+            refined = [list(group) for group in refiner(table, residue, l) if len(group) > 0]
+            _validate_refinement(table, residue, refined, l)
 
-    with profiling.profile_stage("publish"):
+    with trace.span("publish"):
         # Valid by construction (retained groups + refined residue cover all
         # rows); retained groups are zero-copy spans of the state's order.
         partition = Partition.trusted(retained + refined, len(table))

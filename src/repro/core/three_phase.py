@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import profiling
 from repro.core.groups import GroupState
 from repro.core.phase1 import PhaseOneReport, run_phase_one
 from repro.core.phase2 import PhaseTwoReport, run_phase_two
@@ -27,6 +26,7 @@ from repro.core.phase3 import PhaseThreeReport, run_phase_three
 from repro.core.state import AlgorithmState, StateFactory
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
+from repro.obs import trace
 
 __all__ = ["ThreePhaseStats", "ThreePhaseResult", "anonymize", "run_state"]
 
@@ -118,10 +118,10 @@ def run_state(
     # never repeated inside AlgorithmState.
     if len(table) > 0:
         table.grouping()
-    with profiling.profile_stage("state-init"):
+    with trace.span("state-init"):
         state = AlgorithmState(table, l, state_factory=state_factory)
 
-    with profiling.profile_stage("phase1"):
+    with trace.span("phase1"):
         phase1: PhaseOneReport = run_phase_one(state)
     phase2: PhaseTwoReport | None = None
     phase3: PhaseThreeReport | None = None
@@ -129,12 +129,12 @@ def run_state(
     if phase1.satisfied:
         phase_reached = 1
     else:
-        with profiling.profile_stage("phase2"):
+        with trace.span("phase2"):
             phase2 = run_phase_two(state)
         if phase2.satisfied:
             phase_reached = 2
         else:
-            with profiling.profile_stage("phase3"):
+            with trace.span("phase3"):
                 phase3 = run_phase_three(state)
             phase_reached = 3
 
@@ -179,7 +179,7 @@ def anonymize(
         rows and per-phase statistics.
     """
     state, stats = run_state(table, l, state_factory=state_factory)
-    with profiling.profile_stage("publish"):
+    with trace.span("publish"):
         # Untouched groups come back as zero-copy spans of the state's sort
         # order; Partition normalizes them to lists only if someone reads
         # the public ``groups`` property.

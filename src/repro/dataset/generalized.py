@@ -23,8 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from repro import profiling
 from repro.dataset.table import Schema, Table
+from repro.obs import trace
 
 __all__ = ["STAR", "GeneralizedTable", "Partition", "cell_size", "cell_contains"]
 
@@ -318,7 +318,7 @@ class GeneralizedTable:
 
         The group reduction runs on the kernel pool in group-aligned chunks
         (:func:`repro.core.kernels.grouped_min_max`, the ``publish-chunks``
-        profiling sub-stage) and the result adopts the *columnar* group form
+        span of the run's tree) and the result adopts the *columnar* group form
         — ``(g, d)`` surviving codes plus star flags plus the row->group map
         — without materializing per-row cell tuples; those build lazily on
         first row access.  Every consumer on the bench/serving hot path
@@ -341,7 +341,7 @@ class GeneralizedTable:
         # for large tables) replaces the per-row scan.
         from repro.core import kernels  # deferred: repro.core imports this module
 
-        with profiling.profile_stage("publish-chunks"):
+        with trace.span("publish-chunks"):
             minima, maxima = kernels.grouped_min_max(columns, members, starts)
         star = minima != maxima
 

@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro import profiling
+from repro.obs import trace
 
 __all__ = ["Attribute", "Schema", "Table"]
 
@@ -490,7 +490,7 @@ class Table:
             # second lexsort.  grouping() times itself under the ``encode``
             # stage; the derivation is attributed there too.
             context = self.grouping()
-            with profiling.profile_stage("encode"):
+            with trace.span("encode"):
                 self._qi_groups = context.group_by_qi()
         return self._qi_groups
 
@@ -513,14 +513,14 @@ class Table:
 
         One ``(QI vector, SA code)`` sort per table, consumed by state-init,
         ``group_by_qi``, the KL metric and the fused metric sweep.  The
-        computation is attributed to the ``encode`` profiling stage (with a
-        nested ``sort`` sub-stage only when an actual sort ran — a
+        computation is timed as the ``encode`` span of the run's tree (with a
+        nested ``sort`` span only when an actual sort ran — a
         persisted permutation from :meth:`attach_order_cache` skips it).
         """
         if self._grouping is None:
             from repro.core.grouping import GroupingContext
 
-            with profiling.profile_stage("encode"):
+            with trace.span("encode"):
                 order = None
                 cache = self._order_cache
                 if cache is not None and self._n:

@@ -42,7 +42,7 @@ Quickstart::
 
 from repro.engine.cache import CachedRun, ResultCache, default_cache
 from repro.engine.columnstore import ColumnStore, ColumnStoreSource
-from repro.engine.core import Engine, RunPlan, RunReport, StageTimings, run_with_spec
+from repro.engine.core import Engine, RunPlan, RunReport, run_with_spec
 from repro.engine.registry import (
     AlgorithmInfo,
     AlgorithmOutput,
@@ -85,7 +85,6 @@ __all__ = [
     "ResultCache",
     "RunPlan",
     "RunReport",
-    "StageTimings",
     "SyntheticSource",
     "TableSource",
     "algorithm_registry",

@@ -609,7 +609,7 @@ class StoreOrderCache:
     is the big stable sort; for a table served from an on-disk store the
     permutation is a pure function of the stored buffers, so it is written
     once as an ``order.npy`` sidecar and repeat runs skip the sort entirely
-    (observable as the absence of the ``sort`` profiling sub-stage — the
+    (observable as the absence of a ``sort`` span in the run's tree — the
     warm-start CI guard).
 
     Validation is two-tier.  ``order.json`` records the sidecar format, the

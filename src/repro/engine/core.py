@@ -31,8 +31,9 @@ harness, the job service and the scripts run anonymization:
   repeated runs are served across processes and the report says which tier
   answered.
 
-Every stage is timed separately (load / anonymize / metrics) so regressions
-can be attributed to the right layer.
+Every run records one measured span tree (:mod:`repro.obs.trace`), from
+``run`` down to the algorithms' own stages, so each second is charged to
+the layer that spent it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro import profiling
 from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Table
 from repro.engine import algorithms as _builtin_algorithms  # noqa: F401 - registers entries
@@ -58,6 +58,8 @@ from repro.engine.registry import (
 from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
 from repro.engine.sources import DataSource, TableSource, concat_tables
 from repro.errors import IneligibleTableError, VerificationError
+from repro.obs import trace
+from repro.obs.trace import Span
 from repro.privacy.spec import (
     PrivacySpec,
     enforce_spec,
@@ -69,20 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - layering: service imports engine
     from repro.service.planner import ExecutionDecision, ExecutionPlanner
     from repro.service.store import RunStore
 
-__all__ = ["Engine", "RunPlan", "RunReport", "StageTimings", "run_with_spec"]
-
-
-@dataclass(frozen=True)
-class StageTimings:
-    """Wall-clock seconds of the three pipeline stages."""
-
-    load_seconds: float = 0.0
-    anonymize_seconds: float = 0.0
-    metrics_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.load_seconds + self.anonymize_seconds + self.metrics_seconds
+__all__ = ["Engine", "RunPlan", "RunReport", "run_with_spec"]
 
 
 @dataclass(frozen=True)
@@ -137,7 +126,8 @@ class RunReport:
     n: int
     d: int
     generalized: GeneralizedTable
-    timings: StageTimings
+    #: The run's measured span tree; its root, ``run``, spans the whole call.
+    trace: Span
     #: Phase in which TP terminated; for sharded runs, the deepest phase any
     #: shard reached.
     phase_reached: int | None = None
@@ -160,12 +150,19 @@ class RunReport:
     #: QI-group merges performed by the enforcement pass (0 whenever the
     #: algorithms' frequency guarantee already implied the spec).
     enforcement_merges: int = 0
-    #: Per-stage wall-clock seconds (``load`` / ``encode`` / ``state-init`` /
-    #: ``phase1``..``phase3`` / ``publish`` / ``merge`` / ``metrics``) when
-    #: ``REPRO_PROFILE`` is set; ``None`` otherwise.
-    profile: dict[str, float] | None = None
     #: Trace id propagated from :attr:`RunPlan.request_id`.
     request_id: str = ""
+
+    @property
+    def seconds(self) -> float:
+        """Measured wall-clock seconds of the whole run (the root span)."""
+        return self.trace.seconds
+
+    @property
+    def anonymize_seconds(self) -> float:
+        """Compute cost of the anonymization: measured on a miss, and on a
+        cache hit the cost of the miss that filled the entry."""
+        return self.trace.find("anonymize").attributes["compute_seconds"]
 
 
 def run_with_spec(runner, table: Table, spec: PrivacySpec) -> AlgorithmOutput:
@@ -194,10 +191,22 @@ def run_with_spec(runner, table: Table, spec: PrivacySpec) -> AlgorithmOutput:
     return output
 
 
-def _run_shard(job: tuple[str, Table, PrivacySpec]) -> AlgorithmOutput:
-    """Process-pool entry point: anonymize one shard."""
-    name, shard, spec = job
-    return run_with_spec(algorithm_registry.get(name).runner, shard, spec)
+def _run_shard(
+    job: tuple[int, str, Table, PrivacySpec, float],
+) -> tuple[AlgorithmOutput, Span]:
+    """Process-pool entry point: anonymize one shard, returning its subtree.
+
+    The subtree starts at ``dispatched``; its first child, ``dispatch``, is
+    the wait for a worker plus the shard's transfer to it.
+    """
+    index, name, shard, spec, dispatched = job
+    with trace.record("shard", index=index, rows=len(shard)) as subtree:
+        output = run_with_spec(algorithm_registry.get(name).runner, shard, spec)
+    waited = max(subtree.start - dispatched, 0.0)
+    subtree.children.insert(0, Span("dispatch", dispatched, waited, parent="shard"))
+    subtree.start -= waited
+    subtree.seconds += waited
+    return output, subtree
 
 
 class Engine:
@@ -233,77 +242,73 @@ class Engine:
 
     def run(self, plan: RunPlan) -> RunReport:
         """Execute one plan: load, resolve, anonymize (possibly sharded), verify."""
-        info = self.algorithms.get(plan.algorithm)  # fail before loading anything
-        spec = plan.resolved_privacy()
-        if not privacy_registry.get(spec.kind).enforceable:
-            raise ValueError(
-                f"privacy model {spec.kind!r} is check-only and cannot be "
-                "requested as an anonymization target"
-            )
-        for metric_name in plan.metrics:
-            self.metrics.get(metric_name)
-        if plan.shards is not None and plan.shards > 1 and not info.supports_sharding:
-            raise ValueError(
-                f"algorithm {info.name!r} does not support sharded execution"
-            )
+        with trace.record("run", algorithm=plan.algorithm) as root:
+            info = self.algorithms.get(plan.algorithm)  # fail before loading anything
+            spec = plan.resolved_privacy()
+            if not privacy_registry.get(spec.kind).enforceable:
+                raise ValueError(
+                    f"privacy model {spec.kind!r} is check-only and cannot be "
+                    "requested as an anonymization target"
+                )
+            for metric_name in plan.metrics:
+                self.metrics.get(metric_name)
+            if plan.shards is not None and plan.shards > 1 and not info.supports_sharding:
+                raise ValueError(
+                    f"algorithm {info.name!r} does not support sharded execution"
+                )
 
-        if profiling.enabled():
-            profiling.reset()
-        started = time.perf_counter()
-        with profiling.profile_stage("load"):
-            table = self._load(plan)
-        load_seconds = time.perf_counter() - started
-
-        decision = self.planner.decide(
-            info,
-            n=len(table),
-            d=table.dimension,
-            l=plan.l,
-            shards=plan.shards,
-            workers=plan.workers,
-            privacy=spec,
-        )
-
-        output, anonymize_seconds, tier, shard_sizes, merges = self._anonymize(
-            plan, info.name, table, decision, cacheable=info.deterministic,
-            spec=spec,
-        )
-
-        started = time.perf_counter()
-        verified = False
-        with profiling.profile_stage("metrics"):
+            with trace.span("load"):
+                table = self._load(plan)
+            with trace.span("plan"):
+                decision = self.planner.decide(
+                    info,
+                    n=len(table),
+                    d=table.dimension,
+                    l=plan.l,
+                    shards=plan.shards,
+                    workers=plan.workers,
+                    privacy=spec,
+                )
+            with trace.span("anonymize") as stage:
+                output, tier, shard_sizes, merges, compute_seconds = self._anonymize(
+                    plan, info.name, table, decision, cacheable=info.deterministic,
+                    spec=spec,
+                )
+                stage.attributes.update(tier=tier, compute_seconds=compute_seconds)
+            verified = False
             if plan.verify:
-                if not spec.check_generalized(output.generalized):
-                    raise VerificationError(
-                        f"published table violates {spec.describe()}"
-                    )
+                with trace.span("verify"):
+                    if not spec.check_generalized(output.generalized):
+                        raise VerificationError(
+                            f"published table violates {spec.describe()}"
+                        )
                 verified = True
-            metric_values = {
-                name: self.metrics.compute(name, table, output.generalized)
-                for name in plan.metrics
-            }
-        metrics_seconds = time.perf_counter() - started
-
-        return RunReport(
-            plan=plan,
-            label=plan.source.label,
-            n=len(table),
-            d=table.dimension,
-            generalized=output.generalized,
-            timings=StageTimings(load_seconds, anonymize_seconds, metrics_seconds),
-            phase_reached=output.phase_reached,
-            metric_values=metric_values,
-            cache_hit=tier is not None,
-            store_hit=tier == "store",
-            cache_stats=self.cache.stats(),
-            shard_sizes=shard_sizes,
-            verified=verified,
-            decision=decision,
-            privacy=spec,
-            enforcement_merges=merges,
-            profile=profiling.snapshot() if profiling.enabled() else None,
-            request_id=plan.request_id,
-        )
+            with trace.span("metrics"):
+                metric_values = {
+                    name: self.metrics.compute(name, table, output.generalized)
+                    for name in plan.metrics
+                }
+            root.attributes["n"] = len(table)
+            # Built inside the root so the root spans the whole call.
+            return RunReport(
+                plan=plan,
+                label=plan.source.label,
+                n=len(table),
+                d=table.dimension,
+                generalized=output.generalized,
+                trace=root,
+                phase_reached=output.phase_reached,
+                metric_values=metric_values,
+                cache_hit=tier is not None,
+                store_hit=tier == "store",
+                cache_stats=self.cache.stats(),
+                shard_sizes=shard_sizes,
+                verified=verified,
+                decision=decision,
+                privacy=spec,
+                enforcement_merges=merges,
+                request_id=plan.request_id,
+            )
 
     def run_table(self, table: Table, algorithm: str, l: int, **plan_fields) -> RunReport:
         """Convenience wrapper: run directly on an in-memory table."""
@@ -326,7 +331,9 @@ class Engine:
         decision: "ExecutionDecision",
         cacheable: bool,
         spec: PrivacySpec,
-    ) -> tuple[AlgorithmOutput, float, str | None, tuple[int, ...], int]:
+    ) -> tuple[AlgorithmOutput, str | None, tuple[int, ...], int, float]:
+        """Returns the output, the answering cache tier (``None`` on a miss),
+        the shard sizes, the enforcement merges and the compute seconds."""
         use_cache = plan.use_cache and cacheable
         key = None
         if use_cache:
@@ -342,26 +349,26 @@ class Engine:
                 plan.seed,
                 privacy=spec,
             )
-            cached, tier = self.cache.lookup(key, table)
+            with trace.span("cache-lookup"):
+                cached, tier = self.cache.lookup(key, table)
             if cached is not None:
                 # Cached entries were enforced before being stored.
                 return (
-                    cached.output, cached.anonymize_seconds, tier,
-                    cached.shard_sizes, cached.enforcement_merges,
+                    cached.output, tier, cached.shard_sizes,
+                    cached.enforcement_merges, cached.anonymize_seconds,
                 )
 
         started = time.perf_counter()
-        with profiling.maybe_cprofile(f"anonymize {name} n={len(table)}"):
-            if decision.shards > 1:
-                output, shard_sizes = self._run_sharded(plan, name, table, decision, spec)
-            else:
-                if not spec.eligible(table.sa_counts(), len(table)):
-                    raise IneligibleTableError(
-                        f"table is not eligible for {spec.describe()}; "
-                        "no satisfying generalization exists"
-                    )
-                output = run_with_spec(self.algorithms.get(name).runner, table, spec)
-                shard_sizes = (len(table),)
+        if decision.shards > 1:
+            output, shard_sizes = self._run_sharded(plan, name, table, decision, spec)
+        else:
+            if not spec.eligible(table.sa_counts(), len(table)):
+                raise IneligibleTableError(
+                    f"table is not eligible for {spec.describe()}; "
+                    "no satisfying generalization exists"
+                )
+            output = run_with_spec(self.algorithms.get(name).runner, table, spec)
+            shard_sizes = (len(table),)
         # Enforcement pass — only for specs the algorithms' frequency
         # guarantee does not already imply (recursive-cl with c <= 1).  For
         # implied specs (the default path included) a violating group can
@@ -369,22 +376,24 @@ class Engine:
         # the verify stage as an error, never be silently repaired away.
         merges = 0
         if not spec.implied_by_frequency():
-            enforced, merges = enforce_spec(table, output.generalized, spec)
+            with trace.span("enforce"):
+                enforced, merges = enforce_spec(table, output.generalized, spec)
             if merges:
                 output = AlgorithmOutput(enforced, phase_reached=output.phase_reached)
-        anonymize_seconds = time.perf_counter() - started
+        compute_seconds = time.perf_counter() - started
 
         if use_cache and key is not None:
-            self.cache.put(
-                key,
-                CachedRun(
-                    output=output,
-                    anonymize_seconds=anonymize_seconds,
-                    shard_sizes=shard_sizes,
-                    enforcement_merges=merges,
-                ),
-            )
-        return output, anonymize_seconds, None, shard_sizes, merges
+            with trace.span("cache-put"):
+                self.cache.put(
+                    key,
+                    CachedRun(
+                        output=output,
+                        anonymize_seconds=compute_seconds,
+                        shard_sizes=shard_sizes,
+                        enforcement_merges=merges,
+                    ),
+                )
+        return output, None, shard_sizes, merges, compute_seconds
 
     def _run_sharded(
         self,
@@ -394,18 +403,33 @@ class Engine:
         decision: "ExecutionDecision",
         spec: PrivacySpec,
     ) -> tuple[AlgorithmOutput, tuple[int, ...]]:
-        shard_rows = qi_prefix_shards(table, decision.shards, spec)
-        shard_tables = [table.subset(rows) for rows in shard_rows]
-        jobs = [(name, shard, spec) for shard in shard_tables]
-        if decision.workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=min(decision.workers, len(jobs))) as pool:
-                outputs = list(pool.map(_run_shard, jobs))
-        else:
-            outputs = [_run_shard(job) for job in jobs]
+        with trace.span("split"):
+            shard_rows = qi_prefix_shards(table, decision.shards, spec)
+            jobs = [(i, name, table.subset(rows), spec) for i, rows in enumerate(shard_rows)]
+        workers = min(decision.workers, len(jobs))
+        # The only span whose children may overlap: shards run concurrently
+        # on the pool, each returning the subtree it recorded.
+        with trace.span("shards", fanout=True, workers=workers):
+            if workers > 1:
+                # Forking the workers happens on the first submit; starting
+                # and joining the pool are the fan-out's own overhead.
+                with trace.span("pool-start"):
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                    futures = [pool.submit(_run_shard, (*job, trace.now())) for job in jobs]
+                try:
+                    results = [future.result() for future in futures]
+                finally:
+                    with trace.span("pool-stop"):
+                        pool.shutdown()
+            else:
+                results = [_run_shard((*job, trace.now())) for job in jobs]
+            for _, subtree in results:
+                trace.graft(subtree)
+        outputs = [output for output, _ in results]
         # Structural merge only; verification of the merged table against the
         # spec happens in run()'s verify stage (plan.verify), after the
         # enforcement pass has had its chance to repair across shards.
-        with profiling.profile_stage("merge"):
+        with trace.span("merge"):
             merged = merge_shard_outputs(table, shard_rows, outputs, spec, verify=False)
         phases = [output.phase_reached for output in outputs if output.phase_reached]
         return (

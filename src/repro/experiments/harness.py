@@ -165,12 +165,12 @@ def record_from_report(report: RunReport, dataset: str | None = None) -> RunReco
         n=report.n,
         stars=generalized.star_count(),
         suppressed_tuples=generalized.suppressed_tuple_count(),
-        seconds=report.timings.anonymize_seconds,
+        seconds=report.anonymize_seconds,
         groups=len(generalized.groups()),
         phase_reached=report.phase_reached,
         kl=report.metric_values.get("kl"),
-        load_seconds=report.timings.load_seconds,
-        metrics_seconds=report.timings.metrics_seconds,
+        load_seconds=report.trace.total("load"),
+        metrics_seconds=report.trace.total("verify") + report.trace.total("metrics"),
     )
 
 

@@ -10,7 +10,7 @@ small JSON-over-HTTP surface (all under ``/v1``):
 ``GET  /v1/jobs``                     latest record of every job in the workspace ledger
 ``GET  /v1/jobs/{id}``                job status (ledger record + queue position info)
 ``GET  /v1/jobs/{id}/result``         published table (``?format=json`` or ``csv``)
-``GET  /v1/jobs/{id}/metrics``        metric values / timings / cache tier of a done job
+``GET  /v1/jobs/{id}/metrics``        metric values / seconds / cache tier of a done job
 ``GET  /v1/jobs/{id}/trace``          span tree of a recent job (submit -> queue-wait ->
                                       attempt(s) -> engine stages -> publish)
 ``POST /v1/jobs/{id}/cancel``         cancel a still-queued job
@@ -218,7 +218,7 @@ class AnonymizationServer:
         )
         self._engine_stage_seconds = self.telemetry.histogram(
             "repro_engine_stage_seconds",
-            "Per-stage engine seconds bridged back from pool workers.",
+            "Seconds of each span of the job trees pool workers send back.",
             ("stage",),
         )
         self._result_renders = self.telemetry.counter(
@@ -979,7 +979,9 @@ class AnonymizationServer:
         is only touched from the event-loop thread, and the trace/metric
         mutations go through their own locks.
         """
-        self._trace_transition(job_id, status, error, attempts, quarantined, result)
+        # The worker's span tree goes to the trace store, not the JSON result.
+        tree = result.pop("trace", None) if result is not None else None
+        self._trace_transition(job_id, status, error, attempts, quarantined, tree)
         publish_started = time.time()
         try:
             if status == "running":
@@ -1100,13 +1102,6 @@ class AnonymizationServer:
             )
         self._remember(job_id, record=record, result=result)
 
-    #: Canonical engine stage order, used to lay bridged stage spans end to
-    #: end under their attempt (the profiling snapshot is an unordered dict).
-    _STAGE_ORDER = (
-        "load", "encode", "encode-chunks", "state-init", "phase1", "phase2",
-        "phase3", "publish", "publish-chunks", "merge", "metrics",
-    )
-
     def _trace_transition(
         self,
         job_id: str,
@@ -1114,7 +1109,7 @@ class AnonymizationServer:
         error: str,
         attempts: int,
         quarantined: bool,
-        result: dict | None,
+        tree: Span | None,
     ) -> None:
         """Record the spans a pool transition implies (all no-ops when the
         job's trace was evicted or predates this server process)."""
@@ -1155,33 +1150,12 @@ class AnonymizationServer:
             # attempt's queue-wait span.
             self.traces.mark(job_id, "queued", now)
             return
-        if status == "done" and result is not None:
-            profile = result.get("profile") or {}
-            ordered = [
-                (stage, profile[stage])
-                for stage in self._STAGE_ORDER
-                if stage in profile
-            ]
-            ordered.extend(
-                sorted(
-                    (stage, seconds)
-                    for stage, seconds in profile.items()
-                    if stage not in self._STAGE_ORDER
-                )
-            )
-            cursor = attempt_at
-            for stage, seconds in ordered:
-                self._engine_stage_seconds.observe(seconds, stage=stage)
-                self.traces.add(
-                    job_id,
-                    Span(
-                        f"engine:{stage}",
-                        start=cursor,
-                        seconds=seconds,
-                        parent=attempt_name,
-                    ),
-                )
-                cursor += seconds
+        if tree is not None:
+            # The worker's measured tree, grafted with its own starts and
+            # parents under the attempt that ran it.
+            for node in tree.walk():
+                self._engine_stage_seconds.observe(node.seconds, stage=node.name)
+            self.traces.add_tree(job_id, tree, parent=attempt_name, prefix="engine:")
 
     def _synthesized_record(
         self, job_id: str, status: str, error: str, cause: str

@@ -56,11 +56,11 @@ from concurrent.futures import (
 )
 from typing import Callable
 
-from repro import profiling
 from repro.engine.cache import ResultCache
 from repro.engine.core import Engine, RunPlan
 from repro.engine.sources import CsvSource, DataSource, SyntheticSource
 from repro.errors import JobTimeoutError, WorkerCrashError
+from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.privacy.spec import privacy_from_dict
 from repro.server.faults import apply_worker_faults
@@ -143,12 +143,10 @@ def execute_job(
 ) -> dict:
     """Executor entry point: run one job spec, return a picklable result.
 
-    ``core_budget`` caps the engine workers this job may use.  Historically
-    pinned to 1 (parallelism belonged to the pool alone); the pool now hands
-    each job its planner-governed share of the host
-    (:func:`repro.service.planner.per_job_worker_budget`), so one big job on
-    a lightly loaded pool can fan its shards across idle cores while the
-    product ``pool workers × budget`` never oversubscribes the machine.
+    ``core_budget`` caps the engine workers this job may use: its share of
+    the host (:func:`repro.service.planner.per_job_worker_budget`), so the
+    product ``pool workers × budget`` never oversubscribes the machine.  The
+    payload's ``trace`` is the job's measured span tree.
     """
     apply_worker_faults(spec)
     include_rows = spec.get("include_rows", True)
@@ -167,26 +165,27 @@ def execute_job(
         chunk_rows=spec.get("chunk_rows"),
         request_id=str(spec.get("request_id", "")),
     )
-    if use_store:
-        from repro.service.workspace import Workspace
+    # The job's span tree rides back to the server in the payload — the
+    # only bridge out of a pool worker process.
+    with trace.record("job") as root:
+        cache = ResultCache()
+        if use_store:
+            from repro.service.workspace import Workspace
 
-        store = Workspace(workspace_root).run_store()
-        engine = Engine(cache=ResultCache(store=store))
-    else:
-        engine = Engine(cache=ResultCache())
-    # Force stage profiling for the run so per-stage timings ride back to the
-    # server in the (picklable) payload — the only bridge out of a pool
-    # worker process — then restore whatever the worker had configured.
-    profiling_was_enabled = profiling.enabled()
-    if not profiling_was_enabled:
-        profiling.set_enabled(True)
-    try:
-        report = engine.run(plan)
-    finally:
-        if not profiling_was_enabled:
-            profiling.set_enabled(False)
+            with trace.span("store-open"):
+                cache = ResultCache(store=Workspace(workspace_root).run_store())
+        report = Engine(cache=cache).run(plan)
+        trace.graft(report.trace)
+        generalized = report.generalized
+        if include_rows:
+            from repro.engine.columnstore import RESULT_FORMAT_NAME, ResultArtifact
 
-    generalized = report.generalized
+            # The group-level arrays go to disk under the workspace and only
+            # their path rides back through the pickle channel — the n
+            # row-string lists are never built.
+            with trace.span("artifact"):
+                artifact = ResultArtifact.from_generalized(generalized)
+                artifact_bytes = artifact.save(artifact_dir)
     payload: dict = {
         "label": report.label,
         "algorithm": plan.algorithm,
@@ -203,14 +202,9 @@ def execute_job(
         "cache_hit": report.cache_hit,
         "store_hit": report.store_hit,
         "verified": report.verified,
-        "seconds": report.timings.total_seconds,
-        "timings": {
-            "load_seconds": report.timings.load_seconds,
-            "anonymize_seconds": report.timings.anonymize_seconds,
-            "metrics_seconds": report.timings.metrics_seconds,
-        },
+        "seconds": report.seconds,
         "shard_sizes": list(report.shard_sizes),
-        "profile": dict(report.profile or {}),
+        "trace": root,
         "request_id": report.request_id,
         "decision": {
             "shards": report.decision.shards,
@@ -220,17 +214,11 @@ def execute_job(
         else None,
     }
     if include_rows:
-        from repro.engine.columnstore import RESULT_FORMAT_NAME, ResultArtifact
-
-        # The group-level arrays go to disk under the workspace and only
-        # their path rides back through the pickle channel — the n
-        # row-string lists are never built.
-        artifact = ResultArtifact.from_generalized(generalized)
         payload["header"] = artifact.header
         payload["result_artifact"] = {
             "path": artifact_dir,
             "rows": artifact.n,
-            "bytes": artifact.save(artifact_dir),
+            "bytes": artifact_bytes,
             "format": RESULT_FORMAT_NAME,
         }
     return payload

@@ -4,9 +4,10 @@ Where ``BENCH_fig6.json`` tracks the paper's figure sweep at smoke scale,
 ``BENCH_scale.json`` records the *million-row* behaviour of the pipeline:
 one synthetic table per cardinality is converted to an on-disk
 :class:`~repro.engine.columnstore.ColumnStore` and anonymized through the
-memory-mapped engine path with stage profiling enabled.
+memory-mapped engine path.
 Each point carries the full per-stage attribution (``load`` / ``encode`` /
-``state-init`` / ``phase1``..``phase3`` / ``publish`` / ``metrics``), so a
+``state-init`` / ``phase1``..``phase3`` / ``publish`` / ``metrics``) read
+from the run's span tree, so a
 future regression is pinned on a stage, not a rerun.  The committed file
 also feeds the execution planner's cost model
 (:func:`repro.service.planner.load_scale_rates`).
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro import profiling
 from repro.dataset.synthetic import CensusConfig
 from repro.engine import ColumnStore, ColumnStoreSource, Engine, RunPlan
 from repro.engine.cache import ResultCache
@@ -70,28 +70,25 @@ def _measure_point(store_dir: Path, n: int, config: BenchScaleConfig) -> dict:
     best: dict | None = None
     repeats = max(config.repeats, 1) if n <= config.repeat_max_n else 1
     for _ in range(repeats):
-        profiling.set_enabled(True)
-        profiling.reset()
-        try:
-            report = Engine(cache=ResultCache()).run(
-                RunPlan(
-                    source=ColumnStoreSource(str(store_dir)),
-                    algorithm=config.algorithm,
-                    l=config.l,
-                    shards=1,
-                    use_cache=False,
-                )
+        report = Engine(cache=ResultCache()).run(
+            RunPlan(
+                source=ColumnStoreSource(str(store_dir)),
+                algorithm=config.algorithm,
+                l=config.l,
+                shards=1,
+                use_cache=False,
             )
-        finally:
-            profiling.set_enabled(False)
-        stages = report.profile or {}
+        )
+        tree = report.trace
         seconds = {
-            "total": report.timings.total_seconds,
-            "load": report.timings.load_seconds,
-            "anonymize": report.timings.anonymize_seconds,
+            "total": report.seconds,
+            "load": tree.total("load"),
+            "anonymize": report.anonymize_seconds,
         }
         for stage in STAGES:
-            seconds[stage] = stages.get(stage, 0.0)
+            seconds[stage] = tree.total(stage)
+        # ``metrics`` keeps its historical meaning: verification included.
+        seconds["metrics"] += tree.total("verify")
         point = {
             "n": n,
             "seconds": seconds,

@@ -469,7 +469,7 @@ class JobService:
             stars=report.generalized.star_count(),
             suppressed_tuples=report.generalized.suppressed_tuple_count(),
             groups=len(report.generalized.groups()),
-            seconds=report.timings.total_seconds,
+            seconds=report.seconds,
             cache_hit=report.cache_hit,
             store_hit=report.store_hit,
             output=output or "",

@@ -8,7 +8,7 @@ import logging
 import pytest
 
 from repro.obs.log import JsonLogFormatter, configure_logging
-from repro.obs.trace import Span, TraceStore, new_request_id
+from repro.obs.trace import Span, TraceStore, grafted_problems, new_request_id
 
 
 class TestRequestId:
@@ -33,6 +33,53 @@ class TestTraceStore:
         assert names == ["submit", "engine:load"]
         assert trace["spans"][1]["parent"] == "attempt-1"
         assert store.request_id("job-1") == "rid-1"
+
+    @staticmethod
+    def _tree() -> Span:
+        run = Span("run", start=1.0, seconds=4.0)
+        for offset, name in ((0.5, "encode"), (2.0, "encode")):
+            stage = Span(name, start=1.0 + offset, seconds=1.0, parent="run")
+            stage.children.append(Span("sort", start=stage.start, seconds=0.5, parent=name))
+            run.children.append(stage)
+        return run
+
+    def test_add_tree_flattens_under_the_attempt(self):
+        store = TraceStore()
+        store.begin("job-1", "rid-1")
+        store.add("job-1", Span("attempt-1", start=0.0, seconds=10.0))
+        store.add_tree("job-1", self._tree(), parent="attempt-1", prefix="engine:")
+        spans = store.get("job-1")["spans"]
+        assert [(span["name"], span["parent"]) for span in spans] == [
+            ("attempt-1", None),
+            ("engine:run", "attempt-1"),
+            ("engine:encode", "engine:run"),
+            ("engine:sort", "engine:encode"),
+            ("engine:encode#2", "engine:run"),
+            ("engine:sort#2", "engine:encode#2"),
+        ]
+        assert spans[4]["start"] == 3.0 and spans[4]["seconds"] == 1.0
+        assert grafted_problems(spans, "attempt-1", "engine:") == []
+
+    def test_grafted_problems_flags_broken_shapes(self):
+        store = TraceStore()
+        store.begin("j", "r")
+        store.add("j", Span("attempt-1", start=0.0, seconds=3.0))
+        store.add_tree("j", self._tree(), parent="attempt-1", prefix="engine:")
+        spans = store.get("j")["spans"]
+        # The engine root (1s..5s) overruns its 3s attempt.
+        assert grafted_problems(spans, "attempt-1", "engine:") == [
+            "engine:run does not lie within attempt-1"
+        ]
+        assert grafted_problems(spans, "attempt-2", "engine:") != []
+        spans[0]["seconds"] = 10.0
+        orphan = dict(spans[2], parent="attempt-1")
+        assert grafted_problems(spans[:2] + [orphan], "attempt-1", "engine:") == [
+            "2 engine:* roots under 'attempt-1', expected 1"
+        ]
+        dangling = dict(spans[3], parent="engine:gone")
+        assert grafted_problems(spans[:3] + [dangling], "attempt-1", "engine:") == [
+            "engine:sort's parent chain does not reach engine:run"
+        ]
 
     def test_marks_time_later_spans(self):
         store = TraceStore()

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.client import BackpressureError, Client
+from repro.obs.trace import grafted_problems
 
 # --------------------------------------------------------- minimal parser
 
@@ -170,12 +171,27 @@ class TestRequestTracing:
         for name in ("submit", "queue-wait", "attempt-1", "publish"):
             assert name in spans, f"missing lifecycle span {name}"
         assert spans["attempt-1"]["attributes"]["outcome"] == "done"
-        engine_spans = [
-            span for span in trace["spans"] if span["name"].startswith("engine:")
-        ]
-        assert engine_spans, "engine stage spans were not bridged from the worker"
-        assert all(span["parent"] == "attempt-1" for span in engine_spans)
-        assert "engine:phase1" in spans
+        # The worker's tree hangs under the attempt: one engine root whose
+        # descendants each chain back to it and lie within their parent.
+        assert grafted_problems(trace["spans"], "attempt-1", "engine:") == []
+        assert spans["engine:job"]["parent"] == "attempt-1"
+        assert spans["engine:run"]["parent"] == "engine:job"
+        assert spans["engine:phase1"]["parent"] == "engine:anonymize"
+
+    def test_every_engine_span_lies_within_its_attempt(self, client, hospital_rows):
+        rows, qi, sa = hospital_rows
+        job_id = client.submit(rows=rows, qi=qi, sa=sa, l=2, algorithm="TP")
+        client.wait(job_id)
+        spans = client.trace(job_id)["spans"]
+        attempt = next(span for span in spans if span["name"] == "attempt-1")
+        engine = [span for span in spans if span["name"].startswith("engine:")]
+        assert len(engine) > 5
+        for span in engine:
+            assert span["start"] >= attempt["start"], span["name"]
+            assert (
+                span["start"] + span["seconds"]
+                <= attempt["start"] + attempt["seconds"]
+            ), span["name"]
 
     def test_trace_of_unknown_job_is_404(self, client):
         from repro.client import ClientError

@@ -99,7 +99,7 @@ class TestShardDecisions:
                         source=source, algorithm="TP", l=6,
                         shards=shards, workers=1, use_cache=False,
                     )
-                ).timings.anonymize_seconds
+                ).anonymize_seconds
                 for _repeat in range(3)
             )
         assert measured[decision.shards] <= min(measured.values()) * 1.10
