@@ -329,13 +329,27 @@ def main() -> None:
             worker.start()
 
         # Let recovery become observable before pulling the plug: at least
-        # one worker kill has been healed and a batch of jobs is done.
+        # one worker kill has been healed, a batch of jobs is done, and at
+        # least one job is still in flight, so the restarted server has an
+        # unfinished ledger entry to replay.
         kill_floor = max(10, arguments.jobs // 4)
+
+        def ready_to_kill(h: dict) -> bool:
+            jobs = h["jobs"]
+            in_flight = (
+                jobs["submitted"] - jobs["done"] - jobs["failed"] - jobs["cancelled"]
+            )
+            return (
+                h["pool"]["pool_restarts"] >= 1
+                and jobs["done"] >= kill_floor
+                and in_flight >= 1
+            )
+
         health = wait_for_condition(
             probe,
-            lambda h: h["pool"]["pool_restarts"] >= 1 and h["jobs"]["done"] >= kill_floor,
+            ready_to_kill,
             deadline_seconds=180.0,
-            what=f"{kill_floor} done jobs and a healed worker kill",
+            what=f"{kill_floor} done jobs, a healed worker kill and a job in flight",
         )
         counters_before_kill = dict(health["pool"])
         print(

@@ -51,8 +51,9 @@
 # plus the tree hand-off and registry mutations of a served job cost < 2%
 # of the benched run, and (d) the parallel
 # encode/publish kernels are bit-identical to their serial oracles and
-# >= 2x faster.  Fused-metric values are pinned against the *_reference
-# oracles by tests/metrics/test_fused.py.
+# >= 2x faster.  Every registered metric is pinned against its *_reference
+# oracle, on both the group form and explicit cells, by
+# tests/metrics/test_fused.py.
 #
 # The perf check re-times the figure-6 benchmark (well under a minute) and fails when it has regressed more than 2x against
 # the committed BENCH_fig6.json baseline.  Regenerate the baseline after an

@@ -89,8 +89,7 @@ class GroupingContext:
 
     Derived arrays (run lengths, per-group row bounds, sizes/heights, run
     group ids) are computed lazily and cached, so state-init, publish and
-    the fused metrics all read the same objects instead of re-deriving
-    them.  Everything is read-only by convention.
+    the metrics all read the same objects instead of re-deriving them.  Everything is read-only by convention.
     """
 
     __slots__ = (

@@ -236,7 +236,7 @@ class GeneralizedTable:
         self._group_sa_counts_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Per-group star flags ((g, d) bool) when every row of a group shares
         # one representative cells tuple — the from_groups invariant the
-        # fused metrics sweep exploits.
+        # group-level metrics exploit.
         self._group_star: np.ndarray | None = None
         # Per-group surviving codes ((g, d) int, the reduction minima) —
         # together with ``_group_star`` the complete columnar form of a

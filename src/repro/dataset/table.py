@@ -512,7 +512,7 @@ class Table:
         """The shared :class:`~repro.core.grouping.GroupingContext` (cached).
 
         One ``(QI vector, SA code)`` sort per table, consumed by state-init,
-        ``group_by_qi``, the KL metric and the fused metric sweep.  The
+        ``group_by_qi`` and the KL metric.  The
         computation is timed as the ``encode`` span of the run's tree (with a
         nested ``sort`` span only when an actual sort ran — a
         persisted permutation from :meth:`attach_order_cache` skips it).

@@ -6,12 +6,12 @@
   (Equation 2), applicable to suppression, single-dimensional and
   multi-dimensional generalizations alike;
 * :mod:`repro.metrics.loss` — auxiliary information-loss measures used for
-  the extension experiments (NCP/GCP, discernibility, group sizes);
-* :mod:`repro.metrics.fused` — the fused one-pass sweep emitting the whole
-  standard metric set from the shared grouping structure.
+  the extension experiments (NCP/GCP, discernibility, group sizes).
+
+Every metric is registered once in :mod:`repro.engine.metrics`; the
+``metric_registry`` there is how plans, reports and the CLI evaluate them.
 """
 
-from repro.metrics.fused import FUSED_METRIC_NAMES, fused_metrics
 from repro.metrics.kl import kl_divergence
 from repro.metrics.loss import average_group_size, discernibility, gcp, ncp
 from repro.metrics.stars import (
@@ -22,10 +22,8 @@ from repro.metrics.stars import (
 )
 
 __all__ = [
-    "FUSED_METRIC_NAMES",
     "average_group_size",
     "discernibility",
-    "fused_metrics",
     "gcp",
     "kl_divergence",
     "ncp",

@@ -88,17 +88,11 @@ def _decode_cell(encoded) -> object:
 
 def _encode_run(key: CacheKey, run: CachedRun) -> dict:
     generalized = run.output.generalized
-    group_ids = generalized.group_ids
-    dense: dict[int, int] = {}
-    group_cells: list[list[object]] = []
-    renumbered: list[int] = []
-    for row, group_id in enumerate(group_ids):
-        index = dense.get(group_id)
-        if index is None:
-            index = len(group_cells)
-            dense[group_id] = index
-            group_cells.append([_encode_cell(cell) for cell in generalized.row_cells(row)])
-        renumbered.append(index)
+    form = generalized.columnar_publish()
+    if form is not None:
+        group_cells, renumbered = _encode_group_form(*form[:3])
+    else:
+        group_cells, renumbered = _encode_rows(generalized)
     return {
         "key": list(key),
         "n": len(generalized),
@@ -109,6 +103,42 @@ def _encode_run(key: CacheKey, run: CachedRun) -> dict:
         "phase_reached": run.output.phase_reached,
         "enforcement_merges": run.enforcement_merges,
     }
+
+
+def _encode_group_form(
+    rep_codes: np.ndarray, rep_star: np.ndarray, group_of: np.ndarray
+) -> tuple[list[list[object]], list[int]]:
+    """Encode a suppression output from its group form: groups renumbered
+    densely in first-appearance order, one cell row per group that has rows."""
+    present, first_rows, inverse = np.unique(
+        group_of, return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first_rows, kind="stable")
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(appearance.shape[0])
+    ordered = present[appearance]
+    group_cells = [
+        ["*" if starred else code for code, starred in zip(codes, flags)]
+        for codes, flags in zip(
+            rep_codes[ordered].tolist(), rep_star[ordered].tolist()
+        )
+    ]
+    return group_cells, rank[inverse].tolist()
+
+
+def _encode_rows(generalized: GeneralizedTable) -> tuple[list[list[object]], list[int]]:
+    """Encode a table with explicit cells, one row at a time."""
+    dense: dict[int, int] = {}
+    group_cells: list[list[object]] = []
+    renumbered: list[int] = []
+    for row, group_id in enumerate(generalized.group_ids):
+        index = dense.get(group_id)
+        if index is None:
+            index = len(group_cells)
+            dense[group_id] = index
+            group_cells.append([_encode_cell(cell) for cell in generalized.row_cells(row)])
+        renumbered.append(index)
+    return group_cells, renumbered
 
 
 def _rehydrate(record: dict, table: "Table") -> GeneralizedTable:

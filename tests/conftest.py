@@ -29,6 +29,34 @@ def make_random_table(
     return Table(schema, qi_rows, sa_values)
 
 
+def merged_with_empty_groups(table: Table, l: int, shard_count: int = 3):
+    """A merged-shard table whose group form has groups with no rows.
+
+    Each shard's TP output gets an unused group inserted at id 0 before the
+    merge, so the merged ``rep_codes`` carry one row-less group per shard.
+    """
+    import numpy as np
+
+    from repro.dataset.generalized import GeneralizedTable
+    from repro.engine.registry import AlgorithmOutput, algorithm_registry
+    from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
+
+    runner = algorithm_registry.get("TP").runner
+    shard_rows = qi_prefix_shards(table, shard_count, l)
+    outputs = []
+    for rows in shard_rows:
+        shard = table.subset(rows)
+        rep_codes, rep_star, group_of, _ = runner(shard, l).generalized.columnar_publish()
+        gapped = GeneralizedTable.from_groups(
+            shard,
+            np.concatenate([np.zeros_like(rep_codes[:1]), rep_codes]),
+            np.concatenate([np.ones_like(rep_star[:1]), rep_star]),
+            group_of + 1,
+        )
+        outputs.append(AlgorithmOutput(gapped))
+    return merge_shard_outputs(table, shard_rows, outputs, l)
+
+
 @pytest.fixture(autouse=True)
 def _isolated_workspace(tmp_path, monkeypatch):
     """Point the service workspace at a per-test directory.

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from repro.engine.cache import CachedRun, ResultCache
+from repro.engine.registry import AlgorithmOutput, algorithm_registry
+from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
 from repro.privacy.spec import EntropyLDiversity, FrequencyLDiversity
-from repro.engine.registry import algorithm_registry
-from repro.service.store import RunStore
+from repro.service.store import RunStore, _encode_cell, _encode_run
+from tests.conftest import merged_with_empty_groups
 
 
 def _cached_run(table, algorithm: str = "TP", l: int = 2) -> CachedRun:
@@ -170,6 +172,79 @@ class TestValidation:
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) >= {"key", "n", "group_cells", "group_ids", "anonymize_seconds"}
         assert record["n"] == len(hospital)
+
+
+def _encode_run_by_rows(key, run: CachedRun) -> dict:
+    """The per-row encoder the group-form encoder replaced (test oracle)."""
+    generalized = run.output.generalized
+    dense: dict[int, int] = {}
+    group_cells: list[list[object]] = []
+    renumbered: list[int] = []
+    for row, group_id in enumerate(generalized.group_ids):
+        index = dense.get(group_id)
+        if index is None:
+            index = len(group_cells)
+            dense[group_id] = index
+            group_cells.append([_encode_cell(cell) for cell in generalized.row_cells(row)])
+        renumbered.append(index)
+    return {
+        "key": list(key),
+        "n": len(generalized),
+        "group_cells": group_cells,
+        "group_ids": renumbered,
+        "anonymize_seconds": run.anonymize_seconds,
+        "shard_sizes": list(run.shard_sizes),
+        "phase_reached": run.output.phase_reached,
+        "enforcement_merges": run.enforcement_merges,
+    }
+
+
+def _merged_run(table, algorithm: str, l: int) -> CachedRun:
+    shard_rows = qi_prefix_shards(table, 3, l)
+    runner = algorithm_registry.get(algorithm).runner
+    outputs = [runner(table.subset(rows), l) for rows in shard_rows]
+    merged = merge_shard_outputs(table, shard_rows, outputs, l)
+    return CachedRun(
+        output=AlgorithmOutput(merged),
+        anonymize_seconds=0.5,
+        shard_sizes=tuple(len(rows) for rows in shard_rows),
+    )
+
+
+class TestGroupFormEncoder:
+    """JSONL records from the group form are byte-identical to the per-row
+    encoder's, and the encoder never builds per-row cell tuples."""
+
+    @pytest.mark.parametrize(
+        "make_run",
+        [
+            lambda table: _cached_run(table, "TP", 3),
+            lambda table: _cached_run(table, "TP+", 3),
+            lambda table: _merged_run(table, "TP", 3),
+            lambda table: _merged_run(table, "TP+", 3),
+            lambda table: CachedRun(
+                output=AlgorithmOutput(merged_with_empty_groups(table, 3)),
+                anonymize_seconds=0.5,
+                shard_sizes=(len(table),),
+            ),
+        ],
+        ids=["TP", "TP+", "merged-TP", "merged-TP+", "merged-empty-groups"],
+    )
+    def test_records_match_the_row_encoder(self, small_census, make_run):
+        run = make_run(small_census)
+        generalized = run.output.generalized
+        assert generalized.columnar_publish() is not None
+        key = _key(small_census, l=3)
+        encoded = json.dumps(_encode_run(key, run), separators=(",", ":"))
+        assert generalized._cells_rows is None
+        expected = json.dumps(_encode_run_by_rows(key, run), separators=(",", ":"))
+        assert encoded == expected
+
+    def test_explicit_cells_keep_the_row_encoder(self, hospital):
+        run = _cached_run(hospital, algorithm="Mondrian")
+        key = _key(hospital, algorithm="Mondrian")
+        assert run.output.generalized.columnar_publish() is None
+        assert _encode_run(key, run) == _encode_run_by_rows(key, run)
 
 
 class TestHardening:
