@@ -252,11 +252,6 @@ class TraceStore:
             trace = self._traces.get(job_id)
             return trace["marks"].get(name) if trace is not None else None
 
-    def request_id(self, job_id: str) -> str | None:
-        with self._lock:
-            trace = self._traces.get(job_id)
-            return trace["request_id"] if trace is not None else None
-
     def get(self, job_id: str) -> dict | None:
         """The trace of one job as a plain dict, or ``None`` when unknown."""
         with self._lock:

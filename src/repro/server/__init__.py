@@ -5,6 +5,8 @@ network service — stdlib only, no third-party web framework:
 
 * :mod:`repro.server.protocol` — minimal HTTP/1.1 framing over asyncio
   streams (request parsing, body caps, JSON/CSV responses, ``Retry-After``);
+* :mod:`repro.server.jobs` — the job table, the one writer of job state
+  (resident index, ledger appends, per-transition counters, logs, spans);
 * :mod:`repro.server.pool` — the bounded async job queue drained by a
   process-worker pool; jobs run through a fresh store-backed engine, so
   repeated identical submissions are served from the persistent

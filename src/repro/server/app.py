@@ -38,16 +38,18 @@ the job's status record and result payload so clients can audit what was
 enforced.
 
 Submissions are validated against the registries *before* queueing, then run
-asynchronously on the bounded :class:`~repro.server.pool.WorkerPool`; the
+asynchronously on the bounded :class:`~repro.server.pool.WorkerPool`.  The
 job lifecycle (``queued -> running -> [retrying ->] done|failed|cancelled``)
-is persisted to the workspace's :class:`~repro.service.jobs.JobLedger`, so
-``ldiversity jobs list`` sees server jobs and vice versa — and so a
-restarted server can **replay** every non-terminal job it finds at boot
-(after compacting the ledger), which together with the pool's worker-death
-recovery and per-job timeouts makes serving at-least-once: a SIGKILL'd
-server or a segfaulting worker delays jobs, it does not lose them.  Two
-backpressure mechanisms protect the service under load, both answered with
-``Retry-After``:
+has one writer, the :class:`~repro.server.jobs.JobTable`: the handlers, the
+pool's transition callback, boot replay and shutdown all move jobs through
+it, and it persists every move to the workspace's
+:class:`~repro.service.jobs.JobLedger`.  So ``ldiversity jobs list`` sees
+server jobs and vice versa, and a restarted server can **replay** every
+non-terminal job it finds at boot (after compacting the ledger).  Together
+with the pool's worker-death recovery and per-job timeouts this makes
+serving at-least-once: a SIGKILL'd server or a segfaulting worker delays
+jobs, it does not lose them.  Two backpressure mechanisms protect the
+service under load, both answered with ``Retry-After``:
 
 * **queue depth** — a full worker queue rejects the submission with ``429``
   (the estimate is an EMA of recent job durations);
@@ -56,8 +58,8 @@ backpressure mechanisms protect the service under load, both answered with
 
 ``503`` is reserved for the draining window during shutdown.  Identical
 repeated submissions are served from the persistent run store by the worker
-(the result carries ``store_hit: true``), so a hot job costs one JSONL read
-instead of a recomputation.
+(the result carries ``store_hit: true``) instead of being recomputed; the
+worker still opens the store, which parses every stored record, per job.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ import csv
 import io
 import logging
 import re
+import shutil
 import time
-from collections import OrderedDict
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Awaitable, Callable
 
@@ -79,18 +81,20 @@ from repro.errors import UnknownEntryError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, TraceStore, new_request_id
 from repro.privacy.spec import privacy_from_dict, privacy_registry, resolve_privacy
+from repro.server.jobs import JobTable
 from repro.server.pool import QueueFullError, WorkerPool
 from repro.server.protocol import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
     Request,
     json_response,
+    parse_json,
     read_request,
     render_response,
     splice_header,
 )
 from repro.server.ratelimit import RateLimiter
-from repro.service.jobs import JobLedger, JobRecord, JobStateError
+from repro.service.jobs import JobLedger, JobRecord
 from repro.service.workspace import Workspace
 
 __all__ = ["AnonymizationServer"]
@@ -157,7 +161,6 @@ class AnonymizationServer:
         self.data_dir = (
             Path(data_dir).expanduser().resolve() if data_dir is not None else None
         )
-        self.ledger = JobLedger(self.workspace.jobs_path)
         self.use_store = use_store
         self.max_body_bytes = max_body_bytes
         self.request_timeout_seconds = request_timeout_seconds
@@ -169,10 +172,20 @@ class AnonymizationServer:
         self.telemetry = MetricsRegistry()
         #: Span records of recent jobs, served by ``/v1/jobs/{id}/trace``.
         self.traces = TraceStore()
+        self.max_resident_jobs = max(max_resident_jobs, queue_cap + workers + 1)
+        #: The one writer of job state.  Results of jobs submitted to *this*
+        #: server process are resident up to ``max_resident_jobs``; beyond
+        #: that the oldest terminal entries are evicted (status then falls
+        #: back to the ledger, and an evicted result re-answers from the run
+        #: store on resubmission).
+        self.jobs = JobTable(
+            JobLedger(self.workspace.jobs_path), self.workspace, self.telemetry,
+            self.traces, self.max_resident_jobs,
+        )
         self.pool = WorkerPool(
             workers=workers,
             queue_cap=queue_cap,
-            transition=self._on_transition,
+            transition=self.jobs.transition,
             executor_kind=executor_kind,
             workspace_root=str(self.workspace.root),
             use_store=use_store,
@@ -194,19 +207,10 @@ class AnonymizationServer:
         self._jobs_submitted = self.telemetry.counter(
             "repro_jobs_submitted_total", "Jobs accepted onto the pool queue."
         )
-        self._jobs_terminal = self.telemetry.counter(
-            "repro_jobs_terminal_total",
-            "Jobs that reached a terminal state, by state.",
-            ("state",),
-        )
         self._jobs_rejected = self.telemetry.counter(
             "repro_jobs_rejected_total",
             "Submissions rejected before queueing, by reason.",
             ("reason",),
-        )
-        self._store_hits = self.telemetry.counter(
-            "repro_store_hits_total",
-            "Completed jobs answered from the persistent run store.",
         )
         self._jobs_replayed = self.telemetry.counter(
             "repro_jobs_replayed_total",
@@ -215,11 +219,6 @@ class AnonymizationServer:
         self._compaction_reclaimed = self.telemetry.gauge(
             "repro_ledger_compaction_reclaimed",
             "Superseded ledger records reclaimed by the boot-time compaction.",
-        )
-        self._engine_stage_seconds = self.telemetry.histogram(
-            "repro_engine_stage_seconds",
-            "Seconds of each span of the job trees pool workers send back.",
-            ("stage",),
         )
         self._result_renders = self.telemetry.counter(
             "repro_result_renders_total",
@@ -231,28 +230,10 @@ class AnonymizationServer:
             "Result fetches answered from the per-job render cache, by format.",
             ("format",),
         )
-        self._result_artifact_bytes = self.telemetry.gauge(
-            "repro_result_artifact_bytes",
-            "On-disk bytes of the resident jobs' result artifacts.",
-        )
-        self._result_artifact_bytes.set_function(self._resident_artifact_bytes)
         #: Whether start() re-enqueues the ledger's non-terminal jobs.  On by
         #: default (the crash-recovery contract); tests that stage ledgers
         #: by hand opt out.
         self.replay = replay
-        #: job id -> {"record": JobRecord, "result": dict | None} for jobs
-        #: submitted to *this* server process.  Results are memory-resident
-        #: and bounded: beyond ``max_resident_jobs``, the oldest *terminal*
-        #: entries are evicted (status then falls back to the ledger; an
-        #: evicted result re-answers from the run store on resubmission).
-        self._jobs: OrderedDict[str, dict] = OrderedDict()
-        #: Jobs between their ledger ``create`` and ``pool.submit`` (the
-        #: submission handler's offloaded awaits); a cancel arriving in that
-        #: window flags ``_cancel_requested`` and the submitter skips the
-        #: enqueue instead of answering an unsatisfiable 409.
-        self._pending_submits: set[str] = set()
-        self._cancel_requested: set[str] = set()
-        self.max_resident_jobs = max(max_resident_jobs, queue_cap + workers + 1)
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self._started_at: float | None = None
@@ -268,14 +249,14 @@ class AnonymizationServer:
         """
         return {
             "submitted": int(self._jobs_submitted.total()),
-            "done": int(self._jobs_terminal.value(state="done")),
-            "failed": int(self._jobs_terminal.value(state="failed")),
-            "cancelled": int(self._jobs_terminal.value(state="cancelled")),
+            "done": int(self.jobs.terminal.value(state="done")),
+            "failed": int(self.jobs.terminal.value(state="failed")),
+            "cancelled": int(self.jobs.terminal.value(state="cancelled")),
             "rejected_queue_full": int(self._jobs_rejected.value(reason="queue_full")),
             "rejected_rate_limited": int(
                 self._jobs_rejected.value(reason="rate_limited")
             ),
-            "store_hits": int(self._store_hits.total()),
+            "store_hits": int(self.jobs.store_hits.total()),
             "replayed": int(self._jobs_replayed.total()),
             "compaction_reclaimed": int(self._compaction_reclaimed.value()),
         }
@@ -291,14 +272,15 @@ class AnonymizationServer:
         that reconnects after a crash never observes the server accepting new
         work while old work is still unaccounted for.
         """
-        reclaimed = await self._offload(self.ledger.compact)
+        reclaimed = await self.jobs.compact()
         self._compaction_reclaimed.set(float(reclaimed))
         if reclaimed:
             _LOG.info("ledger compaction reclaimed %d superseded records", reclaimed)
         # Result artifacts from a previous server process are orphans: their
         # resident results died with that process (done jobs re-answer from
         # the run store on resubmission) and replayed jobs write fresh ones.
-        await self._offload(self._clear_stale_artifacts)
+        results = self.workspace.results_dir
+        await self._offload(shutil.rmtree, results, ignore_errors=True)
         await self.pool.start()
         if self.replay:
             await self._replay_ledger()
@@ -320,12 +302,8 @@ class AnonymizationServer:
         and are left alone: the CLI process that owns them may still be live,
         and failing another writer's job here would race it.
         """
-        for record in await self._offload(self.ledger.list):
-            if record.is_terminal() or record.status not in (
-                "queued",
-                "running",
-                "retrying",
-            ):
+        for record in await self._offload(self.jobs.ledger.list):
+            if record.is_terminal():
                 continue
             spec = record.spec
             if not spec or not isinstance(spec.get("source"), dict):
@@ -335,38 +313,30 @@ class AnonymizationServer:
                     record.status,
                 )
                 continue
+            self.jobs.load(record)
             source = spec["source"]
             if source.get("kind") == "csv" and not source.get("path"):
                 # An uploaded CSV spools next to the workspace under the job
                 # id; reconstruct the path the same way the submitter did.
-                spool = self.workspace.tmp_dir / f"upload-{record.id}.csv"
+                spool = self.jobs.spool_path(record.id)
                 if not spool.exists():
-                    try:
-                        refreshed = await self._offload(
-                            self.ledger.transition,
-                            record.id,
-                            "failed",
-                            error="upload spool lost across server restart",
-                        )
-                        self._remember(record.id, record=refreshed)
-                    except (KeyError, JobStateError):  # pragma: no cover - racy
-                        pass
-                    self._jobs_terminal.inc(state="failed")
-                    continue
-                source = dict(source, path=str(spool))
-                spec = dict(spec, source=source)
-            if record.status == "running":
-                try:
-                    record = await self._offload(
-                        self.ledger.transition,
+                    await self.jobs.transition(
                         record.id,
-                        "retrying",
+                        "failed",
+                        error="upload spool lost across server restart",
                         attempts=record.attempts,
-                        last_error="interrupted by server restart",
                     )
-                except (KeyError, JobStateError):  # pragma: no cover - racy
                     continue
-            self._remember(record.id, record=record)
+                spec = dict(spec, source=dict(source, path=str(spool)))
+            if record.status == "running":
+                record = await self.jobs.transition(
+                    record.id,
+                    "retrying",
+                    error="interrupted by server restart",
+                    attempts=record.attempts,
+                )
+                if record is None or record.is_terminal():  # pragma: no cover - racy
+                    continue
             self.traces.begin(record.id, record.request_id)
             self.traces.mark(record.id, "queued")
             await self.pool.requeue(record.id, spec, attempts=record.attempts)
@@ -399,57 +369,19 @@ class AnonymizationServer:
                 pass
         abandoned, interrupted = await self.pool.shutdown(grace_seconds=grace_seconds)
         for job_id in abandoned:
-            self._discard_spool(job_id)
-            try:
-                record = await self._offload(self.ledger.cancel, job_id)
-            except (KeyError, JobStateError):
-                continue
-            self._jobs_terminal.inc(state="cancelled")
-            if job_id in self._jobs:
-                self._jobs[job_id]["record"] = record
+            await self.jobs.cancel(job_id)
         for job_id in interrupted:
             # The run outlived the grace window: the worker finished (or was
             # torn down) without its drainer recording a terminal state.
             # Close the lifecycle so clients never poll "running" forever.
-            self._discard_spool(job_id)
-            try:
-                record = await self._offload(
-                    self.ledger.transition,
-                    job_id,
-                    "cancelled",
-                    error="server shut down before the result was recorded",
-                )
-            except (KeyError, JobStateError):
-                continue
-            self._jobs_terminal.inc(state="cancelled")
-            if job_id in self._jobs:
-                self._jobs[job_id]["record"] = record
-
-    def _clear_stale_artifacts(self) -> None:
-        import shutil
-
-        root = self.workspace.results_dir
-        try:
-            children = list(root.iterdir())
-        except OSError:  # pragma: no cover - cleanup is best-effort
-            return
-        for child in children:
-            try:
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    child.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - cleanup is best-effort
-                continue
+            await self.jobs.cancel(
+                job_id, error="server shut down before the result was recorded"
+            )
 
     @staticmethod
     async def _offload(function, *args, **kwargs):
-        """Run blocking disk I/O (ledger flock/replay, spool writes) off the loop.
-
-        Every ledger operation takes a blocking ``fcntl.flock`` and replays
-        the JSONL file; a contended lock (e.g. a concurrent CLI writer) held
-        on the event-loop thread would stall every connection at once.
-        """
+        """Run blocking disk I/O (ledger reads, spool writes, renders) off the
+        loop, where waiting on another writer's lock stalls no connection."""
         return await asyncio.to_thread(function, *args, **kwargs)
 
     # ------------------------------------------------------------ connections
@@ -595,8 +527,7 @@ class AnonymizationServer:
         # The full spec is persisted on the queued record (with an upload's
         # spool path still empty — replay reconstructs it from the job id),
         # so a restarted server can re-enqueue the job without the client.
-        record = await self._offload(
-            self.ledger.create,
+        record = await self.jobs.create(
             label=label,
             algorithm=spec["algorithm"],
             l=spec["l"],
@@ -606,57 +537,42 @@ class AnonymizationServer:
             max_attempts=self.pool.max_attempts,
             request_id=request.request_id,
         )
-        self._remember(record.id, record=record)
-        self._pending_submits.add(record.id)
-        try:
-            if spool is not None:
-                # Spool files are named by job id so concurrent uploads never
-                # clash.  A failed write must roll the ledger record back —
-                # the pool never saw this job, so nothing else would ever
-                # close a lifecycle left 'queued' here.
-                try:
-                    path = self.workspace.tmp_dir / f"upload-{record.id}.csv"
-                    await self._offload(path.write_bytes, spool)
-                except OSError as error:
-                    await self._rollback_submission(record.id)
-                    raise HttpError(
-                        500, f"failed to spool the upload: {error}"
-                    ) from None
-                spec["source"]["path"] = str(path)
-            # The draining flag and queue capacity were pre-checked, but the
-            # offloaded ledger/spool awaits above let concurrent submissions,
-            # cancels, or a shutdown() that already harvested the pool race
-            # past them.  Everything from here through pool.submit is
-            # await-free, so nothing can interleave again.
-            if record.id in self._cancel_requested:
-                # A cancel landed while we were between the ledger create and
-                # the enqueue; the cancel handler already moved the ledger
-                # record, so just skip the enqueue.
-                self._discard_spool(record.id)
-                return json_response(
-                    202,
-                    {
-                        "id": record.id,
-                        "status": "cancelled",
-                        "queue_depth": self.pool.depth,
-                    },
-                )
-            if self._draining:
-                await self._rollback_submission(record.id)
-                raise HttpError(
-                    503, "server is shutting down", headers={"Retry-After": "1"}
-                )
+        if spool is not None:
+            # Spool files are named by job id so concurrent uploads never
+            # clash.  A failed write withdraws the job: the pool never saw
+            # it, so nothing else would ever close its lifecycle.
             try:
-                self.pool.submit(record.id, spec)
-            except QueueFullError as error:
-                self._jobs_rejected.inc(reason="queue_full")
-                await self._rollback_submission(record.id)
-                raise self._queue_full_error(
-                    error.depth, error.capacity, error.retry_after
-                ) from None
-        finally:
-            self._pending_submits.discard(record.id)
-            self._cancel_requested.discard(record.id)
+                path = self.jobs.spool_path(record.id)
+                await self._offload(path.write_bytes, spool)
+            except OSError as error:
+                await self.jobs.cancel(record.id, counted=False)
+                raise HttpError(500, f"failed to spool the upload: {error}") from None
+            spec["source"]["path"] = str(path)
+        # The draining flag and queue capacity were pre-checked, but the
+        # offloaded awaits above let concurrent submissions, cancels, or a
+        # shutdown that already harvested the pool race past them.
+        # Everything from here through pool.submit is await-free.
+        current = self.jobs.record(record.id)
+        if current is None or current.is_terminal():
+            # Cancelled while in the submission window (queued in the table,
+            # unknown to the pool): the cancel closed the lifecycle, so only
+            # the spool the write above just finished is left to drop.
+            self.jobs.discard_spool(record.id)
+            payload = {"id": record.id, "status": "cancelled"}
+            return json_response(202, {**payload, "queue_depth": self.pool.depth})
+        if self._draining:
+            await self.jobs.cancel(record.id, counted=False)
+            raise HttpError(
+                503, "server is shutting down", headers={"Retry-After": "1"}
+            )
+        try:
+            self.pool.submit(record.id, spec)
+        except QueueFullError as error:
+            self._jobs_rejected.inc(reason="queue_full")
+            await self.jobs.cancel(record.id, counted=False)
+            raise self._queue_full_error(
+                error.depth, error.capacity, error.retry_after
+            ) from None
         self._jobs_submitted.inc()
         now = time.time()
         self.traces.begin(record.id, request.request_id)
@@ -677,15 +593,6 @@ class AnonymizationServer:
             f"job queue is full ({depth}/{capacity})",
             headers={"Retry-After": str(max(1, int(retry_after)))},
         )
-
-    async def _rollback_submission(self, job_id: str) -> None:
-        """Undo a submission rejected after its ledger record already existed."""
-        self._discard_spool(job_id)
-        try:
-            record = await self._offload(self.ledger.cancel, job_id)
-        except (KeyError, JobStateError):  # pragma: no cover - racy cleanup
-            return
-        self._remember(job_id, record=record)
 
     def _spec_from_json(self, payload: dict) -> tuple[str, dict, bytes | None]:
         """Validate a JSON submission; returns (label, spec, spooled CSV or None)."""
@@ -759,14 +666,9 @@ class AnonymizationServer:
         if "privacy" in query:
             # The spec's dict encoding travels as a JSON-valued parameter
             # (the CSV body leaves nowhere else to put a structured field).
-            import json as _json
-
-            try:
-                query["privacy"] = _json.loads(query["privacy"])
-            except _json.JSONDecodeError:
-                raise HttpError(
-                    400, "'privacy' must be a JSON object query parameter"
-                ) from None
+            query["privacy"] = parse_json(
+                query["privacy"], "'privacy' must be a JSON object query parameter"
+            )
         if "l" not in query and "privacy" not in query:
             raise HttpError(400, "csv upload requires an 'l' query parameter")
         if "l" in query:
@@ -961,285 +863,14 @@ class AnonymizationServer:
         spec["source"] = {"kind": "csv", "path": "", "qi": qi, "sa": sa}
         return f"inline({len(rows)} rows)", buffer.getvalue().encode("utf-8")
 
-    # ------------------------------------------------------------ transitions
-
-    async def _on_transition(
-        self,
-        job_id: str,
-        status: str,
-        result: dict | None = None,
-        error: str = "",
-        attempts: int = 0,
-        retry_in: float = 0.0,
-        quarantined: bool = False,
-    ) -> None:
-        """Pool callback (awaited by the drainer): persist + mirror a transition.
-
-        The ledger write runs on an executor thread; the in-memory job table
-        is only touched from the event-loop thread, and the trace/metric
-        mutations go through their own locks.
-        """
-        # The worker's span tree goes to the trace store, not the JSON result.
-        tree = result.pop("trace", None) if result is not None else None
-        self._trace_transition(job_id, status, error, attempts, quarantined, tree)
-        publish_started = time.time()
-        try:
-            if status == "running":
-                record = await self._offload(
-                    self.ledger.transition, job_id, "running", attempts=attempts
-                )
-            elif status == "retrying":
-                _LOG.warning(
-                    "job %s attempt %d failed (%s); retrying in %.2fs",
-                    job_id,
-                    attempts,
-                    error,
-                    retry_in,
-                    extra={
-                        "job_id": job_id,
-                        "request_id": self.traces.request_id(job_id),
-                        "outcome": "retrying",
-                        "attempts": attempts,
-                        "error": error,
-                    },
-                )
-                record = await self._offload(
-                    self.ledger.transition,
-                    job_id,
-                    "retrying",
-                    attempts=attempts,
-                    last_error=error,
-                )
-            elif status == "failed":
-                self._jobs_terminal.inc(state="failed")
-                if quarantined:
-                    _LOG.error(
-                        "job %s quarantined: %s",
-                        job_id,
-                        error,
-                        extra={
-                            "job_id": job_id,
-                            "request_id": self.traces.request_id(job_id),
-                            "outcome": "quarantined",
-                            "attempts": attempts,
-                            "error": error,
-                        },
-                    )
-                record = await self._offload(
-                    self.ledger.transition,
-                    job_id,
-                    "failed",
-                    error=error,
-                    attempts=attempts,
-                    last_error=error,
-                    quarantined=quarantined,
-                )
-            elif status == "done":
-                assert result is not None
-                self._jobs_terminal.inc(state="done")
-                if result.get("store_hit"):
-                    self._store_hits.inc()
-                decision = result.get("decision") or {}
-                record = await self._offload(
-                    self.ledger.transition,
-                    job_id,
-                    "done",
-                    attempts=attempts,
-                    n=result["n"],
-                    d=result["d"],
-                    shards=decision.get("shards", 1),
-                    workers=decision.get("workers", 1),
-                    stars=result["stars"],
-                    suppressed_tuples=result["suppressed_tuples"],
-                    groups=result["groups"],
-                    seconds=result["seconds"],
-                    cache_hit=result["cache_hit"],
-                    store_hit=result["store_hit"],
-                    metric_values=result["metric_values"],
-                )
-            else:  # pragma: no cover - pool only emits the four above
-                return
-        except (KeyError, JobStateError) as state_error:
-            # Usually an out-of-band writer (e.g. a CLI `jobs cancel`) moved
-            # the job ahead of us — refresh the in-memory mirror from the
-            # ledger so it does not freeze on a stale non-terminal record.
-            try:
-                record = await self._offload(self.ledger.get, job_id)
-            except (KeyError, OSError):
-                record = None
-            if status in ("done", "failed") and (
-                record is None or not record.is_terminal()
-            ):
-                # The ledger is *behind*, not ahead (e.g. its 'running'
-                # append failed earlier and it still says 'queued'):
-                # reinstalling that record would freeze the job, so
-                # synthesize the terminal state from memory instead.
-                record = (
-                    self._synthesized_record(
-                        job_id, status, error, f"ledger behind the worker: {state_error}"
-                    )
-                    or record
-                )
-        except OSError as io_error:
-            # The ledger append itself failed (e.g. disk full, injected
-            # fault).  Keep the API truthful from memory: flip the resident
-            # record to the attempted status so the job cannot read as
-            # 'running' forever, and fall through so a computed result is
-            # still remembered — the ledger lags (later transitions re-sync
-            # it via the JobStateError refresh above) but nothing is lost.
-            record = self._synthesized_record(
-                job_id, status, error, f"ledger append failed: {io_error}"
-            )
-        if status in ("done", "failed"):
-            self._discard_spool(job_id)
-            self.traces.add(
-                job_id,
-                Span(
-                    "publish",
-                    start=publish_started,
-                    seconds=time.time() - publish_started,
-                ),
-            )
-        self._remember(job_id, record=record, result=result)
-
-    def _trace_transition(
-        self,
-        job_id: str,
-        status: str,
-        error: str,
-        attempts: int,
-        quarantined: bool,
-        tree: Span | None,
-    ) -> None:
-        """Record the spans a pool transition implies (all no-ops when the
-        job's trace was evicted or predates this server process)."""
-        now = time.time()
-        if status == "running":
-            queued_at = self.traces.mark_at(job_id, "queued")
-            if queued_at is not None:
-                self.traces.add(
-                    job_id,
-                    Span("queue-wait", start=queued_at, seconds=now - queued_at),
-                )
-            self.traces.mark(job_id, "attempt", now)
-            return
-        attempt_at = self.traces.mark_at(job_id, "attempt")
-        if attempt_at is None:
-            return
-        attempt_name = f"attempt-{max(attempts, 1)}"
-        if status == "retrying":
-            outcome = "retry"
-        elif status == "failed":
-            outcome = "quarantined" if quarantined else "failed"
-        else:
-            outcome = "done"
-        attributes: dict = {"outcome": outcome}
-        if error:
-            attributes["error"] = error
-        self.traces.add(
-            job_id,
-            Span(
-                attempt_name,
-                start=attempt_at,
-                seconds=now - attempt_at,
-                attributes=attributes,
-            ),
-        )
-        if status == "retrying":
-            # The backoff wait plus the re-queue both land in the next
-            # attempt's queue-wait span.
-            self.traces.mark(job_id, "queued", now)
-            return
-        if tree is not None:
-            # The worker's measured tree, grafted with its own starts and
-            # parents under the attempt that ran it.
-            for node in tree.walk():
-                self._engine_stage_seconds.observe(node.seconds, stage=node.name)
-            self.traces.add_tree(job_id, tree, parent=attempt_name, prefix="engine:")
-
-    def _synthesized_record(
-        self, job_id: str, status: str, error: str, cause: str
-    ) -> JobRecord | None:
-        """A record built from the resident one when the ledger can't provide
-        it (failed append, or one lagging behind the worker) — used for both
-        terminal states and a retry the ledger never heard about."""
-        entry = self._jobs.get(job_id)
-        current = entry["record"] if entry is not None else None
-        if current is None:
-            return None
-        if status in ("done", "failed", "cancelled"):
-            return replace(
-                current, status=status, updated=time.time(), error=error or cause
-            )
-        return replace(
-            current, status=status, updated=time.time(), last_error=error or cause
-        )
-
-    def _remember(
-        self, job_id: str, record: JobRecord | None, result: dict | None = None
-    ) -> None:
-        """Update the bounded in-memory job table (evicts oldest terminal entries)."""
-        entry = self._jobs.setdefault(job_id, {"record": None, "result": None})
-        if record is not None:
-            entry["record"] = record
-        if result is not None:
-            entry["result"] = result
-        self._jobs.move_to_end(job_id)
-        while len(self._jobs) > self.max_resident_jobs:
-            evicted = next(
-                (
-                    key
-                    for key, candidate in self._jobs.items()
-                    if candidate["record"] is None or candidate["record"].is_terminal()
-                ),
-                None,
-            )
-            if evicted is None:  # every resident job is still live; keep them
-                break
-            self._discard_artifact(self._jobs.pop(evicted))
-
-    def _discard_artifact(self, entry: dict | None) -> None:
-        """Delete an evicted job's on-disk result artifact (best-effort).
-
-        Once the resident entry is gone the result can never be served again
-        (``/result`` answers 404 and points at the run store), so its
-        artifact directory is reclaimed.  Only paths inside the workspace's
-        ``results/`` tree are touched — the path travelled through the
-        worker payload, and deleting anywhere it points would be a footgun.
-        """
-        info = ((entry or {}).get("result") or {}).get("result_artifact")
-        if not info:
-            return
-        import shutil
-
-        results_root = self.workspace.results_dir.resolve()
-        try:
-            target = Path(info.get("path", "")).resolve()
-            target.relative_to(results_root)
-        except (ValueError, OSError):
-            return
-        if target == results_root:
-            return
-        try:
-            shutil.rmtree(target, ignore_errors=True)
-        except OSError:  # pragma: no cover - cleanup is best-effort
-            pass
-
-    def _discard_spool(self, job_id: str) -> None:
-        """Delete a submission's spooled upload once the job can no longer read it."""
-        try:
-            (self.workspace.tmp_dir / f"upload-{job_id}.csv").unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - cleanup is best-effort
-            pass
-
     # ----------------------------------------------------------------- status
 
     async def _record_for(self, job_id: str) -> JobRecord:
-        entry = self._jobs.get(job_id)
-        if entry is not None and entry["record"] is not None:
-            return entry["record"]
+        record = await self.jobs.settled(job_id)
+        if record is not None:
+            return record
         try:
-            return await self._offload(self.ledger.get, job_id)
+            return await self._offload(self.jobs.ledger.get, job_id)
         except KeyError:
             raise HttpError(404, f"no job {job_id!r}") from None
 
@@ -1247,15 +878,13 @@ class AnonymizationServer:
     async def _handle_status(self, request: Request) -> bytes:
         record = await self._record_for(request.path_params["id"])
         payload = asdict(record)
-        payload["result_ready"] = (
-            self._jobs.get(record.id, {}).get("result") is not None
-        )
+        payload["result_ready"] = self.jobs.result(record.id) is not None
         return json_response(200, payload)
 
     @_route("GET", r"/v1/jobs")
     async def _handle_list(self, request: Request) -> bytes:
-        records = [asdict(record) for record in await self._offload(self.ledger.list)]
-        return json_response(200, {"jobs": records})
+        records = await self._offload(self.jobs.ledger.list)
+        return json_response(200, {"jobs": [asdict(record) for record in records]})
 
     async def _result_for(self, job_id: str) -> dict:
         record = await self._record_for(job_id)
@@ -1269,8 +898,7 @@ class AnonymizationServer:
             raise HttpError(409, f"job {job_id} failed: {record.error}")
         if record.status == "cancelled":
             raise HttpError(409, f"job {job_id} was cancelled")
-        entry = self._jobs.get(job_id)
-        result = entry.get("result") if entry else None
+        result = self.jobs.result(job_id)
         if result is None:
             raise HttpError(
                 404,
@@ -1303,8 +931,7 @@ class AnonymizationServer:
             raise HttpError(
                 400, f"unknown result format {format_name!r} (json or csv)"
             )
-        entry = self._jobs.get(job_id)
-        cache: dict = entry.setdefault("render_cache", {}) if entry is not None else {}
+        cache = self.jobs.renders(job_id)
         if format_name == "csv":
             body = cache.get("csv")
             if body is not None:
@@ -1341,15 +968,6 @@ class AnonymizationServer:
                 "resubmit and the run store will answer it",
             ) from None
 
-    def _resident_artifact_bytes(self) -> float:
-        """Gauge callback: on-disk bytes of every resident job's artifact."""
-        return float(
-            sum(
-                (entry.get("result") or {}).get("result_artifact", {}).get("bytes", 0)
-                for entry in self._jobs.values()
-            )
-        )
-
     @_route("GET", r"/v1/jobs/(?P<id>[\w.-]+)/metrics")
     async def _handle_job_metrics(self, request: Request) -> bytes:
         result = await self._result_for(request.path_params["id"])
@@ -1380,25 +998,19 @@ class AnonymizationServer:
         record = await self._record_for(job_id)
         if record.is_terminal():
             raise HttpError(409, f"job {job_id} is already {record.status}")
-        if not self.pool.cancel(job_id):
-            if job_id in self._pending_submits:
-                # The submission is still between its ledger create and the
-                # enqueue (spool write in flight): flag it so the submitter
-                # skips pool.submit, and cancel the ledger record here.
-                self._cancel_requested.add(job_id)
-            else:
-                raise HttpError(
-                    409,
-                    f"job {job_id} is {record.status}; only queued or "
-                    "retry-waiting jobs can be cancelled",
-                )
-        try:
-            record = await self._offload(self.ledger.cancel, job_id)
-        except JobStateError as error:
-            raise HttpError(409, str(error)) from None
-        self._jobs_terminal.inc(state="cancelled")
-        self._discard_spool(job_id)
-        self._remember(job_id, record=record)
+        # A job queued in the table but unknown to the pool is in its
+        # submission window; its submitter skips the enqueue once it sees
+        # the cancel.
+        in_window = record.status == "queued" and job_id in self.jobs
+        if not self.pool.cancel(job_id) and not in_window:
+            raise HttpError(
+                409,
+                f"job {job_id} is {record.status}; only queued or "
+                "retry-waiting jobs can be cancelled",
+            )
+        record = await self.jobs.cancel(job_id)
+        if record is None or record.status != "cancelled":  # pragma: no cover - racy
+            raise HttpError(409, f"job {job_id} could not be cancelled")
         return json_response(200, asdict(record))
 
     # ---------------------------------------------------------- introspection
@@ -1455,6 +1067,12 @@ class AnonymizationServer:
             raise HttpError(400, f"unknown algorithm {algorithm!r}") from None
         n = _require_int(payload, "n", minimum=0)
         d = _require_int(payload, "d", minimum=1) if "d" in payload else 1
+        shards, workers = (
+            _require_int(payload, key, minimum=1)
+            if payload.get(key) is not None
+            else None
+            for key in ("shards", "workers")
+        )
         spec, l = self._resolve_spec_and_l(payload)
         from repro.service.planner import default_planner
 
@@ -1464,8 +1082,8 @@ class AnonymizationServer:
                 n=n,
                 d=d,
                 l=l,
-                shards=payload.get("shards"),
-                workers=payload.get("workers"),
+                shards=shards,
+                workers=workers,
                 privacy=spec,
             )
         except ValueError as error:
@@ -1497,6 +1115,10 @@ class AnonymizationServer:
     @_route("GET", r"/v1/health")
     async def _handle_health(self, request: Request) -> bytes:
         uptime = time.time() - self._started_at if self._started_at else 0.0
+
+        def pool_count(name: str) -> int:
+            return int(self.telemetry.get(f"repro_pool_{name}_total").total())
+
         return json_response(
             200,
             {
@@ -1507,12 +1129,12 @@ class AnonymizationServer:
                 "queue_depth": self.pool.depth,
                 "queue_cap": self.pool.queue_cap,
                 "running": self.pool.running,
-                "callback_errors": self.pool.callback_errors,
+                "callback_errors": pool_count("callback_errors"),
                 "pool": {
-                    "retries": self.pool.retries,
-                    "pool_restarts": self.pool.pool_restarts,
-                    "timeouts": self.pool.timeouts,
-                    "quarantined": self.pool.quarantined,
+                    "retries": pool_count("retries"),
+                    "pool_restarts": pool_count("restarts"),
+                    "timeouts": pool_count("timeouts"),
+                    "quarantined": pool_count("quarantined"),
                     "retrying": self.pool.retrying,
                     "max_attempts": self.pool.max_attempts,
                     "job_timeout_seconds": self.pool.job_timeout_seconds,

@@ -12,20 +12,23 @@ without limit, and the HTTP layer turns that into ``429 + Retry-After``.
 :func:`execute_job` (the executor entry point) builds a fresh
 :class:`~repro.engine.core.Engine` whose cache reads through the workspace's
 persistent :class:`~repro.service.store.RunStore` — each worker re-opens the
-JSONL store per job, so a repeated identical submission is a **store hit**
-even though every job runs in a different process.
+JSONL store (parsing every stored record) per job, so a repeated identical
+submission is a **store hit** even though every job runs in a different
+process.
 
-Lifecycle transitions (``running``/``retrying``/``done``/``failed``/
-``cancelled``) are reported through a single callback invoked on the
-event-loop thread; the server wires it to the in-memory job table and the
-persistent :class:`~repro.service.jobs.JobLedger`.
+Lifecycle transitions (``running``/``retrying``/``done``/``failed``) are
+reported through a single callback invoked on the event-loop thread; the
+server wires it to its :class:`~repro.server.jobs.JobTable`, the one writer
+of job state (resident index, ledger appends, counters, logs and spans).
+The pool itself keeps only scheduling state: what is queued, running or
+waiting out a retry backoff.
 
 **Fault tolerance** (the at-least-once half of the serving contract):
 
 * a worker dying mid-job (segfault, OOM kill, injected fault) surfaces as
   :class:`~concurrent.futures.BrokenExecutor`; the pool rebuilds the
-  executor *without dropping queued work* (counted in
-  :attr:`WorkerPool.pool_restarts`) and re-enqueues the job with exponential
+  executor *without dropping queued work* (counted by
+  ``repro_pool_restarts_total``) and re-enqueues the job with exponential
   backoff as a ``retrying`` transition;
 * ``job_timeout_seconds`` bounds each attempt's wall clock; a timed-out
   attempt on a process executor is killed (the worker processes are
@@ -314,9 +317,8 @@ class WorkerPool:
         #: Retry-After estimate before any job has completed.
         self._recent_seconds = 0.5
         #: Recovery counters live on the (lock-guarded) obs registry — the
-        #: single writer-safe home shared with ``/v1/telemetry`` and
-        #: ``/v1/health``; the legacy int attributes below are read-only
-        #: views.  A standalone pool gets a private registry.
+        #: single writer-safe home read by ``/v1/telemetry`` and
+        #: ``/v1/health``.  A standalone pool gets a private registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._callback_errors = self.metrics.counter(
             "repro_pool_callback_errors_total",
@@ -356,29 +358,6 @@ class WorkerPool:
         self.metrics.gauge(
             "repro_jobs_retry_waiting", "Jobs waiting out a retry backoff."
         ).set_function(lambda: float(len(self._retry_waits)))
-
-    # Read-only views kept for callers/tests that predate the obs registry.
-
-    @property
-    def callback_errors(self) -> int:
-        """Transition callbacks that raised (surfaced by ``/v1/health``)."""
-        return int(self._callback_errors.total())
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.total())
-
-    @property
-    def pool_restarts(self) -> int:
-        return int(self._pool_restarts.total())
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._timeouts.total())
-
-    @property
-    def quarantined(self) -> int:
-        return int(self._quarantined.total())
 
     # ------------------------------------------------------------- lifecycle
 
@@ -581,13 +560,14 @@ class WorkerPool:
             self.retry_backoff_seconds * (2 ** (attempt - 1)),
             self.max_retry_backoff_seconds,
         )
+        # Park the job before reporting it: a caller that sees 'retrying'
+        # can cancel the backoff wait at once.
+        self._retry_waits[job_id] = asyncio.create_task(
+            self._requeue_later(job_id, spec, delay), name=f"pool-retry-{job_id}"
+        )
         await self._notify(
             job_id, "retrying", error=reason, attempts=attempt, retry_in=delay
         )
-        task = asyncio.create_task(
-            self._requeue_later(job_id, spec, delay), name=f"pool-retry-{job_id}"
-        )
-        self._retry_waits[job_id] = task
 
     async def _requeue_later(self, job_id: str, spec: dict, delay: float) -> None:
         try:

@@ -29,6 +29,7 @@ __all__ = [
     "read_request",
     "render_response",
     "json_response",
+    "parse_json",
     "splice_header",
 ]
 
@@ -92,13 +93,19 @@ class Request:
 
     def json(self) -> dict:
         """The body parsed as a JSON object (400 on anything else)."""
-        try:
-            payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise HttpError(400, f"request body is not valid JSON: {error}") from None
+        payload = parse_json(self.body, "request body is not valid JSON")
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")
         return payload
+
+
+def parse_json(text: str | bytes, message: str):
+    """Parse client JSON; any failure, nesting past the recursion limit
+    included, is a 400 saying ``message``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise HttpError(400, f"{message}: {error}") from None
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:

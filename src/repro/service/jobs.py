@@ -67,7 +67,9 @@ except ImportError:  # pragma: no cover - Windows fallback: best-effort appends
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.planner import ExecutionPlanner
 
-__all__ = ["JobLedger", "JobRecord", "JobService", "JobStateError"]
+__all__ = [
+    "JobLedger", "JobRecord", "JobService", "JobStateError", "can_transition",
+]
 
 #: Every status a job can hold, in lifecycle order.
 JOB_STATUSES = ("queued", "running", "retrying", "done", "failed", "cancelled")
@@ -83,6 +85,11 @@ _TRANSITIONS = {
 
 class JobStateError(ValueError):
     """Raised on an illegal job state transition (e.g. cancelling a done job)."""
+
+
+def can_transition(current: str, status: str) -> bool:
+    """Whether a job in ``current`` may move to ``status`` (the lifecycle graph)."""
+    return status in _TRANSITIONS.get(current, ())
 
 
 def _ledger_fault_hook() -> None:
@@ -379,7 +386,7 @@ class JobLedger:
             current = self._replay().get(job_id)
             if current is None:
                 raise KeyError(f"no job {job_id!r} in ledger {self._path}")
-            if status not in _TRANSITIONS.get(current.status, ()):
+            if not can_transition(current.status, status):
                 raise JobStateError(
                     f"job {job_id} is {current.status}; cannot move to {status}"
                 )
@@ -392,6 +399,17 @@ class JobLedger:
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a queued or running job (terminal jobs raise :class:`JobStateError`)."""
         return self.transition(job_id, "cancelled")
+
+    def put(self, record: JobRecord) -> JobRecord:
+        """Append a full record that its writer already validated, unless the
+        ledger ends that job terminally (say, after ``ldiversity jobs
+        cancel``); returns the record the job now ends on."""
+        with self._mutex, self._locked():
+            current = self._replay().get(record.id)
+            if current is not None and current.is_terminal():
+                return current
+            self._append(record)
+        return record
 
 
 class JobService:

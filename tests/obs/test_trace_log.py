@@ -32,7 +32,6 @@ class TestTraceStore:
         names = [span["name"] for span in trace["spans"]]
         assert names == ["submit", "engine:load"]
         assert trace["spans"][1]["parent"] == "attempt-1"
-        assert store.request_id("job-1") == "rid-1"
 
     @staticmethod
     def _tree() -> Span:

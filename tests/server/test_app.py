@@ -17,6 +17,7 @@ from repro.privacy.spec import EntropyLDiversity, KAnonymity, privacy_registry
 from repro.service import JobLedger, verify_csv_l_diverse
 
 from server_harness import ServerHandle
+from tests.server.test_telemetry import parse_exposition, sample
 
 
 def _submit_hospital(client: Client, hospital_rows, **fields) -> str:
@@ -142,8 +143,20 @@ class TestValidation:
         return urllib.request.urlopen(request, timeout=10)
 
     def test_bad_json_is_400(self, server):
+        for body in (b"{not json", b"[" * 200_000):
+            with pytest.raises(urllib.error.HTTPError) as error:
+                self._raw_post(server, body)
+            assert error.value.code == 400
+            assert "JSON" in json.loads(error.value.read())["error"]
+        # The CSV upload's JSON-valued privacy parameter goes through the
+        # same parser; nesting past the recursion limit is still a 400.
         with pytest.raises(urllib.error.HTTPError) as error:
-            self._raw_post(server, b"{not json")
+            self._raw_post(
+                server,
+                b"Age,Disease\n30,flu\n",
+                content_type="text/csv",
+                path="/v1/jobs?qi=Age&sa=Disease&privacy=" + "[" * 2_700,
+            )
         assert error.value.code == 400
         assert "JSON" in json.loads(error.value.read())["error"]
 
@@ -411,39 +424,58 @@ class TestCancel:
         assert {ledger.get(job_id).status for job_id in job_ids} == {"cancelled"}
 
     def test_cancel_during_the_submission_window_succeeds(
-        self, server, client, hospital_rows
+        self, server, client, hospital_rows, monkeypatch
     ):
         """A job visible as 'queued' but not yet handed to the pool (its spool
         write is still in flight) must be cancellable, not answer 409."""
-        handle = server
-        record = handle.server.ledger.create(
-            label="in-flight", algorithm="TP", l=2, client="pytest"
+        import threading
+        from pathlib import Path
+
+        entered, release = threading.Event(), threading.Event()
+        write_bytes = Path.write_bytes
+
+        def held_spool_write(path, data):
+            if path.name.startswith("upload-"):
+                entered.set()
+                release.wait(10)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", held_spool_write)
+        answers: list = []
+        submitter = threading.Thread(
+            target=lambda: answers.append(_submit_hospital(client, hospital_rows))
         )
-        handle.run(handle.server._remember, record.id, record)
-        handle.run(handle.server._pending_submits.add, record.id)
+        submitter.start()
         try:
+            assert entered.wait(10), "the spool write never started"
+            (record,) = JobLedger(server.server.workspace.jobs_path).list()
             cancelled = client.cancel(record.id)
             assert cancelled["status"] == "cancelled"
-            assert handle.run(lambda: record.id in handle.server._cancel_requested)
             assert client.status(record.id)["status"] == "cancelled"
         finally:
-            handle.run(handle.server._pending_submits.discard, record.id)
-            handle.run(handle.server._cancel_requested.discard, record.id)
+            release.set()
+            submitter.join(10)
+        # The submitter saw the cancel and skipped the enqueue: the job never ran.
+        assert answers == [record.id]
+        assert client.status(record.id)["status"] == "cancelled"
+        ledger = JobLedger(server.server.workspace.jobs_path)
+        assert [r.status for r in ledger.history(record.id)] == ["queued", "cancelled"]
+        assert not server.server.jobs.spool_path(record.id).exists()
 
     def test_result_survives_a_failing_terminal_ledger_write(
         self, server, client, hospital_rows
     ):
         """Disk-full on the 'done' append must not leave the job 'running'
         forever or drop the computed result."""
-        ledger = server.server.ledger
-        real = ledger.transition
+        ledger = server.server.jobs.ledger
+        real = ledger.put
 
-        def flaky(job_id, status, **updates):
-            if status == "done":
+        def flaky(record):
+            if record.status == "done":
                 raise OSError("no space left on device")
-            return real(job_id, status, **updates)
+            return real(record)
 
-        ledger.transition = flaky
+        ledger.put = flaky
         try:
             job_id = _submit_hospital(client, hospital_rows)
             record = client.wait(job_id)
@@ -451,7 +483,7 @@ class TestCancel:
             assert "ledger append failed" in record["error"]
             assert client.result(job_id)["verified"] is True
         finally:
-            ledger.transition = real
+            ledger.put = real
 
     def test_failed_spool_write_rolls_the_submission_back(
         self, tmp_path, hospital_rows
@@ -476,30 +508,40 @@ class TestCancel:
         self, server, client, hospital_rows
     ):
         """A transient failure on the 'running' append leaves the ledger
-        behind (still 'queued'); the later done-transition's JobStateError
-        must synthesize the terminal state, not reinstall the stale record."""
-        ledger = server.server.ledger
-        real = ledger.transition
+        behind (still 'queued'); the later done append writes the full
+        record and catches it up instead of freezing the job."""
+        ledger = server.server.jobs.ledger
+        real = ledger.put
 
-        def flaky(job_id, status, **updates):
-            if status == "running":
+        def flaky(record):
+            if record.status == "running":
                 raise OSError("no space left on device")
-            return real(job_id, status, **updates)
+            return real(record)
 
-        ledger.transition = flaky
+        ledger.put = flaky
         try:
             job_id = _submit_hospital(client, hospital_rows)
             record = client.wait(job_id)
             assert record["status"] == "done"
             assert client.result(job_id)["verified"] is True
+            assert ledger.get(job_id).status == "done"
         finally:
-            ledger.transition = real
+            ledger.put = real
 
     def test_out_of_band_ledger_cancel_refreshes_the_resident_record(
         self, server, client, hospital_rows
     ):
         """A CLI `jobs cancel` racing the server must not freeze the job's
-        API status on a stale non-terminal in-memory record."""
+        API status on a stale non-terminal in-memory record, and the cancel
+        must hold everywhere: counters, resident result, artifact on disk."""
+        def counts():
+            samples = parse_exposition(client.telemetry_text())
+            return (
+                sample(samples, "repro_jobs_terminal_total", state="done"),
+                sample(samples, "repro_store_hits_total"),
+            )
+
+        before = counts()
         server.run(server.server.pool.pause)
         job_id = _submit_hospital(client, hospital_rows)
         # out-of-band writer (e.g. `ldiversity jobs cancel`) on the same ledger
@@ -512,6 +554,13 @@ class TestCancel:
         with pytest.raises(ClientError) as error:
             client.result(job_id)
         assert error.value.status == 409
+        # The pool still ran the job; wait until its outcome was refused.
+        while server.server.pool.running or server.server.pool.depth:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert counts() == before
+        assert client.status(job_id)["result_ready"] is False
+        assert not (server.server.workspace.results_dir / job_id).exists()
 
     def test_shutdown_closes_jobs_that_outlive_the_grace_window(self, tmp_path):
         """A run interrupted by shutdown must not stay 'running' in the ledger."""
@@ -624,7 +673,7 @@ class TestResidency:
             ]
             for job_id in more:
                 client.wait(job_id)
-            assert len(handle.server._jobs) <= handle.server.max_resident_jobs
+            assert len(handle.server.jobs) <= handle.server.max_resident_jobs
             # evicted jobs still answer status from the ledger...
             assert client.status(first)["status"] == "done"
             # ...but their result is no longer resident
@@ -672,6 +721,11 @@ class TestIntrospection:
         with pytest.raises(ClientError) as error:
             client.plan(n=100, l=2, algorithm="NoSuch")
         assert error.value.status == 400
+        for key in ("shards", "workers"):
+            for value in ("2", "x", 0, -1, 2.5):
+                with pytest.raises(ClientError) as error:
+                    client.plan(n=100, l=2, **{key: value})
+                assert error.value.status == 400, (key, value)
 
 
 class TestPrivacyModels:

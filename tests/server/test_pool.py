@@ -329,7 +329,7 @@ class TestWorkerPool:
             pool.submit("job-bad", spec)
             pool.submit("job-good", spec)
             await pool._queue.join()
-            errors = pool.callback_errors
+            errors = pool.metrics.get("repro_pool_callback_errors_total").total()
             await pool.shutdown()
             return errors
 

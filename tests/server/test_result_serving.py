@@ -48,7 +48,7 @@ class TestArtifactServing:
     def test_served_csv_and_json_rows_equal_the_oracle(self, server, client):
         job_id = client.submit(source=dict(SOURCE), l=4)
         client.wait(job_id)
-        payload = server.server._jobs[job_id]["result"]
+        payload = server.server.jobs.result(job_id)
         # The resident worker payload carries the artifact pointer, not the
         # n rendered row lists.
         assert "rows" not in payload and payload["result_artifact"]["bytes"] > 0
@@ -58,14 +58,14 @@ class TestArtifactServing:
         client.wait(client.submit(source=dict(SOURCE), l=4))
         job_id = client.submit(source=dict(SOURCE), l=4)
         client.wait(job_id)
-        payload = server.server._jobs[job_id]["result"]
+        payload = server.server.jobs.result(job_id)
         assert payload["store_hit"]
         _assert_served_like_oracle(client, payload, job_id, _oracle())
 
     def test_mondrian_subdomains_are_served_from_the_artifact(self, server, client):
         job_id = client.submit(source=dict(SOURCE), l=4, algorithm="Mondrian")
         client.wait(job_id)
-        payload = server.server._jobs[job_id]["result"]
+        payload = server.server.jobs.result(job_id)
         generalized = _oracle("Mondrian")
         assert generalized.columnar_publish() is None  # explicit sub-domain cells
         _assert_served_like_oracle(client, payload, job_id, generalized)
@@ -99,7 +99,7 @@ class TestArtifactServing:
     def test_artifact_bytes_gauge_tracks_resident_results(self, server, client):
         job_id = client.submit(source=dict(SOURCE), l=4)
         client.wait(job_id)
-        info = server.server._jobs[job_id]["result"]["result_artifact"]
+        info = server.server.jobs.result(job_id)["result_artifact"]
         samples = parse_exposition(client.telemetry_text())
         assert sample(samples, "repro_result_artifact_bytes") == info["bytes"]
 
@@ -119,7 +119,7 @@ class TestArtifactLifecycle:
             # three more terminal jobs push the first one out.
             for _ in range(3):
                 client.wait(client.submit(source=dict(SOURCE), l=4))
-            assert first not in server.server._jobs
+            assert first not in server.server.jobs
             assert not first_dir.exists()
         finally:
             server.stop()

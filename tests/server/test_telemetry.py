@@ -288,29 +288,10 @@ class TestPoolCounterConsolidation:
             for index in range(4):
                 pool.submit(f"job-{index}", spec)
             await pool._queue.join()
-            counts = (
-                pool.callback_errors,
-                pool.metrics.get("repro_pool_callback_errors_total").total(),
-            )
+            count = pool.metrics.get("repro_pool_callback_errors_total").total()
             await pool.shutdown()
-            return counts
+            return count
 
-        attribute_view, registry_view = asyncio.run(scenario())
+        registry_view = asyncio.run(scenario())
         # Every job fires exactly two callbacks (running + done), both raise.
-        assert attribute_view == 8
         assert registry_view == 8.0
-        # The attribute is a read-only view onto the registry counter.
-        assert attribute_view == registry_view
-
-    def test_legacy_counter_attributes_are_read_only_views(self, server):
-        pool = server.server.pool
-        for name in (
-            "callback_errors",
-            "retries",
-            "pool_restarts",
-            "timeouts",
-            "quarantined",
-        ):
-            assert isinstance(getattr(pool, name), int)
-            with pytest.raises(AttributeError):
-                setattr(pool, name, 123)
