@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import threading
 import time
 
 from hypothesis import HealthCheck, given, settings
@@ -111,8 +112,18 @@ async def _drive(root, steps) -> None:
     jobs: dict[str, _Job] = {}
     ids: list[str] = []
 
+    def check_synced() -> None:
+        # Where memory and ledger are in sync, they agree record for record,
+        # so a resident record is never non-terminal while the ledger is.
+        for job_id, job in jobs.items():
+            disk, resident = ledger.get(job_id), table.record(job_id)
+            if job.synced:
+                assert disk == resident
+                assert resident.is_terminal() or not disk.is_terminal()
+
     # Every example starts with one clean submission, so moves have a job.
     for kind, slot, fail, store_hit in [("submit", 0, False, False), *steps]:
+        check_synced()
         inject[0] = fail
         if kind == "submit":
             try:
@@ -208,14 +219,10 @@ async def _drive(root, steps) -> None:
             assert ledger.get(job_id) == table.record(job_id)
             job.synced = True
 
+    check_synced()
     for job_id, job in jobs.items():
         # Appends for one job reach the ledger in transition order.
         assert ledger.history(job_id) == job.history
-        disk, resident = ledger.get(job_id), table.record(job_id)
-        if job.synced:
-            assert disk == resident
-        if disk.is_terminal() and job.synced:
-            assert resident.is_terminal()
 
 
 @settings(
@@ -270,3 +277,35 @@ def test_concurrent_moves_append_in_move_order(tmp_path):
 
     for index in range(10):
         asyncio.run(scenario(tmp_path / f"run-{index}"))
+
+
+def test_status_reads_wait_for_flipped_moves(tmp_path):
+    """Memory flips first, but what API readers see never runs ahead of
+    the ledger: ``settled`` waits until the flipped move is appended."""
+
+    async def scenario():
+        workspace = Workspace(tmp_path / "ws")
+        table = JobTable(
+            JobLedger(workspace.jobs_path), workspace, MetricsRegistry(),
+            TraceStore(), capacity=8,
+        )
+        record = await table.create(label="x", algorithm="TP", l=2)
+        release, real_put = threading.Event(), table.ledger.put
+
+        def held_put(record):
+            release.wait(10)
+            return real_put(record)
+
+        table.ledger.put = held_put
+        move = asyncio.ensure_future(table.transition(record.id, "running", attempts=1))
+        await asyncio.sleep(0)
+        assert table.record(record.id).status == "running"
+        read = asyncio.ensure_future(table.settled(record.id))
+        await asyncio.sleep(0.05)
+        assert not read.done()
+        release.set()
+        assert (await read).status == "running"
+        assert table.ledger.get(record.id).status == "running"
+        assert (await move).status == "running"
+
+    asyncio.run(scenario())
