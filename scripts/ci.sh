@@ -16,9 +16,11 @@
 #                    checkers; the default path matches pinned SHA-256
 #                    digests; specs sharing an l never share a cache key
 #   load smoke       200 jobs from 8 clients against `ldiversity serve`:
-#                    l-diverse results, store hits, 429 + Retry-After,
-#                    artifact CSVs byte-identical to an independent render,
-#                    exit 0 on SIGTERM
+#                    l-diverse results, store hits, a run store of whole
+#                    records only (no temp dirs, within its cap, each one
+#                    reopens), 429 + Retry-After, artifact CSVs
+#                    byte-identical to an independent render, exit 0 on
+#                    SIGTERM
 #   chaos smoke      worker kills, a poison job, job timeouts and a SIGKILL
 #                    restart: every job ends terminal, the poison job is
 #                    quarantined, every recovery counter moves

@@ -11,7 +11,11 @@ running server), then:
 2. **store reuse** — the workload set is much smaller than the job count, so
    repeated identical submissions must be served from the persistent run
    store (``store_hit``) rather than recomputed; the smoke asserts at least
-   one cross-request store hit (and reports the observed rate);
+   one cross-request store hit (and reports the observed rate).  After the
+   load phase the workspace's ``runs/`` must hold no ``.tmp-*`` directory
+   and at most ``max_entries`` records, and every record must reopen through
+   ``RunStore.get`` against its source — the pool's racing publishes left
+   whole records only;
 3. **backpressure** — a burst of slow jobs from a non-retrying client must
    produce at least one ``429`` with a ``Retry-After`` header once the
    bounded queue fills, and still-queued burst jobs are then cancelled
@@ -56,6 +60,7 @@ import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -72,6 +77,8 @@ BURST_JOBS = 20
 BURST_N = 25_000
 ARTIFACT_N = 100_000
 ARTIFACT_L = 4
+#: ``Workspace.run_store``'s default record cap, which the server uses.
+STORE_MAX_ENTRIES = 256
 
 
 def fail(message: str) -> None:
@@ -197,6 +204,48 @@ PRIVACY_SPECS = [
     {"kind": "k-anonymity", "k": 4},
     {"kind": "entropy-l", "l": 2.0},
 ]
+
+
+def phase_run_store(workspace: str, workloads: list[dict]) -> None:
+    """Phase 1's concurrent publishes left whole records only: no temp
+    directory, at most ``STORE_MAX_ENTRIES`` records, and every record
+    reopens through ``RunStore.get`` against its source table."""
+    from repro.server.pool import build_source
+    from repro.service.store import TMP_PREFIX
+    from repro.service.workspace import Workspace
+
+    store = Workspace(workspace).run_store()
+    leftovers = sorted(p.name for p in store.path.iterdir() if p.name.startswith(TMP_PREFIX))
+    if leftovers:
+        fail(f"run store kept temp directories after the load phase: {leftovers}")
+    keys = store.keys()
+    if not keys or len(keys) > STORE_MAX_ENTRIES:
+        fail(f"run store holds {len(keys)} records, expected 1..{STORE_MAX_ENTRIES}")
+    tables = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, workload in enumerate(workloads):
+            source = workload.get("source")
+            if source is None:  # inline rows: spool them the way the server does
+                columns = [*workload["qi"], workload["sa"]]
+                path = Path(scratch) / f"inline-{index}.csv"
+                with open(path, "w", newline="") as handle:
+                    writer = csv.writer(handle)
+                    writer.writerow(columns)
+                    writer.writerows([row[name] for name in columns] for row in workload["rows"])
+                source = {"kind": "csv", "path": str(path), "qi": workload["qi"],
+                          "sa": workload["sa"]}
+            table = build_source(source).load()
+            tables[table.fingerprint()] = table
+    for key in keys:
+        table = tables.get(key[0])
+        if table is None:
+            fail(f"run-store record {key[1:]} matches no load-phase source")
+        if store.get(key, table) is None:
+            fail(f"run-store record {key[1:]} does not reopen against its source")
+    print(
+        f"run store: {len(keys)} records, no temp directories, every record "
+        "reopens against its source"
+    )
 
 
 def phase_privacy(base_url: str) -> None:
@@ -510,6 +559,9 @@ def main() -> None:
             f"{store_hits} store hits ({100.0 * store_hits / completed:.0f}%), "
             f"{absorbed} backpressure responses absorbed by retries"
         )
+
+        if process is not None:  # the workspace is ours only when we booted the server
+            phase_run_store(workspace, workloads)
 
         phase_privacy(base_url)
 

@@ -104,7 +104,7 @@ def _load_dir(
             )
         arrays = [np.load(path / name, mmap_mode=mmap_mode) for name in array_files]
         return build(payload, *arrays)
-    except (OSError, ValueError, KeyError, TypeError) as error:
+    except (OSError, EOFError, ValueError, KeyError, TypeError) as error:
         raise DataSourceError(f"cannot load {format_name} {path}: {error}") from error
 
 

@@ -11,10 +11,10 @@ without limit, and the HTTP layer turns that into ``429 + Retry-After``.
 
 :func:`execute_job` (the executor entry point) builds a fresh
 :class:`~repro.engine.core.Engine` whose cache reads through the workspace's
-persistent :class:`~repro.service.store.RunStore` — each worker re-opens the
-JSONL store (parsing every stored record) per job, so a repeated identical
-submission is a **store hit** even though every job runs in a different
-process.
+persistent :class:`~repro.service.store.RunStore`.  Each job re-opens the
+store, which reads nothing until a lookup memory-maps its one record, so a
+repeated identical submission is a **store hit** even though every job runs
+in a different process.
 
 Lifecycle transitions (``running``/``retrying``/``done``/``failed``) are
 reported through a single callback invoked on the event-loop thread; the

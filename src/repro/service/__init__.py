@@ -3,10 +3,10 @@
 ``repro.service`` sits on top of :mod:`repro.engine` and provides what a
 long-lived deployment needs beyond a single in-process run:
 
-* :mod:`repro.service.store` — the persistent :class:`RunStore` (append-only
-  JSONL under a workspace directory) that the engine's result cache reads
-  through, so repeated CLI invocations and figure sweeps reuse results
-  **across processes**;
+* :mod:`repro.service.store` — the persistent :class:`RunStore` (one
+  memory-mapped group-form directory per record under a workspace
+  directory) that the engine's result cache reads through, so repeated
+  CLI invocations and figure sweeps reuse results **across processes**;
 * :mod:`repro.service.planner` — the cost-based :class:`ExecutionPlanner`
   that picks shards / workers from table statistics, calibrated
   against the committed ``BENCH_fig6.json`` baseline (and the large-``n``

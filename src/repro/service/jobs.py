@@ -27,16 +27,15 @@ Each transition *appends* a full record for the job id; readers replay the
 file and the **last record per id wins**, so the ledger doubles as a
 transition history (:meth:`JobLedger.history`) while :meth:`JobLedger.list`
 still shows one row per job.  :meth:`JobLedger.compact` rewrites the file to
-just those latest records (the server runs it at boot, mirroring the run
-store's compaction).  The HTTP server (:mod:`repro.server`) drives the full
-lifecycle asynchronously — including replaying every non-terminal record it
-finds at boot, which is why the submitted job *spec* is persisted on server
-records; the synchronous CLI path writes the same transitions back to back.
+just those latest records (the server runs it at boot).  The HTTP server
+(:mod:`repro.server`) drives the full lifecycle asynchronously — including
+replaying every non-terminal record it finds at boot, which is why the
+submitted job *spec* is persisted on server records; the synchronous CLI
+path writes the same transitions back to back.
 
-Durability discipline matches :class:`~repro.service.store.RunStore`:
-append-only JSONL, one record per line, malformed or torn lines skipped on
-read (and surfaced via :attr:`JobLedger.recovered`).  Unlike the run store,
-writes are guarded by an advisory file lock (``fcntl.flock`` where
+The ledger is append-only JSONL, one record per line, malformed or torn
+lines skipped on read (and surfaced via :attr:`JobLedger.recovered`).
+Writes are guarded by an advisory file lock (``fcntl.flock`` where
 available) so concurrent submitters — e.g. the server's pool plus a CLI
 ``jobs submit`` against the same workspace — cannot race id allocation or
 interleave a read-modify-append transition.
@@ -295,7 +294,7 @@ class JobLedger:
         workspace pays that history on every cold replay.  Compaction keeps
         exactly the records :meth:`list` would return (atomic replace, under
         the advisory lock), discarding per-job transition history older than
-        the compaction point — the same stance as the run store's compaction.
+        the compaction point.
         Run it only when no other *reader* is mid-stream (the server does so
         at boot, before serving): a concurrent incremental replayer would
         resume at a stale byte offset into the rewritten file.

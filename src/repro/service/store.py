@@ -1,50 +1,70 @@
-"""Persistent run store: append-only JSONL memoization of anonymization runs.
+"""Persistent run store: one memory-mapped group-form directory per record.
 
-The :class:`RunStore` supersedes the purely in-process LRU as the durable
-tier of result caching: the engine's :class:`~repro.engine.cache.ResultCache`
-reads through it, so figure sweeps and repeated CLI invocations reuse
-results **across processes**.  Records are keyed exactly like the in-memory
-cache — ``(fingerprint, algorithm, l, shards, seed, privacy)``, where
-``privacy`` is the canonical privacy-spec token — and hold the *encoded*
-generalization only.
+The :class:`RunStore` is the durable tier of result caching: the engine's
+:class:`~repro.engine.cache.ResultCache` reads through it, so figure sweeps,
+repeated CLI invocations and pool workers reuse results **across
+processes**.  Records are keyed exactly like the in-memory cache —
+``(fingerprint, algorithm, l, shards, seed, privacy)``, where ``privacy`` is
+the canonical privacy-spec token.
 
-**Key migration note:** the key has had three shapes.  The oldest was
-``(fingerprint, algorithm, l, shards, backend, seed)``; the ``privacy``
-component was appended when the scalar ``l`` grew into the
-:class:`~repro.privacy.spec.PrivacySpec` hierarchy (two specs with equal
-``l`` had collided on one record), and the ``backend`` component was
-dropped when the pure-Python data plane stopped being a runtime choice.
-:meth:`RunStore._parse` accepts only the current six-element shape, typed
-element by element, so both legacy shapes — seven elements with a backend,
-and six elements with a backend where the seed belongs — fail the check,
-are counted in :attr:`RunStore.recovered` and are dropped by the next
-compaction.  A store written before a migration simply recomputes on first
-use; it never replays a record under a key it was not computed for.
+**Layout.**  The store is a directory holding one directory per record,
+named by a hash of the canonical key, in the shape of a
+:class:`~repro.engine.columnstore.ResultArtifact`::
 
-Each record holds:
+    runs/
+      <sha256(key)[:32]>/
+        meta.json       format, version, the full key, n, the original
+                        run's anonymize seconds, shard sizes, phase reached
+                        and enforcement merges, plus sub-domain cells
+        rep_codes.npy   (g, d) per-group surviving QI codes
+        rep_star.npy    (g, d) per-group star flags
+        group_of.npy    (n,) row -> group
 
-* one generalized cell row per QI-group (rows of a group share their
-  representative by construction), with cells encoded as the integer code,
-  ``"*"`` for a star, or ``{"s": [codes]}`` for a sub-domain;
-* the per-row group ids, densely renumbered in first-occurrence order;
-* the original run's anonymize seconds, shard sizes and phase reached.
+Opening the store reads nothing; a lookup is a path join plus a stat, and a
+hit memory-maps only its own record.  Sub-domain cells (TDS, Mondrian,
+``preprocess``) are per group, so ``meta.json`` lists them as
+``[group, column, sorted codes]`` triples.  Schema and sensitive values are
+*not* stored: a hit is rehydrated against the caller's freshly-loaded source
+table, whose fingerprint already proved it identical to the one the run was
+computed on.  Because :meth:`GeneralizedTable.from_groups
+<repro.dataset.generalized.GeneralizedTable.from_groups>` trusts its input,
+the hit validates the record first: shapes and dtypes, ``0 <= group_of <
+g``, ``n`` and the width against the table, and every unstarred code against
+its attribute's domain.  Any record that cannot be read or fails a check is
+counted in :attr:`RunStore.recovered`, deleted and recomputed; it never
+raises out of the store.
 
-Schema and sensitive values are *not* stored: a hit is rehydrated against
-the caller's freshly-loaded source table, whose fingerprint already proved
-it identical to the one the run was computed on.  That keeps records small
-and sidesteps schema round-trip fidelity entirely.
+**Publish by rename.**  A put writes its record into a sibling temp
+directory (``runs/.tmp-<pid>-<uuid>``) and ``os.rename``\\ s it into place,
+so readers only ever see whole records.  When a racing writer already
+published the same key the loser deletes its temp directory — the
+algorithms are deterministic, so both copies are equal.  A hit touches its
+``meta.json``; a put evicts the records with the oldest ``meta.json`` mtimes
+beyond ``max_entries`` and sweeps temp directories left by crashed writers
+once they are a minute old.
 
-The file format is append-only JSONL: one record per line, last write wins,
-safe to append from concurrent processes (a torn trailing line is treated as
-corrupt and skipped).  Corrupt or stale lines are counted, survive nothing,
-and are dropped by the next compaction; eviction keeps the newest
-``max_entries`` records and compacts the file in place.
+**Durability policy.**  Records are a recomputable cache, so nothing is
+fsynced.  A crash before the rename leaves only a temp directory; a record
+torn by power loss after it fails validation on its next hit and is
+recomputed.
+
+**Migration note.**  Stores written before this layout were one JSONL file
+(``runs.jsonl``); it is deleted at open and its runs are recomputed.  The key
+has also had three shapes — the oldest was ``(fingerprint, algorithm, l,
+shards, backend, seed)``, then a ``privacy`` token was appended and the
+``backend`` dropped — and a record whose key is not the current six typed
+elements is dropped, never replayed under a key it was not computed for.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
-from collections import OrderedDict
+import os
+import shutil
+import time
+import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -52,12 +72,27 @@ import numpy as np
 
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.engine.cache import CachedRun, CacheKey
+from repro.engine.columnstore import (
+    RESULT_GROUPS_FILE,
+    RESULT_META_FILE,
+    RESULT_REPS_FILE,
+    RESULT_STAR_FILE,
+    _load_dir,
+)
 from repro.engine.registry import AlgorithmOutput
+from repro.errors import DataSourceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataset.table import Table
 
 __all__ = ["RunStore", "StoreError"]
+
+FORMAT_NAME = "repro.runstore.record"
+FORMAT_VERSION = 1
+ARRAY_FILES = (RESULT_REPS_FILE, RESULT_STAR_FILE, RESULT_GROUPS_FILE)
+TMP_PREFIX = ".tmp-"
+#: Age after which a temp directory is a crashed writer's, not a live one's.
+STALE_TMP_SECONDS = 60.0
 
 #: Element types of a stored key: (fingerprint, algorithm, l, shards, seed,
 #: privacy token).
@@ -68,286 +103,249 @@ class StoreError(Exception):
     """Raised when a run cannot be encoded for persistent storage."""
 
 
-def _encode_cell(cell) -> object:
-    if cell is STAR:
-        return "*"
-    if isinstance(cell, frozenset):
-        return {"s": sorted(cell)}
-    if isinstance(cell, (int,)):
-        return int(cell)
-    raise StoreError(f"cannot encode generalized cell {cell!r}")
+def _canonical(key) -> str:
+    return json.dumps(list(key))
 
 
-def _decode_cell(encoded) -> object:
-    if encoded == "*":
-        return STAR
-    if isinstance(encoded, dict):
-        return frozenset(encoded["s"])
-    return int(encoded)
+def _valid_key(key: list) -> bool:
+    return len(key) == len(_KEY_TYPES) and all(
+        isinstance(part, kind) and not isinstance(part, bool)
+        for part, kind in zip(key, _KEY_TYPES)
+    )
 
 
-def _encode_run(key: CacheKey, run: CachedRun) -> dict:
+def _mtime(path: str | Path, missing: float) -> float:
+    try:
+        return os.stat(path).st_mtime
+    except OSError:
+        return missing
+
+
+def _explicit_form(generalized: GeneralizedTable) -> tuple:
+    """The group form of a table with explicit cells, keeping its groups
+    (renumbered densely): one representative row per group, with sub-domain
+    cells listed apart as ``[group, column, sorted codes]``."""
+    _ids, first_rows, group_of = np.unique(
+        generalized.group_ids_array(), return_index=True, return_inverse=True
+    )
+    shape = (first_rows.shape[0], len(generalized.schema.qi))
+    rep_codes = np.zeros(shape, dtype=np.int32)
+    rep_star = np.zeros(shape, dtype=bool)
+    subdomains: list[list] = []
+    for group, row in enumerate(first_rows.tolist()):
+        for column, cell in enumerate(generalized.row_cells(row)):
+            if cell is STAR:
+                rep_star[group, column] = True
+            elif isinstance(cell, frozenset):
+                subdomains.append([group, column, sorted(cell)])
+            elif isinstance(cell, int):
+                rep_codes[group, column] = cell
+            else:
+                raise StoreError(f"cannot encode generalized cell {cell!r}")
+    return rep_codes, rep_star, group_of.astype(np.int64), subdomains
+
+
+def _encode(key: CacheKey, run: CachedRun) -> tuple[dict, tuple]:
     generalized = run.output.generalized
     form = generalized.columnar_publish()
     if form is not None:
-        group_cells, renumbered = _encode_group_form(*form[:3])
+        arrays, subdomains = form[:3], []
     else:
-        group_cells, renumbered = _encode_rows(generalized)
-    return {
+        *arrays, subdomains = _explicit_form(generalized)
+    meta = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
         "key": list(key),
         "n": len(generalized),
-        "group_cells": group_cells,
-        "group_ids": renumbered,
         "anonymize_seconds": run.anonymize_seconds,
         "shard_sizes": list(run.shard_sizes),
         "phase_reached": run.output.phase_reached,
         "enforcement_merges": run.enforcement_merges,
+        "subdomains": subdomains,
     }
+    return meta, tuple(arrays)
 
 
-def _encode_group_form(
-    rep_codes: np.ndarray, rep_star: np.ndarray, group_of: np.ndarray
-) -> tuple[list[list[object]], list[int]]:
-    """Encode a suppression output from its group form: groups renumbered
-    densely in first-appearance order, one cell row per group that has rows."""
-    present, first_rows, inverse = np.unique(
-        group_of, return_index=True, return_inverse=True
-    )
-    appearance = np.argsort(first_rows, kind="stable")
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(appearance.shape[0])
-    ordered = present[appearance]
-    group_cells = [
-        ["*" if starred else code for code, starred in zip(codes, flags)]
-        for codes, flags in zip(
-            rep_codes[ordered].tolist(), rep_star[ordered].tolist()
-        )
-    ]
-    return group_cells, rank[inverse].tolist()
-
-
-def _encode_rows(generalized: GeneralizedTable) -> tuple[list[list[object]], list[int]]:
-    """Encode a table with explicit cells, one row at a time."""
-    dense: dict[int, int] = {}
-    group_cells: list[list[object]] = []
-    renumbered: list[int] = []
-    for row, group_id in enumerate(generalized.group_ids):
-        index = dense.get(group_id)
-        if index is None:
-            index = len(group_cells)
-            dense[group_id] = index
-            group_cells.append([_encode_cell(cell) for cell in generalized.row_cells(row)])
-        renumbered.append(index)
-    return group_cells, renumbered
-
-
-def _rehydrate(record: dict, table: "Table") -> GeneralizedTable:
-    """A record's published table over its (fingerprint-identical) table: the
-    columnar group form, or explicit cells when a cell is a sub-domain."""
-    if record["n"] != len(table):
+def _rehydrate(
+    key: CacheKey,
+    table: "Table",
+    meta: dict,
+    rep_codes: np.ndarray,
+    rep_star: np.ndarray,
+    group_of: np.ndarray,
+) -> CachedRun:
+    """A validated record's run over its (fingerprint-identical) table: the
+    columnar group form, or explicit cells when the record has sub-domains.
+    Raises ``ValueError`` (or ``TypeError``/``KeyError``) on any mismatch."""
+    if _canonical(meta["key"]) != _canonical(key):
+        raise ValueError("record key does not match (legacy shape or hash collision)")
+    n, d = len(table), table.dimension
+    if meta["n"] != n or group_of.shape != (n,):
         raise ValueError("row count mismatch (stale or colliding record)")
-    group_ids = np.asarray(record["group_ids"], dtype=np.intp)
-    decoded = [tuple(_decode_cell(cell) for cell in row) for row in record["group_cells"]]
-    if any(len(row) != table.dimension for row in decoded):
-        raise ValueError("cell row width does not match the table dimension")
-    if group_ids.size and int(group_ids.min()) < 0:
-        raise ValueError("negative group id")
-    if any(isinstance(cell, frozenset) for row in decoded for cell in row):
-        cells = [decoded[group_id] for group_id in group_ids.tolist()]
-        return GeneralizedTable._from_trusted(
-            table.schema, cells, table.sa_values, group_ids.tolist()
+    if rep_codes.ndim != 2 or rep_codes.shape[1] != d or rep_star.shape != rep_codes.shape:
+        raise ValueError("group form does not match the table dimension")
+    g = rep_codes.shape[0]
+    if rep_codes.dtype.kind != "i" or group_of.dtype.kind != "i" or rep_star.dtype != bool:
+        raise ValueError("unexpected group form dtypes")
+    if n and (int(group_of.min()) < 0 or int(group_of.max()) >= g):
+        raise ValueError("group id out of range")
+    sizes = np.array([attribute.size for attribute in table.schema.qi], dtype=np.int64)
+    if ((rep_codes < 0) | (rep_codes >= sizes))[~rep_star].any():
+        raise ValueError("QI code outside its attribute's domain")
+    phase_reached = meta["phase_reached"]
+    if not (phase_reached is None or isinstance(phase_reached, int)):
+        raise ValueError("phase_reached must be an int or null")
+    if meta["subdomains"]:
+        groups = [
+            [STAR if starred else code for code, starred in zip(codes, flags)]
+            for codes, flags in zip(rep_codes.tolist(), rep_star.tolist())
+        ]
+        for group, column, codes in meta["subdomains"]:
+            if not (0 <= group < g and 0 <= column < d):
+                raise ValueError("sub-domain cell outside the group form")
+            if not all(isinstance(code, int) and 0 <= code < sizes[column] for code in codes):
+                raise ValueError("sub-domain code outside its attribute's domain")
+            groups[group][column] = frozenset(codes)
+        rows = [tuple(cells) for cells in groups]
+        group_ids = group_of.tolist()
+        generalized = GeneralizedTable._from_trusted(
+            table.schema, [rows[group] for group in group_ids], table.sa_values, group_ids
         )
-    shape = (len(decoded), table.dimension)
-    rep_star = [[cell is STAR for cell in row] for row in decoded]
-    rep_codes = [[0 if cell is STAR else cell for cell in row] for row in decoded]
-    return GeneralizedTable.from_groups(
-        table,
-        np.asarray(rep_codes, dtype=np.int64).reshape(shape),
-        np.asarray(rep_star, dtype=bool).reshape(shape),
-        group_ids,
+    else:
+        generalized = GeneralizedTable.from_groups(table, rep_codes, rep_star, group_of)
+    return CachedRun(
+        output=AlgorithmOutput(generalized, phase_reached=phase_reached),
+        anonymize_seconds=float(meta["anonymize_seconds"]),
+        shard_sizes=tuple(int(size) for size in meta["shard_sizes"]),
+        enforcement_merges=int(meta["enforcement_merges"]),
     )
 
 
 class RunStore:
-    """Append-only JSONL store of memoized anonymization runs."""
+    """A directory of memoized anonymization runs, one record per key."""
 
     def __init__(self, path: str | Path, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
+        if self._path.is_file():  # a legacy JSONL store at this path
+            self._path.unlink(missing_ok=True)
+        self._path.mkdir(parents=True, exist_ok=True)
         self._max_entries = max_entries
-        self._records: OrderedDict[CacheKey, dict] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.recovered = 0
-        self._load()
 
     @property
     def path(self) -> Path:
         return self._path
 
-    # --------------------------------------------------------------- file I/O
+    def _record_dir(self, key) -> Path:
+        digest = hashlib.sha256(_canonical(key).encode()).hexdigest()
+        return self._path / digest[:32]
 
-    def _load(self) -> None:
-        if not self._path.exists():
-            return
-        with open(self._path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = self._parse(line)
-                if record is None:
-                    self.recovered += 1
-                    continue
-                key = tuple(record["key"])
-                self._records[key] = record
-                self._records.move_to_end(key)
-        evicted = self._evict()
-        if evicted or self.recovered:
-            self._compact()
+    def _records(self) -> list[Path]:
+        with os.scandir(self._path) as entries:
+            return [
+                Path(entry.path)
+                for entry in entries
+                if not entry.name.startswith(TMP_PREFIX) and entry.is_dir()
+            ]
 
-    @staticmethod
-    def _parse(line: str) -> dict | None:
-        """Parse one JSONL line; ``None`` for corrupt or malformed records."""
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        key = record.get("key")
-        # Exactly the current key shape; legacy shapes are dropped here (see
-        # the migration note in the module docstring).
-        if not isinstance(key, list) or len(key) != len(_KEY_TYPES):
-            return None
-        if not all(
-            isinstance(part, kind) and not isinstance(part, bool)
-            for part, kind in zip(key, _KEY_TYPES)
-        ):
-            return None
-        group_cells = record.get("group_cells")
-        group_ids = record.get("group_ids")
-        if not isinstance(group_cells, list) or not isinstance(group_ids, list):
-            return None
-        if record.get("n") != len(group_ids):
-            return None
-        if group_ids and (not group_cells or max(group_ids) >= len(group_cells)):
-            return None
-        if not isinstance(record.get("anonymize_seconds"), (int, float)):
-            return None
-        if not isinstance(record.get("shard_sizes"), list):
-            return None
-        if not (record.get("phase_reached") is None or isinstance(record["phase_reached"], int)):
-            return None
-        merges = record.get("enforcement_merges", 0)
-        if not isinstance(merges, int) or isinstance(merges, bool):
-            return None
-        return record
+    def _drop(self, record: Path) -> None:
+        """Count and delete an unreadable or invalid record."""
+        shutil.rmtree(record, ignore_errors=True)
+        self.recovered += 1
 
-    def _evict(self) -> int:
-        evicted = 0
-        while len(self._records) > self._max_entries:
-            self._records.popitem(last=False)
-            evicted += 1
-        return evicted
-
-    def _compact(self) -> None:
-        """Rewrite the file to the live records (atomic replace).
-
-        Another process may have appended records since this instance loaded
-        the file; they are re-read and kept — treated as older than our
-        in-memory entries, which win for keys both hold — so compaction never
-        erases a concurrent writer's work.
-        """
-        merged: OrderedDict[CacheKey, dict] = OrderedDict()
-        if self._path.exists():
-            with open(self._path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = self._parse(line)
-                    if record is None:
-                        continue
-                    key = tuple(record["key"])
-                    if key not in self._records:
-                        merged[key] = record
-                        merged.move_to_end(key)
-        for key, record in self._records.items():
-            merged[key] = record
-        while len(merged) > self._max_entries:
-            merged.popitem(last=False)
-        self._records = merged
-        temporary = self._path.with_suffix(".jsonl.tmp")
-        with open(temporary, "w") as handle:
-            for record in self._records.values():
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-        temporary.replace(self._path)
+    def _sweep(self) -> None:
+        """Delete stale temp directories and the oldest records past the cap."""
+        cutoff = time.time() - STALE_TMP_SECONDS
+        with os.scandir(self._path) as entries:
+            temporaries = [entry.path for entry in entries if entry.name.startswith(TMP_PREFIX)]
+        for path in temporaries:
+            if _mtime(path, missing=cutoff) < cutoff:
+                shutil.rmtree(path, ignore_errors=True)
+        records = self._records()
+        if len(records) > self._max_entries:
+            # A record without meta is torn, so it goes first.
+            records.sort(key=lambda record: _mtime(record / RESULT_META_FILE, missing=0.0))
+            for record in records[: len(records) - self._max_entries]:
+                shutil.rmtree(record, ignore_errors=True)
 
     # ------------------------------------------------------------------- API
 
     def get(self, key: CacheKey, table: "Table") -> CachedRun | None:
         """Rehydrate a stored run against its (fingerprint-identical) table."""
-        record = self._records.get(key)
-        if record is None:
+        record = self._record_dir(key)
+        if not record.is_dir():
             self.misses += 1
             return None
         try:
-            run = CachedRun(
-                output=AlgorithmOutput(
-                    _rehydrate(record, table), phase_reached=record["phase_reached"]
-                ),
-                anonymize_seconds=record["anonymize_seconds"],
-                shard_sizes=tuple(record["shard_sizes"]),
-                enforcement_merges=record.get("enforcement_merges", 0),
+            run = _load_dir(
+                record, RESULT_META_FILE, FORMAT_NAME, FORMAT_VERSION, ARRAY_FILES, "r",
+                lambda meta, *arrays: _rehydrate(key, table, meta, *arrays),
             )
-        except (KeyError, ValueError, TypeError, IndexError):
-            # A record that passed the line-level checks but cannot be
-            # decoded is corrupt: drop it rather than crash the lookup.
-            del self._records[key]
-            self.recovered += 1
+        except DataSourceError:
+            self._drop(record)
             self.misses += 1
             return None
-        self._records.move_to_end(key)
+        with contextlib.suppress(OSError):  # evicted meanwhile: the hit stands
+            os.utime(record / RESULT_META_FILE)
         self.hits += 1
         return run
 
     def put(self, key: CacheKey, run: CachedRun) -> None:
-        """Persist one run (append; eviction compacts when the cap is hit)."""
+        """Persist one run: write a temp directory, rename it into place."""
         try:
-            record = _encode_run(key, run)
+            meta, arrays = _encode(key, run)
         except StoreError:
             return  # non-encodable outputs simply stay memory-only
-        self._records[key] = record
-        self._records.move_to_end(key)
-        if self._evict():
-            self._compact()
-        else:
-            with open(self._path, "a") as handle:
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        temporary = self._path / f"{TMP_PREFIX}{os.getpid()}-{uuid.uuid4().hex}"
+        try:
+            temporary.mkdir()
+            for name, array in zip(ARRAY_FILES, arrays):
+                np.save(temporary / name, array)
+            (temporary / RESULT_META_FILE).write_text(json.dumps(meta))
+            os.rename(temporary, self._record_dir(key))
+        except OSError:
+            # A racing writer published the same (equal) record first, or the
+            # disk refused the write: either way the run stays memory-only.
+            shutil.rmtree(temporary, ignore_errors=True)
+        self._sweep()
 
     def clear(self) -> None:
-        self._records.clear()
+        shutil.rmtree(self._path, ignore_errors=True)
+        self._path.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.recovered = 0
-        if self._path.exists():
-            self._path.unlink()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records())
 
     def __contains__(self, key: object) -> bool:
-        return key in self._records
+        return isinstance(key, tuple) and self._record_dir(key).is_dir()
 
     def keys(self) -> list[CacheKey]:
-        return list(self._records)
+        """Every stored key, least recently used first.  A record whose meta
+        is unreadable, or whose key is malformed or not its directory's, is
+        dropped."""
+        found: list[tuple[float, CacheKey]] = []
+        for record in self._records():
+            try:
+                key = json.loads((record / RESULT_META_FILE).read_text())["key"]
+                valid = _valid_key(key) and self._record_dir(key) == record
+            except (OSError, ValueError, KeyError, TypeError):
+                valid = False
+            if valid:
+                found.append((_mtime(record / RESULT_META_FILE, missing=0.0), tuple(key)))
+            else:
+                self._drop(record)
+        return [key for _mtime, key in sorted(found)]
 
     def stats(self) -> dict[str, object]:
         return {
-            "entries": len(self._records),
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "recovered": self.recovered,

@@ -3,8 +3,9 @@
 A :class:`Workspace` is a directory holding everything the job layer
 persists between processes:
 
-* ``runs.jsonl`` — the :class:`~repro.service.store.RunStore` of memoized
-  anonymization runs (read through by the engine's result cache);
+* ``runs/`` — the :class:`~repro.service.store.RunStore` of memoized
+  anonymization runs, one directory per record (read through by the
+  engine's result cache);
 * ``jobs.jsonl`` — the :class:`~repro.service.jobs.JobService` ledger of
   submitted jobs;
 * ``tmp/`` — spill space for the streaming pipeline's per-shard buffers;
@@ -44,7 +45,7 @@ class Workspace:
 
     @property
     def runs_path(self) -> Path:
-        return self.root / "runs.jsonl"
+        return self.root / "runs"
 
     @property
     def jobs_path(self) -> Path:
@@ -63,7 +64,9 @@ class Workspace:
         return path
 
     def run_store(self, max_entries: int = 256) -> RunStore:
-        """Open (creating if needed) the workspace's persistent run store."""
+        """Open (creating if needed) the workspace's persistent run store,
+        deleting a legacy JSONL store so its runs are recomputed."""
+        (self.root / "runs.jsonl").unlink(missing_ok=True)
         return RunStore(self.runs_path, max_entries=max_entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

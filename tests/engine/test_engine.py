@@ -264,7 +264,7 @@ class TestStoreBackedEngine:
     def test_fresh_engine_is_served_from_the_store(self, hospital, tmp_path):
         from repro.service.store import RunStore
 
-        path = tmp_path / "runs.jsonl"
+        path = tmp_path / "runs"
         first = Engine(cache=ResultCache(store=RunStore(path))).run(
             _plan(TableSource(hospital))
         )
@@ -281,7 +281,7 @@ class TestStoreBackedEngine:
     def test_engine_store_argument_wires_the_cache(self, hospital, tmp_path):
         from repro.service.store import RunStore
 
-        store = RunStore(tmp_path / "runs.jsonl")
+        store = RunStore(tmp_path / "runs")
         engine = Engine(store=store)
         engine.run(_plan(TableSource(hospital)))
         assert len(store) == 1
@@ -289,7 +289,7 @@ class TestStoreBackedEngine:
     def test_conflicting_cache_and_store_rejected(self, tmp_path):
         from repro.service.store import RunStore
 
-        store = RunStore(tmp_path / "runs.jsonl")
+        store = RunStore(tmp_path / "runs")
         with pytest.raises(ValueError, match="cache"):
             Engine(cache=ResultCache(), store=store)
         # A cache already backed by that store is fine.

@@ -50,7 +50,7 @@ def _sharded(census, algorithm):
 
 
 def _store_hit(census, tmp_path, algorithm):
-    path = tmp_path / "runs.jsonl"
+    path = tmp_path / "runs"
     _generalized(census, algorithm, 4, engine=Engine(cache=ResultCache(store=RunStore(path))))
     engine = Engine(cache=ResultCache(store=RunStore(path)))
     report = engine.run(RunPlan(source=TableSource(census), algorithm=algorithm, l=4))

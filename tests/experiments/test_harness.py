@@ -107,7 +107,7 @@ class TestCacheSummary:
         from repro.experiments.harness import cache_summary, run_algorithm
         from repro.service.store import RunStore
 
-        path = tmp_path / "runs.jsonl"
+        path = tmp_path / "runs"
         warm = ResultCache(store=RunStore(path))
         run_algorithm("TP", hospital, 2, cache=warm)  # miss; persisted
         # Fresh cache over the same store file: the hit must come from the

@@ -234,7 +234,7 @@ class TestEngineTree:
 
         table = make_sal(100_000, seed=7, config=CensusConfig.scaled(0.24))
         plan = RunPlan(source=TableSource(table), algorithm="TP+", l=6, shards=1)
-        path = tmp_path / "runs.jsonl"
+        path = tmp_path / "runs"
         # A fresh engine per run: the second one is a (cross-process style)
         # store hit, long enough for 1% to exceed the call overhead.
         for tier in (None, "store"):
