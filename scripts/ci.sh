@@ -8,6 +8,7 @@
 #   lint             ruff check over src, tests and scripts (skipped when
 #                    ruff is not installed)
 #   tier-1           the pytest suite
+#   examples         every examples/*.py runs to a zero exit
 #   shard smoke      a 4-shard engine run is bit-identical to the unsharded
 #                    one and within the suppression merge bound
 #   streaming smoke  50k-row CSV->CSV under a capped chunk size, verified
@@ -49,6 +50,12 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== examples: every examples/*.py exits 0 =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
 
 echo "== sharded-engine smoke: 4 shards bit-identical to unsharded =="
 python scripts/shard_smoke.py

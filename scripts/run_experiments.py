@@ -3,14 +3,16 @@
 Used to produce the numbers recorded in EXPERIMENTS.md::
 
     python scripts/run_experiments.py [--scale default|smoke|paper|report] \
-        [--output results.txt] [--workers N] [--workspace DIR]
+        [--output results.txt] [--workspace DIR]
 
-Figure drivers are taken from ``repro.experiments.figures.FIGURES`` and all
-runs go through the engine's result cache, so combinations shared between
-figures (e.g. the stars-vs-l and time-vs-l sweeps) are computed once; the
-per-tier hit tally is appended to the report.  ``--workers`` defaults to
-the cost-based planner's choice; ``--workspace`` backs the cache with a
-persistent run store so repeated sweeps reuse results across processes.
+Figure drivers are taken from ``repro.experiments.figures.FIGURES`` and run
+in sorted order, each run going through the engine and its result cache;
+the per-tier hit tally is appended to the report.  The in-process cache
+keeps only the 64 most recent runs, so figures that share runs (the
+stars-vs-l and time-vs-l sweeps) rarely replay each other within one sweep.
+``--workspace`` backs the cache with the workspace's persistent run store
+(its 256 most recent records), so a repeated sweep replays runs across
+processes.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ def main() -> None:
     )
     parser.add_argument("--output", default="experiment_results.txt")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan independent (table, l, algorithm) runs over N processes "
-        "(default: cost-based planner)",
-    )
-    parser.add_argument(
         "--workspace",
         default=None,
         help="back the run cache with this workspace's persistent store, so "
@@ -67,7 +62,7 @@ def main() -> None:
         from repro.service import Workspace
 
         default_cache().store = Workspace(arguments.workspace).run_store()
-    config = dataclasses.replace(_config(arguments.scale), workers=arguments.workers)
+    config = _config(arguments.scale)
 
     sections: list[str] = [f"scale={arguments.scale}  config={config}"]
     drivers = sorted(figures.FIGURES.items())

@@ -73,7 +73,7 @@ from repro.engine import (
 from repro.errors import UnknownEntryError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import format_records, record_from_report
+from repro.experiments.harness import format_records, record_from_report, run_suite
 from repro.privacy.spec import PrivacySpec, privacy_registry
 from repro.text import format_fixed_width
 
@@ -699,17 +699,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 
 def _command_evaluate(arguments: argparse.Namespace) -> int:
-    engine = Engine()
     table = _csv_source(arguments).load()
     names = [name.strip() for name in arguments.algorithms.split(",") if name.strip()]
-    metrics = ("kl",) if arguments.kl else ()
-    records = [
-        record_from_report(
-            engine.run_table(table, name, arguments.l, metrics=metrics),
-            dataset=arguments.input,
-        )
-        for name in names
-    ]
+    records = run_suite([(arguments.input, table)], arguments.l, names, with_kl=arguments.kl)
     print(format_records(records))
     return 0
 

@@ -1,11 +1,14 @@
 """Per-run result caching: an in-process LRU tier over a persistent store.
 
-Figure sweeps re-run identical ``(table, algorithm, l)`` combinations — the
-stars-vs-l and time-vs-l drivers share every run, and TP+ re-runs TP
-internally at the harness level when both are requested.  The cache stores
-the :class:`~repro.engine.registry.AlgorithmOutput` *and* the seconds the
+Every memoized run is written by :meth:`Engine.run
+<repro.engine.core.Engine.run>`.  The cache stores the
+:class:`~repro.engine.registry.AlgorithmOutput` *and* the seconds the
 original run took, so a hit reproduces both the published table and a
-faithful timing record.
+faithful timing record.  Figure sweeps do request identical ``(table,
+algorithm, l)`` runs — the stars-vs-l and time-vs-l drivers share every one
+— but the in-process tier keeps only the 64 most recent runs, fewer than a
+sweep visits between the two figures, so within one process those replays
+mostly miss; a persistent store tier is what makes a repeated sweep cheap.
 
 The cache key is ``(fingerprint, algorithm, l, shards, seed, privacy)``.
 The seed is part of the key because a run's output is only guaranteed
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.engine.registry import AlgorithmOutput
-from repro.privacy.spec import FrequencyLDiversity, PrivacySpec
+from repro.privacy.spec import PrivacySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> engine)
     from repro.dataset.table import Table
@@ -56,9 +59,9 @@ class CachedRun:
     output: AlgorithmOutput
     #: Wall-clock seconds of the anonymization stage of the original run.
     anonymize_seconds: float
-    #: Row count of each shard the original run executed (empty when the
-    #: caller did not record a breakdown, e.g. harness-level entries).
-    shard_sizes: tuple[int, ...] = ()
+    #: Row count of each shard the original run executed (one entry, ``n``,
+    #: when unsharded).
+    shard_sizes: tuple[int, ...]
     #: QI-group merges the spec enforcement pass performed on the original
     #: run; replayed so cached hits report the same provenance.
     enforcement_merges: int = 0
@@ -67,7 +70,7 @@ class CachedRun:
 class ResultCache:
     """A bounded LRU cache of anonymization runs, optionally store-backed.
 
-    Without a ``store`` this is a plain in-process LRU.  With one, ``get``
+    Without a ``store`` this is a plain in-process LRU.  With one, ``lookup``
     falls through to the persistent tier on a memory miss (promoting hits
     back into memory) and ``put`` writes through, making results durable
     across processes.
@@ -93,37 +96,24 @@ class ResultCache:
         fingerprint: str,
         algorithm: str,
         l: int,
-        shards: int = 1,
-        seed: int = 0,
-        privacy: "PrivacySpec | str | None" = None,
+        shards: int,
+        seed: int,
+        privacy: PrivacySpec,
     ) -> CacheKey:
-        """Build a cache key.
+        """Build a cache key; the spec enters as its canonical token, so two
+        different specs with equal ``l`` never share an entry."""
+        return (fingerprint, algorithm, l, shards, seed, privacy.token())
 
-        ``privacy`` may be a spec, its canonical token, or ``None`` — the
-        default keeps the ``l``-as-sugar contract and resolves to the
-        frequency-l token, so two different specs with equal ``l`` can never
-        share an entry.
-        """
-        if privacy is None:
-            privacy = FrequencyLDiversity(int(l)).token()
-        elif isinstance(privacy, PrivacySpec):
-            privacy = privacy.token()
-        return (fingerprint, algorithm, l, shards, seed, privacy)
-
-    def get(self, key: CacheKey, table: "Table | None" = None) -> CachedRun | None:
-        """Look up a run; memory first, then the persistent store.
+    def lookup(
+        self, key: CacheKey, table: "Table | None" = None
+    ) -> tuple[CachedRun | None, str | None]:
+        """Look up a run, memory first, then the persistent store, and report
+        which tier answered (``None`` on a miss).
 
         The store tier holds only the encoded generalization, so rehydrating
         a hit needs the source ``table`` (schema and SA values); without it
         only the memory tier is consulted.
         """
-        entry, _tier = self.lookup(key, table)
-        return entry
-
-    def lookup(
-        self, key: CacheKey, table: "Table | None" = None
-    ) -> tuple[CachedRun | None, str | None]:
-        """Like :meth:`get` but also reports which tier answered."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)

@@ -20,7 +20,7 @@ preserved.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig"]
 
@@ -54,13 +54,6 @@ class ExperimentConfig:
     #: domains to stay in the paper's rows-per-QI-group regime; see
     #: :meth:`repro.dataset.synthetic.CensusConfig.scaled`.
     domain_scale: float = 0.30
-    #: Number of processes the harness fans independent (table, l, algorithm)
-    #: runs over; 1 = sequential, None = let the cost-based planner size the
-    #: pool from calibrated run estimates.  Per-run timings are taken inside
-    #: the workers, so recorded seconds stay comparable across settings.
-    workers: int | None = None
-    #: Extra fields reserved for forward compatibility of saved configs.
-    extras: dict = field(default_factory=dict, compare=False)
 
     # ----------------------------------------------------------------- presets
 

@@ -103,8 +103,13 @@ class FigureResult:
         return title + "\n" + format_fixed_width(header, rows)
 
 
+_MAKERS = {"SAL": make_sal, "OCC": make_occ}
+
+
 def _base_table(dataset: str, config: ExperimentConfig, n: int | None = None) -> Table:
-    maker = make_sal if dataset.upper() == "SAL" else make_occ
+    maker = _MAKERS.get(dataset.upper())
+    if maker is None:
+        raise ValueError(f"unknown dataset {dataset!r}; expected one of {sorted(_MAKERS)}")
     census_config = (
         CensusConfig.scaled(config.domain_scale) if config.domain_scale < 1.0 else CensusConfig()
     )
@@ -125,9 +130,8 @@ def _sweep(
     algorithms: tuple[str, ...],
     metric: str,
     with_kl: bool = False,
-    workers: int | None = None,
 ) -> None:
-    records = run_suite(tables, l, algorithms, with_kl=with_kl, workers=workers)
+    records = run_suite(tables, l, algorithms, with_kl=with_kl)
     result.records.extend(records)
     for algorithm in algorithms:
         values = [getattr(record, metric) for record in records if record.algorithm == algorithm]
@@ -154,7 +158,7 @@ def figure2(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     tables = _family(dataset, config.base_dimension, config)
     for l in config.l_values:
-        _sweep(result, tables, l, float(l), _SUPPRESSION_ALGORITHMS, "stars", workers=config.workers)
+        _sweep(result, tables, l, float(l), _SUPPRESSION_ALGORITHMS, "stars")
     return result
 
 
@@ -170,7 +174,7 @@ def figure3(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     for d in config.d_values:
         tables = _family(dataset, d, config)
-        _sweep(result, tables, config.l_for_d_sweep, float(d), _SUPPRESSION_ALGORITHMS, "stars", workers=config.workers)
+        _sweep(result, tables, config.l_for_d_sweep, float(d), _SUPPRESSION_ALGORITHMS, "stars")
     return result
 
 
@@ -186,7 +190,7 @@ def figure4(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     tables = _family(dataset, config.base_dimension, config)
     for l in config.l_values:
-        _sweep(result, tables, l, float(l), _SUPPRESSION_ALGORITHMS, "seconds", workers=config.workers)
+        _sweep(result, tables, l, float(l), _SUPPRESSION_ALGORITHMS, "seconds")
     return result
 
 
@@ -202,7 +206,7 @@ def figure5(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     for d in config.d_values:
         tables = _family(dataset, d, config)
-        _sweep(result, tables, config.l_for_time_d_sweep, float(d), _SUPPRESSION_ALGORITHMS, "seconds", workers=config.workers)
+        _sweep(result, tables, config.l_for_time_d_sweep, float(d), _SUPPRESSION_ALGORITHMS, "seconds")
     return result
 
 
@@ -230,7 +234,6 @@ def figure6(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
             float(size),
             _SUPPRESSION_ALGORITHMS,
             "seconds",
-            workers=config.workers,
         )
     return result
 
@@ -247,7 +250,7 @@ def figure7(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     tables = _family(dataset, config.base_dimension, config)
     for l in config.l_values:
-        _sweep(result, tables, l, float(l), _KL_ALGORITHMS, "kl", with_kl=True, workers=config.workers)
+        _sweep(result, tables, l, float(l), _KL_ALGORITHMS, "kl", with_kl=True)
     return result
 
 
@@ -263,7 +266,7 @@ def figure8(dataset: str = "SAL", config: ExperimentConfig | None = None) -> Fig
     )
     for d in config.d_values:
         tables = _family(dataset, d, config)
-        _sweep(result, tables, config.l_for_d_sweep, float(d), _KL_ALGORITHMS, "kl", with_kl=True, workers=config.workers)
+        _sweep(result, tables, config.l_for_d_sweep, float(d), _KL_ALGORITHMS, "kl", with_kl=True)
     return result
 
 
@@ -300,22 +303,18 @@ def phase3_frequency(
 
     The paper reports that on all 128 census tables and all ``l`` in 2..10,
     TP terminates before phase three; this driver re-runs that census on the
-    synthetic workloads.
+    synthetic workloads, through the same cached, verified runs as every
+    figure.
     """
-    from repro.core import three_phase
-
     config = config or ExperimentConfig.default()
     counters = {1: 0, 2: 0, 3: 0}
-    runs = 0
     for d in config.d_values:
-        for label, table in _family(dataset, d, config):
-            del label
-            for l in config.l_values:
-                stats = three_phase.anonymize(table, l).stats
-                counters[stats.phase_reached] += 1
-                runs += 1
+        tables = _family(dataset, d, config)
+        for l in config.l_values:
+            for record in run_suite(tables, l, ("TP",)):
+                counters[record.phase_reached] += 1
     return Phase3FrequencyResult(
-        runs=runs,
+        runs=sum(counters.values()),
         phase1_terminations=counters[1],
         phase2_terminations=counters[2],
         phase3_terminations=counters[3],

@@ -252,10 +252,6 @@ class ExecutionPlanner:
 
     # ------------------------------------------------------------- cost model
 
-    def estimate_run_seconds(self, algorithm: str, n: int) -> float:
-        """Estimated anonymize seconds of one unsharded run."""
-        return self.calibration.rate(algorithm) * _nlogn(n)
-
     def _estimate(self, rate: float, n: int, shards: int, workers: int) -> float:
         per_shard = rate * _nlogn(n / shards)
         waves = math.ceil(shards / workers)
@@ -364,21 +360,6 @@ class ExecutionPlanner:
             width *= 2
         candidates.add(ceiling)
         return tuple(sorted(candidates))
-
-    # ------------------------------------------------------------ suite width
-
-    def suite_workers(self, jobs: int, estimated_total_seconds: float) -> int:
-        """Process-pool width for a batch of independent harness runs.
-
-        Fan-out only pays once the sequential estimate dwarfs pool startup;
-        tiny (smoke-scale) suites always run sequentially.
-        """
-        if jobs < 2 or self.cpu_count < 2:
-            return 1
-        width = min(self.cpu_count, jobs)
-        if estimated_total_seconds < 2.0 * WORKER_SPAWN_SECONDS * width:
-            return 1
-        return width
 
 
 _default_planner: ExecutionPlanner | None = None

@@ -29,10 +29,10 @@ table, whose fingerprint already proved it identical to the one the run was
 computed on.  Because :meth:`GeneralizedTable.from_groups
 <repro.dataset.generalized.GeneralizedTable.from_groups>` trusts its input,
 the hit validates the record first: shapes and dtypes, ``0 <= group_of <
-g``, ``n`` and the width against the table, and every unstarred code against
-its attribute's domain.  Any record that cannot be read or fails a check is
-counted in :attr:`RunStore.recovered`, deleted and recomputed; it never
-raises out of the store.
+g``, ``n`` and the width against the table, shard sizes summing to ``n``
+and every unstarred code against its attribute's domain.  Any record that
+cannot be read or fails a check is counted in :attr:`RunStore.recovered`,
+deleted and recomputed; it never raises out of the store.
 
 **Publish by rename.**  A put writes its record into a sibling temp
 directory (``runs/.tmp-<pid>-<uuid>``) and ``os.rename``\\ s it into place,
@@ -195,6 +195,9 @@ def _rehydrate(
     phase_reached = meta["phase_reached"]
     if not (phase_reached is None or isinstance(phase_reached, int)):
         raise ValueError("phase_reached must be an int or null")
+    shard_sizes = tuple(int(size) for size in meta["shard_sizes"])
+    if sum(shard_sizes) != n:
+        raise ValueError("shard sizes do not cover the table (legacy or torn record)")
     if meta["subdomains"]:
         groups = [
             [STAR if starred else code for code, starred in zip(codes, flags)]
@@ -216,7 +219,7 @@ def _rehydrate(
     return CachedRun(
         output=AlgorithmOutput(generalized, phase_reached=phase_reached),
         anonymize_seconds=float(meta["anonymize_seconds"]),
-        shard_sizes=tuple(int(size) for size in meta["shard_sizes"]),
+        shard_sizes=shard_sizes,
         enforcement_merges=int(meta["enforcement_merges"]),
     )
 

@@ -225,29 +225,16 @@ class TestHarnessIntegration:
         assert second.stars == first.stars
         assert second.seconds == first.seconds  # replayed timing, not re-run
 
-    def test_run_suite_parallel_answers_hits_in_parent(self, hospital):
-        from repro.experiments.harness import run_suite
+    def test_harness_entry_replays_shard_sizes(self, hospital):
+        """Regression: an entry the harness filled made a later engine hit
+        report ``shard_sizes == ()`` instead of ``(n,)``."""
+        from repro.experiments.harness import run_algorithm
 
         cache = ResultCache()
-        sequential = run_suite([("h", hospital)], 2, ["TP", "Hilbert"], cache=cache)
-        hits_before = cache.stats()["hits"]
-        parallel = run_suite(
-            [("h", hospital)], 2, ["TP", "Hilbert"], workers=2, cache=cache
-        )
-        assert cache.stats()["hits"] == hits_before + 2
-        assert [record.stars for record in parallel] == [
-            record.stars for record in sequential
-        ]
-
-    def test_run_suite_parallel_fills_parent_cache(self, hospital):
-        from repro.experiments.harness import run_suite
-
-        cache = ResultCache()
-        run_suite([("h", hospital)], 2, ["TP", "Hilbert"], workers=2, cache=cache)
-        assert cache.stats()["entries"] == 2  # worker outputs shipped back
-        repeat = run_suite([("h", hospital)], 2, ["TP", "Hilbert"], workers=2, cache=cache)
-        assert cache.stats()["misses"] == 2  # second sweep is all hits
-        assert len(repeat) == 2
+        run_algorithm("TP", hospital, 2, cache=cache)
+        hit = Engine(cache=cache).run_table(hospital, "TP", 2, shards=1, workers=1)
+        assert hit.cache_hit
+        assert hit.shard_sizes == (len(hospital),)
 
 
 class TestCacheKeySeed:

@@ -97,6 +97,36 @@ class TestPhase3Frequency:
         assert result.phase3_fraction == 0.0
         assert "phase 3" in result.format()
 
+    @pytest.mark.parametrize("dataset", ["SAL", "OCC"])
+    def test_counts_match_a_direct_census(self, tiny_config, dataset):
+        from repro.core import three_phase
+        from repro.engine.cache import default_cache
+
+        counts = {1: 0, 2: 0, 3: 0}
+        for d in tiny_config.d_values:
+            for _label, table in figures._family(dataset, d, tiny_config):
+                for l in tiny_config.l_values:
+                    counts[three_phase.anonymize(table, l).stats.phase_reached] += 1
+        result = figures.phase3_frequency(dataset, tiny_config)
+        assert (
+            result.phase1_terminations,
+            result.phase2_terminations,
+            result.phase3_terminations,
+        ) == (counts[1], counts[2], counts[3])
+        assert result.runs == sum(counts.values())
+        # The census runs are cached like every figure run.
+        before = default_cache().stats()
+        assert figures.phase3_frequency(dataset, tiny_config) == result
+        after = default_cache().stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + result.runs
+
+
+class TestDatasets:
+    def test_unknown_dataset_is_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="SAL.*OCC|OCC.*SAL"):
+            figures.figure2("adult", tiny_config)
+
 
 class TestFigureResultFormatting:
     def test_format_handles_missing_points(self):

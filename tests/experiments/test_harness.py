@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.dataset.generalized import GeneralizedTable, Partition
+from repro.engine.cache import ResultCache
+from repro.engine.registry import AlgorithmOutput, algorithm_registry
+from repro.errors import VerificationError
 from repro.experiments.harness import (
     ALGORITHMS,
     RunRecord,
@@ -76,29 +82,35 @@ class TestSuiteAndAggregation:
         assert "algorithm" in format_records([])
 
 
-class TestParallelSuite:
-    def test_workers_produce_same_records(self, hospital):
-        sequential = run_suite([("h1", hospital), ("h2", hospital)], 2, ["TP", "Hilbert"])
-        parallel = run_suite(
-            [("h1", hospital), ("h2", hospital)], 2, ["TP", "Hilbert"], workers=2
+class TestEngineRunPath:
+    def test_suite_matches_single_runs(self, hospital):
+        """Records come back tables outer, algorithms inner, each equal to
+        its own run except for the timings."""
+        records = run_suite([("h1", hospital), ("h2", hospital)], 2, ["TP", "Hilbert"])
+        singles = [
+            run_algorithm(name, hospital, 2, dataset=label)
+            for label in ("h1", "h2")
+            for name in ("TP", "Hilbert")
+        ]
+        untimed = lambda record: replace(  # noqa: E731
+            record, seconds=0.0, load_seconds=0.0, metrics_seconds=0.0
         )
-        key = lambda record: (  # noqa: E731 - everything except the timing
-            record.algorithm,
-            record.dataset,
-            record.l,
-            record.d,
-            record.n,
-            record.stars,
-            record.suppressed_tuples,
-            record.groups,
-            record.phase_reached,
-            record.kl,
-        )
-        assert [key(record) for record in parallel] == [key(record) for record in sequential]
+        assert [untimed(record) for record in records] == [
+            untimed(record) for record in singles
+        ]
 
-    def test_workers_one_is_sequential(self, hospital):
-        records = run_suite([("h", hospital)], 2, ["TP"], workers=1)
-        assert len(records) == 1
+    def test_every_run_is_verified(self, hospital, monkeypatch):
+        """A runner that publishes a table violating l-diversity must fail
+        the run, not yield a record."""
+
+        def unsuppressed(table, l):
+            partition = Partition.trusted([[row] for row in range(len(table))], len(table))
+            return AlgorithmOutput(GeneralizedTable.from_partition(table, partition))
+
+        info = algorithm_registry.get("TP")
+        monkeypatch.setitem(algorithm_registry._entries, "TP", replace(info, runner=unsuppressed))
+        with pytest.raises(VerificationError):
+            run_algorithm("TP", hospital, 2, cache=ResultCache())
 
 
 class TestCacheSummary:
@@ -123,14 +135,3 @@ class TestCacheSummary:
         from repro.experiments.harness import cache_summary
 
         assert cache_summary().startswith("run cache:")
-
-
-class TestAutoWorkers:
-    def test_default_workers_resolve_via_planner(self, hospital):
-        from repro.experiments.harness import run_suite
-
-        # workers=None must resolve (planner says sequential at this scale)
-        # and produce the same records as an explicit sequential run.
-        auto = run_suite([("h", hospital)], 2, ["TP"])
-        explicit = run_suite([("h", hospital)], 2, ["TP"], workers=1)
-        assert [record.stars for record in auto] == [record.stars for record in explicit]

@@ -11,7 +11,6 @@ import pytest
 from repro.engine.registry import AlgorithmInfo, algorithm_registry
 from repro.service.planner import (
     ExecutionPlanner,
-    PlannerCalibration,
     load_bench_calibration,
     load_scale_rates,
     per_job_worker_budget,
@@ -226,26 +225,6 @@ class TestExplain:
         first = planner.decide(tp, n=750_000, d=4, l=4)
         second = planner.decide(tp, n=750_000, d=4, l=4)
         assert first == second
-
-
-class TestSuiteWorkers:
-    def test_tiny_suites_stay_sequential(self):
-        planner = ExecutionPlanner(
-            calibration=PlannerCalibration(), cpu_count=8
-        )
-        assert planner.suite_workers(jobs=12, estimated_total_seconds=0.01) == 1
-
-    def test_heavy_suites_fan_out(self):
-        planner = ExecutionPlanner(calibration=PlannerCalibration(), cpu_count=8)
-        assert planner.suite_workers(jobs=12, estimated_total_seconds=60.0) == 8
-
-    def test_single_cpu_never_fans_out(self):
-        planner = ExecutionPlanner(calibration=PlannerCalibration(), cpu_count=1)
-        assert planner.suite_workers(jobs=100, estimated_total_seconds=600.0) == 1
-
-    def test_width_bounded_by_jobs(self):
-        planner = ExecutionPlanner(calibration=PlannerCalibration(), cpu_count=8)
-        assert planner.suite_workers(jobs=3, estimated_total_seconds=60.0) == 3
 
 
 class TestPerJobWorkerBudget:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.dataset.examples import hospital_microdata
 from repro.engine.cache import CachedRun, ResultCache
 from repro.engine.columnstore import ResultArtifact
+from repro.engine.core import Engine
 from repro.engine.registry import AlgorithmOutput, algorithm_registry
 from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
 from repro.privacy.spec import EntropyLDiversity, FrequencyLDiversity
@@ -32,8 +33,9 @@ def _cached_run(table, algorithm: str = "TP", l: int = 2) -> CachedRun:
     return CachedRun(output=output, anonymize_seconds=0.25, shard_sizes=(len(table),))
 
 
-def _key(table, algorithm: str = "TP", l: int = 2, **kwargs):
-    return ResultCache.key(table.fingerprint(), algorithm, l, **kwargs)
+def _key(table, algorithm: str = "TP", l: int = 2, shards: int = 1, seed: int = 0, privacy=None):
+    privacy = privacy if privacy is not None else FrequencyLDiversity(l)
+    return ResultCache.key(table.fingerprint(), algorithm, l, shards, seed, privacy)
 
 
 def _record_dirs(path: Path) -> list[Path]:
@@ -252,6 +254,13 @@ def _n_mismatch(record, table, data):
     _rewrite_meta(record, lambda meta: meta.update(n=meta["n"] + delta))
 
 
+def _shard_sizes_mismatch(record, table, data):
+    """A legacy record (shard sizes ``[]``) or one whose shard sizes do not
+    sum to ``n``."""
+    sizes = data.draw(st.sampled_from([[], [len(table) - 1], [len(table), 1]]))
+    _rewrite_meta(record, lambda meta: meta.update(shard_sizes=sizes))
+
+
 def _out_of_domain_code(record, table, data):
     g, d = np.load(record / "rep_codes.npy").shape
     group, column = data.draw(st.integers(0, g - 1)), data.draw(st.integers(0, d - 1))
@@ -268,7 +277,7 @@ def _out_of_domain_code(record, table, data):
 CORRUPTIONS = [
     _missing_file, _truncated_file, _bad_json, _missing_field, _wrong_key_type,
     _wrong_key_length, _wrong_shape, _wrong_dtype, _group_out_of_range,
-    _n_mismatch, _out_of_domain_code,
+    _n_mismatch, _shard_sizes_mismatch, _out_of_domain_code,
 ]
 
 
@@ -453,7 +462,8 @@ class TestReadThroughCache:
         path = tmp_path / "runs"
         RunStore(path).put(_key(hospital), _cached_run(hospital))
         cache = ResultCache(store=RunStore(path))
-        assert cache.get(_key(hospital)) is None  # no table to rehydrate against
+        # No table to rehydrate against: only the memory tier is consulted.
+        assert cache.lookup(_key(hospital)) == (None, None)
 
 
 class TestValidation:
@@ -565,8 +575,10 @@ class TestKeyMigration:
     JSONL store became one directory per record."""
 
     def test_default_key_carries_the_frequency_token(self, hospital):
-        key = _key(hospital, l=3, seed=5)
-        assert key == (hospital.fingerprint(), "TP", 3, 1, 5, FrequencyLDiversity(3).token())
+        # A plan that gives only ``l`` is keyed under the frequency-l token.
+        cache = ResultCache()
+        Engine(cache=cache).run_table(hospital, "TP", 2, shards=1, workers=1, seed=5)
+        assert (hospital.fingerprint(), "TP", 2, 1, 5, FrequencyLDiversity(2).token()) in cache
 
     def test_specs_with_equal_l_never_share_a_record(self, hospital, tmp_path):
         # Regression: pre-migration an entropy-checked rerun could replay a
