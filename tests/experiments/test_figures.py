@@ -127,6 +127,17 @@ class TestDatasets:
         with pytest.raises(ValueError, match="SAL.*OCC|OCC.*SAL"):
             figures.figure2("adult", tiny_config)
 
+    @pytest.mark.parametrize("driver", sorted(figures.FIGURES) + ["phase3_frequency"])
+    def test_every_driver_rejects_an_unknown_dataset(self, tiny_config, driver):
+        run = getattr(figures, driver)
+        with pytest.raises(ValueError, match="unknown dataset"):
+            run("adult", tiny_config)
+
+    def test_dataset_names_are_case_insensitive(self, tiny_config):
+        lower = figures._base_table("sal", tiny_config)
+        upper = figures._base_table("SAL", tiny_config)
+        assert lower.fingerprint() == upper.fingerprint()
+
 
 class TestFigureResultFormatting:
     def test_format_handles_missing_points(self):

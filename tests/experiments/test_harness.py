@@ -8,13 +8,16 @@ import pytest
 
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.engine.cache import ResultCache
+from repro.engine.core import Engine, RunPlan
 from repro.engine.registry import AlgorithmOutput, algorithm_registry
+from repro.engine.sources import TableSource
 from repro.errors import VerificationError
 from repro.experiments.harness import (
     ALGORITHMS,
     RunRecord,
     average_by,
     format_records,
+    record_from_report,
     run_algorithm,
     run_suite,
 )
@@ -111,6 +114,38 @@ class TestEngineRunPath:
         monkeypatch.setitem(algorithm_registry._entries, "TP", replace(info, runner=unsuppressed))
         with pytest.raises(VerificationError):
             run_algorithm("TP", hospital, 2, cache=ResultCache())
+
+    def test_repeated_suite_is_replayed_from_the_cache(self, hospital):
+        """A second identical sweep is all hits and replays the first sweep's
+        records, timings included."""
+        cache = ResultCache()
+        tables = [("h1", hospital), ("h2", hospital)]
+        first = run_suite(tables, 2, ["TP", "Hilbert"], cache=cache)
+        misses = cache.stats()["misses"]
+        second = run_suite(tables, 2, ["TP", "Hilbert"], cache=cache)
+        assert cache.stats()["misses"] == misses
+        assert cache.stats()["hits"] == 4 + 2  # h2 already hit h1's entries
+        assert [(r.stars, r.seconds) for r in second] == [(r.stars, r.seconds) for r in first]
+
+    def test_cache_hit_still_computes_requested_metrics(self, hospital):
+        """KL is computed per request, so a run cached without it still
+        reports it when a later request asks."""
+        cache = ResultCache()
+        plain = run_algorithm("TP+", hospital, 2, cache=cache)
+        with_kl = run_algorithm("TP+", hospital, 2, with_kl=True, cache=cache)
+        assert cache.stats()["hits"] == 1
+        assert plain.kl is None
+        assert with_kl.kl is not None and with_kl.kl >= 0
+        assert with_kl.stars == plain.stars
+
+    def test_record_from_report_defaults_to_the_source_label(self, hospital):
+        plan = RunPlan(TableSource(hospital, name="ward"), "TP", 2, shards=1, workers=1)
+        report = Engine(cache=ResultCache()).run(plan)
+        record = record_from_report(report)
+        assert record.dataset == "ward"
+        assert (record.algorithm, record.l, record.n, record.d) == ("TP", 2, 10, 3)
+        assert record.seconds == report.anonymize_seconds
+        assert record_from_report(report, dataset="other").dataset == "other"
 
 
 class TestCacheSummary:

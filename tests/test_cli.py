@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.dataset.examples import hospital_microdata
+from repro.engine.sources import CsvSource
+from repro.experiments.harness import format_records, run_suite
 
 
 @pytest.fixture
@@ -81,6 +83,25 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "TP" in output and "Hilbert" in output
         assert "stars" in output
+
+    def test_evaluate_prints_the_harness_records(self, hospital_csv, capsys):
+        """``evaluate`` runs the harness suite: the same request afterwards
+        replays its cached runs and renders the identical table."""
+        code = main(
+            [
+                "evaluate",
+                "--input", hospital_csv,
+                "--qi", "Age,Gender,Education",
+                "--sa", "Disease",
+                "--l", "2",
+                "--algorithms", "TP, Mondrian",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        table = CsvSource(hospital_csv, ("Age", "Gender", "Education"), "Disease").load()
+        records = run_suite([(hospital_csv, table)], 2, ["TP", "Mondrian"])
+        assert output == format_records(records) + "\n"
 
     def test_experiment_phase3(self, capsys):
         code = main(["experiment", "phase3", "--scale", "smoke"])
