@@ -28,7 +28,11 @@ timeout), then proves the at-least-once contract end to end:
    final exposition must agree with ``/v1/health`` number for number, and
    the timed-out job's trace must hold every expected span (both attempts,
    the engine stages of the clean retry, publish);
-7. **clean shutdown** — the second server exits 0 on SIGTERM.
+7. **clean shutdown** — the second server exits 0 on SIGTERM;
+8. **killed conversion** — before the server phases, an ``ldiversity
+   anonymize --mmap`` child is SIGKILL'd while it converts a CSV over its
+   existing ``<input>.colstore``: the old store must still open with its old
+   fingerprint, and a rerun must succeed and sweep the dead staging directory.
 
 Exit code 0 on success, 1 on any violation::
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -50,6 +55,8 @@ from collections import Counter
 from pathlib import Path
 
 from repro.client import Client, ClientError, JobFailedError
+from repro.dataset.synthetic import CensusConfig, make_sal
+from repro.engine import ColumnStore
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.trace import grafted_problems
 from repro.privacy.spec import privacy_from_dict
@@ -61,6 +68,8 @@ MAX_ATTEMPTS = 5
 JOB_TIMEOUT = 2.5
 RETRY_BACKOFF = 0.1
 KILL_EVERY = 15
+#: Rows of the CSV whose ``--mmap`` conversion is killed (about a second).
+CONVERT_ROWS = 300_000
 POISON_SEED = 666
 DELAY_SEEDS = (777, 778, 779)
 PLAN_SEED = 20260807
@@ -290,6 +299,51 @@ def wait_for_condition(probe: Client, predicate, deadline_seconds: float, what: 
         time.sleep(0.25)
 
 
+def check_conversion_kill(workspace: str) -> None:
+    """SIGKILL an ``anonymize --mmap`` conversion over an existing store."""
+    directory = Path(workspace) / "convert"
+    directory.mkdir()
+    csv_path = directory / "census.csv"
+    make_sal(CONVERT_ROWS, seed=3, config=CensusConfig.scaled(0.24)).to_csv(str(csv_path))
+    store = Path(f"{csv_path}.colstore")
+
+    def command(qi: str) -> list[str]:
+        return [sys.executable, "-m", "repro.cli", "anonymize", "--input", str(csv_path),
+                "--qi", qi, "--sa", "Income", "--l", "2", "--algorithm", "TP",
+                "--mmap", "--no-store"]
+
+    def run(qi: str, what: str) -> None:
+        result = subprocess.run(command(qi), capture_output=True, text=True, timeout=300)
+        if result.returncode != 0:
+            fail(f"{what} exited {result.returncode}: {result.stderr[-2000:]}")
+
+    def staging() -> list[Path]:
+        return list(directory.glob(f".{store.name}.tmp-*"))
+
+    run("Age,Gender", "the first --mmap run")
+    fingerprint = ColumnStore.mmap(store).fingerprint()
+    # Other columns make the next run convert again, over the existing store.
+    victim = subprocess.Popen(command("Age,Gender,Race"), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120
+    while not staging() and victim.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.005)
+    if victim.poll() is not None or not staging():
+        fail("the --mmap conversion ended before it could be killed")
+    victim.send_signal(signal.SIGKILL)
+    victim.wait(timeout=30)
+    if ColumnStore.mmap(store).fingerprint() != fingerprint:
+        fail("a killed conversion changed the existing column store")
+    run("Age,Gender,Race", "the rerun after a killed conversion")
+    if ColumnStore.mmap(store).schema.qi_names != ("Age", "Gender", "Race"):
+        fail("the rerun did not convert the store over the requested columns")
+    if staging():
+        fail(f"staging directories left behind: {staging()}")
+    print("conversion kill: the old store survived a SIGKILL'd --mmap conversion "
+          "with its fingerprint; the rerun converted and swept the staging directory")
+    shutil.rmtree(directory)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=4)
@@ -297,6 +351,7 @@ def main() -> None:
     arguments = parser.parse_args()
 
     workspace = tempfile.mkdtemp(prefix="chaos-smoke-ws-")
+    check_conversion_kill(workspace)
     scratch = Path(workspace) / "fault-tokens"
     scratch.mkdir(parents=True, exist_ok=True)
     plan = FaultPlan(

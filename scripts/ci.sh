@@ -22,7 +22,9 @@
 #                    reopens), 429 + Retry-After, artifact CSVs
 #                    byte-identical to an independent render, exit 0 on
 #                    SIGTERM
-#   chaos smoke      worker kills, a poison job, job timeouts and a SIGKILL
+#   chaos smoke      a SIGKILL during an `anonymize --mmap` conversion
+#                    leaves the old column store intact and a rerun succeeds;
+#                    worker kills, a poison job, job timeouts and a SIGKILL
 #                    restart: every job ends terminal, the poison job is
 #                    quarantined, every recovery counter moves
 #   scale smoke      10^5 rows: mmap bit-identity, order.npy warm start,

@@ -70,7 +70,7 @@ from repro.engine import (
     algorithm_registry,
     metric_registry,
 )
-from repro.errors import UnknownEntryError
+from repro.errors import DataSourceError, UnknownEntryError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import format_records, record_from_report, run_suite
@@ -396,30 +396,51 @@ def _add_workspace_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _qi_names(arguments: argparse.Namespace) -> tuple[str, ...]:
+    return tuple(name.strip() for name in arguments.qi.split(",") if name.strip())
+
+
 def _csv_source(arguments: argparse.Namespace) -> CsvSource:
-    qi_names = tuple(name.strip() for name in arguments.qi.split(",") if name.strip())
-    return CsvSource(arguments.input, qi_names, arguments.sa)
+    return CsvSource(arguments.input, _qi_names(arguments), arguments.sa)
+
+
+def _store_columns(store_dir: str) -> tuple[tuple[str, ...], str] | None:
+    """The ``(QI names, SA name)`` a column store holds; ``None`` if unreadable."""
+    from repro.engine import ColumnStore
+
+    try:
+        schema = ColumnStore.mmap(store_dir).schema
+    except DataSourceError:
+        return None
+    return schema.qi_names, schema.sensitive.name
 
 
 def _plan_source(arguments: argparse.Namespace):
     """The plan's data source: the CSV, or its column store under ``--mmap``.
 
     With ``--mmap``, an ``--input`` that is already a column-store directory
-    is opened as-is; a CSV input is converted once to ``<input>.colstore``
-    (chunked, out-of-core) and the store is reused by every later run.
+    is opened as-is, and must hold the requested ``--qi``/``--sa`` columns.
+    A CSV input is converted once to ``<input>.colstore`` (one pass,
+    out-of-core) and the store is reused by every later run over the same
+    columns; a request for other columns converts it again.
     """
     if not getattr(arguments, "mmap", False):
         return _csv_source(arguments)
     from repro.engine import ColumnStore, ColumnStoreSource
 
+    requested = (_qi_names(arguments), arguments.sa)
     if ColumnStore.is_store_dir(arguments.input):
+        stored = _store_columns(arguments.input)
+        if stored is not None and stored != requested:
+            raise DataSourceError(
+                f"{arguments.input} is a column store over --qi {','.join(stored[0])} "
+                f"--sa {stored[1]}, not the requested --qi {','.join(requested[0])} "
+                f"--sa {requested[1]}"
+            )
         return ColumnStoreSource(arguments.input)
     store_dir = arguments.input + ".colstore"
-    if not ColumnStore.is_store_dir(store_dir):
-        qi_names = tuple(
-            name.strip() for name in arguments.qi.split(",") if name.strip()
-        )
-        ColumnStore.convert_csv(arguments.input, store_dir, qi_names, arguments.sa)
+    if not ColumnStore.is_store_dir(store_dir) or _store_columns(store_dir) != requested:
+        ColumnStore.convert_csv(arguments.input, store_dir, *requested)
         print(f"column store written to {store_dir}", file=sys.stderr)
     return ColumnStoreSource(store_dir)
 
@@ -465,7 +486,12 @@ def _command_anonymize(arguments: argparse.Namespace) -> int:
             print("--stream and --mmap are mutually exclusive", file=sys.stderr)
             return 2
         return _command_anonymize_stream(arguments, spec)
-    report = _engine(arguments).run(_run_plan(arguments, spec))
+    try:
+        plan = _run_plan(arguments, spec)
+    except DataSourceError as error:
+        print(error, file=sys.stderr)
+        return 2
+    report = _engine(arguments).run(plan)
     if arguments.output:
         with CsvSink(arguments.output) as sink:
             sink.write_table(report.generalized)
@@ -635,8 +661,7 @@ def _command_verify(arguments: argparse.Namespace) -> int:
     except (ValueError, UnknownEntryError) as error:
         print(error, file=sys.stderr)
         return 2
-    qi_names = tuple(name.strip() for name in arguments.qi.split(",") if name.strip())
-    satisfied = verify_csv_satisfies(arguments.input, qi_names, arguments.sa, spec)
+    satisfied = verify_csv_satisfies(arguments.input, _qi_names(arguments), arguments.sa, spec)
     if satisfied:
         print(f"OK: {arguments.input} satisfies {spec.describe()}")
         return 0

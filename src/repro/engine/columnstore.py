@@ -14,10 +14,14 @@ disk a store is a directory::
 writes it incrementally without holding the table, and ``np.load(...,
 mmap_mode="r")`` reopens it as a zero-copy view, so a 10^7-row table flows
 from CSV to the anonymization kernels without ever round-tripping through
-Python row tuples.  :meth:`ColumnStore.table` wraps the buffers in a
-``Table`` without validation (the store validated codes when it was built)
-and :meth:`ColumnStore.slice` / :meth:`ColumnStore.take` give zero-copy /
-fancy-indexed views for chunked pipelines.
+Python row tuples.  :meth:`ColumnStore.convert_csv` decodes the CSV in one
+pass (:class:`~repro.engine.sources.CsvDecoder`) into a sibling staging
+directory and moves the finished files in only at the end, so a conversion
+that fails leaves an existing store as it was.  :meth:`ColumnStore.table`
+wraps the buffers in a ``Table`` without validation (the store validated
+codes when it was built) and :meth:`ColumnStore.slice` /
+:meth:`ColumnStore.take` give zero-copy / fancy-indexed views for chunked
+pipelines.
 
 :class:`ColumnStoreSource` adapts a store directory to the
 :class:`~repro.engine.sources.DataSource` interface, which is what
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
@@ -36,8 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.dataset.table import Attribute, Schema, Table
-from repro.engine.sources import DataSource, infer_csv_schema
+from repro.engine.sources import CSV_BATCH_ROWS, CsvDecoder, DataSource
 from repro.errors import DataSourceError
+from repro.obs import trace
 
 __all__ = ["ColumnStore", "ColumnStoreSource", "ResultArtifact", "StoreOrderCache"]
 
@@ -50,9 +57,6 @@ FORMAT_NAME = "repro.columnstore"
 FORMAT_VERSION = 1
 ORDER_FORMAT_NAME = "repro.columnstore.order"
 ORDER_FORMAT_VERSION = 1
-
-#: Default CSV decode chunk during store conversion.
-DEFAULT_CHUNK_ROWS = 100_000
 
 RESULT_META_FILE = "meta.json"
 RESULT_REPS_FILE = "rep_codes.npy"
@@ -106,6 +110,31 @@ def _load_dir(
         return build(payload, *arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError) as error:
         raise DataSourceError(f"cannot load {format_name} {path}: {error}") from error
+
+
+def _staging_prefix(directory: Path) -> str:
+    return f".{directory.name}.tmp-"
+
+
+def _sweep_staging(directory: Path) -> None:
+    """Delete the staging directories of conversions whose process is gone."""
+    prefix = _staging_prefix(directory)
+    for entry in directory.parent.iterdir():
+        if not entry.name.startswith(prefix):
+            continue
+        pid = entry.name[len(prefix):].split("-", 1)[0]
+        if pid.isdigit() and not _alive(int(pid)):
+            shutil.rmtree(entry, ignore_errors=True)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
 
 
 class ColumnStore:
@@ -204,28 +233,21 @@ class ColumnStore:
         sa_name: str,
         schema: Schema | None = None,
         delimiter: str = ",",
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        chunk_rows: int = CSV_BATCH_ROWS,
     ) -> "ColumnStore":
         """Decode a CSV file straight into in-memory column buffers.
 
-        The file is decoded in bounded chunks through the columnar
-        :class:`~repro.engine.sources.CsvSource` reader (one schema
-        inference pass, one reused decode buffer) — rows never exist as
-        Python tuples.  For tables larger than RAM use :meth:`convert_csv`,
-        which writes the buffers out-of-core.
+        One pass of :class:`~repro.engine.sources.CsvDecoder` in batches of
+        ``chunk_rows`` rows — rows never exist as Python tuples.  For tables
+        larger than RAM use :meth:`convert_csv`, which writes the buffers
+        out-of-core.
         """
-        from repro.engine.sources import CsvSource
-
-        source = CsvSource(
-            str(path), tuple(qi_names), sa_name, schema=schema, delimiter=delimiter
+        schema, qi, sa = CsvDecoder(path, qi_names, sa_name, schema, delimiter).decode(
+            chunk_rows
         )
-        chunks = list(source.iter_chunks(chunk_rows))
-        if not chunks:
+        if not len(sa):
             raise DataSourceError(f"{path}: no data rows to store")
-        resolved = chunks[0].schema
-        qi = np.concatenate([chunk.qi_columns for chunk in chunks], axis=0)
-        sa = np.concatenate([chunk.sa_array for chunk in chunks])
-        return cls(resolved, qi, sa)
+        return cls(schema, np.ascontiguousarray(qi), sa.copy())
 
     @classmethod
     def convert_csv(
@@ -236,52 +258,75 @@ class ColumnStore:
         sa_name: str,
         schema: Schema | None = None,
         delimiter: str = ",",
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        chunk_rows: int = CSV_BATCH_ROWS,
     ) -> "ColumnStore":
         """Convert a CSV file into an on-disk store without holding the table.
 
-        Two streaming passes: the first infers the schema and counts rows
-        (skipped when ``schema`` is given — then only the count pass runs),
-        the second decodes chunks directly into
-        :func:`numpy.lib.format.open_memmap` buffers.  Peak memory is one
-        chunk.  Returns the finished store, memory-mapped.
-        """
-        from repro.engine.sources import CsvSource
+        A line count sizes the buffers, then one decoding pass
+        (:class:`~repro.engine.sources.CsvDecoder`, batches of ``chunk_rows``
+        rows) writes first-seen codes straight into
+        :func:`numpy.lib.format.open_memmap` buffers, and one fancy-index per
+        column remaps them to the sorted domains (no remap when ``schema`` is
+        given).  Peak memory is one batch plus one column of codes.
 
+        The store is built in a sibling staging directory, and its files
+        replace those of ``store_dir`` only once ``schema.json`` is written:
+        a conversion that raises leaves an existing store byte-identical,
+        and one killed midway leaves at worst a staging directory, which the
+        next conversion of ``store_dir`` deletes.  Returns the finished
+        store, memory-mapped.
+        """
         csv_path = str(csv_path)
-        if schema is None:
-            schema = infer_csv_schema(csv_path, qi_names, sa_name, delimiter)
-        with open(csv_path, newline="") as handle:
-            row_count = sum(1 for _line in handle) - 1  # header
+        decoder = CsvDecoder(csv_path, qi_names, sa_name, schema, delimiter)
+        try:
+            with open(csv_path, newline="") as handle:
+                row_count = sum(1 for _line in handle) - 1  # header
+        except OSError as error:
+            raise DataSourceError(f"cannot load {csv_path}: {error}") from error
         if row_count < 1:
+            if schema is None:
+                decoder.decode()  # raises the inference error: no header or no rows
             raise DataSourceError(f"{csv_path}: no data rows to store")
 
         directory = Path(store_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        qi = np.lib.format.open_memmap(
-            directory / QI_FILE,
-            mode="w+",
-            dtype=np.int32,
-            shape=(row_count, schema.dimension),
-        )
-        sa = np.lib.format.open_memmap(
-            directory / SA_FILE, mode="w+", dtype=np.int32, shape=(row_count,)
-        )
-        source = CsvSource(
-            csv_path, tuple(qi_names), sa_name, schema=schema, delimiter=delimiter
-        )
-        filled = 0
-        for chunk in source.iter_chunks(chunk_rows):
-            qi[filled : filled + len(chunk)] = chunk.qi_columns
-            sa[filled : filled + len(chunk)] = chunk.sa_array
-            filled += len(chunk)
-        if filled != row_count:
-            raise DataSourceError(
-                f"{csv_path}: decoded {filled} rows but counted {row_count}"
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        _sweep_staging(directory)
+        staging = Path(tempfile.mkdtemp(
+            prefix=f"{_staging_prefix(directory)}{os.getpid()}-", dir=directory.parent
+        ))
+        try:
+            qi = np.lib.format.open_memmap(
+                staging / QI_FILE,
+                mode="w+",
+                dtype=np.int32,
+                shape=(row_count, len(qi_names)),
             )
-        qi.flush()
-        sa.flush()
-        cls._write_schema(directory, schema, row_count)
+            sa = np.lib.format.open_memmap(
+                staging / SA_FILE, mode="w+", dtype=np.int32, shape=(row_count,)
+            )
+            filled = 0
+            with trace.span("parse"):
+                for block in decoder.batches(chunk_rows):
+                    qi[filled : filled + len(block)] = block[:, :-1]
+                    sa[filled : filled + len(block)] = block[:, -1]
+                    filled += len(block)
+            if filled != row_count:
+                raise DataSourceError(
+                    f"{csv_path}: decoded {filled} rows but counted {row_count}"
+                )
+            with trace.span("remap"):
+                schema = decoder.remap(qi, sa)
+            qi.flush()
+            sa.flush()
+            cls._write_schema(staging, schema, row_count)
+            # Invalidate the old store first: a crash between the moves leaves
+            # a directory without a schema, never old metadata over new codes.
+            directory.mkdir(exist_ok=True)
+            (directory / SCHEMA_FILE).unlink(missing_ok=True)
+            for name in (QI_FILE, SA_FILE, SCHEMA_FILE):
+                os.replace(staging / name, directory / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         return cls.mmap(directory)
 
     # ----------------------------------------------------------- persistence

@@ -5,9 +5,10 @@ A :class:`DataSource` is a recipe for obtaining an encoded
 sources rather than tables or file paths, so the same run plan works for
 
 * :class:`CsvSource` — a CSV file with a header row; the schema (attribute
-  domains) is inferred from the observed values unless supplied, and the file
-  can be streamed in bounded-size chunks (two passes: one to infer the
-  domains, one to encode) for tables that should not be materialized row-wise;
+  domains) is inferred from the observed values unless supplied.  A full
+  load decodes the file in one pass (:class:`CsvDecoder`); chunked reads,
+  which must know the schema before their first chunk, stream it in two
+  (one to infer the domains, one to encode);
 * :class:`SyntheticSource` — the seeded census-like SAL / OCC generators used
   by the experiments;
 * :class:`TableSource` — an already-built (possibly columnar) in-memory table.
@@ -23,14 +24,18 @@ import csv
 from abc import ABC, abstractmethod
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
 from repro.dataset.synthetic import CensusConfig, make_occ, make_sal
 from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import DataSourceError
+from repro.obs import trace
 
 __all__ = [
+    "CsvDecoder",
     "CsvSource",
     "DataSource",
     "SyntheticSource",
@@ -96,11 +101,7 @@ def infer_csv_schema(
         reader = csv.DictReader(handle, delimiter=delimiter)
         if reader.fieldnames is None:
             raise DataSourceError(f"{path}: empty CSV file (no header row)")
-        missing = [name for name in observed if name not in reader.fieldnames]
-        if missing:
-            raise DataSourceError(
-                f"{path}: columns {missing} not in header {reader.fieldnames}"
-            )
+        _column_positions(path, reader.fieldnames, tuple(observed))
         for row in reader:
             for name, values in observed.items():
                 values.add(row[name])
@@ -113,21 +114,134 @@ def infer_csv_schema(
     )
 
 
-#: Chunk size used when ``CsvSource.load`` streams the whole file.
-LOAD_CHUNK_ROWS = 262_144
+#: Rows per ``csv.reader`` batch of :class:`CsvDecoder`.  Kept small on
+#: purpose: a batch's row lists stay live while it is encoded, and the cyclic
+#: collector rescans every live list, so large batches cost more than they save.
+CSV_BATCH_ROWS = 4_096
+
+
+def _column_positions(path: str, header: list[str], names: Sequence[str]) -> list[int]:
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DataSourceError(f"{path}: columns {missing} not in header {header}")
+    return [header.index(name) for name in names]
+
+
+class _FirstSeen(dict):
+    """Label -> code, giving each unseen label the next code."""
+
+    def __missing__(self, label: str) -> int:
+        code = self[label] = len(self)
+        return code
+
+
+class CsvDecoder:
+    """One pass over a CSV file into ``int32`` codes: the QI columns, then the SA.
+
+    Each column encodes through a label dictionary.  Without a schema the
+    dictionaries hand out codes in first-seen order, and :meth:`remap` then
+    builds the sorted domains :func:`infer_csv_schema` would and rewrites the
+    codes into them, one fancy-index per column.  With a schema the
+    dictionaries are its domains, a value outside one raises
+    :class:`~repro.dataset.table.DomainError`, and nothing is remapped.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        qi_names: Sequence[str],
+        sa_name: str,
+        schema: Schema | None = None,
+        delimiter: str = ",",
+    ) -> None:
+        self.path = str(path)
+        self.names = (*qi_names, sa_name)
+        self.schema = schema
+        self.delimiter = delimiter
+        if schema is None:
+            self._indexes: list[dict] = [_FirstSeen() for _ in self.names]
+        else:
+            self._attributes = [*map(schema.qi_attribute, qi_names), schema.sensitive]
+            self._indexes = [
+                {value: code for code, value in enumerate(attribute.values)}
+                for attribute in self._attributes
+            ]
+        #: Data rows decoded so far.
+        self.rows = 0
+
+    def batches(self, batch_rows: int = CSV_BATCH_ROWS) -> Iterator[np.ndarray]:
+        """Yield one ``(rows, d + 1)`` code block per batch of at most ``batch_rows`` rows."""
+        if batch_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {batch_rows}")
+        try:
+            with open(self.path, newline="") as handle:
+                reader = csv.reader(handle, delimiter=self.delimiter)
+                header = next(reader, None)
+                if header is None:
+                    raise DataSourceError(f"{self.path}: empty CSV file (no header row)")
+                positions = _column_positions(self.path, header, self.names)
+                columns = list(enumerate(zip(map(itemgetter, positions), self._indexes)))
+                while rows := list(islice(reader, batch_rows)):
+                    block = np.empty((len(rows), len(columns)), dtype=np.int32)
+                    for column, (getter, index) in columns:
+                        try:
+                            block[:, column] = np.fromiter(
+                                map(index.__getitem__, map(getter, rows)),
+                                dtype=np.int32,
+                                count=len(rows),
+                            )
+                        except KeyError as error:  # only a supplied schema misses
+                            self._attributes[column].encode(error.args[0])
+                            raise
+                    self.rows += len(rows)
+                    yield block
+        except (OSError, IndexError) as error:  # IndexError: a short or blank row
+            raise DataSourceError(f"cannot load {self.path}: {error}") from error
+
+    def remap(self, qi: np.ndarray, sa: np.ndarray) -> Schema:
+        """The decoded table's schema; rewrites first-seen codes in place.
+
+        ``qi`` and ``sa`` hold every decoded block in order.  A supplied
+        schema is returned as-is, its codes already final.
+        """
+        if self.schema is not None:
+            return self.schema
+        if not self.rows:
+            raise DataSourceError(
+                f"{self.path}: no rows to infer a domain for {self.names[0]!r}"
+            )
+        attributes = [
+            Attribute.from_values(name, index)
+            for name, index in zip(self.names, self._indexes)
+        ]
+        targets = [qi[:, column] for column in range(qi.shape[1])] + [sa]
+        for attribute, index, codes in zip(attributes, self._indexes, targets):
+            # Dictionary order is code order, so this maps first-seen -> sorted.
+            remap = np.fromiter(map(attribute.encode, index), dtype=np.int32, count=len(index))
+            codes[...] = remap[codes]
+        return Schema(qi=tuple(attributes[:-1]), sensitive=attributes[-1])
+
+    def decode(self, batch_rows: int = CSV_BATCH_ROWS) -> tuple[Schema, np.ndarray, np.ndarray]:
+        """Decode the whole file in memory: ``(schema, qi, sa)``."""
+        with trace.span("parse"):
+            blocks = list(self.batches(batch_rows))
+        codes = np.concatenate(blocks) if blocks else np.empty((0, len(self.names)), np.int32)
+        qi, sa = codes[:, :-1], codes[:, -1]
+        with trace.span("remap"):
+            schema = self.remap(qi, sa)
+        return schema, qi, sa
 
 
 @dataclass(frozen=True)
 class CsvSource(DataSource):
     """A CSV file with a header row, encoded against an inferred or given schema.
 
-    The schema is resolved exactly once per source instance (inference is a
-    full streaming pass, so repeating it per read would double the I/O) and
-    every subsequent read only *validates* values against it: the column
-    encoders raise for any value outside the resolved domain.  Chunked reads
-    decode through one preallocated ``(chunk_rows, d + 1)`` int32 buffer that
-    is reused across chunks — rows never exist as per-row Python dicts, and
-    each yielded chunk is a compact copy of the filled prefix.
+    :meth:`load` decodes the file in one pass (:class:`CsvDecoder`) and
+    keeps the schema it resolved, so later reads of this source only
+    *validate* values against it.  :meth:`iter_chunks` needs the schema
+    before its first chunk, so without one it first infers the domains in a
+    streaming pass (:func:`infer_csv_schema`), then decodes one batch per
+    chunk against them — rows never exist as per-row Python dicts.
     """
 
     path: str
@@ -157,87 +271,25 @@ class CsvSource(DataSource):
         return resolved
 
     def load(self) -> Table:
-        """Materialize the full table through the chunked columnar decoder."""
-        chunks = list(self.iter_chunks(LOAD_CHUNK_ROWS))
-        if not chunks:
-            # A header-only file: schema inference rejects it; with a supplied
-            # schema the empty table is well-defined, so return it.
-            schema = self.resolved_schema()
-            return Table.from_arrays(
-                schema,
-                np.empty((0, schema.dimension), dtype=np.int32),
-                np.empty(0, dtype=np.int32),
-            )
-        return concat_tables(chunks)
-
-    def _column_positions(self, header: list[str]) -> tuple[list[int], int]:
-        missing = [
-            name for name in (*self.qi_names, self.sa_name) if name not in header
-        ]
-        if missing:
-            raise DataSourceError(
-                f"{self.path}: columns {missing} not in header {header}"
-            )
-        return [header.index(name) for name in self.qi_names], header.index(self.sa_name)
+        """Materialize the full table in one decoding pass."""
+        resolved = self._resolved  # type: ignore[attr-defined]
+        decoder = CsvDecoder(
+            self.path, self.qi_names, self.sa_name, resolved, self.delimiter
+        )
+        schema, qi, sa = decoder.decode()
+        object.__setattr__(self, "_resolved", schema)
+        # The label dictionaries are the validation: every code is in-domain.
+        return Table.from_arrays(schema, qi, sa, validate=False)
 
     def iter_chunks(self, chunk_rows: int) -> Iterator[Table]:
-        """Stream the file in bounded chunks through one reused decode buffer."""
+        """Stream the file in chunks of at most ``chunk_rows`` rows."""
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         schema = self.resolved_schema()
-        encoders = [schema.qi_attribute(name).encode for name in self.qi_names]
-        sa_encode = schema.sensitive.encode
-        d = schema.dimension
-        # One decode buffer for the lifetime of the iteration: d QI columns
-        # plus the SA column, filled column-wise per chunk.
-        buffer = np.empty((chunk_rows, d + 1), dtype=np.int32)
-        try:
-            with open(self.path, newline="") as handle:
-                reader = csv.reader(handle, delimiter=self.delimiter)
-                header = next(reader, None)
-                if header is None:
-                    raise DataSourceError(f"{self.path}: empty CSV file (no header row)")
-                qi_positions, sa_position = self._column_positions(header)
-                rows: list[list[str]] = []
-                for record in reader:
-                    rows.append(record)
-                    if len(rows) == chunk_rows:
-                        yield self._encode_chunk(
-                            schema, rows, buffer, encoders, qi_positions,
-                            sa_encode, sa_position, d,
-                        )
-                        rows.clear()
-                if rows:
-                    yield self._encode_chunk(
-                        schema, rows, buffer, encoders, qi_positions,
-                        sa_encode, sa_position, d,
-                    )
-        except (OSError, KeyError, IndexError) as error:
-            raise DataSourceError(f"cannot load {self.path}: {error}") from error
-
-    @staticmethod
-    def _encode_chunk(
-        schema: Schema,
-        rows: list[list[str]],
-        buffer: np.ndarray,
-        encoders: list,
-        qi_positions: list[int],
-        sa_encode,
-        sa_position: int,
-        d: int,
-    ) -> Table:
-        size = len(rows)
-        for column, (encode, position) in enumerate(zip(encoders, qi_positions)):
-            buffer[:size, column] = [encode(record[position]) for record in rows]
-        buffer[:size, d] = [sa_encode(record[sa_position]) for record in rows]
-        # The encoders are the validation: every stored code is in-domain by
-        # construction, so the chunk table skips the min/max re-scan.
-        return Table.from_arrays(
-            schema,
-            buffer[:size, :d].copy(),
-            buffer[:size, d].copy(),
-            validate=False,
-        )
+        decoder = CsvDecoder(self.path, self.qi_names, self.sa_name, schema, self.delimiter)
+        for block in decoder.batches(chunk_rows):
+            # The schema's dictionaries are the validation: every code is in-domain.
+            yield Table.from_arrays(schema, block[:, :-1], block[:, -1], validate=False)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.dataset.table import Table
-from repro.engine import Engine, ResultCache, RunPlan, TableSource
+from repro.engine import CsvSource, Engine, ResultCache, RunPlan, TableSource
 from repro.obs import trace
 from repro.obs.trace import Span
 from repro.server.pool import WorkerPool, execute_job
@@ -255,6 +255,25 @@ class TestEngineTree:
         encode = anonymize.children[1]
         assert {child.name for child in encode.children} >= {"encode-chunks", "sort"}
         assert report.trace.find("publish").find("publish-chunks") is not None
+
+    def test_csv_load_splits_into_parse_and_remap(self, census_10k, tmp_path):
+        path = tmp_path / "census.csv"
+        census_10k.to_csv(str(path))
+        qi, sa = list(census_10k.schema.qi_names), census_10k.schema.sensitive.name
+        plan = RunPlan(source=CsvSource(str(path), tuple(qi), sa), algorithm="TP+", l=4, shards=1)
+        report, wall = timed_run(Engine(cache=ResultCache()), plan)
+        assert_sound(report.trace)
+        assert wall * 0.99 <= report.seconds <= wall
+        # A served CSV job's tree shows the same split under its load.
+        served = execute_job({
+            "algorithm": "TP+", "l": 4, "shards": 1, "include_rows": False,
+            "source": {"kind": "csv", "path": str(path), "qi": qi, "sa": sa},
+        }, str(tmp_path / "ws"), False)["trace"]
+        assert_sound(served)
+        for root in (report.trace, served):
+            load = root.find("load")
+            assert [child.name for child in load.children] == ["parse", "remap"]
+            assert load.find("parse").seconds > load.find("remap").seconds
 
     def test_sharded_pooled_run_attributes_its_wall_time(self):
         table = make_sal(100_000, seed=7, config=CensusConfig.scaled(0.24))

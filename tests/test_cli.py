@@ -409,6 +409,44 @@ class TestStreamingAnonymize:
         assert code == 2
 
 
+class TestMmap:
+    @pytest.fixture
+    def zip_csv(self, tmp_path):
+        path = tmp_path / "people.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["Age", "Zip", "Disease"])
+            for row in range(24):
+                writer.writerow([20 + 10 * (row % 2), f"z{row % 4}", f"d{row % 3}"])
+        return str(path)
+
+    def anonymize(self, input_path, qi, sa, output):
+        return main([
+            "anonymize", "--input", input_path, "--qi", qi, "--sa", sa, "--l", "2",
+            "--mmap", "--no-store", "--output", output,
+        ])
+
+    def test_a_cached_store_over_other_columns_is_reconverted(self, zip_csv, tmp_path, capsys):
+        first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+        assert self.anonymize(zip_csv, "Age,Zip", "Disease", first) == 0
+        assert self.anonymize(zip_csv, "Age", "Zip", second) == 0
+        assert capsys.readouterr().err.count("column store written") == 2
+        with open(second, newline="") as handle:
+            assert next(csv.reader(handle)) == ["Age", "Zip"]
+        assert main(["verify", "--input", second, "--qi", "Age", "--sa", "Zip", "--l", "2"]) == 0
+        # The same columns again reuse the store as it is.
+        assert self.anonymize(zip_csv, "Age", "Zip", second) == 0
+        assert "column store written" not in capsys.readouterr().err
+
+    def test_a_store_input_over_other_columns_is_an_error(self, zip_csv, tmp_path, capsys):
+        output = str(tmp_path / "out.csv")
+        assert self.anonymize(zip_csv, "Age,Zip", "Disease", output) == 0
+        capsys.readouterr()
+        assert self.anonymize(zip_csv + ".colstore", "Age", "Zip", output) == 2
+        error = capsys.readouterr().err
+        assert "--qi Age,Zip --sa Disease" in error and "--qi Age --sa Zip" in error
+
+
 class TestVersion:
     def test_version_flag_prints_the_package_version(self, capsys):
         from repro import __version__
