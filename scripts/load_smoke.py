@@ -210,7 +210,7 @@ def phase_run_store(workspace: str, workloads: list[dict]) -> None:
     """Phase 1's concurrent publishes left whole records only: no temp
     directory, at most ``STORE_MAX_ENTRIES`` records, and every record
     reopens through ``RunStore.get`` against its source table."""
-    from repro.server.pool import build_source
+    from repro.server.jobspec import build_source
     from repro.service.store import TMP_PREFIX
     from repro.service.workspace import Workspace
 

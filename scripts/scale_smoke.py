@@ -3,7 +3,7 @@
 Builds a 10^5-row synthetic table, persists it as an on-disk column store,
 and checks the acceptance properties of the zero-copy pipeline:
 
-1. **Bit-identity** — the memory-mapped, chunk-capped engine run publishes
+1. **Bit-identity** — the memory-mapped engine run publishes
    exactly the same bytes as the unsharded in-memory run (table fingerprints
    and rendered CSV output compared verbatim).
 2. **Warm start** — a second engine run against the same column store loads
@@ -51,7 +51,6 @@ N = 100_000
 L = 6
 SEED = 7
 QI_SCALE = 0.24
-CHUNK_ROWS = 20_000
 MIN_SPEEDUP = 2.0
 BENCH_ROUNDS = 3
 TELEMETRY_OVERHEAD_CAP = 1.02
@@ -62,14 +61,13 @@ TELEMETRY_EPSILON_SECONDS = 0.010
 SPAN_PROBES = 10_000
 
 
-def _run(source, chunk_rows: int | None = None):
+def _run(source):
     return Engine(cache=ResultCache()).run(
         RunPlan(
             source=source,
             algorithm="TP+",
             l=L,
             shards=1,
-            chunk_rows=chunk_rows,
             use_cache=False,
         )
     )
@@ -138,9 +136,9 @@ def _check_telemetry_overhead(mmap_source) -> bool:
             best = min(best, time.perf_counter() - started)
         return best
 
-    tree = _run(mmap_source, chunk_rows=CHUNK_ROWS).trace
+    tree = _run(mmap_source).trace
     span_count = sum(1 for _ in tree.walk())
-    bench_seconds = best_of(lambda: _run(mmap_source, chunk_rows=CHUNK_ROWS))
+    bench_seconds = best_of(lambda: _run(mmap_source))
 
     def spans() -> None:
         with trace.record("probe"):
@@ -278,7 +276,7 @@ def _check_encode_publish(table) -> bool:
 
 
 def main() -> int:
-    print(f"scale smoke: n={N}, l={L}, chunk_rows={CHUNK_ROWS}")
+    print(f"scale smoke: n={N}, l={L}")
     table = make_sal(N, seed=SEED, config=CensusConfig.scaled(QI_SCALE))
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp) / "store"
@@ -291,11 +289,11 @@ def main() -> int:
             return 1
 
         memory = _run(TableSource(table))
-        mapped = _run(mmap_source, chunk_rows=CHUNK_ROWS)
+        mapped = _run(mmap_source)
         if _rendered(memory, Path(tmp) / "memory.csv") != _rendered(
             mapped, Path(tmp) / "mapped.csv"
         ):
-            print("FAIL: mmap/chunked output differs from the in-memory run")
+            print("FAIL: mmap output differs from the in-memory run")
             return 1
         print(
             f"bit-identity OK: {memory.generalized.star_count()} stars, "

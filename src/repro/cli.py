@@ -108,6 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
         "back in QI-sorted shard order, not input order)",
     )
     anonymize.add_argument(
+        "--chunk-rows",
+        type=int,
+        default=None,
+        help="with --stream: rows per input CSV chunk (default 50000)",
+    )
+    anonymize.add_argument(
         "--mmap",
         action="store_true",
         help="run off memory-mapped int32 column buffers: --input may be a "
@@ -374,12 +380,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="process-pool width for sharded runs (default: cost-based planner)",
     )
-    parser.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="stream the input CSV in chunks of this many rows",
-    )
 
 
 def _add_workspace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -463,7 +463,6 @@ def _run_plan(arguments: argparse.Namespace, spec: PrivacySpec) -> RunPlan:
         privacy=spec,
         shards=arguments.shards,
         workers=arguments.workers,
-        chunk_rows=arguments.chunk_rows,
     )
 
 
@@ -486,6 +485,9 @@ def _command_anonymize(arguments: argparse.Namespace) -> int:
             print("--stream and --mmap are mutually exclusive", file=sys.stderr)
             return 2
         return _command_anonymize_stream(arguments, spec)
+    if arguments.chunk_rows is not None:
+        print("--chunk-rows applies only with --stream", file=sys.stderr)
+        return 2
     try:
         plan = _run_plan(arguments, spec)
     except DataSourceError as error:

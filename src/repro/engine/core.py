@@ -14,8 +14,8 @@ harness, the job service and the scripts run anonymization:
   verification error instead of being repaired away — and verifies the
   published table against the spec;
 * an unsharded :meth:`Engine.run` resolves the algorithm in the registry,
-  loads the plan's :class:`~repro.engine.sources.DataSource` (optionally in
-  bounded chunks), runs, verifies and computes the requested metrics;
+  loads the plan's :class:`~repro.engine.sources.DataSource`, runs,
+  verifies and computes the requested metrics;
 * a sharded run splits the table into spec-eligible QI-prefix shards
   (:func:`~repro.engine.sharding.qi_prefix_shards`), anonymizes them
   sequentially or on a process pool, merges the published shard tables and
@@ -56,7 +56,7 @@ from repro.engine.registry import (
     metric_registry,
 )
 from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
-from repro.engine.sources import DataSource, TableSource, concat_tables
+from repro.engine.sources import DataSource, TableSource
 from repro.errors import IneligibleTableError, VerificationError
 from repro.obs import trace
 from repro.obs.trace import Span
@@ -106,8 +106,6 @@ class RunPlan:
     use_cache: bool = True
     #: Whether to verify the published table against the privacy spec.
     verify: bool = True
-    #: When set, load the source through bounded chunks of this many rows.
-    chunk_rows: int | None = None
     #: Trace id of the request that scheduled this run (empty for direct
     #: CLI/library use).  Carried into the report; never part of cache keys.
     request_id: str = ""
@@ -258,7 +256,7 @@ class Engine:
                 )
 
             with trace.span("load"):
-                table = self._load(plan)
+                table = plan.source.load()
             with trace.span("plan"):
                 decision = self.planner.decide(
                     info,
@@ -316,12 +314,6 @@ class Engine:
         return self.run(plan)
 
     # ---------------------------------------------------------------- stages
-
-    @staticmethod
-    def _load(plan: RunPlan) -> Table:
-        if plan.chunk_rows is not None:
-            return concat_tables(list(plan.source.iter_chunks(plan.chunk_rows)))
-        return plan.source.load()
 
     def _anonymize(
         self,

@@ -5,6 +5,7 @@ network service — stdlib only, no third-party web framework:
 
 * :mod:`repro.server.protocol` — minimal HTTP/1.1 framing over asyncio
   streams (request parsing, body caps, JSON/CSV responses, ``Retry-After``);
+* :mod:`repro.server.jobspec` — the typed job spec every route in parses once;
 * :mod:`repro.server.jobs` — the job table, the one writer of job state
   (resident index, ledger appends, per-transition counters, logs, spans);
 * :mod:`repro.server.pool` — the bounded async job queue drained by a
@@ -45,7 +46,8 @@ The matching client SDK lives in :mod:`repro.client`.
 
 from repro.server.app import AnonymizationServer
 from repro.server.faults import FaultPlan, clear_plan, install_plan
-from repro.server.pool import QueueFullError, WorkerPool, build_source, execute_job
+from repro.server.jobspec import build_source
+from repro.server.pool import QueueFullError, WorkerPool, execute_job
 from repro.server.protocol import HttpError, Request
 from repro.server.ratelimit import RateLimiter
 

@@ -37,7 +37,9 @@ Submissions may carry a ``privacy`` object (e.g. ``{"kind": "entropy-l",
 the job's status record and result payload so clients can audit what was
 enforced.
 
-Submissions are validated against the registries *before* queueing, then run
+A submission (JSON body or CSV-upload query string) is parsed once, before
+queueing, into a :class:`~repro.server.jobspec.JobSpec`; this module keeps
+only the CSV-path allowlist (403) and the upload spool.  The spec runs
 asynchronously on the bounded :class:`~repro.server.pool.WorkerPool`.  The
 job lifecycle (``queued -> running -> [retrying ->] done|failed|cancelled``)
 has one writer, the :class:`~repro.server.jobs.JobTable`: the handlers, the
@@ -65,23 +67,31 @@ worker still opens the store, which parses every stored record, per job.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import csv
 import io
 import logging
 import re
 import shutil
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Awaitable, Callable
 
 from repro._version import __version__
 from repro.engine.registry import algorithm_registry, metric_registry
-from repro.errors import UnknownEntryError
+from repro.engine.sources import CsvSource
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, TraceStore, new_request_id
-from repro.privacy.spec import privacy_from_dict, privacy_registry, resolve_privacy
+from repro.privacy.spec import privacy_registry
 from repro.server.jobs import JobTable
+from repro.server.jobspec import (
+    JobSpec,
+    SpecError,
+    algorithm_info,
+    privacy_and_l,
+    require_int,
+)
 from repro.server.pool import QueueFullError, WorkerPool
 from repro.server.protocol import (
     DEFAULT_MAX_BODY_BYTES,
@@ -121,13 +131,47 @@ def _route(method: str, pattern: str):
     return decorator
 
 
-def _require_int(payload: dict, key: str, minimum: int | None = None) -> int:
-    value = payload.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise HttpError(400, f"{key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise HttpError(400, f"{key!r} must be >= {minimum}, got {value}")
-    return value
+#: The spellings a CSV upload's ``include_rows`` query parameter accepts.
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _reading(job: JobSpec, path: Path) -> JobSpec:
+    """``job`` with its CSV source read from ``path``."""
+    source = replace(job.plan.source, path=str(path))
+    return replace(job, plan=replace(job.plan, source=source))
+
+
+def _inline_csv(rows: object, columns: object, source: CsvSource) -> bytes:
+    """Inline ``rows`` (objects, or lists under ``columns``) as CSV bytes."""
+    names = [*source.qi_names, source.sa_name]
+    if not isinstance(rows, list) or not rows:
+        raise HttpError(400, "'rows' must be a non-empty list")
+    if isinstance(rows[0], dict):
+        columns = names
+        try:
+            cells = [[str(row[name]) for name in columns] for row in rows]
+        except (TypeError, KeyError) as error:
+            raise HttpError(
+                400, f"row is missing column {error}: rows must be objects "
+                f"with every qi/sa column"
+            ) from None
+    elif isinstance(rows[0], list):
+        if not isinstance(columns, list) or not columns:
+            raise HttpError(400, "list-shaped 'rows' require a 'columns' list")
+        missing = [name for name in names if name not in columns]
+        if missing:
+            raise HttpError(400, f"'columns' {columns} is missing {missing}")
+        width = len(columns)
+        if any(not isinstance(row, list) or len(row) != width for row in rows):
+            raise HttpError(400, f"every row must be a list of {width} cells")
+        cells = [[str(cell) for cell in row] for row in rows]
+    else:
+        raise HttpError(400, "'rows' must contain objects or lists")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    writer.writerows(cells)
+    return buffer.getvalue().encode("utf-8")
 
 
 class AnonymizationServer:
@@ -297,25 +341,24 @@ class AnonymizationServer:
         ``retrying`` and mid-attempt ``running`` records behind; each carries
         the job spec it was queued with, so the work is resubmitted rather
         than failed.  Interrupted ``running`` jobs transition to ``retrying``
-        first — their attempt died with the old process.  Records without a
-        spec (CLI submissions, or pre-durability servers) cannot be replayed
-        and are left alone: the CLI process that owns them may still be live,
-        and failing another writer's job here would race it.
+        first — their attempt died with the old process.  A record whose spec
+        does not parse (CLI and pre-durability records carry none) is logged
+        and left alone: the CLI process that owns it may still be live, and
+        failing another writer's job here would race it.
         """
         for record in await self._offload(self.jobs.ledger.list):
             if record.is_terminal():
                 continue
-            spec = record.spec
-            if not spec or not isinstance(spec.get("source"), dict):
+            try:
+                job = JobSpec.from_json(record.spec)
+            except SpecError as error:
                 _LOG.warning(
-                    "not replaying %s (%s): no spec on record (CLI or legacy writer)",
-                    record.id,
-                    record.status,
+                    "not replaying %s (%s): %s", record.id, record.status, error
                 )
                 continue
             self.jobs.load(record)
-            source = spec["source"]
-            if source.get("kind") == "csv" and not source.get("path"):
+            source = job.plan.source
+            if isinstance(source, CsvSource) and not source.path:
                 # An uploaded CSV spools next to the workspace under the job
                 # id; reconstruct the path the same way the submitter did.
                 spool = self.jobs.spool_path(record.id)
@@ -327,7 +370,7 @@ class AnonymizationServer:
                         attempts=record.attempts,
                     )
                     continue
-                spec = dict(spec, source=dict(source, path=str(spool)))
+                job = _reading(job, spool)
             if record.status == "running":
                 record = await self.jobs.transition(
                     record.id,
@@ -339,7 +382,7 @@ class AnonymizationServer:
                     continue
             self.traces.begin(record.id, record.request_id)
             self.traces.mark(record.id, "queued")
-            await self.pool.requeue(record.id, spec, attempts=record.attempts)
+            await self.pool.requeue(record.id, job.to_json(), attempts=record.attempts)
             self._jobs_replayed.inc()
             _LOG.info(
                 "replayed %s (%s, %d/%d attempts spent)",
@@ -417,6 +460,8 @@ class AnonymizationServer:
                 response = json_response(
                     error.status, {"error": error.message}, headers=error.headers
                 )
+            except SpecError as error:
+                response = json_response(400, {"error": str(error)})
             except Exception as error:  # noqa: BLE001 - last-resort 500
                 response = json_response(
                     500, {"error": f"{type(error).__name__}: {error}"}
@@ -517,23 +562,20 @@ class AnonymizationServer:
 
         content_type = request.headers.get("content-type", "application/json")
         if content_type.split(";")[0].strip() == "text/csv":
-            label, spec, spool = self._spec_from_csv_upload(request)
+            label, job, spool = self._upload_job(request)
         else:
-            label, spec, spool = self._spec_from_json(request.json())
-        # The trace id rides inside the spec so the pool worker (and, on a
-        # restart, the replayed job) can stamp it on the engine run.
-        spec["request_id"] = request.request_id
+            label, job, spool = self._json_job(request)
 
         # The full spec is persisted on the queued record (with an upload's
         # spool path still empty — replay reconstructs it from the job id),
         # so a restarted server can re-enqueue the job without the client.
         record = await self.jobs.create(
             label=label,
-            algorithm=spec["algorithm"],
-            l=spec["l"],
-            privacy=spec["privacy"],
+            algorithm=job.plan.algorithm,
+            l=job.plan.l,
+            privacy=job.plan.resolved_privacy().to_dict(),
             client=request.client,
-            spec=spec,
+            spec=job.to_json(),
             max_attempts=self.pool.max_attempts,
             request_id=request.request_id,
         )
@@ -547,7 +589,7 @@ class AnonymizationServer:
             except OSError as error:
                 await self.jobs.cancel(record.id, counted=False)
                 raise HttpError(500, f"failed to spool the upload: {error}") from None
-            spec["source"]["path"] = str(path)
+            job = _reading(job, path)
         # The draining flag and queue capacity were pre-checked, but the
         # offloaded awaits above let concurrent submissions, cancels, or a
         # shutdown that already harvested the pool race past them.
@@ -566,7 +608,7 @@ class AnonymizationServer:
                 503, "server is shutting down", headers={"Retry-After": "1"}
             )
         try:
-            self.pool.submit(record.id, spec)
+            self.pool.submit(record.id, job.to_json())
         except QueueFullError as error:
             self._jobs_rejected.inc(reason="queue_full")
             await self.jobs.cancel(record.id, counted=False)
@@ -594,45 +636,24 @@ class AnonymizationServer:
             headers={"Retry-After": str(max(1, int(retry_after)))},
         )
 
-    def _spec_from_json(self, payload: dict) -> tuple[str, dict, bytes | None]:
-        """Validate a JSON submission; returns (label, spec, spooled CSV or None)."""
-        spec = self._base_spec(payload)
+    def _json_job(self, request: Request) -> tuple[str, JobSpec, bytes | None]:
+        """Parse a JSON body (inline ``rows`` become an upload over ``qi``/``sa``);
+        returns (label, spec, spooled CSV or None)."""
+        payload = request.json()
         rows = payload.get("rows")
-        source = payload.get("source")
-        if (rows is None) == (source is None):
+        if (rows is None) == (payload.get("source") is None):
             raise HttpError(400, "provide exactly one of 'rows' or 'source'")
         if rows is not None:
-            label, spool = self._validate_inline_rows(payload, rows, spec)
-            return label, spec, spool
-        if not isinstance(source, dict):
-            raise HttpError(400, f"'source' must be an object, got {source!r}")
-        kind = source.get("kind")
-        if kind == "synthetic":
-            dataset = str(source.get("dataset", "SAL")).upper()
-            if dataset not in ("SAL", "OCC"):
-                raise HttpError(400, f"unknown synthetic dataset {dataset!r}")
-            n = _require_int(source, "n", minimum=1) if "n" in source else 10_000
-            dimension = source.get("dimension")
-            if dimension is not None:
-                dimension = _require_int(source, "dimension", minimum=1)
-            spec["source"] = {
-                "kind": "synthetic",
-                "dataset": dataset,
-                "n": n,
-                "seed": _require_int(source, "seed") if "seed" in source else 7,
-                "dimension": dimension,
-            }
-            suffix = f"-{dimension}" if dimension is not None else ""
-            return f"{dataset}{suffix}@{n}", spec, None
-        if kind == "csv":
-            path = source.get("path")
-            if not isinstance(path, str) or not path:
-                raise HttpError(400, "csv source requires a 'path' string")
-            resolved = self._allowlisted_csv_path(path)
-            qi, sa = self._validate_qi_sa(source)
-            spec["source"] = {"kind": "csv", "path": str(resolved), "qi": qi, "sa": sa}
-            return path, spec, None
-        raise HttpError(400, f"unknown source kind {kind!r} (use 'synthetic' or 'csv')")
+            qi, sa = payload.get("qi"), payload.get("sa")
+            payload = {**payload, "source": {"kind": "csv", "path": "", "qi": qi, "sa": sa}}
+        job = JobSpec.from_json({**payload, "request_id": request.request_id})
+        source = job.plan.source
+        if rows is not None:
+            spool = _inline_csv(rows, payload.get("columns"), source)
+            return f"inline({len(rows)} rows)", job, spool
+        if isinstance(source, CsvSource):
+            return source.path, _reading(job, self._allowlisted_csv_path(source.path)), None
+        return source.label, job, None
 
     def _allowlisted_csv_path(self, path: str) -> Path:
         """Resolve a server-side CSV path against the ``data_dir`` allowlist.
@@ -660,208 +681,34 @@ class AnonymizationServer:
             raise HttpError(400, f"csv source path {path!r} is not a server-side file")
         return resolved
 
-    def _spec_from_csv_upload(self, request: Request) -> tuple[str, dict, bytes]:
-        """Validate a ``text/csv`` upload driven by query parameters."""
-        query = dict(request.query)
-        if "privacy" in query:
-            # The spec's dict encoding travels as a JSON-valued parameter
-            # (the CSV body leaves nowhere else to put a structured field).
-            query["privacy"] = parse_json(
-                query["privacy"], "'privacy' must be a JSON object query parameter"
+    def _upload_job(self, request: Request) -> tuple[str, JobSpec, bytes]:
+        """Parse a ``text/csv`` upload: its query string holds the spec fields."""
+        fields: dict = dict(request.query)
+        if "privacy" in fields:
+            # The privacy object travels as a JSON-valued parameter (the CSV
+            # body leaves nowhere else to put a structured field).
+            fields["privacy"] = parse_json(
+                fields["privacy"], "'privacy' must be a JSON object query parameter"
             )
-        if "l" not in query and "privacy" not in query:
-            raise HttpError(400, "csv upload requires an 'l' query parameter")
-        if "l" in query:
-            try:
-                query["l"] = int(query["l"])
-            except ValueError:
-                raise HttpError(
-                    400, f"'l' must be an integer, got {query['l']!r}"
-                ) from None
-        if "qi" in query:
-            query["qi"] = [name for name in query["qi"].split(",") if name]
-        if "metrics" in query:
-            query["metrics"] = [name for name in query["metrics"].split(",") if name]
-        if "include_rows" in query:
-            query["include_rows"] = query["include_rows"].lower() not in (
-                "0", "false", "no",
-            )
-        for key in ("shards", "seed", "chunk_rows"):
-            if key in query:
-                try:
-                    query[key] = int(query[key])
-                except ValueError:
-                    raise HttpError(
-                        400, f"{key!r} must be an integer, got {query[key]!r}"
-                    ) from None
-        spec = self._base_spec(query)
-        qi, sa = self._validate_qi_sa(query)
-        if not request.body.strip():
-            raise HttpError(400, "csv upload body is empty")
+        # Values that do not convert stay strings for the parser to refuse.
+        for key in ("l", "shards", "seed"):
+            with contextlib.suppress(KeyError, ValueError):
+                fields[key] = int(fields[key])
+        if "include_rows" in fields:
+            flag = fields["include_rows"]
+            fields["include_rows"] = _FLAGS.get(flag.lower(), flag)
+        for key in ("qi", "metrics"):
+            if key in fields:
+                fields[key] = [name for name in fields[key].split(",") if name]
+        qi, sa = fields.pop("qi", None), fields.pop("sa", None)
+        fields["source"] = {"kind": "csv", "path": "", "qi": qi, "sa": sa}
+        job = JobSpec.from_json({**fields, "request_id": request.request_id})
         header_line = request.body.split(b"\n", 1)[0].decode("utf-8", "replace")
         header = next(csv.reader([header_line]))
         missing = [name for name in (*qi, sa) if name not in header]
         if missing:
             raise HttpError(400, f"csv header {header} is missing columns {missing}")
-        spec["source"] = {"kind": "csv", "path": "", "qi": qi, "sa": sa}
-        label = f"upload({len(request.body)}B)"
-        return label, spec, request.body
-
-    def _base_spec(self, payload: dict) -> dict:
-        """The source-independent part of a job spec, validated against registries."""
-        algorithm = payload.get("algorithm", "TP+")
-        try:
-            info = algorithm_registry.get(algorithm)
-        except UnknownEntryError:
-            raise HttpError(
-                400,
-                f"unknown algorithm {algorithm!r}; known: "
-                f"{sorted(algorithm_registry.names())}",
-            ) from None
-        privacy_spec, l = self._resolve_spec_and_l(payload)
-        metrics = payload.get("metrics", [])
-        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-            raise HttpError(400, f"'metrics' must be a list of names, got {metrics!r}")
-        for name in metrics:
-            try:
-                metric_registry.get(name)
-            except UnknownEntryError:
-                raise HttpError(
-                    400,
-                    f"unknown metric {name!r}; known: {sorted(metric_registry.names())}",
-                ) from None
-        shards = payload.get("shards")
-        if shards is not None:
-            shards = _require_int(payload, "shards", minimum=1)
-            if shards > 1 and not info.supports_sharding:
-                raise HttpError(
-                    400, f"algorithm {info.name!r} does not support sharded execution"
-                )
-        chunk_rows = payload.get("chunk_rows")
-        if chunk_rows is not None:
-            chunk_rows = _require_int(payload, "chunk_rows", minimum=1)
-        include_rows = payload.get("include_rows", True)
-        if not isinstance(include_rows, bool):
-            raise HttpError(
-                400, f"'include_rows' must be a boolean, got {include_rows!r}"
-            )
-        return {
-            "algorithm": info.name,
-            "l": l,
-            # The resolved spec always travels in its canonical dict form —
-            # default submissions carry the frequency spec explicitly, so the
-            # worker, the ledger and the result payload can never disagree on
-            # what was enforced.
-            "privacy": privacy_spec.to_dict(),
-            "metrics": list(metrics),
-            "shards": shards,
-            "seed": _require_int(payload, "seed") if "seed" in payload else 0,
-            "chunk_rows": chunk_rows,
-            # metrics-only workloads skip rendering/pickling/retaining the
-            # full decoded table — at large n the rows dominate both the
-            # process-pool transfer and the resident-result footprint.
-            "include_rows": include_rows,
-        }
-
-    @classmethod
-    def _resolve_spec_and_l(cls, payload: dict):
-        """Resolve a payload's privacy model and ``l``; shared by ``/v1/jobs``
-        and ``/v1/plan`` so the two endpoints can never validate differently.
-
-        With an explicit ``privacy`` object, ``l`` is only an optional
-        display hint (defaulting to the spec's group floor); without one it
-        is required and keeps the frequency-diversity sugar contract.
-        """
-        spec = cls._validate_privacy(payload)
-        if spec is not None:
-            l = (
-                _require_int(payload, "l", minimum=1)
-                if "l" in payload
-                else spec.group_floor()
-            )
-        else:
-            l = _require_int(payload, "l", minimum=2)
-            spec = resolve_privacy(None, l)
-        return spec, l
-
-    @staticmethod
-    def _validate_privacy(payload: dict):
-        """Validate an optional ``privacy`` object against the registry.
-
-        Returns the resolved spec or ``None`` when the submission relies on
-        the ``l`` sugar.  Check-only models (t-closeness) are rejected: they
-        can be audited with ``ldiversity verify`` but not requested here.
-        """
-        privacy = payload.get("privacy")
-        if privacy is None:
-            return None
-        if not isinstance(privacy, dict):
-            raise HttpError(400, f"'privacy' must be an object, got {privacy!r}")
-        try:
-            spec = privacy_from_dict(privacy)
-        except UnknownEntryError as error:
-            raise HttpError(
-                400,
-                f"{error}",
-            ) from None
-        except ValueError as error:
-            raise HttpError(400, f"invalid privacy spec: {error}") from None
-        if not privacy_registry.get(spec.kind).enforceable:
-            raise HttpError(
-                400,
-                f"privacy model {spec.kind!r} is check-only and cannot be an "
-                "anonymization target (audit published CSVs with "
-                "`ldiversity verify` instead)",
-            )
-        return spec
-
-    @staticmethod
-    def _validate_qi_sa(payload: dict) -> tuple[list[str], str]:
-        qi = payload.get("qi")
-        sa = payload.get("sa")
-        if not isinstance(qi, list) or not qi or not all(isinstance(q, str) for q in qi):
-            raise HttpError(400, f"'qi' must be a non-empty list of column names, got {qi!r}")
-        if not isinstance(sa, str) or not sa:
-            raise HttpError(400, f"'sa' must be a column name, got {sa!r}")
-        if sa in qi:
-            raise HttpError(400, f"sensitive column {sa!r} cannot also be a QI column")
-        return list(qi), sa
-
-    def _validate_inline_rows(
-        self, payload: dict, rows: object, spec: dict
-    ) -> tuple[str, bytes]:
-        """Validate a submission's inline ``rows`` and spool them into CSV bytes."""
-        qi, sa = self._validate_qi_sa(payload)
-        if not isinstance(rows, list) or not rows:
-            raise HttpError(400, "'rows' must be a non-empty list")
-        columns = payload.get("columns")
-        if isinstance(rows[0], dict):
-            columns = list(qi) + [sa]
-            try:
-                cells = [[str(row[name]) for name in columns] for row in rows]
-            except (TypeError, KeyError) as error:
-                raise HttpError(
-                    400, f"row is missing column {error}: rows must be objects "
-                    f"with every qi/sa column"
-                ) from None
-        elif isinstance(rows[0], list):
-            if not isinstance(columns, list) or not columns:
-                raise HttpError(400, "list-shaped 'rows' require a 'columns' list")
-            missing = [name for name in (*qi, sa) if name not in columns]
-            if missing:
-                raise HttpError(400, f"'columns' {columns} is missing {missing}")
-            width = len(columns)
-            if any(not isinstance(row, list) or len(row) != width for row in rows):
-                raise HttpError(400, f"every row must be a list of {width} cells")
-            cells = [[str(cell) for cell in row] for row in rows]
-        else:
-            raise HttpError(400, "'rows' must contain objects or lists")
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(columns)
-        writer.writerows(cells)
-        spec["source"] = {"kind": "csv", "path": "", "qi": qi, "sa": sa}
-        return f"inline({len(rows)} rows)", buffer.getvalue().encode("utf-8")
+        return f"upload({len(request.body)}B)", job, request.body
 
     # ----------------------------------------------------------------- status
 
@@ -1060,20 +907,16 @@ class AnonymizationServer:
     @_route("POST", r"/v1/plan")
     async def _handle_plan(self, request: Request) -> bytes:
         payload = request.json()
-        algorithm = payload.get("algorithm", "TP+")
-        try:
-            info = algorithm_registry.get(algorithm)
-        except UnknownEntryError:
-            raise HttpError(400, f"unknown algorithm {algorithm!r}") from None
-        n = _require_int(payload, "n", minimum=0)
-        d = _require_int(payload, "d", minimum=1) if "d" in payload else 1
+        info = algorithm_info(payload)
+        spec, l = privacy_and_l(payload)
+        n = require_int(payload, "n", minimum=0)
+        d = require_int(payload, "d", minimum=1) if "d" in payload else 1
         shards, workers = (
-            _require_int(payload, key, minimum=1)
+            require_int(payload, key, minimum=1)
             if payload.get(key) is not None
             else None
             for key in ("shards", "workers")
         )
-        spec, l = self._resolve_spec_and_l(payload)
         from repro.service.planner import default_planner
 
         try:

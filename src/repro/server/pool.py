@@ -1,17 +1,20 @@
 """Bounded async worker pool: queue, lifecycle callbacks, process fan-out.
 
-The HTTP layer never runs an anonymization itself: accepted jobs are encoded
-as a picklable *spec* dict and pushed onto a bounded :class:`asyncio.Queue`.
-A fixed set of drainer coroutines pops specs and executes them on a
+The HTTP layer never runs an anonymization itself: an accepted job is pushed
+onto a bounded :class:`asyncio.Queue` as the JSON form of its
+:class:`~repro.server.jobspec.JobSpec`, the shape its ledger record
+holds.  A fixed set of drainer coroutines pops specs and executes them on a
 ``concurrent.futures`` executor — by default a :class:`ProcessPoolExecutor`,
 so CPU-bound runs overlap across cores while the event loop stays free to
 answer status polls.  The queue bound is the server's backpressure contract:
 :meth:`WorkerPool.submit` raises :class:`QueueFullError` instead of buffering
 without limit, and the HTTP layer turns that into ``429 + Retry-After``.
 
-:func:`execute_job` (the executor entry point) builds a fresh
-:class:`~repro.engine.core.Engine` whose cache reads through the workspace's
-persistent :class:`~repro.service.store.RunStore`.  Each job re-opens the
+:func:`execute_job` (the executor entry point) parses that dict once
+(:meth:`~repro.server.jobspec.JobSpec.from_json`) and runs the spec's plan,
+at the job's core budget, on a fresh :class:`~repro.engine.core.Engine`
+whose cache reads through the workspace's persistent
+:class:`~repro.service.store.RunStore`.  Each job re-opens the
 store, which reads nothing until a lookup memory-maps its one record, so a
 repeated identical submission is a **store hit** even though every job runs
 in a different process.
@@ -57,18 +60,19 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from dataclasses import replace
 from typing import Callable
 
 from repro.engine.cache import ResultCache
-from repro.engine.core import Engine, RunPlan
-from repro.engine.sources import CsvSource, DataSource, SyntheticSource
+from repro.engine.core import Engine
 from repro.errors import JobTimeoutError, WorkerCrashError
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
-from repro.privacy.spec import privacy_from_dict
 from repro.server.faults import apply_worker_faults
+from repro.server.jobspec import JobSpec
+from repro.service.workspace import Workspace
 
-__all__ = ["QueueFullError", "WorkerPool", "build_source", "execute_job"]
+__all__ = ["QueueFullError", "WorkerPool", "execute_job"]
 
 #: A transition callback: ``callback(job_id, status, result=None, error="",
 #: attempts=0, retry_in=0.0, quarantined=False)``.  It may be a plain
@@ -93,30 +97,6 @@ class QueueFullError(Exception):
 
 
 # --------------------------------------------------------------------- worker
-
-
-def build_source(spec: dict) -> DataSource:
-    """Build the :class:`DataSource` described by a job spec's ``source`` entry.
-
-    Raises :class:`ValueError` on malformed specs — the HTTP layer validates
-    before queueing, so this firing in a worker means a server bug.
-    """
-    kind = spec.get("kind")
-    if kind == "csv":
-        return CsvSource(
-            path=spec["path"],
-            qi_names=tuple(spec["qi"]),
-            sa_name=spec["sa"],
-            delimiter=spec.get("delimiter", ","),
-        )
-    if kind == "synthetic":
-        return SyntheticSource(
-            dataset=spec.get("dataset", "SAL"),
-            n=int(spec.get("n", 10_000)),
-            seed=int(spec.get("seed", 7)),
-            dimension=spec.get("dimension"),
-        )
-    raise ValueError(f"unknown source kind {kind!r}")
 
 
 def _process_worker_init() -> None:
@@ -152,35 +132,21 @@ def execute_job(
     payload's ``trace`` is the job's measured span tree.
     """
     apply_worker_faults(spec)
-    include_rows = spec.get("include_rows", True)
-    artifact_dir = _result_artifact_dir(spec, workspace_root) if include_rows else None
-    source = build_source(spec["source"])
-    privacy = spec.get("privacy")
-    plan = RunPlan(
-        source=source,
-        algorithm=spec["algorithm"],
-        l=int(spec["l"]),
-        privacy=privacy_from_dict(privacy) if privacy else None,
-        shards=spec.get("shards"),
-        workers=max(1, int(core_budget)),
-        seed=int(spec.get("seed", 0)),
-        metrics=tuple(spec.get("metrics", ())),
-        chunk_rows=spec.get("chunk_rows"),
-        request_id=str(spec.get("request_id", "")),
-    )
+    job = JobSpec.from_json(spec)
+    if job.include_rows:
+        artifact_dir = _result_artifact_dir(job.job_id, workspace_root)
+    plan = replace(job.plan, workers=core_budget)
     # The job's span tree rides back to the server in the payload — the
     # only bridge out of a pool worker process.
     with trace.record("job") as root:
         cache = ResultCache()
         if use_store:
-            from repro.service.workspace import Workspace
-
             with trace.span("store-open"):
                 cache = ResultCache(store=Workspace(workspace_root).run_store())
         report = Engine(cache=cache).run(plan)
         trace.graft(report.trace)
         generalized = report.generalized
-        if include_rows:
+        if job.include_rows:
             from repro.engine.columnstore import RESULT_FORMAT_NAME, ResultArtifact
 
             # The group-level arrays go to disk under the workspace and only
@@ -216,7 +182,7 @@ def execute_job(
         if report.decision is not None
         else None,
     }
-    if include_rows:
+    if job.include_rows:
         payload["header"] = artifact.header
         payload["result_artifact"] = {
             "path": artifact_dir,
@@ -230,7 +196,7 @@ def execute_job(
 _ARTIFACT_KEY_PATTERN = re.compile(r"[\w.-]{1,128}")
 
 
-def _result_artifact_dir(spec: dict, workspace_root: str | None) -> str:
+def _result_artifact_dir(job_id: str, workspace_root: str | None) -> str:
     """Where this job saves its result artifact: ``results/<job_id>``.
 
     Keyed by the ledger job id the pool stamps on every spec — server-minted,
@@ -238,11 +204,8 @@ def _result_artifact_dir(spec: dict, workspace_root: str | None) -> str:
     always path-safe (the pattern check is defence in depth, not a trust
     boundary).  Raises :class:`ValueError` when the spec has no valid job id.
     """
-    job_id = str(spec.get("job_id", "")).strip()
     if not _ARTIFACT_KEY_PATTERN.fullmatch(job_id) or job_id.startswith("."):
         raise ValueError(f"job spec needs a path-safe job_id, got {job_id!r}")
-    from repro.service.workspace import Workspace
-
     return str(Workspace(workspace_root).results_dir / job_id)
 
 

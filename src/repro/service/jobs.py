@@ -147,9 +147,9 @@ class JobRecord:
     #: ``True`` on a ``failed`` record whose attempt budget was exhausted by
     #: retryable failures — a poison job parked so it cannot crash-loop.
     quarantined: bool = False
-    #: The picklable job spec as queued by the server, persisted so a restart
-    #: can re-enqueue every non-terminal job (empty on CLI records, which run
-    #: synchronously and are never replayed).
+    #: The server's job spec (:meth:`~repro.server.jobspec.JobSpec.to_json`),
+    #: persisted so a restart can re-enqueue every non-terminal job (empty on
+    #: CLI records, which run synchronously and are never replayed).
     spec: dict = field(default_factory=dict)
     #: Trace id of the submitting request (``X-Request-Id``) — the join key
     #: across client logs, server logs, spans and the engine's RunReport.

@@ -83,14 +83,6 @@ class TestUnshardedRuns:
         assert report.seconds == root.seconds
         assert sum(child.seconds for child in root.children) <= root.seconds
 
-    def test_chunked_load_equals_plain_load(self, tmp_path, hospital):
-        path = str(tmp_path / "hospital.csv")
-        hospital.to_csv(path)
-        source = CsvSource(path, ("Age", "Gender", "Education"), "Disease")
-        plain = _engine().run(_plan(source))
-        chunked = _engine().run(_plan(source, chunk_rows=3))
-        assert plain.generalized.cell_rows == chunked.generalized.cell_rows
-
     def test_run_table_convenience(self, hospital):
         report = _engine().run_table(hospital, "TP+", 2)
         assert report.plan.algorithm == "TP+"

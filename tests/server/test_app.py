@@ -219,6 +219,39 @@ class TestValidation:
                 self._raw_post(server, json.dumps(payload).encode())
             assert error.value.code == 400, payload
 
+    @pytest.mark.parametrize("algorithm", [["TP"], {"a": 1}, "NoSuch"])
+    def test_unknown_or_non_string_algorithm_is_400_on_both_routes(self, server, algorithm):
+        for path, payload in (
+            ("/v1/jobs", {"source": {"kind": "synthetic", "n": 50}, "l": 2}),
+            ("/v1/plan", {"n": 100, "l": 2}),
+        ):
+            body = json.dumps({**payload, "algorithm": algorithm}).encode()
+            with pytest.raises(urllib.error.HTTPError) as error:
+                self._raw_post(server, body, path=path)
+            assert error.value.code == 400, path
+            message = json.loads(error.value.read())["error"]
+            assert "unknown algorithm" in message and "'TP+'" in message, path
+
+    def test_negative_synthetic_seed_is_400(self, server):
+        payload = {"l": 2, "source": {"kind": "synthetic", "n": 200, "seed": -1}}
+        with pytest.raises(urllib.error.HTTPError) as error:
+            self._raw_post(server, json.dumps(payload).encode())
+        assert error.value.code == 400
+        assert "'seed' must be >= 0" in json.loads(error.value.read())["error"]
+
+    def test_csv_upload_include_rows_takes_boolean_spellings_only(self, server):
+        body = b"Age,Disease\n30,flu\n31,cold\n"
+        path = "/v1/jobs?qi=Age&sa=Disease&l=2&include_rows="
+        for flag in ("off", "ture", "2"):
+            with pytest.raises(urllib.error.HTTPError) as error:
+                self._raw_post(server, body, "text/csv", path + flag)
+            assert error.value.code == 400, flag
+        ledger = server.server.jobs.ledger
+        for flag, expected in (("No", False), ("TRUE", True), ("0", False), ("yes", True)):
+            with self._raw_post(server, body, "text/csv", path + flag) as response:
+                job_id = json.loads(response.read())["id"]
+            assert ledger.get(job_id).spec["include_rows"] is expected, flag
+
     def test_backend_field_is_ignored_like_any_unknown_field(
         self, server, client, hospital_rows
     ):
@@ -239,9 +272,9 @@ class TestValidation:
 
     def test_unsharded_algorithm_with_shards_is_400(self, server, monkeypatch):
         """Capability metadata is enforced at submit time, before queueing."""
-        import repro.server.app as app_module
+        import repro.server.jobspec as jobspec_module
         from repro.engine.registry import AlgorithmInfo
-        from repro.server import HttpError
+        from repro.server.jobspec import JobSpec, SpecError
 
         info = AlgorithmInfo(
             name="NoShard", runner=lambda table, l: None, supports_sharding=False
@@ -251,11 +284,10 @@ class TestValidation:
             def get(self, name):
                 return info
 
-        monkeypatch.setattr(app_module, "algorithm_registry", StubRegistry())
-        with pytest.raises(HttpError) as error:
-            server.server._base_spec({"algorithm": "NoShard", "l": 2, "shards": 4})
-        assert error.value.status == 400
-        assert "does not support sharded execution" in error.value.message
+        monkeypatch.setattr(jobspec_module, "algorithm_registry", StubRegistry())
+        with pytest.raises(SpecError) as error:
+            JobSpec.from_json({"algorithm": "NoShard", "l": 2, "shards": 4})
+        assert "does not support sharded execution" in str(error.value)
 
     def test_oversized_payload_is_413(self, tmp_path):
         handle = ServerHandle(workspace=tmp_path / "ws-small", max_body_bytes=1024)

@@ -9,7 +9,8 @@ import pytest
 from repro.engine import Engine, ResultCache, RunPlan
 from repro.engine.columnstore import ResultArtifact
 from repro.server.faults import FaultPlan, clear_plan, install_plan
-from repro.server.pool import QueueFullError, WorkerPool, build_source, execute_job
+from repro.server.jobspec import build_source
+from repro.server.pool import QueueFullError, WorkerPool, execute_job
 from repro.server.ratelimit import RateLimiter
 from repro.service import verify_csv_l_diverse
 from tests.render_oracle import legacy_csv, legacy_rows

@@ -15,7 +15,7 @@ import pytest
 from repro.client import Client, ClientError
 from repro.engine import Engine, ResultCache, RunPlan
 from repro.engine.columnstore import RESULT_GROUPS_FILE
-from repro.server.pool import build_source
+from repro.server.jobspec import build_source
 from tests.render_oracle import legacy_csv, legacy_rows
 from tests.server.server_harness import ServerHandle
 from tests.server.test_telemetry import parse_exposition, sample

@@ -22,7 +22,8 @@ from repro.engine.core import Engine
 from repro.engine.registry import AlgorithmOutput, algorithm_registry
 from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
 from repro.privacy.spec import EntropyLDiversity, FrequencyLDiversity
-from repro.server.pool import build_source, execute_job
+from repro.server.jobspec import build_source
+from repro.server.pool import execute_job
 from repro.service.store import TMP_PREFIX, RunStore
 from repro.service.workspace import Workspace
 from tests.conftest import merged_with_empty_groups

@@ -192,7 +192,6 @@ class TestShardedAnonymize:
                 "--l", "3",
                 "--algorithm", "TP",
                 "--shards", "3",
-                "--chunk-rows", "500",
                 "--output", output_path,
             ]
         )
@@ -407,6 +406,21 @@ class TestStreamingAnonymize:
             ]
         )
         assert code == 2
+
+    def test_chunk_rows_requires_stream(self, hospital_csv, tmp_path, capsys):
+        code = main(
+            [
+                "anonymize",
+                "--input", hospital_csv,
+                "--qi", "Age,Gender,Education",
+                "--sa", "Disease",
+                "--l", "2",
+                "--chunk-rows", "3",
+                "--output", str(tmp_path / "out.csv"),
+            ]
+        )
+        assert code == 2
+        assert "--chunk-rows applies only with --stream" in capsys.readouterr().err
 
 
 class TestMmap:
