@@ -14,7 +14,8 @@ timeout), then proves the at-least-once contract end to end:
    kill) and a fresh server boots on the same port and workspace; it must
    compact the ledger, re-enqueue every non-terminal job (``replayed``), and
    the client threads — who only see a connection outage — must still
-   complete every job;
+   complete every job, and right after the kill every ``results/<job_id>``
+   directory must open with ``ResultArtifact.mmap`` or be a publish temp;
 3. **quarantine** — a poison job (seed on the plan's kill list, so every
    attempt dies) must land terminally ``failed`` with ``quarantined: true``
    after exactly ``--max-attempts`` attempts, not crash-loop the pool;
@@ -57,6 +58,8 @@ from pathlib import Path
 from repro.client import Client, ClientError, JobFailedError
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.engine import ColumnStore
+from repro.engine.columnstore import ResultArtifact, is_temp
+from repro.errors import DataSourceError
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.trace import grafted_problems
 from repro.privacy.spec import privacy_from_dict
@@ -344,6 +347,24 @@ def check_conversion_kill(workspace: str) -> None:
     shutil.rmtree(directory)
 
 
+def check_result_artifacts(workspace: str, logs: list[Path]) -> None:
+    """Every ``results/<job_id>`` the SIGKILL left opens whole, or is a
+    publish temp (which the next publish of that job sweeps)."""
+    results = Path(workspace) / "results"
+    entries = sorted(results.iterdir()) if results.is_dir() else []
+    torn = []
+    for entry in entries:
+        if is_temp(entry.name):
+            continue
+        try:
+            ResultArtifact.mmap(entry)
+        except DataSourceError as error:
+            torn.append(f"{entry.name}: {error}")
+    if torn:
+        fail(f"SIGKILL left torn result artifacts: {torn[:3]}", logs)
+    print(f"result artifacts: all {len(entries)} entries under results/ open or are temps")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=4)
@@ -415,6 +436,7 @@ def main() -> None:
         os.killpg(process.pid, signal.SIGKILL)  # the whole group: server + workers
         process.wait(timeout=30)
         process = None
+        check_result_artifacts(workspace, logs)
         print("server 1 SIGKILL'd mid-stream; booting replacement on the same port")
 
         process = boot_server(port, workspace, env, logs[1])

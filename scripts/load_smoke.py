@@ -12,7 +12,7 @@ running server), then:
    repeated identical submissions must be served from the persistent run
    store (``store_hit``) rather than recomputed; the smoke asserts at least
    one cross-request store hit (and reports the observed rate).  After the
-   load phase the workspace's ``runs/`` must hold no ``.tmp-*`` directory
+   load phase the workspace's ``runs/`` must hold no publish temp directory
    and at most ``max_entries`` records, and every record must reopen through
    ``RunStore.get`` against its source — the pool's racing publishes left
    whole records only;
@@ -210,12 +210,12 @@ def phase_run_store(workspace: str, workloads: list[dict]) -> None:
     """Phase 1's concurrent publishes left whole records only: no temp
     directory, at most ``STORE_MAX_ENTRIES`` records, and every record
     reopens through ``RunStore.get`` against its source table."""
+    from repro.engine.columnstore import is_temp
     from repro.server.jobspec import build_source
-    from repro.service.store import TMP_PREFIX
     from repro.service.workspace import Workspace
 
     store = Workspace(workspace).run_store()
-    leftovers = sorted(p.name for p in store.path.iterdir() if p.name.startswith(TMP_PREFIX))
+    leftovers = sorted(p.name for p in store.path.iterdir() if is_temp(p.name))
     if leftovers:
         fail(f"run store kept temp directories after the load phase: {leftovers}")
     keys = store.keys()

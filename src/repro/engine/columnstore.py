@@ -15,9 +15,8 @@ writes it incrementally without holding the table, and ``np.load(...,
 mmap_mode="r")`` reopens it as a zero-copy view, so a 10^7-row table flows
 from CSV to the anonymization kernels without ever round-tripping through
 Python row tuples.  :meth:`ColumnStore.convert_csv` decodes the CSV in one
-pass (:class:`~repro.engine.sources.CsvDecoder`) into a sibling staging
-directory and moves the finished files in only at the end, so a conversion
-that fails leaves an existing store as it was.  :meth:`ColumnStore.table`
+pass (:class:`~repro.engine.sources.CsvDecoder`) into a sibling temp
+directory.  :meth:`ColumnStore.table`
 wraps the buffers in a ``Table`` without validation (the store validated
 codes when it was built) and :meth:`ColumnStore.slice` /
 :meth:`ColumnStore.take` give zero-copy / fancy-indexed views for chunked
@@ -26,15 +25,20 @@ pipelines.
 :class:`ColumnStoreSource` adapts a store directory to the
 :class:`~repro.engine.sources.DataSource` interface, which is what
 ``ldiversity anonymize --mmap`` and the scale benchmarks run through.
+
+Every on-disk writer of the package goes through :func:`publish` and every
+directory reader through :func:`_load_dir`, so this module owns both halves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
 import shutil
-import tempfile
-from collections.abc import Iterator, Sequence
+import uuid
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -63,8 +67,10 @@ RESULT_REPS_FILE = "rep_codes.npy"
 RESULT_STAR_FILE = "rep_star.npy"
 RESULT_GROUPS_FILE = "group_of.npy"
 RESULT_SA_FILE = "sa_codes.npy"
+RESULT_ARRAY_FILES = (RESULT_REPS_FILE, RESULT_STAR_FILE, RESULT_GROUPS_FILE, RESULT_SA_FILE)
+RESULT_DTYPES = (np.int32, bool, np.int64, np.int32)
 RESULT_FORMAT_NAME = "repro.resultartifact"
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 #: Default row chunk when streaming a result artifact as CSV.
 RESULT_CSV_CHUNK_ROWS = 50_000
@@ -112,19 +118,36 @@ def _load_dir(
         raise DataSourceError(f"cannot load {format_name} {path}: {error}") from error
 
 
-def _staging_prefix(directory: Path) -> str:
-    return f".{directory.name}.tmp-"
+#: A publish in progress: ``.<target name>.tmp-<pid>-<random>`` beside its target.
+_TEMP_NAME = re.compile(r"\.(.+)\.tmp-(\d+)-[^/]*")
 
 
-def _sweep_staging(directory: Path) -> None:
-    """Delete the staging directories of conversions whose process is gone."""
-    prefix = _staging_prefix(directory)
-    for entry in directory.parent.iterdir():
-        if not entry.name.startswith(prefix):
-            continue
-        pid = entry.name[len(prefix):].split("-", 1)[0]
-        if pid.isdigit() and not _alive(int(pid)):
-            shutil.rmtree(entry, ignore_errors=True)
+def is_temp(name: str) -> bool:
+    """Whether a directory entry is a :func:`publish` temp (live or left by a
+    killed writer), not a published file or directory."""
+    return _TEMP_NAME.fullmatch(name) is not None
+
+
+def _remove(path: str | Path) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+
+
+def sweep_temps(directory: str | Path, name: str | None = None) -> None:
+    """Delete the temps in ``directory`` whose writing process is gone (only
+    those of target ``name`` when given); a live writer's temps stay."""
+    for entry in list(os.scandir(directory)):
+        match = _TEMP_NAME.fullmatch(entry.name)
+        if match and name in (None, match[1]) and not _alive(int(match[2])):
+            _remove(entry.path)
+
+
+def _save_npy(path: Path, array: np.ndarray) -> None:
+    with open(path, "wb") as handle:  # np.save would append ".npy" to a temp name
+        np.save(handle, array)
 
 
 def _alive(pid: int) -> bool:
@@ -135,6 +158,46 @@ def _alive(pid: int) -> bool:
     except PermissionError:  # alive, owned by another user
         pass
     return True
+
+
+def _fsync(path: Path) -> None:
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+def publish(target: str | Path, write: Callable[[Path], object]) -> Path:
+    """Atomically create or replace the file or directory ``target``.
+
+    ``write(temp)`` builds the new version at a sibling temp path; it is
+    fsynced (each file of a directory, then the directory), renamed over
+    ``target``, and the parent fsynced.  An existing directory is renamed
+    aside first and deleted last, so a reader finds the old version, the new
+    one, or (only between those two renames) nothing — never a mix.  If
+    ``write`` raises, ``target`` is untouched; every temp is deleted, or
+    swept by the next publish of ``target`` once its writer is dead.
+    """
+    target = Path(target)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    sweep_temps(target.parent, target.name)
+    temp = f".{target.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}"
+    new, old = target.with_name(temp + "n"), target.with_name(temp + "o")
+    try:
+        write(new)
+        if new.is_dir():
+            for name in os.listdir(new):
+                _fsync(new / name)
+        _fsync(new)
+        if new.is_dir() and target.is_dir():
+            os.rename(target, old)
+        os.replace(new, target)
+        _fsync(target.parent)
+    finally:
+        _remove(new)
+        _remove(old)
+    return target
 
 
 class ColumnStore:
@@ -269,12 +332,9 @@ class ColumnStore:
         column remaps them to the sorted domains (no remap when ``schema`` is
         given).  Peak memory is one batch plus one column of codes.
 
-        The store is built in a sibling staging directory, and its files
-        replace those of ``store_dir`` only once ``schema.json`` is written:
-        a conversion that raises leaves an existing store byte-identical,
-        and one killed midway leaves at worst a staging directory, which the
-        next conversion of ``store_dir`` deletes.  Returns the finished
-        store, memory-mapped.
+        The store is built in a temp directory that :func:`publish` renames
+        over ``store_dir`` whole, so a failed or killed conversion leaves an
+        existing store as it was.  Returns the finished store, memory-mapped.
         """
         csv_path = str(csv_path)
         decoder = CsvDecoder(csv_path, qi_names, sa_name, schema, delimiter)
@@ -288,13 +348,8 @@ class ColumnStore:
                 decoder.decode()  # raises the inference error: no header or no rows
             raise DataSourceError(f"{csv_path}: no data rows to store")
 
-        directory = Path(store_dir)
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        _sweep_staging(directory)
-        staging = Path(tempfile.mkdtemp(
-            prefix=f"{_staging_prefix(directory)}{os.getpid()}-", dir=directory.parent
-        ))
-        try:
+        def write(staging: Path) -> None:
+            staging.mkdir()
             qi = np.lib.format.open_memmap(
                 staging / QI_FILE,
                 mode="w+",
@@ -315,19 +370,12 @@ class ColumnStore:
                     f"{csv_path}: decoded {filled} rows but counted {row_count}"
                 )
             with trace.span("remap"):
-                schema = decoder.remap(qi, sa)
+                remapped = decoder.remap(qi, sa)
             qi.flush()
             sa.flush()
-            cls._write_schema(staging, schema, row_count)
-            # Invalidate the old store first: a crash between the moves leaves
-            # a directory without a schema, never old metadata over new codes.
-            directory.mkdir(exist_ok=True)
-            (directory / SCHEMA_FILE).unlink(missing_ok=True)
-            for name in (QI_FILE, SA_FILE, SCHEMA_FILE):
-                os.replace(staging / name, directory / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        return cls.mmap(directory)
+            cls._write_schema(staging, remapped, row_count)
+
+        return cls.mmap(publish(store_dir, write))
 
     # ----------------------------------------------------------- persistence
 
@@ -343,13 +391,15 @@ class ColumnStore:
         (directory / SCHEMA_FILE).write_text(json.dumps(payload, indent=2))
 
     def save(self, store_dir: str | Path) -> Path:
-        """Write the store to a directory (creating it) and return the path."""
-        directory = Path(store_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        np.save(directory / QI_FILE, np.ascontiguousarray(self.qi, dtype=np.int32))
-        np.save(directory / SA_FILE, np.ascontiguousarray(self.sa, dtype=np.int32))
-        self._write_schema(directory, self.schema, self.n)
-        return directory
+        """Publish the store to a directory (replacing any old one); returns it."""
+
+        def write(directory: Path) -> None:
+            directory.mkdir()
+            np.save(directory / QI_FILE, np.ascontiguousarray(self.qi, dtype=np.int32))
+            np.save(directory / SA_FILE, np.ascontiguousarray(self.sa, dtype=np.int32))
+            self._write_schema(directory, self.schema, self.n)
+
+        return publish(store_dir, write)
 
     @classmethod
     def _open(cls, store_dir: str | Path, mmap_mode: str | None) -> "ColumnStore":
@@ -417,7 +467,10 @@ class ResultArtifact:
     The server reopens it memory-mapped and streams ``?format=csv``
     responses chunk-wise.  Exact cells render as ``str(attribute.decode(code))``,
     stars as ``"*"``, and a sub-domain cell (TDS, Mondrian) as one more entry
-    of its column's string table, ``{a|b}`` over its sorted decoded values.
+    of its column's string table, ``{a|b}`` over its sorted decoded values,
+    whose codes :attr:`subdomains` keeps.  :attr:`meta` carries more
+    ``meta.json`` fields: a :class:`~repro.service.store.RunStore` record is
+    an artifact with its key and run statistics there.
     """
 
     STAR_TEXT = "*"
@@ -453,6 +506,11 @@ class ResultArtifact:
             raise ValueError("group_of and sa_codes must be matching (n,) vectors")
         if len(self.header) != len(self.qi_tables) + 1:
             raise ValueError("header must cover every QI column plus the SA column")
+        #: Per QI column, the sorted codes behind the last
+        #: ``len(subdomains[c])`` entries of ``qi_tables[c]`` (sub-domain cells).
+        self.subdomains: list[list[list[int]]] = [[] for _ in self.qi_tables]
+        #: Every field of the ``meta.json`` it was opened from; saved too.
+        self.meta: dict = {}
 
     # ------------------------------------------------------------------ basics
 
@@ -550,21 +608,20 @@ class ResultArtifact:
             for code in range(schema.sensitive.size)
         ]
         columnar = generalized.columnar_publish()
-        if columnar is None:
-            columnar = _explicit_groups(generalized, qi_tables)
-        return cls(header, qi_tables, sa_table, *columnar)
+        if columnar is not None:
+            return cls(header, qi_tables, sa_table, *columnar)
+        *columnar, subdomains = _explicit_groups(generalized, qi_tables)
+        artifact = cls(header, qi_tables, sa_table, *columnar)
+        artifact.subdomains = subdomains
+        return artifact
 
     # ----------------------------------------------------------- persistence
 
     def save(self, directory: str | Path) -> int:
-        """Write the artifact to a directory; returns its on-disk byte size."""
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
-        np.save(path / RESULT_REPS_FILE, np.ascontiguousarray(self.rep_codes, dtype=np.int32))
-        np.save(path / RESULT_STAR_FILE, np.ascontiguousarray(self.rep_star, dtype=bool))
-        np.save(path / RESULT_GROUPS_FILE, np.ascontiguousarray(self.group_of, dtype=np.int64))
-        np.save(path / RESULT_SA_FILE, np.ascontiguousarray(self.sa_codes, dtype=np.int32))
+        """Publish the artifact to a directory; returns its on-disk byte size."""
+        arrays = (self.rep_codes, self.rep_star, self.group_of, self.sa_codes)
         payload = {
+            **self.meta,
             "format": RESULT_FORMAT_NAME,
             "version": RESULT_FORMAT_VERSION,
             "n": self.n,
@@ -574,17 +631,18 @@ class ResultArtifact:
             "star": self.STAR_TEXT,
             "qi_tables": self.qi_tables,
             "sa_table": self.sa_table,
+            "subdomains": self.subdomains,
         }
-        (path / RESULT_META_FILE).write_text(json.dumps(payload))
+
+        def write(path: Path) -> None:
+            path.mkdir()
+            for name, array, dtype in zip(RESULT_ARRAY_FILES, arrays, RESULT_DTYPES):
+                np.save(path / name, np.ascontiguousarray(array, dtype=dtype))
+            (path / RESULT_META_FILE).write_text(json.dumps(payload))
+
+        path = publish(directory, write)
         return sum(
-            os.stat(path / name).st_size
-            for name in (
-                RESULT_META_FILE,
-                RESULT_REPS_FILE,
-                RESULT_STAR_FILE,
-                RESULT_GROUPS_FILE,
-                RESULT_SA_FILE,
-            )
+            os.stat(path / name).st_size for name in (RESULT_META_FILE, *RESULT_ARRAY_FILES)
         )
 
     @classmethod
@@ -598,12 +656,12 @@ class ResultArtifact:
                     f"{directory}: meta says n={payload['n']} g={payload['g']} but "
                     f"buffers hold n={artifact.n} g={artifact.g}"
                 )
+            artifact.subdomains, artifact.meta = payload["subdomains"], payload
             return artifact
 
         return _load_dir(
             directory, RESULT_META_FILE, RESULT_FORMAT_NAME, RESULT_FORMAT_VERSION,
-            (RESULT_REPS_FILE, RESULT_STAR_FILE, RESULT_GROUPS_FILE, RESULT_SA_FILE),
-            mmap_mode, build,
+            RESULT_ARRAY_FILES, mmap_mode, build,
         )
 
     @classmethod
@@ -618,32 +676,37 @@ class ResultArtifact:
 
 
 def _explicit_groups(generalized, qi_tables: list[list[str]]) -> tuple:
-    """The group form of a table with explicit cells: one group per distinct
-    cells tuple.  A sub-domain cell becomes one more entry of its column's
-    string table — its sorted decoded values, as :func:`render_cell_value
-    <repro.engine.sinks.render_cell_value>` renders them."""
+    """The group form of a table with explicit cells, one group per distinct
+    ``(group id, cells)``, plus its sub-domain codes.  A sub-domain cell
+    becomes one more entry of its column's string table — its sorted decoded
+    values, as :func:`render_cell_value <repro.engine.sinks.render_cell_value>`
+    renders them."""
     from repro.dataset.generalized import STAR
     from repro.engine.sinks import render_cell_value
 
     qi = generalized.schema.qi
+    subdomains: list[list[list[int]]] = [[] for _ in qi]
 
     def code(position: int, cell) -> int:
         if not isinstance(cell, frozenset):
             return 0 if cell is STAR else cell
         decoded = sorted(qi[position].decode(item) for item in cell)
         qi_tables[position].append(render_cell_value(tuple(decoded)))
+        subdomains[position].append(sorted(cell))
         return len(qi_tables[position]) - 1
 
     groups: dict[tuple, int] = {}
-    group_of = [groups.setdefault(cells, len(groups)) for cells in generalized.cell_rows]
+    keys = zip(generalized.group_ids, generalized.cell_rows)
+    group_of = [groups.setdefault(key, len(groups)) for key in keys]
     shape = (len(groups), len(qi))
-    rep_codes = [[code(position, cell) for position, cell in enumerate(cells)] for cells in groups]
-    rep_star = [[cell is STAR for cell in cells] for cells in groups]
+    rep_codes = [[code(column, cell) for column, cell in enumerate(cells)] for _, cells in groups]
+    rep_star = [[cell is STAR for cell in cells] for _, cells in groups]
     return (
         np.asarray(rep_codes, dtype=np.int64).reshape(shape),
         np.asarray(rep_star, dtype=bool).reshape(shape),
         np.asarray(group_of, dtype=np.intp),
         generalized.sa_codes(),
+        subdomains,
     )
 
 
@@ -663,10 +726,10 @@ class StoreOrderCache:
     re-checks all of them, so rewriting the store invalidates the sidecar.
     The table's content fingerprint is recorded and compared only
     *opportunistically* — when the table object happens to have it cached —
-    so the sidecar never forces a full-buffer hash on the hot path.  All
-    writes go through a temp file + ``os.replace`` and every filesystem
-    error degrades to a miss (read-only store directories simply never warm
-    up).
+    so the sidecar never forces a full-buffer hash on the hot path.  Both
+    files are published, ``order.npy`` first, so ``order.json`` only ever
+    describes a whole permutation, and every filesystem error degrades to a
+    miss (read-only store directories simply never warm up).
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -737,19 +800,13 @@ class StoreOrderCache:
             "stamps": stamps,
             "fingerprint": self._cached_fingerprint(table),
         }
-        order_tmp = self.directory / ("." + ORDER_FILE + ".tmp.npy")
-        meta_tmp = self.directory / ("." + ORDER_META_FILE + ".tmp")
-        try:
-            np.save(order_tmp, np.ascontiguousarray(order, dtype=np.intp))
-            os.replace(order_tmp, self.directory / ORDER_FILE)
-            meta_tmp.write_text(json.dumps(payload, indent=2))
-            os.replace(meta_tmp, self.directory / ORDER_META_FILE)
-        except OSError:
-            for leftover in (order_tmp, meta_tmp):
-                try:
-                    leftover.unlink()
-                except OSError:
-                    pass
+        order = np.ascontiguousarray(order, dtype=np.intp)
+        with contextlib.suppress(OSError):
+            publish(self.directory / ORDER_FILE, lambda path: _save_npy(path, order))
+            publish(
+                self.directory / ORDER_META_FILE,
+                lambda path: path.write_text(json.dumps(payload, indent=2)),
+            )
 
 
 @dataclass(frozen=True)

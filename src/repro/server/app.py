@@ -704,7 +704,11 @@ class AnonymizationServer:
         fields["source"] = {"kind": "csv", "path": "", "qi": qi, "sa": sa}
         job = JobSpec.from_json({**fields, "request_id": request.request_id})
         header_line = request.body.split(b"\n", 1)[0].decode("utf-8", "replace")
-        header = next(csv.reader([header_line]))
+        try:
+            # Read as the ingest reads the file: a bare "\r" ends a line too.
+            header = next(csv.reader(io.StringIO(header_line, newline="")), [])
+        except csv.Error as error:
+            raise HttpError(400, f"malformed csv header: {error}") from None
         missing = [name for name in (*qi, sa) if name not in header]
         if missing:
             raise HttpError(400, f"csv header {header} is missing columns {missing}")

@@ -33,7 +33,7 @@ Quickstart::
     assert record.status == "done"   # planner chose shards/workers; store filled
 """
 
-from repro.service.store import RunStore, StoreError
+from repro.service.store import RunStore
 from repro.service.benchscale import (
     BenchScaleConfig,
     run_bench_scale,
@@ -66,7 +66,6 @@ __all__ = [
     "JobStateError",
     "PlannerCalibration",
     "RunStore",
-    "StoreError",
     "StreamReport",
     "Workspace",
     "default_planner",

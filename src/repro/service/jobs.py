@@ -33,8 +33,13 @@ replaying every non-terminal record it finds at boot, which is why the
 submitted job *spec* is persisted on server records; the synchronous CLI
 path writes the same transitions back to back.
 
-The ledger is append-only JSONL, one record per line, malformed or torn
-lines skipped on read (and surfaced via :attr:`JobLedger.recovered`).
+The ledger is append-only JSONL, one record per line.  **Durability
+policy:** an append is one write of one whole line, flushed to the
+operating system but never synced to disk, so power loss can lose a
+transition; a line torn by a crash is skipped on read and counted in
+:attr:`JobLedger.recovered`.  Compaction goes through
+:func:`~repro.engine.columnstore.publish`, so a crash leaves the old ledger
+or the compacted one.
 Writes are guarded by an advisory file lock (``fcntl.flock`` where
 available) so concurrent submitters — e.g. the server's pool plus a CLI
 ``jobs submit`` against the same workspace — cannot race id allocation or
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -54,6 +58,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.engine.cache import ResultCache
+from repro.engine.columnstore import publish
 from repro.engine.core import Engine, RunPlan, RunReport
 from repro.engine.sinks import CsvSink
 from repro.service.workspace import Workspace
@@ -292,9 +297,9 @@ class JobLedger:
 
         The ledger appends a full record per transition forever; a long-lived
         workspace pays that history on every cold replay.  Compaction keeps
-        exactly the records :meth:`list` would return (atomic replace, under
-        the advisory lock), discarding per-job transition history older than
-        the compaction point.
+        exactly the records :meth:`list` would return (published through
+        :func:`~repro.engine.columnstore.publish`, under the advisory lock),
+        discarding per-job transition history older than the compaction point.
         Run it only when no other *reader* is mid-stream (the server does so
         at boot, before serving): a concurrent incremental replayer would
         resume at a stale byte offset into the rewritten file.
@@ -317,13 +322,10 @@ class JobLedger:
                     latest[record.id] = record
             reclaimed = lines - len(latest)
             if reclaimed > 0:
-                replacement = self._path.with_suffix(".compacting")
-                with open(replacement, "w") as handle:
-                    for record in latest.values():
-                        handle.write(
-                            json.dumps(asdict(record), separators=(",", ":")) + "\n"
-                        )
-                os.replace(replacement, self._path)
+                publish(self._path, lambda path: path.write_text("".join(
+                    json.dumps(asdict(record), separators=(",", ":")) + "\n"
+                    for record in latest.values()
+                )))
             self._latest = latest
             self._offset = self._path.stat().st_size
             return max(reclaimed, 0)

@@ -1,4 +1,4 @@
-"""Persistent run store: one memory-mapped group-form directory per record.
+"""Persistent run store: one memory-mapped result artifact per record.
 
 The :class:`RunStore` is the durable tier of result caching: the engine's
 :class:`~repro.engine.cache.ResultCache` reads through it, so figure sweeps,
@@ -7,53 +7,57 @@ processes**.  Records are keyed exactly like the in-memory cache —
 ``(fingerprint, algorithm, l, shards, seed, privacy)``, where ``privacy`` is
 the canonical privacy-spec token.
 
-**Layout.**  The store is a directory holding one directory per record,
-named by a hash of the canonical key, in the shape of a
-:class:`~repro.engine.columnstore.ResultArtifact`::
+**Layout.**  The store is a directory holding one
+:class:`~repro.engine.columnstore.ResultArtifact` directory per record,
+named by a hash of the canonical key — the same files a served job's
+``results/<job_id>`` holds::
 
     runs/
       <sha256(key)[:32]>/
-        meta.json       format, version, the full key, n, the original
-                        run's anonymize seconds, shard sizes, phase reached
-                        and enforcement merges, plus sub-domain cells
-        rep_codes.npy   (g, d) per-group surviving QI codes
+        meta.json       the artifact's header, string tables and sub-domain
+                        codes, plus the record's key, the original run's
+                        anonymize seconds, shard sizes, phase reached and
+                        enforcement merges
+        rep_codes.npy   (g, d) per-group QI codes
         rep_star.npy    (g, d) per-group star flags
         group_of.npy    (n,) row -> group
+        sa_codes.npy    (n,) sensitive codes
 
 Opening the store reads nothing; a lookup is a path join plus a stat, and a
-hit memory-maps only its own record.  Sub-domain cells (TDS, Mondrian,
-``preprocess``) are per group, so ``meta.json`` lists them as
-``[group, column, sorted codes]`` triples.  Schema and sensitive values are
-*not* stored: a hit is rehydrated against the caller's freshly-loaded source
-table, whose fingerprint already proved it identical to the one the run was
-computed on.  Because :meth:`GeneralizedTable.from_groups
+hit memory-maps only its own record.  A hit is rehydrated against the
+caller's freshly-loaded source table, whose fingerprint already proved it
+identical to the one the run was computed on: a suppression output adopts
+the group form, and a table with sub-domain cells (TDS, Mondrian,
+``preprocess``) rebuilds them from the artifact's sub-domain codes.
+Because :meth:`GeneralizedTable.from_groups
 <repro.dataset.generalized.GeneralizedTable.from_groups>` trusts its input,
-the hit validates the record first: shapes and dtypes, ``0 <= group_of <
-g``, ``n`` and the width against the table, shard sizes summing to ``n``
-and every unstarred code against its attribute's domain.  Any record that
-cannot be read or fails a check is counted in :attr:`RunStore.recovered`,
-deleted and recomputed; it never raises out of the store.
+the hit validates the record first: the key, shapes and dtypes, ``0 <=
+group_of < g``, ``n`` and the width against the table, shard sizes summing
+to ``n`` and every unstarred code against its attribute's domain or its
+column's sub-domains.  Any record that cannot be read or fails a check —
+one written in an older layout included — is counted in
+:attr:`RunStore.recovered`, deleted and recomputed; it never raises out of
+the store.
 
-**Publish by rename.**  A put writes its record into a sibling temp
-directory (``runs/.tmp-<pid>-<uuid>``) and ``os.rename``\\ s it into place,
-so readers only ever see whole records.  When a racing writer already
-published the same key the loser deletes its temp directory — the
-algorithms are deterministic, so both copies are equal.  A hit touches its
-``meta.json``; a put evicts the records with the oldest ``meta.json`` mtimes
-beyond ``max_entries`` and sweeps temp directories left by crashed writers
-once they are a minute old.
+**Publish by rename.** A put saves the record's artifact, and so goes
+through :func:`~repro.engine.columnstore.publish`: a sibling temp directory
+is written and synced to disk, then renamed into place, so readers only ever
+see whole records.  Two writers racing on one key publish equal records (the
+algorithms are deterministic); a put that loses such a race, or that the
+disk refuses, leaves the run memory-only.  A hit touches its ``meta.json``;
+a put evicts the records with the oldest ``meta.json`` mtimes beyond
+``max_entries`` and deletes the temps of writers whose process is gone.
 
-**Durability policy.**  Records are a recomputable cache, so nothing is
-fsynced.  A crash before the rename leaves only a temp directory; a record
-torn by power loss after it fails validation on its next hit and is
-recomputed.
+**Durability policy.** Records are synced to disk before they are renamed
+into place, so a record that exists is whole even after power loss.  A
+writer killed before the rename leaves only a temp directory.  A record that
+still fails validation is recomputed.
 
-**Migration note.**  Stores written before this layout were one JSONL file
-(``runs.jsonl``); it is deleted at open and its runs are recomputed.  The key
-has also had three shapes — the oldest was ``(fingerprint, algorithm, l,
-shards, backend, seed)``, then a ``privacy`` token was appended and the
-``backend`` dropped — and a record whose key is not the current six typed
-elements is dropped, never replayed under a key it was not computed for.
+**Key shapes.**  The key has had three shapes — the oldest was
+``(fingerprint, algorithm, l, shards, backend, seed)``, then a ``privacy``
+token was appended and the ``backend`` dropped — and a record whose key is
+not the current six typed elements is dropped, never replayed under a key it
+was not computed for.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ import hashlib
 import json
 import os
 import shutil
-import time
-import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -72,35 +74,18 @@ import numpy as np
 
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.engine.cache import CachedRun, CacheKey
-from repro.engine.columnstore import (
-    RESULT_GROUPS_FILE,
-    RESULT_META_FILE,
-    RESULT_REPS_FILE,
-    RESULT_STAR_FILE,
-    _load_dir,
-)
+from repro.engine.columnstore import RESULT_META_FILE, ResultArtifact, is_temp, sweep_temps
 from repro.engine.registry import AlgorithmOutput
 from repro.errors import DataSourceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataset.table import Table
 
-__all__ = ["RunStore", "StoreError"]
-
-FORMAT_NAME = "repro.runstore.record"
-FORMAT_VERSION = 1
-ARRAY_FILES = (RESULT_REPS_FILE, RESULT_STAR_FILE, RESULT_GROUPS_FILE)
-TMP_PREFIX = ".tmp-"
-#: Age after which a temp directory is a crashed writer's, not a live one's.
-STALE_TMP_SECONDS = 60.0
+__all__ = ["RunStore"]
 
 #: Element types of a stored key: (fingerprint, algorithm, l, shards, seed,
 #: privacy token).
 _KEY_TYPES = (str, str, int, int, int, str)
-
-
-class StoreError(Exception):
-    """Raised when a run cannot be encoded for persistent storage."""
 
 
 def _canonical(key) -> str:
@@ -121,76 +106,41 @@ def _mtime(path: str | Path, missing: float) -> float:
         return missing
 
 
-def _explicit_form(generalized: GeneralizedTable) -> tuple:
-    """The group form of a table with explicit cells, keeping its groups
-    (renumbered densely): one representative row per group, with sub-domain
-    cells listed apart as ``[group, column, sorted codes]``."""
-    _ids, first_rows, group_of = np.unique(
-        generalized.group_ids_array(), return_index=True, return_inverse=True
-    )
-    shape = (first_rows.shape[0], len(generalized.schema.qi))
-    rep_codes = np.zeros(shape, dtype=np.int32)
-    rep_star = np.zeros(shape, dtype=bool)
-    subdomains: list[list] = []
-    for group, row in enumerate(first_rows.tolist()):
-        for column, cell in enumerate(generalized.row_cells(row)):
-            if cell is STAR:
-                rep_star[group, column] = True
-            elif isinstance(cell, frozenset):
-                subdomains.append([group, column, sorted(cell)])
-            elif isinstance(cell, int):
-                rep_codes[group, column] = cell
-            else:
-                raise StoreError(f"cannot encode generalized cell {cell!r}")
-    return rep_codes, rep_star, group_of.astype(np.int64), subdomains
-
-
-def _encode(key: CacheKey, run: CachedRun) -> tuple[dict, tuple]:
-    generalized = run.output.generalized
-    form = generalized.columnar_publish()
-    if form is not None:
-        arrays, subdomains = form[:3], []
-    else:
-        *arrays, subdomains = _explicit_form(generalized)
-    meta = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
+def _record(key: CacheKey, run: CachedRun) -> ResultArtifact:
+    artifact = ResultArtifact.from_generalized(run.output.generalized)
+    artifact.meta = {
         "key": list(key),
-        "n": len(generalized),
         "anonymize_seconds": run.anonymize_seconds,
         "shard_sizes": list(run.shard_sizes),
         "phase_reached": run.output.phase_reached,
         "enforcement_merges": run.enforcement_merges,
-        "subdomains": subdomains,
     }
-    return meta, tuple(arrays)
+    return artifact
 
 
-def _rehydrate(
-    key: CacheKey,
-    table: "Table",
-    meta: dict,
-    rep_codes: np.ndarray,
-    rep_star: np.ndarray,
-    group_of: np.ndarray,
-) -> CachedRun:
+def _rehydrate(key: CacheKey, table: "Table", artifact: ResultArtifact) -> CachedRun:
     """A validated record's run over its (fingerprint-identical) table: the
     columnar group form, or explicit cells when the record has sub-domains.
     Raises ``ValueError`` (or ``TypeError``/``KeyError``) on any mismatch."""
+    meta = artifact.meta
     if _canonical(meta["key"]) != _canonical(key):
         raise ValueError("record key does not match (legacy shape or hash collision)")
-    n, d = len(table), table.dimension
-    if meta["n"] != n or group_of.shape != (n,):
-        raise ValueError("row count mismatch (stale or colliding record)")
-    if rep_codes.ndim != 2 or rep_codes.shape[1] != d or rep_star.shape != rep_codes.shape:
-        raise ValueError("group form does not match the table dimension")
-    g = rep_codes.shape[0]
+    n = len(table)
+    if artifact.n != n or artifact.d != table.dimension:
+        raise ValueError("record shape does not match the table (stale or colliding record)")
+    rep_codes, rep_star, group_of = artifact.rep_codes, artifact.rep_star, artifact.group_of
     if rep_codes.dtype.kind != "i" or group_of.dtype.kind != "i" or rep_star.dtype != bool:
         raise ValueError("unexpected group form dtypes")
-    if n and (int(group_of.min()) < 0 or int(group_of.max()) >= g):
+    if n and (int(group_of.min()) < 0 or int(group_of.max()) >= artifact.g):
         raise ValueError("group id out of range")
-    sizes = np.array([attribute.size for attribute in table.schema.qi], dtype=np.int64)
-    if ((rep_codes < 0) | (rep_codes >= sizes))[~rep_star].any():
+    sizes = [attribute.size for attribute in table.schema.qi]
+    subdomains = artifact.subdomains
+    for size, cells in zip(sizes, subdomains):
+        if not all(isinstance(code, int) and 0 <= code < size for cell in cells for code in cell):
+            raise ValueError("sub-domain code outside its attribute's domain")
+    # Codes past an attribute's domain index its column's sub-domain cells.
+    limits = np.array([size + len(cells) for size, cells in zip(sizes, subdomains)])
+    if ((rep_codes < 0) | (rep_codes >= limits))[~rep_star].any():
         raise ValueError("QI code outside its attribute's domain")
     phase_reached = meta["phase_reached"]
     if not (phase_reached is None or isinstance(phase_reached, int)):
@@ -198,21 +148,19 @@ def _rehydrate(
     shard_sizes = tuple(int(size) for size in meta["shard_sizes"])
     if sum(shard_sizes) != n:
         raise ValueError("shard sizes do not cover the table (legacy or torn record)")
-    if meta["subdomains"]:
+    if any(subdomains):
         groups = [
-            [STAR if starred else code for code, starred in zip(codes, flags)]
+            tuple(
+                STAR if starred
+                else code if code < size
+                else frozenset(cells[code - size])
+                for code, starred, size, cells in zip(codes, flags, sizes, subdomains)
+            )
             for codes, flags in zip(rep_codes.tolist(), rep_star.tolist())
         ]
-        for group, column, codes in meta["subdomains"]:
-            if not (0 <= group < g and 0 <= column < d):
-                raise ValueError("sub-domain cell outside the group form")
-            if not all(isinstance(code, int) and 0 <= code < sizes[column] for code in codes):
-                raise ValueError("sub-domain code outside its attribute's domain")
-            groups[group][column] = frozenset(codes)
-        rows = [tuple(cells) for cells in groups]
         group_ids = group_of.tolist()
         generalized = GeneralizedTable._from_trusted(
-            table.schema, [rows[group] for group in group_ids], table.sa_values, group_ids
+            table.schema, [groups[group] for group in group_ids], table.sa_values, group_ids
         )
     else:
         generalized = GeneralizedTable.from_groups(table, rep_codes, rep_star, group_of)
@@ -252,7 +200,7 @@ class RunStore:
             return [
                 Path(entry.path)
                 for entry in entries
-                if not entry.name.startswith(TMP_PREFIX) and entry.is_dir()
+                if not is_temp(entry.name) and entry.is_dir()
             ]
 
     def _drop(self, record: Path) -> None:
@@ -261,13 +209,8 @@ class RunStore:
         self.recovered += 1
 
     def _sweep(self) -> None:
-        """Delete stale temp directories and the oldest records past the cap."""
-        cutoff = time.time() - STALE_TMP_SECONDS
-        with os.scandir(self._path) as entries:
-            temporaries = [entry.path for entry in entries if entry.name.startswith(TMP_PREFIX)]
-        for path in temporaries:
-            if _mtime(path, missing=cutoff) < cutoff:
-                shutil.rmtree(path, ignore_errors=True)
+        """Delete dead writers' temps and the oldest records past the cap."""
+        sweep_temps(self._path)
         records = self._records()
         if len(records) > self._max_entries:
             # A record without meta is torn, so it goes first.
@@ -284,11 +227,8 @@ class RunStore:
             self.misses += 1
             return None
         try:
-            run = _load_dir(
-                record, RESULT_META_FILE, FORMAT_NAME, FORMAT_VERSION, ARRAY_FILES, "r",
-                lambda meta, *arrays: _rehydrate(key, table, meta, *arrays),
-            )
-        except DataSourceError:
+            run = _rehydrate(key, table, ResultArtifact.mmap(record))
+        except (DataSourceError, ValueError, TypeError, KeyError):
             self._drop(record)
             self.misses += 1
             return None
@@ -298,22 +238,9 @@ class RunStore:
         return run
 
     def put(self, key: CacheKey, run: CachedRun) -> None:
-        """Persist one run: write a temp directory, rename it into place."""
-        try:
-            meta, arrays = _encode(key, run)
-        except StoreError:
-            return  # non-encodable outputs simply stay memory-only
-        temporary = self._path / f"{TMP_PREFIX}{os.getpid()}-{uuid.uuid4().hex}"
-        try:
-            temporary.mkdir()
-            for name, array in zip(ARRAY_FILES, arrays):
-                np.save(temporary / name, array)
-            (temporary / RESULT_META_FILE).write_text(json.dumps(meta))
-            os.rename(temporary, self._record_dir(key))
-        except OSError:
-            # A racing writer published the same (equal) record first, or the
-            # disk refused the write: either way the run stays memory-only.
-            shutil.rmtree(temporary, ignore_errors=True)
+        """Persist one run: publish its record artifact."""
+        with contextlib.suppress(OSError):  # a lost race or a full disk
+            _record(key, run).save(self._record_dir(key))
         self._sweep()
 
     def clear(self) -> None:

@@ -13,6 +13,11 @@ persists between processes:
   (:class:`~repro.engine.columnstore.ResultArtifact` directories) the
   server streams ``/result`` responses from.
 
+Every file and directory here that is rewritten rather than appended to is
+published through :func:`~repro.engine.columnstore.publish`: built at a
+sibling ``.<name>.tmp-<pid>-*`` path, synced to disk and renamed into place.
+A temp left by a killed process is deleted by the next publish of its name.
+
 Resolution order for the root directory: an explicit path, then the
 ``REPRO_WORKSPACE`` environment variable, then ``~/.cache/ldiversity``.
 The directory is created on first use.

@@ -15,7 +15,7 @@ import urllib.request
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from server_harness import ServerHandle
 
@@ -240,9 +240,19 @@ def test_json_submissions_never_get_a_500(paused_server, payload):
         assert 200 <= status < 500, (path, status)
 
 
+#: Header lines of an upload: valid, near valid (a bare ``\r`` ends a line
+#: for the ingest), or arbitrary text.
+HEADER = st.sampled_from([
+    "Age,Gender,Disease", "Age,Gender\rX,Disease", "Age,Gender,Disease\r30,M,flu",
+    '"Age,Gender', "Age,Gender,\r", "",
+]) | st.text(max_size=24)
+
+
 @FUZZ
-@given(query=QUERY)
-def test_csv_upload_query_strings_never_get_a_500(paused_server, query):
+@given(query=QUERY, header=HEADER)
+@example(query={"qi": "Age,Gender", "sa": "Disease", "l": "2"}, header="Age,Gender\rX,Disease")
+def test_csv_upload_query_strings_never_get_a_500(paused_server, query, header):
     path = "/v1/jobs?" + urllib.parse.urlencode(query)
-    status = _status(paused_server, path, b"Age,Gender,Disease\n30,M,flu\n", "text/csv")
+    body = header.encode("utf-8", "replace") + b"\n30,M,flu\n"
+    status = _status(paused_server, path, body, "text/csv")
     assert 200 <= status < 500, status

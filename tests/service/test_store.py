@@ -16,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.examples import hospital_microdata
+from repro.dataset.generalized import STAR
 from repro.engine.cache import CachedRun, ResultCache
-from repro.engine.columnstore import ResultArtifact
+from repro.engine.columnstore import ResultArtifact, is_temp
 from repro.engine.core import Engine
-from repro.engine.registry import AlgorithmOutput, algorithm_registry
+from repro.engine.registry import AlgorithmOutput, algorithm_registry, metric_registry
 from repro.engine.sharding import merge_shard_outputs, qi_prefix_shards
 from repro.privacy.spec import EntropyLDiversity, FrequencyLDiversity
 from repro.server.jobspec import build_source
 from repro.server.pool import execute_job
-from repro.service.store import TMP_PREFIX, RunStore
+from repro.service.store import RunStore
 from repro.service.workspace import Workspace
 from tests.conftest import merged_with_empty_groups
 
@@ -40,11 +41,11 @@ def _key(table, algorithm: str = "TP", l: int = 2, shards: int = 1, seed: int = 
 
 
 def _record_dirs(path: Path) -> list[Path]:
-    return [entry for entry in path.iterdir() if not entry.name.startswith(TMP_PREFIX)]
+    return [entry for entry in path.iterdir() if not is_temp(entry.name)]
 
 
 def _temporaries(path: Path) -> list[Path]:
-    return [entry for entry in path.iterdir() if entry.name.startswith(TMP_PREFIX)]
+    return [entry for entry in path.iterdir() if is_temp(entry.name)]
 
 
 def _set_age(store: RunStore, key, seconds_ago: float) -> None:
@@ -166,7 +167,7 @@ def _rewrite_meta(record: Path, change) -> None:
     (record / "meta.json").write_text(json.dumps(meta))
 
 
-FILES = ["meta.json", "rep_codes.npy", "rep_star.npy", "group_of.npy"]
+FILES = ["meta.json", "rep_codes.npy", "rep_star.npy", "group_of.npy", "sa_codes.npy"]
 
 
 def _missing_file(record, table, data):
@@ -188,7 +189,8 @@ def _bad_json(record, table, data):
 def _missing_field(record, table, data):
     field = data.draw(st.sampled_from(
         ["format", "version", "key", "n", "anonymize_seconds", "shard_sizes",
-         "phase_reached", "enforcement_merges", "subdomains"]
+         "phase_reached", "enforcement_merges", "subdomains", "g", "header",
+         "qi_tables", "sa_table"]
     ))
     _rewrite_meta(record, lambda meta: meta.pop(field))
 
@@ -227,6 +229,7 @@ def _wrong_shape(record, table, data):
         ("rep_star.npy", lambda array: array[:-1]),
         ("group_of.npy", lambda array: array[:-1]),
         ("group_of.npy", lambda array: np.concatenate([array, array[:1]])),
+        ("sa_codes.npy", lambda array: array[:-1]),
     ]))
     _rewrite_array(record, name, change)
 
@@ -265,14 +268,17 @@ def _shard_sizes_mismatch(record, table, data):
 def _out_of_domain_code(record, table, data):
     g, d = np.load(record / "rep_codes.npy").shape
     group, column = data.draw(st.integers(0, g - 1)), data.draw(st.integers(0, d - 1))
-    size = table.schema.qi[column].size
+    # Codes past the domain index the column's sub-domain string-table entries.
+    size = len(json.loads((record / "meta.json").read_text())["qi_tables"][column])
     code = data.draw(st.one_of(st.integers(size, size + 100), st.integers(-100, -1)))
     codes, star = np.load(record / "rep_codes.npy"), np.load(record / "rep_star.npy")
     codes[group, column], star[group, column] = code, False
     np.save(record / "rep_codes.npy", codes)
     np.save(record / "rep_star.npy", star)
     # An explicit-cells record keeps its sub-domain codes in the meta.
-    _rewrite_meta(record, lambda meta: [cell[2].append(code) for cell in meta["subdomains"]])
+    _rewrite_meta(record, lambda meta: [
+        cell.append(code) for cells in meta["subdomains"] for cell in cells
+    ])
 
 
 CORRUPTIONS = [
@@ -327,7 +333,7 @@ class TestCorruptRecords:
 def _publish_then_crash(path: str) -> None:
     """Child process: write a record's temp directory, die before the rename."""
     table = hospital_microdata()
-    os.rename = lambda *_args: os._exit(0)
+    os.replace = lambda *_args: os._exit(0)
     RunStore(path).put(_key(table), _cached_run(table))
 
 
@@ -359,18 +365,17 @@ class TestCrashAndRace:
         assert len(store) == 0
         assert store.get(_key(hospital), hospital) is None
         assert store.recovered == 0
-        stamp = time.time() - 120
-        os.utime(stale, (stamp, stamp))
-        store.put(_key(hospital), _cached_run(hospital))
+        store.put(_key(hospital), _cached_run(hospital))  # the writer is dead
         assert store.get(_key(hospital), hospital) is not None
         assert _temporaries(path) == []
 
-    def test_a_young_temp_directory_is_left_alone(self, hospital, tmp_path):
+    def test_a_live_writers_temp_directory_is_left_alone(self, hospital, tmp_path):
         path = tmp_path / "runs"
         store = RunStore(path)
-        (path / f"{TMP_PREFIX}live").mkdir()  # a writer still mid-publish
+        live = f".{'0' * 32}.tmp-{os.getpid()}-live"
+        (path / live).mkdir()  # a writer still mid-publish
         store.put(_key(hospital), _cached_run(hospital))
-        assert [entry.name for entry in _temporaries(path)] == [f"{TMP_PREFIX}live"]
+        assert [entry.name for entry in _temporaries(path)] == [live]
 
     def test_racing_writers_publish_every_key(self, hospital, tmp_path):
         path = tmp_path / "runs"
@@ -481,7 +486,7 @@ class TestValidation:
         assert {entry.name for entry in record.iterdir()} == set(FILES)
         meta = json.loads((record / "meta.json").read_text())
         assert meta["key"] == list(_key(hospital))
-        assert meta["n"] == len(hospital) and meta["subdomains"] == []
+        assert meta["n"] == len(hospital) and not any(meta["subdomains"])
 
 
 def _merged_run(table, algorithm: str, l: int) -> CachedRun:
@@ -571,6 +576,22 @@ class TestServedHits:
         )
 
 
+class TestHitEqualsMiss:
+    @pytest.mark.parametrize("algorithm", ["TP", "TP+", "TDS", "Mondrian"])
+    def test_a_hit_reports_what_its_miss_reported(self, algorithm, tmp_path):
+        spec = {
+            "algorithm": algorithm, "l": 3, "metrics": list(metric_registry.names()),
+            "shards": None, "seed": 0, "include_rows": False, "job_id": "",
+            "source": {"kind": "synthetic", "dataset": "OCC", "n": 500, "seed": 9,
+                       "dimension": 4},
+        }
+        miss = execute_job(spec, str(tmp_path), True)
+        hit = execute_job(spec, str(tmp_path), True)
+        assert not miss["store_hit"] and hit["store_hit"]
+        fields = ["stars", "suppressed_tuples", "groups", "phase_reached", "metric_values"]
+        assert [hit[field] for field in fields] == [miss[field] for field in fields]
+
+
 class TestKeyMigration:
     """The key grew a privacy-spec token, then lost its backend element; the
     JSONL store became one directory per record."""
@@ -637,6 +658,54 @@ class TestKeyMigration:
         # A legacy file at the store's own path is replaced the same way.
         (tmp_path / "flat").write_text(json.dumps(legacy) + "\n")
         assert len(RunStore(tmp_path / "flat")) == 0
+
+    @pytest.mark.parametrize("algorithm", ["TP", "Mondrian"])
+    def test_a_v1_record_is_a_recovered_miss_then_recomputed(self, hospital, algorithm, tmp_path):
+        """A record in the retired ``repro.runstore.record`` v1 layout (the
+        group form without SA codes or string tables, sub-domains as ``[group,
+        column, codes]`` triples) is dropped and recomputed, never misread."""
+        path = tmp_path / "runs"
+
+        def run(expect_hit: bool):
+            store = RunStore(path)
+            report = Engine(cache=ResultCache(store=store)).run_table(
+                hospital, algorithm, 2, shards=1, workers=1, seed=0
+            )
+            assert report.store_hit is expect_hit
+            return store, report
+
+        _store, computed = run(False)
+        (record,) = _record_dirs(path)
+        meta = json.loads((record / "meta.json").read_text())
+        generalized = computed.generalized
+        for name in list(record.iterdir()):
+            name.unlink()
+        groups, group_of = np.unique(generalized.group_ids_array(), return_inverse=True)
+        rows = [generalized.row_cells(int(np.argmax(group_of == g))) for g in range(len(groups))]
+        subdomains = [
+            [group, column, sorted(cell)]
+            for group, cells in enumerate(rows)
+            for column, cell in enumerate(cells)
+            if isinstance(cell, frozenset)
+        ]
+        star = [[cell is STAR for cell in cells] for cells in rows]
+        codes = [[cell if isinstance(cell, int) else 0 for cell in cells] for cells in rows]
+        np.save(record / "rep_codes.npy", np.asarray(codes, dtype=np.int32))
+        np.save(record / "rep_star.npy", np.asarray(star, dtype=bool))
+        np.save(record / "group_of.npy", group_of.astype(np.int64))
+        (record / "meta.json").write_text(json.dumps({
+            "format": "repro.runstore.record", "version": 1, "key": meta["key"],
+            "n": len(hospital), "anonymize_seconds": meta["anonymize_seconds"],
+            "shard_sizes": meta["shard_sizes"], "phase_reached": meta["phase_reached"],
+            "enforcement_merges": meta["enforcement_merges"], "subdomains": subdomains,
+        }))
+
+        store, recomputed = run(False)
+        assert (store.recovered, store.misses, store.hits) == (1, 1, 0)
+        assert recomputed.generalized.cell_rows == generalized.cell_rows
+        store, served = run(True)
+        assert (store.recovered, store.hits) == (0, 1)
+        assert served.generalized.cell_rows == generalized.cell_rows
 
     def test_a_legacy_workspace_recomputes_then_hits(self, tmp_path):
         root = tmp_path / "ws"
