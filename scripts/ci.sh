@@ -8,6 +8,8 @@
 #   lint             ruff check over src, tests and scripts (skipped when
 #                    ruff is not installed)
 #   tier-1           the pytest suite
+#   benchmarks       the figure-shape, hardness and ablation checks under
+#                    benchmarks/ (bench_*.py), timing disabled
 #   examples         every examples/*.py runs to a zero exit
 #   shard smoke      a 4-shard engine run is bit-identical to the unsharded
 #                    one and within the suppression merge bound
@@ -52,6 +54,9 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== benchmarks: figure-shape and ablation checks (timing disabled) =="
+python -m pytest -q -o python_files='bench_*.py' benchmarks --benchmark-disable
 
 echo "== examples: every examples/*.py exits 0 =="
 for example in examples/*.py; do

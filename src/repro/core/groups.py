@@ -7,10 +7,10 @@ the highest non-empty entry (the pillars).  :class:`GroupState` is the Python
 counterpart: additions and removals cost O(1) amortised, and the pillar
 height / pillar set are available in O(1).
 
-:class:`NaiveGroupState` implements the same interface by recomputing the
-maximum on demand.  It exists solely for the ablation benchmark that
-quantifies what the inverted lists buy (``benchmarks/bench_ablation_inverted_lists.py``)
-and as an oracle in the property tests.
+Its twin without inverted lists (same interface, the maximum recomputed on
+every read) lives in ``tests/tp_oracle.py``: it is the oracle of the property
+tests and the baseline of the inverted-lists ablation
+(``benchmarks/bench_ablation_inverted_lists.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from repro.core.eligibility import is_l_eligible_counts
 
-__all__ = ["GroupState", "NaiveGroupState"]
+__all__ = ["GroupState"]
 
 #: Shared empty pillar set returned by the non-copying views.
 _EMPTY_PILLARS: frozenset[int] = frozenset()
@@ -63,35 +63,6 @@ class GroupState:
         for value, row in pairs:
             state.add(value, row)
         return state
-
-    def bulk_load(self, runs: Iterable[tuple[int, list[int]]]) -> None:
-        """Load pre-grouped ``(value, rows)`` runs into an *empty* state.
-
-        Equivalent to calling :meth:`add` once per row but with O(1) dict
-        work per distinct value instead of per tuple; the vectorized
-        :class:`~repro.core.state.AlgorithmState` initialization produces the
-        runs with one lexicographic sort.  Each value must appear in at most
-        one run and the state must be empty; the rows list is adopted as-is
-        (rows ascending matches the order repeated :meth:`add` would build).
-        """
-        if self._size:
-            raise ValueError("bulk_load requires an empty state")
-        counts = self._counts
-        rows = self._rows
-        height = 0
-        size = 0
-        for value, value_rows in runs:
-            count = len(value_rows)
-            if count == 0:
-                continue
-            counts[value] = count
-            rows[value] = value_rows
-            if count > height:
-                height = count
-            size += count
-        self._height = height
-        self._size = size
-        self._buckets = None  # materialized on first update / pillar read
 
     def bulk_append(self, runs: Iterable[tuple[int, list[int]]]) -> None:
         """Merge pre-grouped ``(value, rows)`` runs into a possibly non-empty state.
@@ -280,110 +251,3 @@ class GroupState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupState(size={self._size}, height={self._height}, counts={dict(sorted(self._counts.items()))})"
 
-
-class NaiveGroupState:
-    """Reference implementation without bucket maintenance (ablation / oracle).
-
-    Same interface as :class:`GroupState`; ``height`` and ``pillars`` scan the
-    histogram on every call.
-    """
-
-    __slots__ = ("_counts", "_rows", "_size")
-
-    def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
-        self._rows: dict[int, list[int]] = {}
-        self._size = 0
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "NaiveGroupState":
-        state = cls()
-        for value, row in pairs:
-            state.add(value, row)
-        return state
-
-    def bulk_load(self, runs: Iterable[tuple[int, list[int]]]) -> None:
-        if self._size:
-            raise ValueError("bulk_load requires an empty state")
-        for value, value_rows in runs:
-            if not value_rows:
-                continue
-            self._counts[value] = len(value_rows)
-            self._rows[value] = value_rows
-            self._size += len(value_rows)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def height(self) -> int:
-        return max(self._counts.values(), default=0)
-
-    def count(self, value: int) -> int:
-        return self._counts.get(value, 0)
-
-    def pillars(self) -> set[int]:
-        height = self.height
-        if height == 0:
-            return set()
-        return {value for value, count in self._counts.items() if count == height}
-
-    def pillars_view(self) -> set[int] | frozenset[int]:
-        # No stored pillar set to expose: recompute (the point of this class
-        # is to pay the scan on every read).
-        return self.pillars() or _EMPTY_PILLARS
-
-    def values_present(self) -> list[int]:
-        return sorted(self._counts)
-
-    def values_view(self):
-        return self._counts.keys()
-
-    def distinct_value_count(self) -> int:
-        return len(self._counts)
-
-    def counts(self) -> Counter[int]:
-        return Counter(self._counts)
-
-    def rows(self) -> list[int]:
-        collected: list[int] = []
-        for rows in self._rows.values():
-            collected.extend(rows)
-        return collected
-
-    def iter_rows(self) -> Iterable[int]:
-        for rows in self._rows.values():
-            yield from rows
-
-    def rows_of(self, value: int) -> list[int]:
-        return list(self._rows.get(value, ()))
-
-    def is_l_eligible(self, l: int) -> bool:
-        return is_l_eligible_counts(self._size, self.height, l)
-
-    def is_thin(self, l: int) -> bool:
-        return self._size == l * self.height
-
-    def is_fat(self, l: int) -> bool:
-        return self._size >= l * self.height + 1
-
-    def add(self, value: int, row: int) -> None:
-        self._counts[value] = self._counts.get(value, 0) + 1
-        self._rows.setdefault(value, []).append(row)
-        self._size += 1
-
-    def remove_one(self, value: int) -> int:
-        if self._counts.get(value, 0) == 0:
-            raise KeyError(f"sensitive value {value} not present")
-        self._counts[value] -= 1
-        if self._counts[value] == 0:
-            del self._counts[value]
-        row = self._rows[value].pop()
-        if not self._rows[value]:
-            del self._rows[value]
-        self._size -= 1
-        return row

@@ -15,9 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.eligibility import is_l_eligible
-from repro.core.groups import GroupState
 from repro.core.refiners import Refiner
-from repro.core.state import StateFactory
 from repro.core.three_phase import ThreePhaseStats, run_state
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
@@ -55,7 +53,6 @@ def anonymize(
     table: Table,
     l: int,
     refiner: Refiner | None = None,
-    state_factory: StateFactory = GroupState,
 ) -> HybridResult:
     """Compute an l-diverse suppression of ``table`` with TP+.
 
@@ -69,15 +66,13 @@ def anonymize(
         Strategy used to split the TP residue into QI-groups.  Defaults to
         the Hilbert-curve refiner, matching the paper's TP+ (TP combined with
         the Hilbert heuristic of Ghinita et al.).
-    state_factory:
-        Group-state implementation forwarded to TP.
     """
     if refiner is None:
         from repro.baselines.hilbert import hilbert_refiner
 
         refiner = hilbert_refiner
 
-    state, stats = run_state(table, l, state_factory=state_factory)
+    state, stats = run_state(table, l)
     retained = state.retained_group_arrays()
     residue = sorted(state.residue_rows())
 

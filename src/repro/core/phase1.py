@@ -44,23 +44,12 @@ def run_phase_one(state: AlgorithmState) -> PhaseOneReport:
     and each is shaved in bulk to its closed-form stopping height
     (:meth:`~repro.core.state.AlgorithmState.shave_group_bulk`) — the paper's
     observation that the removal multiset is tie-break-independent is what
-    licenses computing it directly.  Groups the bulk path cannot serve (the
-    eager reference state, custom state factories, groups mutated before the
-    phase) fall back to the one-removal-at-a-time loop the bulk operation is
-    proven against.
+    licenses computing it directly.  The one-removal-at-a-time loop the bulk
+    shave is proven against lives in the test-side per-tuple oracle.
     """
-    l = state.l
     moved = 0
     for group_id in state.ineligible_group_ids():
-        bulk_moved = state.shave_group_bulk(group_id)
-        if bulk_moved is not None:
-            moved += bulk_moved
-            continue
-        group = state.group(group_id)
-        while not group.is_l_eligible(l):
-            pillar = min(group.pillars_view())
-            state.move_to_residue(group_id, pillar)
-            moved += 1
+        moved += state.shave_group_bulk(group_id)
     return PhaseOneReport(
         moved=moved,
         residue_height=state.residue.height,

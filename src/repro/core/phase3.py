@@ -102,64 +102,20 @@ def _greedy_cover(state: AlgorithmState) -> list[int]:
     pillars of ``R`` that are **not** pillars of ``Q``.  Following the paper,
     we repeatedly pick the group minimising ``|C(Q) ∩ P|`` and shrink ``P``
     to that intersection until ``P`` is empty.  Lemma 7 guarantees progress.
+
+    Each pick is one kernel pass over every group's pillars plus an argmin.
+    ``np.argmin`` returns the first occurrence of the minimum, so ties go to
+    the smallest group id.  Excluded groups (empty, or already selected) are
+    masked with an overlap count above ``len(pending)``.
     """
     pending = state.residue.pillars()
     selected: list[int] = []
-    selected_set: set[int] = set()
-    sizes = state.group_sizes_array()
-    if sizes is not None:
-        return _greedy_cover_vectorized(state, pending, sizes)
-    candidates = [
-        group_id
-        for group_id in range(state.group_count)
-        if state.group_size(group_id) > 0
-    ]
-    while pending:
-        best_group = None
-        best_overlap: set[int] | None = None
-        for group_id in candidates:
-            if group_id in selected_set:
-                continue
-            overlap = state.group_pillars_view(group_id) & pending
-            if best_overlap is None or len(overlap) < len(best_overlap):
-                best_group = group_id
-                best_overlap = overlap
-                if not overlap:
-                    break
-        if best_group is None or best_overlap is None or len(best_overlap) == len(pending):
-            raise AlgorithmInvariantError(
-                "greedy cover cannot make progress over the pillars of R; "
-                "Lemma 7 rules this out for l-eligible microdata"
-            )
-        selected.append(best_group)
-        selected_set.add(best_group)
-        pending = best_overlap
-    return selected
-
-
-def _greedy_cover_vectorized(
-    state: AlgorithmState, pending: set[int], sizes: np.ndarray
-) -> list[int]:
-    """The same greedy cover as one kernel pass + argmin per iteration.
-
-    The reference loop scans candidates in ascending group id and keeps the
-    first group whose overlap is *strictly* smaller than the best so far —
-    i.e. the first group attaining the minimum.  ``np.argmin`` returns the
-    first occurrence of the minimum over the same ascending order, so the
-    selection (and hence every downstream tuple move) is bit-identical; the
-    early break on an empty overlap is subsumed because an empty overlap is
-    the global minimum.  Excluded groups (empty, or already selected) are
-    masked with an overlap count above ``len(pending)``.
-    """
-    selected: list[int] = []
-    excluded = sizes == 0
+    excluded = state.group_sizes_array() == 0
     while pending:
         overlaps = state.pillar_overlap_counts(pending)
-        blocked = len(pending) + 1
-        overlaps[excluded] = blocked
+        overlaps[excluded] = len(pending) + 1
         best_group = int(np.argmin(overlaps))
-        best_count = int(overlaps[best_group])
-        if best_count >= len(pending):
+        if int(overlaps[best_group]) >= len(pending):
             raise AlgorithmInvariantError(
                 "greedy cover cannot make progress over the pillars of R; "
                 "Lemma 7 rules this out for l-eligible microdata"

@@ -7,33 +7,34 @@ then move the minimum number of tuples to a residue set ``R`` such that every
 and the vocabulary the phases use: thin/fat, conflicting, dead/alive.
 
 The per-group multiset states are **lazy**: the state keeps the table's run
-encoding (:meth:`Table.qi_sa_runs_arrays`) plus per-group size/height arrays
-computed by one fused :func:`~repro.core.kernels.group_sizes_heights` pass,
-and a :class:`~repro.core.groups.GroupState` is only materialized for the
-groups a phase actually mutates.  Every read the phases need — size, height,
+encoding (the shared :meth:`Table.grouping` context) plus per-group
+size/height arrays computed by one fused
+:func:`~repro.core.kernels.group_sizes_heights` pass, and a
+:class:`~repro.core.groups.GroupState` is only materialized for the groups a
+phase actually mutates.  Every read the phases need — size, height,
 eligibility, pillars, liveness, per-value counts — is answered from the
 arrays for untouched groups, which is what makes million-row tables viable:
 the overwhelming majority of QI-groups are born l-eligible and never touched,
 so they never pay for Python dicts, and whole-state sweeps (phase one's
 ineligible scan, phase three's cover/kill passes) become NumPy kernels.
 Materialization is observationally lossless: the dicts built from the run
-arrays are exactly the ones the eager construction would have produced.
+arrays are exactly the ones inserting every tuple of the group one at a time
+(sensitive values ascending, rows ascending) would produce; the per-tuple
+oracle in ``tests/tp_oracle.py`` builds its groups that way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.groups import GroupState
 from repro.dataset.table import Table
-from repro.errors import IneligibleTableError
+from repro.errors import AlgorithmInvariantError, IneligibleTableError
 
 __all__ = ["AlgorithmState"]
-
-StateFactory = Callable[[], GroupState]
 
 
 class AlgorithmState:
@@ -45,18 +46,9 @@ class AlgorithmState:
         The microdata table.
     l:
         The diversity parameter.  The table must be l-eligible (Lemma 1).
-    state_factory:
-        Constructor used for the per-group multiset state; the default is the
-        inverted-list :class:`~repro.core.groups.GroupState`, the ablation
-        benchmark passes :class:`~repro.core.groups.NaiveGroupState`.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        l: int,
-        state_factory: StateFactory = GroupState,
-    ) -> None:
+    def __init__(self, table: Table, l: int) -> None:
         if l < 2:
             raise ValueError(f"l must be >= 2 for anonymization, got {l}")
         if not table.is_l_eligible(l):
@@ -66,53 +58,13 @@ class AlgorithmState:
             )
         self._table = table
         self._l = l
-        self._group_keys: list[tuple[int, ...]] | None = None
-        self._group_keys_arr: np.ndarray | None = None
-        self._groups: list[GroupState | None]
-        self._lazy = False
-        self._materialized: set[int] = set()
-        self._pillar_cache: dict[int, frozenset[int]] = {}
-        self._pillar_runs: tuple[np.ndarray, np.ndarray] | None = None
-        self._run_gids: np.ndarray | None = None
-        self._context = None
-        if len(table) > 0:
-            if state_factory is GroupState:
-                self._init_lazy(table)
-            else:
-                self._init_vectorized(table, state_factory)
-        else:
-            self._init_reference(table, state_factory)
-        self._residue = state_factory()
-
-    def _init_reference(self, table: Table, state_factory: StateFactory) -> None:
-        """Build the per-group multiset states one :meth:`add` at a time.
-
-        The path for empty tables, and the oracle the equivalence tests swap
-        in for :meth:`_init_lazy`.
-        """
-        # Deterministic group order: sort by QI vector so runs are reproducible.
-        grouped = sorted(table.group_by_qi().items())
-        self._group_keys = [key for key, _rows in grouped]
-        self._groups = []
-        for _key, rows in grouped:
-            state = state_factory()
-            for row in rows:
-                state.add(table.sa_value(row), row)
-            self._groups.append(state)
-
-    def _init_lazy(self, table: Table) -> None:
-        """Defer group materialization: keep the run encoding plus metrics.
-
-        The shared :meth:`Table.grouping` context sorts the rows by ``(QI
-        vector, sensitive value)``, which yields every QI-group as a
-        contiguous block (already in the deterministic sorted-key order)
-        and, inside each block, every sensitive value as a contiguous run.
-        The context caches every derived array (run lengths, group row
-        bounds, the fused size/height pass), so the state shares them with
-        the metrics instead of re-deriving; the per-group dicts are only
-        built when a phase mutates the group (:meth:`_materialize`), so
-        untouched groups stay as array slices.
-        """
+        # The shared grouping context sorts the rows by ``(QI vector,
+        # sensitive value)``, which yields every QI-group as a contiguous
+        # block (already in the deterministic sorted-key order) and, inside
+        # each block, every sensitive value as a contiguous run.  It caches
+        # every derived array (run lengths, group row bounds, the fused
+        # size/height pass), so the state shares them with the metrics
+        # instead of re-deriving; an empty table yields empty arrays.
         context = table.grouping()
         self._context = context
         (
@@ -126,69 +78,57 @@ class AlgorithmState:
         self._sizes, self._heights = context.group_sizes_heights()
         # Row-span boundaries of each group inside ``order`` (s + 1 entries).
         self._group_row_bounds = context.group_row_bounds
-        self._groups = [None] * self._sizes.shape[0]
-        self._lazy = True
-
-    def _init_vectorized(self, table: Table, state_factory: StateFactory) -> None:
-        """Eagerly build custom per-group states from the cached run encoding.
-
-        Stability of the sort keeps row indices ascending within a run, so
-        the result is indistinguishable from the per-row reference
-        construction; the per-state row lists are sliced fresh (they are
-        mutated as tuples move to the residue), everything else is shared.
-        """
-        group_keys, group_run_bounds, run_bounds, run_values, order_list = table.qi_sa_runs()
-        self._group_keys = group_keys
-        run_rows = [
-            order_list[start:end] for start, end in zip(run_bounds[:-1], run_bounds[1:])
-        ]
-
-        groups: list[GroupState | None] = []
-        for first, last in zip(group_run_bounds[:-1], group_run_bounds[1:]):
-            state = state_factory()
-            runs = list(zip(run_values[first:last], run_rows[first:last]))
-            loader = getattr(state, "bulk_load", None)
-            if loader is not None:
-                loader(runs)
-            else:  # custom state factories without bulk support
-                for value, rows in runs:
-                    for row in rows:
-                        state.add(value, row)
-            groups.append(state)
-        self._groups = groups
+        self._group_keys: list[tuple[int, ...]] | None = None
+        # ``None`` until a phase mutates the group (:meth:`_materialize`).
+        self._groups: list[GroupState | None] = [None] * self._sizes.shape[0]
+        self._materialized: set[int] = set()
+        self._pillar_cache: dict[int, frozenset[int]] = {}
+        self._pillar_runs: tuple[np.ndarray, np.ndarray] | None = None
+        self._residue = GroupState()
 
     # ---------------------------------------------------------- materialization
 
     def _materialize(self, group_id: int) -> GroupState:
-        """Build the mutable :class:`GroupState` of one lazily-held group.
+        """Build the mutable :class:`GroupState` of one still-untouched group.
 
         The dicts are filled in run order (sensitive values ascending, row
-        indices ascending within a value) — exactly the insertion order the
-        eager construction produces, so everything downstream (row
-        concatenation order included) is bit-identical.
+        indices ascending within a value) — exactly the insertion order of
+        one :meth:`GroupState.add` per tuple in row order, so everything
+        downstream (row concatenation order included) is bit-identical.
         """
-        group = self._groups[group_id]
-        if group is not None:
-            return group
         first = int(self._group_run_bounds[group_id])
         last = int(self._group_run_bounds[group_id + 1])
         values = self._run_values[first:last].tolist()
         bounds = self._run_bounds[first : last + 1].tolist()
         order = self._order
-        rows = {
-            value: order[start:end].tolist()
-            for value, start, end in zip(values, bounds[:-1], bounds[1:])
-        }
-        counts = {
-            value: end - start
-            for value, start, end in zip(values, bounds[:-1], bounds[1:])
-        }
+        counts: dict[int, int] = {}
+        rows: dict[int, list[int]] = {}
+        for value, start, end in zip(values, bounds[:-1], bounds[1:]):
+            counts[value] = end - start
+            rows[value] = order[start:end].tolist()
+        return self._adopt(
+            group_id,
+            counts,
+            rows,
+            int(self._heights[group_id]),
+            int(self._sizes[group_id]),
+        )
+
+    def _adopt(
+        self,
+        group_id: int,
+        counts: dict[int, int],
+        rows: dict[int, list[int]],
+        height: int,
+        size: int,
+    ) -> GroupState:
+        """Install a group's mutable state built straight from the run arrays."""
         group = GroupState.__new__(GroupState)
         group._counts = counts
         group._rows = rows
         group._buckets = None  # materialized on first update / pillar read
-        group._height = int(self._heights[group_id])
-        group._size = int(self._sizes[group_id])
+        group._height = height
+        group._size = size
         self._groups[group_id] = group
         self._materialized.add(group_id)
         self._pillar_cache.pop(group_id, None)
@@ -207,7 +147,7 @@ class AlgorithmState:
     @property
     def groups(self) -> Sequence[GroupState]:
         """All per-group states (materializing any still-lazy ones)."""
-        if self._lazy and len(self._materialized) < len(self._groups):
+        if len(self._materialized) < len(self._groups):
             for group_id in range(len(self._groups)):
                 if self._groups[group_id] is None:
                     self._materialize(group_id)
@@ -300,72 +240,48 @@ class AlgorithmState:
     def ineligible_group_ids(self) -> list[int]:
         """Ascending ids of the groups violating Definition 2, one fused pass."""
         l = self._l
-        if self._lazy:
-            mask = self._heights * l > self._sizes
-            for group_id in self._materialized:
-                mask[group_id] = not self._groups[group_id].is_l_eligible(l)
-            return np.flatnonzero(mask).tolist()
-        return [
-            group_id
-            for group_id, group in enumerate(self._groups)
-            if not group.is_l_eligible(l)
-        ]
+        mask = self._heights * l > self._sizes
+        for group_id in self._materialized:
+            mask[group_id] = not self._groups[group_id].is_l_eligible(l)
+        return np.flatnonzero(mask).tolist()
 
     def values_to_groups(self) -> dict[int, set[int]]:
         """``{sensitive value: ids of non-empty groups holding it}``.
 
-        Phase two's seeding index.  On the lazy path this is one stable
-        argsort over the run values instead of a per-group Python loop;
-        materialized groups are merged in from their dicts.
+        Phase two's seeding index: one stable argsort over the run values
+        instead of a per-group Python loop; materialized groups are merged
+        in from their dicts.
         """
         result: dict[int, set[int]] = {}
-        if self._lazy:
-            run_gids = self._ensure_run_gids()
-            values = self._run_values
-            if self._materialized:
-                stale = np.zeros(len(self._groups), dtype=bool)
-                stale[list(self._materialized)] = True
-                keep = ~stale[run_gids]
-                values = values[keep]
-                run_gids = run_gids[keep]
-            if values.size:
-                sort = np.argsort(values, kind="stable")
-                sorted_values = values[sort]
-                sorted_gids = run_gids[sort].tolist()
-                boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-                starts = np.concatenate(([0], boundaries))
-                ends = np.concatenate((boundaries, [sorted_values.shape[0]]))
-                for value, start, end in zip(
-                    sorted_values[starts].tolist(), starts.tolist(), ends.tolist()
-                ):
-                    result[value] = set(sorted_gids[start:end])
-            for group_id in sorted(self._materialized):
-                group = self._groups[group_id]
-                if group.size == 0:
-                    continue
-                for value in group.values_view():
-                    result.setdefault(value, set()).add(group_id)
-        else:
-            for group_id, group in enumerate(self._groups):
-                if group.size == 0:
-                    continue
-                for value in group.values_view():
-                    result.setdefault(value, set()).add(group_id)
+        run_gids = self._context.run_group_ids
+        values = self._run_values
+        if self._materialized:
+            stale = np.zeros(len(self._groups), dtype=bool)
+            stale[list(self._materialized)] = True
+            keep = ~stale[run_gids]
+            values = values[keep]
+            run_gids = run_gids[keep]
+        if values.size:
+            sort = np.argsort(values, kind="stable")
+            sorted_values = values[sort]
+            sorted_gids = run_gids[sort].tolist()
+            boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+            starts = np.concatenate(([0], boundaries))
+            ends = np.concatenate((boundaries, [sorted_values.shape[0]]))
+            for value, start, end in zip(
+                sorted_values[starts].tolist(), starts.tolist(), ends.tolist()
+            ):
+                result[value] = set(sorted_gids[start:end])
+        for group_id in sorted(self._materialized):
+            group = self._groups[group_id]
+            if group.size == 0:
+                continue
+            for value in group.values_view():
+                result.setdefault(value, set()).add(group_id)
         return result
 
-    def _ensure_run_gids(self) -> np.ndarray:
-        if self._run_gids is None:
-            if self._context is not None:
-                self._run_gids = self._context.run_group_ids
-            else:
-                self._run_gids = np.repeat(
-                    np.arange(len(self._groups), dtype=np.int64),
-                    np.diff(self._group_run_bounds),
-                )
-        return self._run_gids
-
-    def pillar_overlap_counts(self, pending: set[int]) -> np.ndarray | None:
-        """``|pillars(Q) ∩ pending|`` for every group, or ``None`` off-lazy.
+    def pillar_overlap_counts(self, pending: set[int]) -> np.ndarray:
+        """``|pillars(Q) ∩ pending|`` for every group.
 
         Backs the greedy SET-COVER step of phase three: the static pillar
         runs (valid for every never-mutated group) go through the chunked
@@ -374,10 +290,8 @@ class AlgorithmState:
         Entries of *empty* materialized groups are 0; callers mask
         candidates by size anyway.
         """
-        if not self._lazy:
-            return None
         if self._pillar_runs is None:
-            run_gids = self._ensure_run_gids()
+            run_gids = self._context.run_group_ids
             is_pillar = self._run_lengths == self._heights[run_gids]
             self._pillar_runs = (run_gids[is_pillar], self._run_values[is_pillar])
         gids, values = self._pillar_runs
@@ -391,10 +305,8 @@ class AlgorithmState:
             )
         return counts
 
-    def group_sizes_array(self) -> np.ndarray | None:
-        """Current per-group sizes as an array, or ``None`` off-lazy."""
-        if not self._lazy:
-            return None
+    def group_sizes_array(self) -> np.ndarray:
+        """Current per-group sizes as an array."""
         sizes = self._sizes.copy()
         for group_id in self._materialized:
             sizes[group_id] = self._groups[group_id].size
@@ -413,7 +325,7 @@ class AlgorithmState:
         self._residue.add(value, row)
         return row
 
-    def shave_group_bulk(self, group_id: int) -> int | None:
+    def shave_group_bulk(self, group_id: int) -> int:
         """Phase one's whole shave of one group as a single bulk operation.
 
         Equivalent to ``move_to_residue(group_id, min(pillars))`` repeated
@@ -424,12 +336,16 @@ class AlgorithmState:
         ascending per-value lists — the removed rows are exactly the highest
         ``c_v - stop`` indices of each over-tall value.  The group is
         materialized directly in its post-shave form.  Returns the number of
-        tuples moved, or ``None`` when the bulk path does not apply (eager
-        state, or a group already materialized/mutated) and the caller must
-        run the reference loop.
+        tuples moved.
+
+        Phase one runs first, so the group must still be untouched; shaving
+        a group some earlier move already materialized raises
+        :class:`~repro.errors.AlgorithmInvariantError`.
         """
-        if not self._lazy or self._groups[group_id] is not None:
-            return None
+        if self._groups[group_id] is not None:
+            raise AlgorithmInvariantError(
+                f"group {group_id} was mutated before its phase-one shave"
+            )
         l = self._l
         size = int(self._sizes[group_id])
         height = int(self._heights[group_id])
@@ -453,15 +369,7 @@ class AlgorithmState:
                 rows[value] = order[start : start + keep].tolist()
             if keep != count:
                 shaved.append((value, order[start + keep : end].tolist()))
-        group = GroupState.__new__(GroupState)
-        group._counts = counts
-        group._rows = rows
-        group._buckets = None  # materialized on first update / pillar read
-        group._height = stop if counts else 0
-        group._size = size - removed
-        self._groups[group_id] = group
-        self._materialized.add(group_id)
-        self._pillar_cache.pop(group_id, None)
+        self._adopt(group_id, counts, rows, stop if counts else 0, size - removed)
         self._residue.bulk_append(shaved)
         return removed
 
@@ -504,35 +412,15 @@ class AlgorithmState:
 
     # --------------------------------------------------------------- outputs
 
-    def retained_group_rows(self) -> list[list[int]]:
-        """Row-index lists of the non-empty QI-groups (zero stars each)."""
-        if not self._lazy:
-            return [group.rows() for group in self._groups if group.size > 0]
-        order = self._order
-        row_bounds = self._group_row_bounds.tolist()
-        collected: list[list[int]] = []
-        for group_id, group in enumerate(self._groups):
-            if group is None:
-                # Untouched: its rows are one contiguous span of ``order``,
-                # already in the (SA run, ascending row) order the eager
-                # GroupState.rows() concatenation would produce.
-                collected.append(
-                    order[row_bounds[group_id] : row_bounds[group_id + 1]].tolist()
-                )
-            elif group.size > 0:
-                collected.append(group.rows())
-        return collected
-
     def retained_group_arrays(self) -> list:
-        """Like :meth:`retained_group_rows`, but zero-copy where possible.
+        """Row indices of the non-empty QI-groups (zero stars each).
 
-        Untouched lazy groups come back as read-only ndarray spans of
-        ``order`` instead of Python lists (same element order); materialized
-        groups still yield lists.  The vectorized publish path consumes
-        either without materializing millions of Python ints.
+        Untouched groups come back as read-only ndarray spans of ``order``
+        (sensitive-value runs, ascending rows within a run); materialized
+        groups yield :meth:`GroupState.rows` lists, in the same order.  The
+        vectorized publish path consumes either without materializing
+        millions of Python ints.
         """
-        if not self._lazy:
-            return [group.rows() for group in self._groups if group.size > 0]
         order = self._order
         row_bounds = self._group_row_bounds
         collected: list = []

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.groups import GroupState
 from repro.core.phase1 import PhaseOneReport, run_phase_one
 from repro.core.phase2 import PhaseTwoReport, run_phase_two
 from repro.core.phase3 import PhaseThreeReport, run_phase_three
-from repro.core.state import AlgorithmState, StateFactory
+from repro.core.state import AlgorithmState
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
 from repro.obs import trace
@@ -102,11 +101,7 @@ class ThreePhaseResult:
         return self.generalized.suppressed_tuple_count()
 
 
-def run_state(
-    table: Table,
-    l: int,
-    state_factory: StateFactory = GroupState,
-) -> tuple[AlgorithmState, ThreePhaseStats]:
+def run_state(table: Table, l: int) -> tuple[AlgorithmState, ThreePhaseStats]:
     """Run the three phases and return the raw algorithm state plus stats.
 
     This is the building block shared by :func:`anonymize` and the TP+ hybrid
@@ -116,10 +111,9 @@ def run_state(
     # Touch the table-level grouping before the state-init stage so its cost
     # is attributed to ``encode``; it is cached on the table, so the work is
     # never repeated inside AlgorithmState.
-    if len(table) > 0:
-        table.grouping()
+    table.grouping()
     with trace.span("state-init"):
-        state = AlgorithmState(table, l, state_factory=state_factory)
+        state = AlgorithmState(table, l)
 
     with trace.span("phase1"):
         phase1: PhaseOneReport = run_phase_one(state)
@@ -154,11 +148,7 @@ def run_state(
     return state, stats
 
 
-def anonymize(
-    table: Table,
-    l: int,
-    state_factory: StateFactory = GroupState,
-) -> ThreePhaseResult:
+def anonymize(table: Table, l: int) -> ThreePhaseResult:
     """Compute an l-diverse suppression of ``table`` with the TP algorithm.
 
     Parameters
@@ -169,8 +159,6 @@ def anonymize(
         l-diverse generalization exists at all).
     l:
         The diversity parameter (``l >= 2``).
-    state_factory:
-        Group-state implementation; overridden only by the ablation benchmark.
 
     Returns
     -------
@@ -178,7 +166,7 @@ def anonymize(
         The generalized table, the partition that produced it, the suppressed
         rows and per-phase statistics.
     """
-    state, stats = run_state(table, l, state_factory=state_factory)
+    state, stats = run_state(table, l)
     with trace.span("publish"):
         # Untouched groups come back as zero-copy spans of the state's sort
         # order; Partition normalizes them to lists only if someone reads

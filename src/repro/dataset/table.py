@@ -11,14 +11,11 @@ sensitive attribute (SA) ``B``.  This module provides that substrate:
   algorithms and experiments need (projection, sampling, grouping by QI
   vector, eligibility checks).
 
-Rows have two interchangeable physical representations, materialized lazily
-from one another and kept in sync by construction (tables are immutable):
-
-* **row tuples** — ``qi_rows`` holds tuples of QI codes; this is what the
-  three-phase algorithm's per-tuple bookkeeping consumes;
-* **columnar code arrays** — a single ``(n, d)`` ``numpy.int32`` matrix plus
-  an ``(n,)`` sensitive-value array; this is what the vectorized data plane
-  (QI-grouping, suppression, Hilbert keys, metrics) consumes.
+Rows are stored columns-first: a single ``(n, d)`` ``numpy.int32`` matrix of
+QI codes plus an ``(n,)`` sensitive-value array, which is what the data plane
+(QI-grouping, the three-phase state, suppression, Hilbert keys, metrics)
+consumes.  Row tuples (``qi_rows`` / ``sa_values``) are derived from the
+columns on first read, for the few per-row consumers (baselines, display).
 
 Encoding once up front keeps the anonymization algorithms allocation-free and
 makes equality checks cheap, which matters because the three-phase algorithm
@@ -159,17 +156,26 @@ class Schema:
         return sizes
 
 
+def _check_codes(codes: np.ndarray, attribute: Attribute, kind: str) -> None:
+    """Raise :class:`DomainError` unless every code lies in ``attribute``'s domain."""
+    low = int(codes.min())
+    high = int(codes.max())
+    if low < 0 or high >= attribute.size:
+        code = low if low < 0 else high
+        raise DomainError(f"code {code} out of range for {kind} {attribute.name!r}")
+
+
 class Table:
     """An encoded categorical microdata table.
 
-    Rows are stored as two parallel sequences: ``qi_rows`` holds tuples of QI
-    codes and ``sa_values`` the sensitive-attribute codes.  A columnar NumPy
-    mirror (``qi_columns`` / ``sa_array``) is materialized lazily; either
-    representation can be the one supplied at construction time
-    (:meth:`from_arrays` builds a table directly from code arrays, and the
-    row tuples are only realized if something asks for them).  The class is
-    intentionally immutable from the outside; anonymization algorithms build
-    partitions of row indices rather than mutating the table.
+    The QI codes are stored as an ``(n, d)`` ``int32`` matrix
+    (:attr:`qi_columns`) and the sensitive-attribute codes as an ``(n,)``
+    ``int32`` array (:attr:`sa_array`).  The row constructor converts its
+    tuples once and builds through :meth:`from_arrays`; the row-tuple views
+    :attr:`qi_rows` / :attr:`sa_values` are derived from the columns on first
+    read.  The class is intentionally immutable from the outside;
+    anonymization algorithms build partitions of row indices rather than
+    mutating the table.
     """
 
     def __init__(
@@ -188,19 +194,12 @@ class Table:
                 raise ValueError(
                     f"QI row {row!r} has {len(row)} values, expected {dimension}"
                 )
-        self._schema = schema
-        self._qi_rows: list[tuple[int, ...]] | None = [tuple(row) for row in qi_rows]
-        self._sa_values: list[int] | None = list(sa_values)
-        self._n = len(self._qi_rows)
-        self._columns: np.ndarray | None = None
-        self._sa_array: np.ndarray | None = None
-        self._qi_groups: dict[tuple[int, ...], list[int]] | None = None
-        self._qi_sa_runs: tuple | None = None
-        self._grouping = None
-        self._order_cache = None
-        self._sa_counts: dict[int, int] | None = None
-        self._fingerprint: str | None = None
-        self._validate_codes()
+        self._adopt(
+            schema,
+            np.asarray(qi_rows).reshape(len(qi_rows), dimension),
+            np.asarray(sa_values).reshape(len(sa_values)),
+            validate=True,
+        )
 
     @classmethod
     def from_arrays(
@@ -214,16 +213,21 @@ class Table:
 
         ``qi_columns`` must be an ``(n, d)`` integer matrix and ``sa_array``
         an ``(n,)`` integer vector.  Codes are validated with vectorized
-        bounds checks unless ``validate=False`` — the trusted path for
-        arrays whose provenance already guarantees in-domain codes (a saved
+        bounds checks on the incoming values (before the ``int32`` cast, so
+        a wide code cannot wrap into the domain) unless ``validate=False`` —
+        the trusted path for arrays whose provenance already guarantees
+        in-domain codes (a saved
         :class:`~repro.engine.columnstore.ColumnStore`, chunk encoders, or
         slices of an already-validated table), where the min/max scan would
-        fault an entire memory-mapped file in for nothing.  The row-tuple
-        representation is materialized lazily, so tables that only ever
-        travel through the vectorized data plane never pay for it.
+        fault an entire memory-mapped file in for nothing.
         """
-        columns = np.ascontiguousarray(qi_columns, dtype=np.int32)
-        sa = np.ascontiguousarray(sa_array, dtype=np.int32)
+        table = cls.__new__(cls)
+        table._adopt(schema, np.asarray(qi_columns), np.asarray(sa_array), validate)
+        return table
+
+    def _adopt(
+        self, schema: Schema, columns: np.ndarray, sa: np.ndarray, validate: bool
+    ) -> None:
         if columns.ndim != 2 or columns.shape[1] != schema.dimension:
             raise ValueError(
                 f"qi_columns must have shape (n, {schema.dimension}), got {columns.shape}"
@@ -232,55 +236,21 @@ class Table:
             raise ValueError(
                 f"sa_array has {sa.shape} entries but qi_columns has {columns.shape[0]} rows"
             )
-        table = cls.__new__(cls)
-        table._schema = schema
-        table._qi_rows = None
-        table._sa_values = None
-        table._n = columns.shape[0]
-        table._columns = columns
-        table._sa_array = sa
-        table._qi_groups = None
-        table._qi_sa_runs = None
-        table._grouping = None
-        table._order_cache = None
-        table._sa_counts = None
-        table._fingerprint = None
-        if table._n and validate:
+        if columns.shape[0] and validate:
             for position, attribute in enumerate(schema.qi):
-                column = columns[:, position]
-                low = int(column.min())
-                high = int(column.max())
-                if low < 0 or high >= attribute.size:
-                    code = low if low < 0 else high
-                    raise DomainError(
-                        f"code {code} out of range for attribute {attribute.name!r}"
-                    )
-            low = int(sa.min())
-            high = int(sa.max())
-            if low < 0 or high >= schema.sensitive.size:
-                code = low if low < 0 else high
-                raise DomainError(
-                    f"code {code} out of range for sensitive attribute "
-                    f"{schema.sensitive.name!r}"
-                )
-        return table
-
-    def _validate_codes(self) -> None:
-        for position, attribute in enumerate(self._schema.qi):
-            limit = attribute.size
-            for row in self._qi_rows:
-                code = row[position]
-                if not 0 <= code < limit:
-                    raise DomainError(
-                        f"code {code} out of range for attribute {attribute.name!r}"
-                    )
-        sa_limit = self._schema.sensitive.size
-        for code in self._sa_values:
-            if not 0 <= code < sa_limit:
-                raise DomainError(
-                    f"code {code} out of range for sensitive attribute "
-                    f"{self._schema.sensitive.name!r}"
-                )
+                _check_codes(columns[:, position], attribute, "attribute")
+            _check_codes(sa, schema.sensitive, "sensitive attribute")
+        self._schema = schema
+        self._n = columns.shape[0]
+        self._columns = np.ascontiguousarray(columns, dtype=np.int32)
+        self._sa_array = np.ascontiguousarray(sa, dtype=np.int32)
+        self._qi_rows: list[tuple[int, ...]] | None = None
+        self._sa_values: list[int] | None = None
+        self._qi_groups: dict[tuple[int, ...], list[int]] | None = None
+        self._grouping = None
+        self._order_cache = None
+        self._sa_counts: dict[int, int] | None = None
+        self._fingerprint: str | None = None
 
     # --------------------------------------------------------------- pickling
 
@@ -342,21 +312,13 @@ class Table:
     def qi_columns(self) -> np.ndarray:
         """The QI codes as an ``(n, d)`` ``int32`` matrix (treat as read-only).
 
-        This is the columnar mirror of :attr:`qi_rows`, materialized lazily
-        and cached; the vectorized grouping, generalization and metric paths
-        all operate on it.
+        The grouping, generalization and metric paths all operate on it.
         """
-        if self._columns is None:
-            self._columns = np.asarray(self._qi_rows, dtype=np.int32).reshape(
-                self._n, self._schema.dimension
-            )
         return self._columns
 
     @property
     def sa_array(self) -> np.ndarray:
         """The SA codes as an ``(n,)`` ``int32`` array (treat as read-only)."""
-        if self._sa_array is None:
-            self._sa_array = np.asarray(self._sa_values, dtype=np.int32).reshape(self._n)
         return self._sa_array
 
     def rows(self) -> Iterable[tuple[tuple[int, ...], int]]:
@@ -412,13 +374,10 @@ class Table:
     def sa_counts(self) -> Counter[int]:
         """Histogram of SA codes (``h(T, v)`` for every ``v``)."""
         if self._sa_counts is None:
-            if self._sa_values is None and self._n:
-                counts = np.bincount(self._sa_array)
-                self._sa_counts = {
-                    int(value): int(count) for value, count in enumerate(counts) if count
-                }
-            else:
-                self._sa_counts = dict(Counter(self.sa_values))
+            counts = np.bincount(self._sa_array)
+            self._sa_counts = {
+                int(value): int(count) for value, count in enumerate(counts) if count
+            }
         return Counter(self._sa_counts)
 
     @property
@@ -540,7 +499,7 @@ class Table:
     def qi_sa_runs_arrays(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of :meth:`qi_sa_runs` — the zero-copy run encoding.
+        """The run encoding of the rows sorted by ``(QI vector, SA code)``.
 
         Returns ``(group_keys, group_run_bounds, run_bounds, run_values,
         order)`` as NumPy arrays: an ``(s, d)`` ``int32`` matrix of distinct
@@ -551,36 +510,12 @@ class Table:
         indices ascend within ties).
 
         This is the whole l-independent preprocessing of the three-phase
-        algorithm (Section 5.1); since PR 8 the arrays live on the shared
-        :meth:`grouping` context, so the fused phase kernels, the lazy
+        algorithm (Section 5.1); the arrays live on the shared
+        :meth:`grouping` context, so the fused phase kernels, the
         :class:`~repro.core.state.AlgorithmState` and the metrics all read
         the same sort.  Treat all five arrays as read-only.
         """
         return self.grouping().arrays()
-
-    def qi_sa_runs(
-        self,
-    ) -> tuple[list[tuple[int, ...]], list[int], list[int], list[int], list[int]]:
-        """Run-length encoding of the rows sorted by ``(QI vector, SA code)``.
-
-        The Python-list view of :meth:`qi_sa_runs_arrays` (which holds the
-        cached sort): ``group_keys`` becomes a list of tuples and the bounds
-        and values become plain ``int`` lists, for consumers that do
-        per-element Python work.  All five lists are shared and cached;
-        treat them as read-only.
-        """
-        if self._qi_sa_runs is None:
-            group_keys, group_run_bounds, run_bounds, run_values, order = (
-                self.qi_sa_runs_arrays()
-            )
-            self._qi_sa_runs = (
-                [tuple(key) for key in group_keys.tolist()],
-                group_run_bounds.tolist(),
-                run_bounds.tolist(),
-                run_values.tolist(),
-                order.tolist(),
-            )
-        return self._qi_sa_runs
 
     def group_by_qi_reference(self) -> dict[tuple[int, ...], list[int]]:
         """Pure-Python QI-grouping (the oracle for the vectorized path)."""

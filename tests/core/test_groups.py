@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.groups import GroupState, NaiveGroupState
+from repro.core.groups import GroupState
+from tests.tp_oracle import NaiveGroupState
 
 
 class TestGroupStateBasics:

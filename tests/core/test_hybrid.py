@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import hybrid, three_phase
 from repro.core.refiners import frequency_greedy_refiner, single_group_refiner
 from repro.dataset.examples import phase_three_example
+from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import AlgorithmInvariantError, IneligibleTableError
 from tests.conftest import make_random_table
 
@@ -49,6 +50,15 @@ class TestHybridBasics:
     def test_rejects_ineligible(self, hospital):
         with pytest.raises(IneligibleTableError):
             hybrid.anonymize(hospital, 3)
+
+    def test_empty_table(self):
+        schema = Schema(qi=(Attribute("Q", (0, 1)),), sensitive=Attribute("S", (0, 1)))
+        result = hybrid.anonymize(Table(schema, [], []), 2)
+        assert result.tp_stats.phase_reached == 1
+        assert result.tp_stats.initial_group_count == 0
+        assert result.star_count == 0
+        assert result.refined_group_count == 0
+        assert len(result.generalized) == 0
 
     def test_residue_rows_exposed(self, random_table):
         result = hybrid.anonymize(random_table, 2)

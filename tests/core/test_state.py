@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.groups import NaiveGroupState
 from repro.core.state import AlgorithmState
 from repro.dataset.examples import table_from_group_counts
-from repro.errors import IneligibleTableError
+from repro.dataset.table import Attribute, Schema, Table
+from repro.errors import AlgorithmInvariantError, IneligibleTableError
 
 
 class TestConstruction:
@@ -28,10 +28,16 @@ class TestConstruction:
         with pytest.raises(IneligibleTableError):
             AlgorithmState(hospital, 3)  # hospital is only 2-eligible
 
-    def test_custom_state_factory(self, hospital):
-        state = AlgorithmState(hospital, 2, state_factory=NaiveGroupState)
-        assert all(isinstance(group, NaiveGroupState) for group in state.groups)
-        assert isinstance(state.residue, NaiveGroupState)
+    def test_empty_table(self):
+        schema = Schema(qi=(Attribute("Q", (0, 1)),), sensitive=Attribute("S", (0, 1)))
+        state = AlgorithmState(Table(schema, [], []), 2)
+        assert state.group_count == 0
+        assert list(state.groups) == []
+        assert state.ineligible_group_ids() == []
+        assert state.values_to_groups() == {}
+        assert state.retained_group_arrays() == []
+        assert state.residue_rows() == []
+        assert state.residue_is_eligible()
 
     def test_group_qi_vectors_are_distinct(self, hospital):
         state = AlgorithmState(hospital, 2)
@@ -109,7 +115,16 @@ class TestOutputs:
         state = AlgorithmState(table, 2)
         state.move_to_residue(0, 0)
         state.move_to_residue(1, 2)
-        retained = [row for group in state.retained_group_rows() for row in group]
+        retained = [int(row) for group in state.retained_group_arrays() for row in group]
         residue = state.residue_rows()
         assert sorted(retained + residue) == list(range(len(table)))
         assert len(residue) == 2
+
+
+class TestPhaseOneShave:
+    def test_shave_rejects_a_mutated_group(self):
+        table = table_from_group_counts([(5, 1, 1), (0, 4, 4)])
+        state = AlgorithmState(table, 2)
+        state.move_to_residue(0, 0)
+        with pytest.raises(AlgorithmInvariantError):
+            state.shave_group_bulk(0)

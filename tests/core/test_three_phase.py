@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import three_phase
-from repro.core.groups import NaiveGroupState
 from repro.dataset.examples import phase_three_example, phase_two_example
+from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import IneligibleTableError
 from tests.conftest import make_random_table
 from tests.strategies import eligible_tables
+from tests.tp_oracle import NaiveGroupState, run_tp
 
 
 class TestAnonymizeOnExamples:
@@ -72,12 +73,21 @@ class TestAnonymizeValidation:
         assert first.partition.groups == second.partition.groups
         assert first.star_count == second.star_count
 
-    def test_naive_state_factory_gives_same_objective(self, random_table):
+    def test_naive_state_oracle_gives_same_run(self, random_table):
         fast = three_phase.anonymize(random_table, 2)
-        slow = three_phase.anonymize(random_table, 2, state_factory=NaiveGroupState)
-        assert fast.star_count == slow.star_count
-        assert fast.stats.removed_tuples == slow.stats.removed_tuples
-        assert fast.stats.phase_reached == slow.stats.phase_reached
+        slow = run_tp(random_table, 2, state_factory=NaiveGroupState)
+        assert fast.residue_rows == slow.residue_rows()
+        assert fast.stats == slow.stats
+
+    def test_empty_table(self):
+        schema = Schema(qi=(Attribute("Q", (0, 1)),), sensitive=Attribute("S", (0, 1)))
+        table = Table(schema, [], [])
+        result = three_phase.anonymize(table, 2)
+        assert result.stats.phase_reached == 1
+        assert result.stats.initial_group_count == 0
+        assert result.star_count == 0
+        assert result.residue_rows == []
+        assert len(result.generalized) == 0
 
 
 class TestAnonymizeProperties:

@@ -1,18 +1,17 @@
 """Equivalence of the vectorized NumPy data plane and the pure-Python oracles.
 
 Every vectorized hot path — columnar construction, QI-grouping, suppression
-(Definition 1), star/NCP/discernibility/KL metrics, Hilbert keys, and the
-bulk-built three-phase algorithm state — is validated against its retained
-``*_reference`` implementation on random tables, mirroring the
-``GroupState`` / ``NaiveGroupState`` ablation pattern.  Whole-algorithm
-checks swap the vectorized entry points for their reference twins with
-:func:`_reference_data_plane`.
+(Definition 1), star/NCP/discernibility/KL metrics and Hilbert keys — is
+validated against its retained ``*_reference`` implementation on random
+tables.  The three-phase algorithm, which runs on the table's run encoding
+and shaves, covers and seeds in bulk, is validated against the per-tuple
+oracle of ``tests/tp_oracle.py``, whose published partition goes through the
+reference suppression.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from hypothesis import strategies as st
 from repro.baselines.hilbert.anonymizer import hilbert_order, hilbert_order_reference
 from repro.baselines.hilbert.curve import hilbert_index, hilbert_indices_vectorized
 from repro.core import three_phase
-from repro.core.groups import GroupState
 from repro.core.state import AlgorithmState
+from repro.dataset.examples import phase_three_example
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition
 from repro.dataset.table import Attribute, DomainError, Schema, Table
 from repro.metrics.kl import kl_divergence, kl_divergence_reference
@@ -32,36 +31,9 @@ from repro.metrics.stars import (
     star_count_by_attribute,
     star_count_by_attribute_reference,
 )
+from tests.conftest import make_random_table
 from tests.strategies import small_tables, tables_with_partitions
-
-
-@contextmanager
-def _reference_data_plane():
-    """Swap the vectorized entry points for their ``*_reference`` twins.
-
-    Inside the block the algorithm state is built eagerly one tuple at a
-    time (so the phases take their per-group paths), QI-grouping scans rows,
-    and suppression and the star counts run their pure-Python loops.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            AlgorithmState,
-            "_init_lazy",
-            lambda self, table: self._init_reference(table, GroupState),
-        )
-        patch.setattr(Table, "group_by_qi", Table.group_by_qi_reference)
-        patch.setattr(
-            GeneralizedTable,
-            "from_partition",
-            classmethod(GeneralizedTable.from_partition_reference.__func__),
-        )
-        patch.setattr(GeneralizedTable, "star_count", GeneralizedTable.star_count_reference)
-        patch.setattr(
-            GeneralizedTable,
-            "suppressed_tuple_count",
-            GeneralizedTable.suppressed_tuple_count_reference,
-        )
-        yield
+from tests.tp_oracle import initial_groups, run_tp
 
 
 def _single_attribute_schema() -> Schema:
@@ -89,6 +61,18 @@ class TestColumnarTable:
             Table.from_arrays(schema, np.array([[5]]), np.array([0]))
         with pytest.raises(DomainError):
             Table.from_arrays(schema, np.array([[0]]), np.array([-1]))
+
+    def test_bounds_are_checked_before_the_int32_cast(self):
+        # 2**32 + 1 wraps to code 1 under an int32 cast; it must be rejected.
+        schema = _single_attribute_schema()
+        with pytest.raises(DomainError):
+            Table.from_arrays(schema, np.array([[2**32 + 1]]), np.array([0]))
+        with pytest.raises(DomainError):
+            Table.from_arrays(schema, np.array([[0]]), np.array([2**32]))
+        with pytest.raises(DomainError):
+            Table(schema, [(2**32 + 1,)], [0])
+        with pytest.raises(DomainError):
+            Table(schema, [(0,)], [2**64 + 1])
 
     def test_from_arrays_validates_shape(self):
         schema = _single_attribute_schema()
@@ -243,33 +227,62 @@ class TestHilbertEquivalence:
         assert hilbert_order(table, rows) == hilbert_order_reference(table, rows)
 
 
+def _assert_matches_oracle(table: Table, l: int) -> int:
+    """TP on the run encoding equals the per-tuple oracle; returns the phase.
+
+    Residue rows, every per-phase stat (phase reached, moves, iterations,
+    rounds) and the published cells, the oracle's through the reference
+    suppression.
+    """
+    result = three_phase.anonymize(table, l)
+    oracle = run_tp(table, l)
+    assert result.residue_rows == oracle.residue_rows()
+    assert result.stats == oracle.stats
+    expected = GeneralizedTable.from_partition_reference(
+        table, Partition(oracle.partition_groups(), len(table))
+    )
+    assert result.generalized.cell_rows == expected.cell_rows
+    assert result.star_count == expected.star_count_reference()
+    return result.stats.phase_reached
+
+
 class TestAlgorithmStateEquivalence:
     @given(table=small_tables(max_rows=12, max_dimension=3))
-    def test_bulk_init_matches_reference_init(self, table):
+    def test_state_groups_match_per_tuple_oracle(self, table):
         if not table.is_l_eligible(2):
             return
-        fast = AlgorithmState(table, 2)
-        with _reference_data_plane():
-            slow = AlgorithmState(table, 2)
-        assert fast._lazy == (len(table) > 0) and not slow._lazy
-        assert fast.group_count == slow.group_count
-        for group_id in range(fast.group_count):
-            assert fast.group_qi_vector(group_id) == slow.group_qi_vector(group_id)
-            assert fast.group(group_id).counts() == slow.group(group_id).counts()
-            assert sorted(fast.group(group_id).rows()) == sorted(slow.group(group_id).rows())
-            assert fast.group(group_id).pillars() == slow.group(group_id).pillars()
-            assert fast.group(group_id).height == slow.group(group_id).height
+        state = AlgorithmState(table, 2)
+        groups = initial_groups(table)
+        assert state.group_count == len(groups)
+        keys = sorted(set(table.qi_rows))
+        for group_id, expected in enumerate(groups):
+            assert state.group_qi_vector(group_id) == keys[group_id]
+            assert state.group_size(group_id) == expected.size
+            assert state.group_pillars_view(group_id) == expected.pillars()
+            assert state.group(group_id).counts() == expected.counts()
+            assert sorted(state.group(group_id).rows()) == sorted(expected.rows())
+            assert state.group(group_id).pillars() == expected.pillars()
+            assert state.group(group_id).height == expected.height
 
     @given(table=small_tables(max_rows=12, max_dimension=3), l=st.integers(2, 4))
     @settings(deadline=None)
-    def test_three_phase_identical_to_reference_data_plane(self, table, l):
+    def test_three_phase_matches_per_tuple_oracle(self, table, l):
         if not table.is_l_eligible(l):
             return
-        fast = three_phase.anonymize(table, l)
-        with _reference_data_plane():
-            slow = three_phase.anonymize(table, l)
-        assert slow.generalized.columnar_publish() is None  # the oracle published
-        assert fast.generalized.cell_rows == slow.generalized.cell_rows
-        assert fast.residue_rows == slow.residue_rows
-        assert fast.stats == slow.stats
-        assert fast.star_count == slow.star_count
+        _assert_matches_oracle(table, l)
+
+    def test_phase_two_example_matches_oracle(self, phase2_table):
+        assert _assert_matches_oracle(phase2_table, 3) == 2
+
+    def test_phase_three_example_matches_oracle(self):
+        assert _assert_matches_oracle(phase_three_example(), 4) == 3
+
+    def test_seeded_sweep_reaches_every_phase(self):
+        reached = set()
+        for seed in range(100):
+            for l in (2, 3, 4):
+                n = 12 + seed % 24
+                table = make_random_table(n, d=2, qi_domain=2, m=l + 1, seed=seed)
+                if table.is_l_eligible(l):
+                    reached.add(_assert_matches_oracle(table, l))
+        assert reached == {1, 2, 3}
