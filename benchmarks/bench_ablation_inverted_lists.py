@@ -1,12 +1,18 @@
 """Ablation: the Section 5.5 inverted-list buckets vs a naive recount.
 
 DESIGN.md calls out the bucketed pillar maintenance as a key implementation
-choice; this benchmark quantifies it.  One TP run of the per-tuple oracle on
-a census projection is recorded as its sequence of ``add`` / ``remove_one`` /
-``pillars_view`` calls; the sequence is then replayed on
+choice; this benchmark quantifies it.  A TP run of the per-tuple oracle is
+recorded as its sequence of ``add`` / ``remove_one`` / ``pillars_view``
+calls; the sequence is then replayed on
 :class:`~repro.core.groups.GroupState` and on the test-side
 ``NaiveGroupState``, and both replays must give the same answers (the data
 structure is an optimization, not a behaviour change).
+
+The buckets pay off in phases two and three, where pillars are read after
+every move; a run that ends in phase one is almost all ``add`` calls.  So
+the recordings are runs that reach those phases: the two-QI projection of
+the census table at l = 10 (phase two) and the Section 5.4 example at l = 4
+(phase three).
 """
 
 from __future__ import annotations
@@ -15,20 +21,27 @@ import pytest
 
 from benchmarks._config import BENCH_CONFIG
 from repro.core.groups import GroupState
+from repro.dataset.examples import phase_three_example
 from repro.dataset.synthetic import CensusConfig, make_sal
 from tests.tp_oracle import NaiveGroupState, run_tp
 
-_L = 6
 
-
-def _table():
+def _census_projection():
     config = CensusConfig.scaled(BENCH_CONFIG.domain_scale)
     base = make_sal(BENCH_CONFIG.n, seed=BENCH_CONFIG.seed, config=config)
-    return base.project(base.schema.qi_names[: BENCH_CONFIG.base_dimension])
+    return base.project(base.schema.qi_names[:2])
+
+
+#: recording id -> (table factory, l, the phase its TP run ends in).
+RECORDINGS = {
+    "census-d2-l10": (_census_projection, 10, 2),
+    "phase-three-example": (phase_three_example, 4, 3),
+}
 
 
 def _record_tp_operations(table, l):
-    """``(state count, [(state index, op, *args)])`` of one oracle TP run."""
+    """``(state count, [(state index, op, *args)], phase reached)`` of one
+    oracle TP run."""
     log: list[tuple] = []
     created: list[GroupState] = []
 
@@ -52,8 +65,8 @@ def _record_tp_operations(table, l):
             log.append((self._index, "pillars_view"))
             return super().pillars_view()
 
-    run_tp(table, l, state_factory=RecordingState)
-    return len(created), log
+    run = run_tp(table, l, state_factory=RecordingState)
+    return len(created), log, run.stats.phase_reached
 
 
 def _replay(factory, state_count, log):
@@ -71,16 +84,22 @@ def _replay(factory, state_count, log):
     return answers
 
 
-@pytest.fixture(scope="module")
-def recorded():
-    return _record_tp_operations(_table(), _L)
+@pytest.fixture(scope="module", params=sorted(RECORDINGS))
+def recorded(request):
+    build, l, _phase = RECORDINGS[request.param]
+    return request.param, _record_tp_operations(build(), l)
+
+
+def test_recordings_reach_the_later_phases(recorded):
+    name, (_state_count, _log, phase_reached) = recorded
+    assert phase_reached == RECORDINGS[name][2]
 
 
 @pytest.mark.parametrize(
     "factory", [GroupState, NaiveGroupState], ids=["inverted-lists", "naive-recount"]
 )
 def test_tp_group_state_ablation(benchmark, recorded, factory):
-    state_count, log = recorded
+    _name, (state_count, log, _phase) = recorded
     answers = benchmark.pedantic(
         lambda: _replay(factory, state_count, log), rounds=1, iterations=1
     )
@@ -88,7 +107,7 @@ def test_tp_group_state_ablation(benchmark, recorded, factory):
 
 
 def test_both_implementations_agree(recorded):
-    state_count, log = recorded
+    _name, (state_count, log, _phase) = recorded
     assert any(entry[1] == "remove_one" for entry in log)
     assert _replay(GroupState, state_count, log) == _replay(
         NaiveGroupState, state_count, log

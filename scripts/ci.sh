@@ -32,13 +32,12 @@
 #   scale smoke      10^5 rows: mmap bit-identity, order.npy warm start,
 #                    span-recorder overhead < 2%, parallel kernels
 #                    bit-identical to their serial oracles and >= 2x faster
-#   perf smoke       the figure-6 benchmark within 2x of BENCH_fig6.json
+#   layer gate       TP / TP+ runs at 10^5 and 10^6 rows: every stage of each
+#                    run's span tree within its budget in BENCH_layers.json
 #
-# Regenerate the baselines after an intentional performance change
-# (BENCH_scale.json also calibrates the execution planner) with:
+# Re-record the budgets after an intentional performance change with:
 #
-#   PYTHONPATH=src python scripts/bench_baseline.py --output BENCH_fig6.json
-#   PYTHONPATH=src python scripts/bench_scale.py --output BENCH_scale.json
+#   PYTHONPATH=src python scripts/layer_gate.py --write
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -82,5 +81,5 @@ python scripts/chaos_smoke.py
 echo "== scale smoke: mmap bit-identity, warm start, overheads at 10^5 rows =="
 python scripts/scale_smoke.py
 
-echo "== perf smoke: bench_fig6 vs committed baseline =="
-python scripts/bench_baseline.py --check BENCH_fig6.json --repeats 3 --tolerance 2.0
+echo "== layer gate: per-stage span-tree seconds vs BENCH_layers.json =="
+python scripts/layer_gate.py

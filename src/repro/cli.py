@@ -121,22 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sibling <input>.colstore directory and reused afterwards",
     )
 
-    bench = subparsers.add_parser(
-        "bench", help="record the BENCH_scale raw-speed trajectory"
-    )
-    bench.add_argument("--output", default="BENCH_scale.json")
-    bench.add_argument(
-        "--sizes", default="100000,1000000", help="comma-separated row counts"
-    )
-    bench.add_argument("--dataset", choices=["SAL", "OCC"], default="SAL")
-    bench.add_argument("--bench-algorithm", default="TP+", dest="bench_algorithm")
-    bench.add_argument("--l", type=int, default=6)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--qi-scale", type=float, default=0.24)
-    bench.add_argument(
-        "--repeats", type=int, default=1, help="runs per point; the minimum is kept"
-    )
-
     plan = subparsers.add_parser(
         "plan", help="explain the planner's execution choice for a workload"
     )
@@ -545,26 +529,6 @@ def _command_anonymize_stream(
     return 0
 
 
-def _command_bench(arguments: argparse.Namespace) -> int:
-    from repro.service.benchscale import BenchScaleConfig, write_bench_scale
-
-    sizes = tuple(int(part) for part in arguments.sizes.split(",") if part.strip())
-    if not sizes:
-        print("--sizes must name at least one row count", file=sys.stderr)
-        return 2
-    config = BenchScaleConfig(
-        sizes=sizes,
-        dataset=arguments.dataset,
-        algorithm=arguments.bench_algorithm,
-        l=arguments.l,
-        seed=arguments.seed,
-        qi_scale=arguments.qi_scale,
-        repeats=arguments.repeats,
-    )
-    write_bench_scale(arguments.output, config)
-    return 0
-
-
 def _command_plan(arguments: argparse.Namespace) -> int:
     from repro.service import default_planner
 
@@ -816,8 +780,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
     if arguments.command == "anonymize":
         return _command_anonymize(arguments)
-    if arguments.command == "bench":
-        return _command_bench(arguments)
     if arguments.command == "plan":
         return _command_plan(arguments)
     if arguments.command == "jobs":

@@ -54,10 +54,8 @@ ALGORITHMS = algorithm_registry.runners()
 class RunRecord:
     """One (algorithm, table, l) measurement.
 
-    ``seconds`` is the anonymization stage only (what the figures plot and
-    what ``BENCH_fig6.json`` baselines); loading and metric evaluation are
-    attributed separately so a regression in the BENCH JSON points at the
-    stage that caused it.
+    ``seconds`` is the anonymization stage only (what the time figures
+    plot); loading and metric evaluation are attributed separately.
     """
 
     algorithm: str

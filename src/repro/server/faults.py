@@ -183,8 +183,9 @@ def _kill_worker(cause: str) -> None:
     raise BrokenProcessPool(f"fault injection: {cause}")
 
 
-def apply_worker_faults(spec: dict) -> None:
-    """Hook called by the job executor before any real work.
+def apply_worker_faults(seed: int) -> None:
+    """Hook called by the job executor, with the parsed job spec's seed,
+    before any real work.
 
     No-op without an active plan.  Order matters: delays land before kills so
     a seed listed in both can first wedge (tripping the job timeout) and then
@@ -195,7 +196,6 @@ def apply_worker_faults(spec: dict) -> None:
         return
     global _jobs_executed
     _jobs_executed += 1
-    seed = spec.get("seed")
     if plan.delay_seconds > 0 and (not plan.delay_seeds or seed in plan.delay_seeds):
         if not plan.delay_once or plan.consume_once(f"delay-{seed}"):
             time.sleep(plan.delay_seconds)

@@ -131,8 +131,8 @@ def execute_job(
     product ``pool workers × budget`` never oversubscribes the machine.  The
     payload's ``trace`` is the job's measured span tree.
     """
-    apply_worker_faults(spec)
     job = JobSpec.from_json(spec)
+    apply_worker_faults(job.plan.seed)
     if job.include_rows:
         artifact_dir = _result_artifact_dir(job.job_id, workspace_root)
     plan = replace(job.plan, workers=core_budget)

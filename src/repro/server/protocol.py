@@ -135,6 +135,10 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line {request_line!r}")
     method, target, _version = parts
+    try:
+        split = urlsplit(target)
+    except ValueError:
+        raise HttpError(400, f"malformed request target {target!r}") from None
 
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADER_COUNT + 1):
@@ -150,23 +154,22 @@ async def read_request(
 
     body = b""
     raw_length = headers.get("content-length", "0")
-    try:
-        content_length = int(raw_length)
-    except ValueError:
-        raise HttpError(400, f"malformed Content-Length {raw_length!r}") from None
-    if content_length < 0:
+    # ASCII digits only: int() would also take "+3", "1_0" and Unicode digits.
+    if not (raw_length.isascii() and raw_length.isdigit()):
         raise HttpError(400, f"malformed Content-Length {raw_length!r}")
-    if content_length > max_body_bytes:
+    # Sized as text first: int() refuses strings of over 4300 digits.
+    digits = raw_length.lstrip("0") or "0"
+    if len(digits) > len(str(max_body_bytes)) or int(digits) > max_body_bytes:
         raise HttpError(
-            413, f"request body of {content_length} bytes exceeds {max_body_bytes}"
+            413, f"request body of {digits} bytes exceeds {max_body_bytes}"
         )
+    content_length = int(digits)
     if content_length:
         try:
             body = await reader.readexactly(content_length)
         except asyncio.IncompleteReadError:
             raise HttpError(400, "request body shorter than Content-Length") from None
 
-    split = urlsplit(target)
     return Request(
         method=method.upper(),
         path=split.path,

@@ -8,12 +8,8 @@ long-lived deployment needs beyond a single in-process run:
   directory) that the engine's result cache reads through, so repeated
   CLI invocations and figure sweeps reuse results **across processes**;
 * :mod:`repro.service.planner` — the cost-based :class:`ExecutionPlanner`
-  that picks shards / workers from table statistics, calibrated
-  against the committed ``BENCH_fig6.json`` baseline (and the large-``n``
-  ``BENCH_scale.json`` trajectory when present);
-* :mod:`repro.service.benchscale` — the ``BENCH_scale.json`` driver: the
-  memory-mapped engine path timed at 10^5..10^7 rows with per-stage
-  attribution (``ldiversity bench``);
+  that picks shards / workers from table statistics and built-in
+  per-algorithm rates;
 * :mod:`repro.service.streaming` — CSV-to-CSV anonymization in bounded
   memory (scan, spill to QI-prefix shards, anonymize shard-by-shard into a
   :class:`~repro.engine.sinks.CsvSink`);
@@ -34,18 +30,11 @@ Quickstart::
 """
 
 from repro.service.store import RunStore
-from repro.service.benchscale import (
-    BenchScaleConfig,
-    run_bench_scale,
-    write_bench_scale,
-)
 from repro.service.planner import (
     ExecutionDecision,
     ExecutionPlanner,
     PlannerCalibration,
     default_planner,
-    load_bench_calibration,
-    load_scale_rates,
 )
 from repro.service.workspace import Workspace, default_workspace_root
 from repro.service.streaming import (
@@ -57,7 +46,6 @@ from repro.service.streaming import (
 from repro.service.jobs import JobLedger, JobRecord, JobService, JobStateError
 
 __all__ = [
-    "BenchScaleConfig",
     "ExecutionDecision",
     "ExecutionPlanner",
     "JobLedger",
@@ -70,11 +58,7 @@ __all__ = [
     "Workspace",
     "default_planner",
     "default_workspace_root",
-    "load_bench_calibration",
-    "load_scale_rates",
-    "run_bench_scale",
     "stream_anonymize",
-    "write_bench_scale",
     "verify_csv_l_diverse",
     "verify_csv_satisfies",
 ]

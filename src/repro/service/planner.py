@@ -3,13 +3,13 @@
 Hand-tuning ``--shards`` and ``--workers`` per invocation does not survive
 contact with a figure sweep that spans three orders of magnitude in ``n``.
 The :class:`ExecutionPlanner` replaces those hand-passed defaults with a
-small cost model calibrated against the committed ``BENCH_fig6.json``
-baseline:
+small cost model:
 
-* **per-algorithm run cost** — the benchmark's measured seconds at its
-  largest cardinality give a rate per ``n log2 n`` unit (every registered
-  algorithm is ``O(d n log n)``-ish); algorithms absent from the benchmark
-  fall back to the mean benched rate;
+* **per-algorithm run cost** — a rate per ``n log2 n`` unit (every
+  registered algorithm is ``O(d n log n)``-ish), from the measured table
+  :data:`CALIBRATED_RATES`; algorithms absent from it fall back to the mean
+  rate.  The rates are literals, so a decision never depends on the files
+  around the process;
 * **sharding** — ``s`` QI-prefix shards of ``n/s`` rows run in
   ``ceil(s / w)`` waves on ``w`` workers, at the price of per-shard setup,
   per-worker process spawn, and an O(n) merge pass.
@@ -28,11 +28,9 @@ its overhead (the empirically dominant case at benchmark scale).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.engine.registry import AlgorithmInfo
 from repro.privacy.spec import PrivacySpec
@@ -42,8 +40,6 @@ __all__ = [
     "ExecutionPlanner",
     "PlannerCalibration",
     "default_planner",
-    "load_bench_calibration",
-    "load_scale_rates",
     "per_job_worker_budget",
 ]
 
@@ -57,11 +53,6 @@ MERGE_SECONDS_PER_ROW = 2.5e-7
 MIN_SHARD_ROWS = 2_000
 #: Shard counts the planner considers.
 SHARD_CANDIDATES = (1, 2, 4, 8, 16, 32)
-#: Fallback per-``n log2 n`` rate when no benchmark file is available.
-DEFAULT_RATE = 1.0e-7
-#: The benchmark files' name for the production data plane; their other
-#: entries time retired implementations and do not calibrate anything.
-BENCH_DATA_PLANE = "numpy"
 
 
 def _nlogn(n: int | float) -> float:
@@ -85,124 +76,32 @@ def per_job_worker_budget(pool_workers: int, cpu_count: int | None = None) -> in
     return max(1, int(cpus) // int(pool_workers))
 
 
+#: Seconds per ``n log2 n`` unit of the algorithms with a measured rate.  TP
+#: and Hilbert are their figure-6 seconds at n = 2500 (SAL, l = 6, d = 4);
+#: TP+ is its unsharded seconds at n = 10^7 (SAL, l = 6, d = 7).  Every other
+#: algorithm is priced at their mean.
+CALIBRATED_RATES = {
+    "TP": 0.0024413000001004548 / _nlogn(2500),
+    "Hilbert": 0.0028236929997547122 / _nlogn(2500),
+    "TP+": 2.63661963100094 / _nlogn(10**7),
+}
+
+
 @dataclass(frozen=True)
 class PlannerCalibration:
     """Per-algorithm cost rates (seconds per ``n log2 n`` unit)."""
 
     #: algorithm -> rate.
-    rates: dict[str, float] = field(default_factory=dict)
-    #: Where the rates came from ("BENCH_fig6.json" or "defaults").
-    source: str = "defaults"
+    rates: dict[str, float] = field(default_factory=lambda: dict(CALIBRATED_RATES))
+
+    def __post_init__(self) -> None:
+        if not self.rates:
+            raise ValueError("a planner calibration needs at least one rate")
 
     def rate(self, algorithm: str) -> float:
         if algorithm in self.rates:
             return self.rates[algorithm]
-        if self.rates:
-            return sum(self.rates.values()) / len(self.rates)
-        return DEFAULT_RATE
-
-
-def load_scale_rates(
-    path: str | Path | None = None,
-) -> tuple[dict[str, float], str]:
-    """Per-algorithm rates from a ``BENCH_scale.json`` trajectory.
-
-    The scale benchmark (``scripts/bench_scale.py``) records per-stage
-    seconds at 10^5..10^7 rows; its ``anonymize`` seconds at the largest
-    measured ``n`` give a far better rate estimate than the
-    small-``n`` figure-6 sweep, so these rates *override* the figure-6 ones
-    for the benched algorithm.  Returns ``({}, "")`` when no readable file
-    exists — callers fall through to the figure-6 / default calibration.
-    """
-    candidates: list[Path] = []
-    if path is not None:
-        candidates.append(Path(path))
-    else:
-        candidates.append(Path.cwd() / "BENCH_scale.json")
-        candidates.append(Path(__file__).resolve().parents[3] / "BENCH_scale.json")
-    for candidate in candidates:
-        try:
-            with open(candidate) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        algorithm = payload.get("config", {}).get("algorithm")
-        if not algorithm:
-            continue
-        best: tuple[int, float] | None = None
-        for point in payload.get("points", []):
-            if point.get("backend", BENCH_DATA_PLANE) != BENCH_DATA_PLANE:
-                continue
-            n = int(point.get("n", 0))
-            raw_seconds = point.get("seconds", {}).get("anonymize")
-            if raw_seconds is None:
-                # Explicit null: the point was recorded but not measured
-                # — ignore, don't crash.
-                continue
-            seconds = float(raw_seconds)
-            if n < 2 or seconds <= 0:
-                continue
-            if best is None or n > best[0]:
-                best = (n, seconds)
-        if best is not None:
-            n, seconds = best
-            return {algorithm: seconds / _nlogn(n)}, str(candidate)
-    return {}, ""
-
-
-def load_bench_calibration(
-    path: str | Path | None = None,
-    scale_path: str | Path | None = None,
-) -> PlannerCalibration:
-    """Calibrate rates from the committed benchmark baselines.
-
-    ``BENCH_fig6.json`` provides broad per-algorithm coverage at figure
-    scale; when a ``BENCH_scale.json`` trajectory is also present, its
-    large-``n`` rates override the figure-6 ones for the algorithm it
-    benched (:func:`load_scale_rates`).  When ``path`` is ``None`` the
-    repository-root baselines are looked up relative to this file and the
-    working directory; missing or unreadable files yield the built-in
-    default rates, so planning always works.  An explicit ``path`` keeps
-    the calibration isolated: the ambient scale trajectory is only searched
-    for when neither file is pinned (callers pinning ``path`` can still opt
-    in with ``scale_path``).
-    """
-    candidates: list[Path] = []
-    if path is not None:
-        candidates.append(Path(path))
-    else:
-        candidates.append(Path.cwd() / "BENCH_fig6.json")
-        candidates.append(Path(__file__).resolve().parents[3] / "BENCH_fig6.json")
-    rates: dict[str, float] = {}
-    source = "defaults"
-    for candidate in candidates:
-        try:
-            with open(candidate) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        algorithms = payload.get("seconds", {}).get(BENCH_DATA_PLANE, {})
-        for algorithm, by_n in algorithms.items():
-            points = sorted(
-                (int(n), float(seconds)) for n, seconds in by_n.items() if float(seconds) > 0
-            )
-            if not points:
-                continue
-            n_ref, t_ref = points[-1]
-            rates[algorithm] = t_ref / _nlogn(n_ref)
-        if rates:
-            source = str(candidate)
-            break
-    if scale_path is not None or path is None:
-        scale_rates, scale_source = load_scale_rates(scale_path)
-    else:
-        scale_rates, scale_source = {}, ""
-    if scale_rates:
-        rates.update(scale_rates)
-        source = f"{source} + {scale_source}" if rates else scale_source
-    if rates:
-        return PlannerCalibration(rates=rates, source=source)
-    return PlannerCalibration(source="defaults")
+        return sum(self.rates.values()) / len(self.rates)
 
 
 @dataclass(frozen=True)
@@ -243,11 +142,8 @@ class ExecutionPlanner:
         self,
         calibration: PlannerCalibration | None = None,
         cpu_count: int | None = None,
-        bench_path: str | Path | None = None,
     ) -> None:
-        self.calibration = (
-            calibration if calibration is not None else load_bench_calibration(bench_path)
-        )
+        self.calibration = calibration if calibration is not None else PlannerCalibration()
         self.cpu_count = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
 
     # ------------------------------------------------------------- cost model
@@ -286,14 +182,13 @@ class ExecutionPlanner:
         if backend is not None:
             raise ValueError(f"there is one data plane; backend={backend!r} is not accepted")
         del d  # current cost model depends on n (and the spec's floor) only
-        reasons: list[str] = [f"calibration: {self.calibration.source}"]
+        rate = self.calibration.rate(info.name)
+        reasons: list[str] = [f"calibration: {rate:.4g}s per n log2 n unit"]
         floor = privacy.group_floor() if privacy is not None else max(int(l), 1)
         if privacy is not None:
             reasons.append(
                 f"privacy: {privacy.describe()} (group floor {floor})"
             )
-
-        rate = self.calibration.rate(info.name)
 
         shard_candidates = self._shard_candidates(info, n, shards, reasons, floor)
         candidates: list[tuple[int, int, float]] = []
@@ -366,7 +261,7 @@ _default_planner: ExecutionPlanner | None = None
 
 
 def default_planner() -> ExecutionPlanner:
-    """A process-global planner with the repository-root calibration."""
+    """A process-global planner with the built-in calibration."""
     global _default_planner
     if _default_planner is None:
         _default_planner = ExecutionPlanner()

@@ -303,7 +303,7 @@ class TestPlannerIntegration:
 
         # A calibration so slow that 10k rows justify sharding even without
         # workers (the per-shard log factor dominates the tiny overheads).
-        slow = PlannerCalibration(rates={"TP": 1.0}, source="test")
+        slow = PlannerCalibration(rates={"TP": 1.0})
         engine = Engine(cache=ResultCache(), planner=ExecutionPlanner(slow, cpu_count=1))
         source = SyntheticSource(
             "SAL", n=10_000, seed=7, dimension=4, config=CensusConfig.scaled(0.3)

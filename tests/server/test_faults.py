@@ -35,7 +35,7 @@ def _clean_fault_state(monkeypatch):
 class TestGating:
     def test_no_plan_means_every_hook_is_a_noop(self):
         assert active_plan() is None
-        apply_worker_faults({"seed": 0})  # must not raise
+        apply_worker_faults(0)  # must not raise
         maybe_fail_ledger_append()
 
     def test_installed_plan_wins_over_environment(self, monkeypatch):
@@ -87,31 +87,31 @@ class TestOneShots:
 class TestWorkerFaults:
     def test_kill_every_nth_job(self):
         install_plan(FaultPlan(kill_every=3))
-        apply_worker_faults({"seed": 1})
-        apply_worker_faults({"seed": 2})
+        apply_worker_faults(1)
+        apply_worker_faults(2)
         with pytest.raises(BrokenProcessPool):
-            apply_worker_faults({"seed": 3})
+            apply_worker_faults(3)
 
     def test_poison_seed_kills_every_attempt(self):
         install_plan(FaultPlan(kill_seeds=(666,)))
-        apply_worker_faults({"seed": 1})
+        apply_worker_faults(1)
         for _ in range(3):
             with pytest.raises(BrokenProcessPool):
-                apply_worker_faults({"seed": 666})
+                apply_worker_faults(666)
 
     def test_delay_once_applies_to_the_first_attempt_only(self, monkeypatch):
         slept: list[float] = []
         monkeypatch.setattr(faults.time, "sleep", slept.append)
         install_plan(FaultPlan(delay_seconds=2.0, delay_seeds=(777,)))
-        apply_worker_faults({"seed": 1})  # not a delayed seed
-        apply_worker_faults({"seed": 777})
-        apply_worker_faults({"seed": 777})  # delay_once consumed
+        apply_worker_faults(1)  # not a delayed seed
+        apply_worker_faults(777)
+        apply_worker_faults(777)  # delay_once consumed
         assert slept == [2.0]
 
     def test_delay_every_attempt_when_delay_once_is_off(self, monkeypatch):
         slept: list[float] = []
         monkeypatch.setattr(faults.time, "sleep", slept.append)
         install_plan(FaultPlan(delay_seconds=0.5, delay_once=False))
-        apply_worker_faults({"seed": 1})
-        apply_worker_faults({"seed": 2})
+        apply_worker_faults(1)
+        apply_worker_faults(2)
         assert slept == [0.5, 0.5]

@@ -1,34 +1,35 @@
-"""Tests for the cost-based ExecutionPlanner and its BENCH calibration."""
+"""Tests for the cost-based ExecutionPlanner and its built-in calibration."""
 
 from __future__ import annotations
 
 import json
-import math
-from pathlib import Path
 
 import pytest
 
 from repro.engine.registry import AlgorithmInfo, algorithm_registry
+from repro.privacy.spec import resolve_privacy
 from repro.service.planner import (
+    CALIBRATED_RATES,
     ExecutionPlanner,
-    load_bench_calibration,
-    load_scale_rates,
+    PlannerCalibration,
     per_job_worker_budget,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_PATH = REPO_ROOT / "BENCH_fig6.json"
-SCALE_PATH = REPO_ROOT / "BENCH_scale.json"
 
 
 def _noop_runner(table, l):  # pragma: no cover - never executed
     raise AssertionError("planner tests must not run algorithms")
 
 
+def _write_timing_file(directory, kind: str, payload) -> None:
+    """A timing file named as the retired figure-6 / scale benchmarks wrote
+    theirs (``kind`` is ``fig6`` or ``scale``)."""
+    (directory / f"BENCH_{kind}.json").write_text(json.dumps(payload))
+
+
 @pytest.fixture(scope="module")
 def planner() -> ExecutionPlanner:
     """A planner pinned to 8 CPUs so decisions are machine-independent."""
-    return ExecutionPlanner(cpu_count=8, bench_path=BENCH_PATH)
+    return ExecutionPlanner(cpu_count=8)
 
 
 @pytest.fixture(scope="module")
@@ -37,22 +38,43 @@ def tp() -> AlgorithmInfo:
 
 
 class TestCalibration:
-    def test_loads_committed_bench(self):
-        calibration = load_bench_calibration(BENCH_PATH)
-        assert calibration.source == str(BENCH_PATH)
-        assert set(calibration.rates) == {"TP", "TP+", "Hilbert"}
-        for algorithm in ("TP", "TP+", "Hilbert"):
-            assert calibration.rate(algorithm) > 0
-
-    def test_missing_file_falls_back_to_defaults(self, tmp_path):
-        calibration = load_bench_calibration(tmp_path / "absent.json")
-        assert calibration.source == "defaults"
-        assert calibration.rate("TP") > 0
+    def test_rates_are_the_measured_literals(self):
+        assert CALIBRATED_RATES == {
+            "TP": 8.651177202294731e-08,
+            "Hilbert": 1.0006254251731459e-07,
+            "TP+": 1.1338594229825439e-08,
+        }
+        assert PlannerCalibration().rates == CALIBRATED_RATES
 
     def test_unknown_algorithm_uses_mean_rate(self):
-        calibration = load_bench_calibration(BENCH_PATH)
+        calibration = PlannerCalibration()
         benched = [calibration.rate(name) for name in ("TP", "TP+", "Hilbert")]
-        assert min(benched) <= calibration.rate("TDS") <= max(benched)
+        assert calibration.rate("TDS") == pytest.approx(sum(benched) / 3)
+
+    def test_a_calibration_needs_a_rate(self):
+        with pytest.raises(ValueError, match="at least one rate"):
+            PlannerCalibration(rates={})
+
+    def test_stray_benchmark_files_do_not_change_a_decision(self, tmp_path, monkeypatch):
+        """The planner reads no file, so the working directory cannot steer it.
+
+        A figure-6 timing file there holding only a TP+ entry used to price
+        TP at TP+'s rate and run TP at 10^6 rows unsharded.
+        """
+        tp = algorithm_registry.get("TP")
+        expected = ExecutionPlanner(cpu_count=2).decide(tp, n=10**6, d=7, l=6)
+        assert (expected.shards, expected.workers) == (8, 2)
+        monkeypatch.chdir(tmp_path)
+        _write_timing_file(tmp_path, "fig6", {"seconds": {"numpy": {"TP+": {"2500": 0.001}}}})
+        assert ExecutionPlanner(cpu_count=2).decide(tp, n=10**6, d=7, l=6) == expected
+
+    def test_malformed_benchmark_files_do_not_break_planning(self, tmp_path, monkeypatch):
+        """A JSON list where a timing file's object was expected used to
+        raise AttributeError from ``ExecutionPlanner()``."""
+        monkeypatch.chdir(tmp_path)
+        for kind in ("fig6", "scale"):
+            _write_timing_file(tmp_path, kind, [])
+        assert ExecutionPlanner().calibration == PlannerCalibration()
 
 
 class TestShardDecisions:
@@ -70,7 +92,7 @@ class TestShardDecisions:
         assert decision.workers == 1
 
     def test_bench_workload_matches_hand_tuned_best(self, planner, tp):
-        """Acceptance: within 10% of the best hand-tuned setting on BENCH_fig6.
+        """Acceptance: within 10% of the best hand-tuned setting at figure-6 scale.
 
         Measured, not self-referential: every hand-tunable sequential shard
         count is actually run and timed at the benchmark's largest
@@ -121,13 +143,13 @@ class TestShardDecisions:
         assert decision.workers == 1
 
     def test_workers_never_exceed_cpu_or_shards(self, tp):
-        planner = ExecutionPlanner(cpu_count=2, bench_path=BENCH_PATH)
+        planner = ExecutionPlanner(cpu_count=2)
         decision = planner.decide(tp, n=5_000_000, d=4, l=4)
         assert decision.workers <= 2
         assert decision.workers <= decision.shards
 
     def test_single_cpu_machines_stay_sequential(self, tp):
-        planner = ExecutionPlanner(cpu_count=1, bench_path=BENCH_PATH)
+        planner = ExecutionPlanner(cpu_count=1)
         for n in (1_000, 1_000_000, 10_000_000):
             assert planner.decide(tp, n=n, d=4, l=4).workers == 1
 
@@ -177,9 +199,8 @@ class TestBackendShim:
 
 
 #: (cpus, algorithm) -> (shards, workers) at n = 10^3, 10^5, 10^6, 10^7, as
-#: decided with the committed BENCH_fig6.json + BENCH_scale.json calibration
-#: when the planner still carried a per-backend calibration level; the same
-#: for every l in GRID_LS.
+#: decided with the rates now in CALIBRATED_RATES when the planner still
+#: carried a per-backend calibration level; the same for every l in GRID_LS.
 _SMALL = [(1, 1), (1, 1)]
 PINNED_DECISIONS = {
     (2, "Hilbert"): _SMALL + [(8, 2), (32, 2)],
@@ -200,10 +221,7 @@ GRID_LS = (2, 6, 10)
 class TestPinnedDecisionGrid:
     @pytest.mark.parametrize("cpus, algorithm", sorted(PINNED_DECISIONS))
     def test_decisions_match_the_pinned_grid(self, cpus, algorithm):
-        from repro.privacy.spec import resolve_privacy
-
-        calibration = load_bench_calibration(BENCH_PATH, scale_path=SCALE_PATH)
-        planner = ExecutionPlanner(calibration=calibration, cpu_count=cpus)
+        planner = ExecutionPlanner(cpu_count=cpus)
         info = algorithm_registry.get(algorithm)
         for n, expected in zip(GRID_NS, PINNED_DECISIONS[cpus, algorithm]):
             for l in GRID_LS:
@@ -219,7 +237,7 @@ class TestExplain:
         text = decision.explain()
         assert f"shards={decision.shards}" in text
         assert "candidates" in text
-        assert str(BENCH_PATH) in text
+        assert "calibration: 8.651e-08s per n log2 n unit" in text
 
     def test_decisions_are_deterministic(self, planner, tp):
         first = planner.decide(tp, n=750_000, d=4, l=4)
@@ -249,45 +267,3 @@ class TestPerJobWorkerBudget:
     def test_invalid_pool_width_raises(self):
         with pytest.raises(ValueError):
             per_job_worker_budget(0)
-
-
-class TestScaleRates:
-    def _payload(self, points):
-        return {"config": {"algorithm": "TP+"}, "points": points}
-
-    def test_null_seconds_points_are_ignored(self, tmp_path):
-        target = tmp_path / "BENCH_scale.json"
-        target.write_text(
-            json.dumps(
-                self._payload(
-                    [
-                        {
-                            "n": 1_000_000,
-                            "backend": "numpy",
-                            "seconds": {"anonymize": 0.5},
-                        },
-                        {
-                            "n": 10_000_000,
-                            "backend": "numpy",
-                            "seconds": {"anonymize": None},
-                        },
-                        {
-                            "n": 10_000_000,
-                            "backend": "reference",
-                            "seconds": {"anonymize": None},
-                        },
-                    ]
-                )
-            )
-        )
-        rates, source = load_scale_rates(target)
-        assert source == str(target)
-        # The null 10^7 entries must not crash the parse *or* win the
-        # largest-n selection: the measured 10^6 point calibrates the rate.
-        expected = 0.5 / (1_000_000 * math.log2(1_000_000))
-        assert rates == {"TP+": pytest.approx(expected)}
-
-    def test_committed_bench_scale_parses(self):
-        rates, source = load_scale_rates(SCALE_PATH)
-        assert source.endswith("BENCH_scale.json")
-        assert rates["TP+"] > 0

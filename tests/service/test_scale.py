@@ -1,21 +1,12 @@
-"""Raw-speed path regressions: vectorized scan, spill, and scale calibration."""
+"""Raw-speed path regressions: vectorized scan and the planner at scale."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.engine import CsvSource
-from repro.service.planner import (
-    DEFAULT_RATE,
-    ExecutionPlanner,
-    PlannerCalibration,
-    _nlogn,
-    load_bench_calibration,
-    load_scale_rates,
-)
+from repro.service.planner import ExecutionPlanner, PlannerCalibration
 from repro.service.streaming import _scan, _scan_reference
 from repro.engine.registry import algorithm_registry
 
@@ -51,90 +42,11 @@ class TestVectorizedScan:
         assert small == large
 
 
-# ------------------------------------------------------- scale-rate loading
-
-
-def _scale_payload(algorithm="TP+", points=None):
-    return {
-        "benchmark": "scale",
-        "config": {"algorithm": algorithm},
-        "points": points
-        if points is not None
-        else [
-            {"n": 100_000, "backend": "numpy", "seconds": {"anonymize": 0.2}},
-            {"n": 1_000_000, "backend": "numpy", "seconds": {"anonymize": 1.0}},
-            {"n": 1_000_000, "backend": "reference", "seconds": {"anonymize": 4.0}},
-        ],
-    }
-
-
-class TestLoadScaleRates:
-    def test_picks_largest_numpy_n(self, tmp_path):
-        path = tmp_path / "BENCH_scale.json"
-        path.write_text(json.dumps(_scale_payload()))
-        rates, source = load_scale_rates(path)
-        assert source == str(path)
-        # The retired reference entry in the file calibrates nothing.
-        assert rates == {"TP+": pytest.approx(1.0 / _nlogn(1_000_000))}
-
-    def test_points_without_a_backend_field_count(self, tmp_path):
-        path = tmp_path / "BENCH_scale.json"
-        point = {"n": 1_000_000, "seconds": {"anonymize": 2.0}}
-        path.write_text(json.dumps(_scale_payload(points=[point])))
-        rates, _source = load_scale_rates(path)
-        assert rates == {"TP+": pytest.approx(2.0 / _nlogn(1_000_000))}
-
-    def test_missing_file_falls_through(self, tmp_path):
-        rates, source = load_scale_rates(tmp_path / "absent.json")
-        assert (rates, source) == ({}, "")
-
-    def test_corrupt_file_falls_through(self, tmp_path):
-        path = tmp_path / "BENCH_scale.json"
-        path.write_text("{not json")
-        assert load_scale_rates(path) == ({}, "")
-
-    def test_zero_second_points_are_ignored(self, tmp_path):
-        path = tmp_path / "BENCH_scale.json"
-        path.write_text(
-            json.dumps(
-                _scale_payload(
-                    points=[
-                        {"n": 10, "backend": "numpy", "seconds": {"anonymize": 0.0}}
-                    ]
-                )
-            )
-        )
-        assert load_scale_rates(path) == ({}, "")
-
-    def test_scale_rates_override_fig6_rates(self, tmp_path):
-        fig6 = tmp_path / "BENCH_fig6.json"
-        fig6.write_text(
-            json.dumps(
-                {"seconds": {"numpy": {"TP+": {"5000": 1.0}, "TP": {"5000": 2.0}}}}
-            )
-        )
-        scale = tmp_path / "BENCH_scale.json"
-        scale.write_text(json.dumps(_scale_payload()))
-        calibration = load_bench_calibration(fig6, scale_path=scale)
-        # TP+ rate comes from the large-n trajectory, TP keeps the fig6 rate.
-        assert calibration.rate("TP+") == pytest.approx(1.0 / _nlogn(1_000_000))
-        assert calibration.rate("TP") == pytest.approx(2.0 / _nlogn(5_000))
-        assert str(fig6) in calibration.source
-        assert str(scale) in calibration.source
-
-    def test_defaults_without_any_baseline(self, tmp_path):
-        calibration = load_bench_calibration(
-            tmp_path / "absent_fig6.json", scale_path=tmp_path / "absent_scale.json"
-        )
-        assert calibration.source == "defaults"
-        assert calibration.rate("TP+") == DEFAULT_RATE
-
-
 # ------------------------------------------------------- planner monotonicity
 
 
 class TestPlannerScaleBehaviour:
-    CALIBRATION = PlannerCalibration(rates={"TP+": 1.0e-7}, source="test")
+    CALIBRATION = PlannerCalibration(rates={"TP+": 1.0e-7})
 
     def _shards_at(self, n: int) -> int:
         planner = ExecutionPlanner(calibration=self.CALIBRATION, cpu_count=8)
