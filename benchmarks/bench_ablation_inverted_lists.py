@@ -13,6 +13,14 @@ every move; a run that ends in phase one is almost all ``add`` calls.  So
 the recordings are runs that reach those phases: the two-QI projection of
 the census table at l = 10 (phase two) and the Section 5.4 example at l = 4
 (phase three).
+
+A third recording is the production TP run (``AlgorithmState`` and the
+phase modules) at l = 10 on the 10^6-row bench table
+(``CensusConfig.scaled(0.24)``, seed 7), which reaches phase two.  There the
+state builds a ``GroupState`` only for a group phase two touches, and fills
+it and the residue in bulk; the recording logs that content as ``add``
+calls, then every ``add``, ``remove_one`` and ``pillars_view`` call the
+phases make.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ from __future__ import annotations
 import pytest
 
 from benchmarks._config import BENCH_CONFIG
+from repro.core import state as state_module
 from repro.core.groups import GroupState
+from repro.core.state import AlgorithmState
+from repro.core.three_phase import run_state
 from repro.dataset.examples import phase_three_example
 from repro.dataset.synthetic import CensusConfig, make_sal
 from tests.tp_oracle import NaiveGroupState, run_tp
@@ -32,30 +43,33 @@ def _census_projection():
     return base.project(base.schema.qi_names[:2])
 
 
-#: recording id -> (table factory, l, the phase its TP run ends in).
-RECORDINGS = {
-    "census-d2-l10": (_census_projection, 10, 2),
-    "phase-three-example": (phase_three_example, 4, 3),
-}
+def _bench_table():
+    return make_sal(10**6, seed=7, config=CensusConfig.scaled(0.24))
 
 
-def _record_tp_operations(table, l):
-    """``(state count, [(state index, op, *args)], phase reached)`` of one
-    oracle TP run."""
-    log: list[tuple] = []
-    created: list[GroupState] = []
+def _recording_state_class(log: list, created: list):
+    """A :class:`GroupState` that logs its calls as ``(index, op, *args)``."""
 
     class RecordingState(GroupState):
         __slots__ = ("_index",)
 
         def __init__(self) -> None:
             super().__init__()
+            self.register()
+
+        def register(self) -> None:
             self._index = len(created)
             created.append(self)
 
         def add(self, value, row):
             log.append((self._index, "add", value, row))
             super().add(value, row)
+
+        def bulk_append(self, runs):
+            runs = list(runs)
+            for value, rows in runs:
+                log.extend((self._index, "add", value, row) for row in rows)
+            super().bulk_append(runs)
 
         def remove_one(self, value):
             log.append((self._index, "remove_one", value))
@@ -65,8 +79,49 @@ def _record_tp_operations(table, l):
             log.append((self._index, "pillars_view"))
             return super().pillars_view()
 
-    run = run_tp(table, l, state_factory=RecordingState)
+    return RecordingState
+
+
+def _record_tp_operations(table, l):
+    """``(state count, [(state index, op, *args)], phase reached)`` of one
+    oracle TP run."""
+    log: list[tuple] = []
+    created: list[GroupState] = []
+    run = run_tp(table, l, state_factory=_recording_state_class(log, created))
     return len(created), log, run.stats.phase_reached
+
+
+def _record_production_operations(table, l):
+    """The same triple for one production TP run.
+
+    A group's state is logged as one ``add`` per row when the state
+    materializes it, in the order of its dicts.
+    """
+    log: list[tuple] = []
+    created: list[GroupState] = []
+    recording = _recording_state_class(log, created)
+    materialize = AlgorithmState._materialize
+
+    def logged_materialize(state, group_id):
+        group = materialize(state, group_id)
+        group.register()
+        for value, rows in group._rows.items():
+            log.extend((group._index, "add", value, row) for row in rows)
+        return group
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "GroupState", recording)
+        patch.setattr(AlgorithmState, "_materialize", logged_materialize)
+        _state, stats = run_state(table, l)
+    return len(created), log, stats.phase_reached
+
+
+#: recording id -> (table factory, l, the phase its TP run ends in, recorder).
+RECORDINGS = {
+    "census-d2-l10": (_census_projection, 10, 2, _record_tp_operations),
+    "phase-three-example": (phase_three_example, 4, 3, _record_tp_operations),
+    "production-tp-l10-1e6": (_bench_table, 10, 2, _record_production_operations),
+}
 
 
 def _replay(factory, state_count, log):
@@ -86,8 +141,8 @@ def _replay(factory, state_count, log):
 
 @pytest.fixture(scope="module", params=sorted(RECORDINGS))
 def recorded(request):
-    build, l, _phase = RECORDINGS[request.param]
-    return request.param, _record_tp_operations(build(), l)
+    build, l, _phase, recorder = RECORDINGS[request.param]
+    return request.param, recorder(build(), l)
 
 
 def test_recordings_reach_the_later_phases(recorded):

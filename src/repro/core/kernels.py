@@ -4,15 +4,16 @@ The run encoding produced by :meth:`Table.qi_sa_runs_arrays` lays every
 QI-group out as a contiguous span of ``(sensitive value, count)`` runs.  The
 kernels here answer whole-state questions — per-group sizes and pillar
 heights, phase-one stopping heights, greedy-cover overlap counts — with a
-single :func:`np.add.reduceat` / :func:`np.bincount` pass over those arrays
+few :func:`np.add.reduceat` / :func:`np.bincount` passes over those arrays
 instead of one Python loop iteration per group, and chunk the largest pass
 (the phase-three assignment sweep) across a shared thread pool.  NumPy
 releases the GIL inside these ops, so threads give real parallelism without
 the pickling cost of processes, and integer addition is associative, so the
 chunked results are bit-identical to the single-pass ones.
 
-Every kernel has a pure-Python oracle next to it (``*_reference``) used by
-the property tests; the algorithm-level oracles are the ``*_reference``
+The kernels' pure-Python oracles are the ``*_reference`` functions next to
+them, except phase one's, which lives with the per-tuple TP oracle in
+``tests/tp_oracle.py``; the algorithm-level oracles are the ``*_reference``
 paths the equivalence tests swap in, plus the pinned digests of
 ``scripts/privacy_smoke.py``.
 """
@@ -20,7 +21,6 @@ paths the equivalence tests swap in, plus the pinned digests of
 from __future__ import annotations
 
 import os
-from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,8 +32,7 @@ __all__ = [
     "grouped_min_max",
     "grouped_min_max_reference",
     "parallel_chunk_count",
-    "phase_one_stop_height",
-    "phase_one_stop_height_reference",
+    "phase_one_stop_heights",
     "pillar_overlap_counts",
     "pillar_overlap_counts_reference",
     "row_chunked",
@@ -106,57 +105,56 @@ def group_sizes_heights(
     return sizes, heights
 
 
-def phase_one_stop_height(
-    counts: Sequence[int], size: int, height: int, l: int
-) -> tuple[int, int]:
-    """Closed form of a full phase-one shave of one ineligible group.
+def phase_one_stop_heights(
+    run_lengths: np.ndarray,
+    group_run_bounds: np.ndarray,
+    sizes: np.ndarray,
+    heights: np.ndarray,
+    l: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every group's phase-one stopping height and removed-tuple count at once.
 
-    Phase one removes one tuple from a (minimum) pillar until the group is
-    l-eligible.  Within one height level eligibility only gets harder (the
-    size shrinks while the height stands still), so the loop can only stop
-    right after the height drops — and when the height first reaches ``h``
-    the histogram is exactly ``min(c_v, h)`` with ``r(h) = sum(max(c_v - h,
-    0))`` tuples removed.  The stopping height is therefore the largest ``h``
-    with ``h * l <= size - r(h)``, found here by walking ``h`` downwards with
-    the counts-of-counts recurrence ``r(h - 1) = r(h) + #{c_v >= h}``.
+    Phase one removes one tuple from a (minimum) pillar of a group until the
+    group is l-eligible.  Within one height level eligibility only gets
+    harder (the size shrinks while the height stands still), so the shave
+    can only stop right after the height drops to some ``h`` — and then the
+    histogram is exactly ``min(c_v, h)``.  The shave stops at the largest
+    ``h <= height`` with ``g(h) = sum_v min(c_v, h) - l * h >= 0``.  ``g``
+    is concave with ``g(0) = 0``, so ``{h : g(h) >= 0}`` is an interval
+    ``[0, stop]``, and one binary search over ``h`` finds ``stop`` for every
+    group together: each step is one ``np.minimum`` + ``reduceat`` pass over
+    the runs.  An eligible group stops at its height and loses nothing; a
+    group with ``stop = 0`` is shaved away entirely.
 
-    Returns ``(stop_height, removed)``.  The caller guarantees the group is
-    ineligible (``height * l > size``); ``h = 0`` always terminates the walk
-    because ``r(0) = size``.
+    ``run_lengths`` and ``group_run_bounds`` are the run encoding of
+    :func:`group_sizes_heights`, and ``sizes`` / ``heights`` its result.
+    Returns ``(stops, removed)``, ``(s,)`` ``int64`` each, where
+    ``removed = sum_v max(c_v - stop, 0)``.
     """
-    frequency = Counter(counts)
-    removed = 0
-    at_or_above = 0
-    h = height
-    while h > 0:
-        at_or_above += frequency.get(h, 0)
-        removed += at_or_above
-        h -= 1
-        if h * l <= size - removed:
-            return h, removed
-    return 0, size
-
-
-def phase_one_stop_height_reference(
-    counts: Sequence[int], l: int
-) -> tuple[int, int]:
-    """Oracle: simulate the one-removal-at-a-time shave on a histogram."""
-    histogram = Counter()
-    for index, count in enumerate(counts):
-        histogram[index] = count
-    size = sum(histogram.values())
-    removed = 0
-    while histogram:
-        height = max(histogram.values())
-        if height * l <= size:
-            return height, removed
-        pillar = min(v for v, c in histogram.items() if c == height)
-        histogram[pillar] -= 1
-        if histogram[pillar] == 0:
-            del histogram[pillar]
-        size -= 1
-        removed += 1
-    return 0, removed
+    if sizes.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    lengths = run_lengths.astype(np.int64, copy=False)
+    starts = group_run_bounds[:-1]
+    run_groups = np.repeat(
+        np.arange(sizes.shape[0], dtype=np.int64), np.diff(group_run_bounds)
+    )
+    # Invariant: g(low) >= 0 and stop lies in [low, high].  An ineligible
+    # group has g(height) < 0, so its search starts below its height.
+    eligible = heights * l <= sizes
+    low = np.where(eligible, heights, 0)
+    high = np.where(eligible, heights, heights - 1)
+    while True:
+        open_ = low < high
+        if not open_.any():
+            break
+        middle = (low + high + 1) // 2
+        kept = np.add.reduceat(np.minimum(lengths, middle[run_groups]), starts)
+        fits = kept >= l * middle
+        low = np.where(open_ & fits, middle, low)
+        high = np.where(open_ & ~fits, middle - 1, high)
+    kept = np.add.reduceat(np.minimum(lengths, low[run_groups]), starts)
+    return low, sizes - kept
 
 
 def pillar_overlap_counts(

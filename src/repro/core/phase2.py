@@ -13,11 +13,19 @@ The phase ends as soon as ``R`` becomes l-eligible (additive error at most
 ``l - 1`` tuples, Corollary 3) or when no alive sensitive value remains, in
 which case phase three takes over.
 
-The candidate selection mirrors the candidate list ``C`` of Section 5.5: we
+The value selection mirrors the candidate list ``C`` of Section 5.5: we
 keep a lazily-updated min-heap keyed by ``h(R, v)``.  Entries are refreshed
 whenever ``h(R, v)`` changes, and values that stop being alive are discarded
 permanently — which is sound because, during phase two, groups can only die
 (they never regain tuples and the pillar set of ``R`` only grows).
+
+The group selection keeps one candidate heap per value: the ascending ids of
+the groups holding it (:meth:`~repro.core.state.AlgorithmState.values_to_groups`
+builds them in one array pass, already heap-ordered).  Finding an alive group
+peeks at the top and pops dead or emptied groups for good.  By Lemma 5 a
+candidate set only shrinks during phase two, so the top is the group the
+smallest-id scan over the whole set would pick, at the cost of a heap pop per
+discarded candidate instead of a sort per iteration.
 """
 
 from __future__ import annotations
@@ -41,17 +49,31 @@ class PhaseTwoReport:
     iterations: int
     #: Whether ``R`` became l-eligible during this phase.
     satisfied: bool
+    #: Candidates popped from the per-value heaps (dead or emptied groups).
+    candidates_discarded: int
+    #: Number of per-group states built during the phase.
+    groups_materialized: int
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The phase's exact work counts, as carried on its span."""
+        return {
+            "iterations": self.iterations,
+            "candidates_discarded": self.candidates_discarded,
+            "groups_materialized": self.groups_materialized,
+            "moved": self.moved,
+        }
 
 
 def run_phase_two(state: AlgorithmState) -> PhaseTwoReport:
     """Grow ``R`` without raising ``h(R)`` until eligible or stuck."""
     l = state.l
     residue = state.residue
+    materialized = state.materialized_count
 
-    # Which groups currently hold each sensitive value.  Sets are pruned
-    # lazily; once a value has no alive group left it can never become alive
-    # again within phase two.  values_to_groups builds the index with one
-    # vectorized pass on the lazy state instead of touching every group.
+    # The candidate heap of each sensitive value: ids of the groups holding
+    # it.  Heaps are pruned lazily; once a value has no alive group left it
+    # can never become alive again within phase two.
     groups_with_value = state.values_to_groups()
 
     heap: list[tuple[int, int]] = [
@@ -62,9 +84,8 @@ def run_phase_two(state: AlgorithmState) -> PhaseTwoReport:
 
     moved = 0
     iterations = 0
-    while heap:
-        if state.residue_is_eligible():
-            return PhaseTwoReport(moved=moved, iterations=iterations, satisfied=True)
+    discarded = 0
+    while heap and not state.residue_is_eligible():
         frequency, value = heapq.heappop(heap)
         if value in exhausted:
             continue
@@ -72,7 +93,9 @@ def run_phase_two(state: AlgorithmState) -> PhaseTwoReport:
             # Stale entry: a fresher one was pushed when h(R, value) changed.
             continue
 
-        group_id = _find_alive_group(state, groups_with_value[value], value)
+        candidates = groups_with_value[value]
+        group_id, popped = _find_alive_group(state, candidates, value)
+        discarded += popped
         if group_id is None:
             exhausted.add(value)
             continue
@@ -104,31 +127,35 @@ def run_phase_two(state: AlgorithmState) -> PhaseTwoReport:
         if value not in touched:
             heapq.heappush(heap, (residue.count(value), value))
 
-        if state.residue_is_eligible():
-            return PhaseTwoReport(moved=moved, iterations=iterations, satisfied=True)
-
     return PhaseTwoReport(
         moved=moved,
         iterations=iterations,
         satisfied=state.residue_is_eligible(),
+        candidates_discarded=discarded,
+        groups_materialized=state.materialized_count - materialized,
     )
 
 
 def _find_alive_group(
     state: AlgorithmState,
-    candidates: set[int],
+    candidates: list[int],
     value: int,
-) -> int | None:
-    """Return an alive group holding ``value``, pruning dead/empty candidates.
+) -> tuple[int | None, int]:
+    """An alive group holding ``value``, and how many candidates were popped.
 
-    Pruning is permanent, which is safe during phase two: a group that died
-    (thin and conflicting) can never come back to life because groups only
-    lose tuples and the pillar set of ``R`` only grows while ``h(R)`` stays
-    constant (Lemma 5).
+    ``candidates`` is the value's min-heap of group ids.  Dead or emptied
+    groups at its top are popped for good, which is safe during phase two:
+    a group that died (thin and conflicting) can never come back to life
+    because groups only lose tuples and the pillar set of ``R`` only grows
+    while ``h(R)`` stays constant (Lemma 5).  The smallest alive id is
+    returned, as a scan over the sorted candidate set would find it.
     """
-    for group_id in sorted(candidates):
+    popped = 0
+    while candidates:
+        group_id = candidates[0]
         if state.group_count_of(group_id, value) == 0 or state.group_is_dead(group_id):
-            candidates.discard(group_id)
+            heapq.heappop(candidates)
+            popped += 1
             continue
-        return group_id
-    return None
+        return group_id, popped
+    return None, popped

@@ -9,18 +9,26 @@ and the vocabulary the phases use: thin/fat, conflicting, dead/alive.
 The per-group multiset states are **lazy**: the state keeps the table's run
 encoding (the shared :meth:`Table.grouping` context) plus per-group
 size/height arrays computed by one fused
-:func:`~repro.core.kernels.group_sizes_heights` pass, and a
-:class:`~repro.core.groups.GroupState` is only materialized for the groups a
-phase actually mutates.  Every read the phases need — size, height,
+:func:`~repro.core.kernels.group_sizes_heights` pass.  Phase one shaves
+every ineligible group in one array pass
+(:meth:`AlgorithmState.shave_ineligible_groups`) and replaces those arrays
+with post-shave ones the state owns: kept run lengths ``min(c_v, stop)``,
+their row order, sizes and heights.  A
+:class:`~repro.core.groups.GroupState` is only materialized for a group that
+phase two or three touches.  Every read the phases need — size, height,
 eligibility, pillars, liveness, per-value counts — is answered from the
 arrays for untouched groups, which is what makes million-row tables viable:
-the overwhelming majority of QI-groups are born l-eligible and never touched,
-so they never pay for Python dicts, and whole-state sweeps (phase one's
-ineligible scan, phase three's cover/kill passes) become NumPy kernels.
+most QI-groups are never touched, so they never pay for Python dicts, and
+whole-state sweeps (phase one's shave, phase three's cover/kill passes)
+become NumPy kernels.  The context's arrays are shared with the metrics and
+later runs on the same table, so the state never writes into them.
+
 Materialization is observationally lossless: the dicts built from the run
 arrays are exactly the ones inserting every tuple of the group one at a time
-(sensitive values ascending, rows ascending) would produce; the per-tuple
-oracle in ``tests/tp_oracle.py`` builds its groups that way.
+(sensitive values ascending, rows ascending) and then shaving it would
+produce; the per-tuple oracle in ``tests/tp_oracle.py`` builds its groups
+that way.  A group shaved to height 0 is empty: it has no pillars and no
+values, and no run of it counts as present.
 """
 
 from __future__ import annotations
@@ -74,6 +82,9 @@ class AlgorithmState:
             self._run_values,
             self._order,
         ) = context.arrays()
+        # Until phase one these alias the context's cached arrays, which are
+        # shared with the metrics and later runs: the shave replaces them
+        # with post-shave arrays of its own and never writes into them.
         self._run_lengths = context.run_lengths
         self._sizes, self._heights = context.group_sizes_heights()
         # Row-span boundaries of each group inside ``order`` (s + 1 entries).
@@ -95,6 +106,8 @@ class AlgorithmState:
         indices ascending within a value) — exactly the insertion order of
         one :meth:`GroupState.add` per tuple in row order, so everything
         downstream (row concatenation order included) is bit-identical.
+        After phase one the arrays are the post-shave ones, and a value whose
+        run was shaved away is absent.
         """
         first = int(self._group_run_bounds[group_id])
         last = int(self._group_run_bounds[group_id + 1])
@@ -104,31 +117,15 @@ class AlgorithmState:
         counts: dict[int, int] = {}
         rows: dict[int, list[int]] = {}
         for value, start, end in zip(values, bounds[:-1], bounds[1:]):
-            counts[value] = end - start
-            rows[value] = order[start:end].tolist()
-        return self._adopt(
-            group_id,
-            counts,
-            rows,
-            int(self._heights[group_id]),
-            int(self._sizes[group_id]),
-        )
-
-    def _adopt(
-        self,
-        group_id: int,
-        counts: dict[int, int],
-        rows: dict[int, list[int]],
-        height: int,
-        size: int,
-    ) -> GroupState:
-        """Install a group's mutable state built straight from the run arrays."""
+            if end > start:
+                counts[value] = end - start
+                rows[value] = order[start:end].tolist()
         group = GroupState.__new__(GroupState)
         group._counts = counts
         group._rows = rows
         group._buckets = None  # materialized on first update / pillar read
-        group._height = height
-        group._size = size
+        group._height = int(self._heights[group_id])
+        group._size = int(self._sizes[group_id])
         self._groups[group_id] = group
         self._materialized.add(group_id)
         self._pillar_cache.pop(group_id, None)
@@ -161,6 +158,11 @@ class AlgorithmState:
     def group_count(self) -> int:
         """The number ``s`` of initial QI-groups."""
         return len(self._groups)
+
+    @property
+    def materialized_count(self) -> int:
+        """How many groups hold a :class:`GroupState` (a work counter)."""
+        return len(self._materialized)
 
     def group(self, group_id: int) -> GroupState:
         group = self._groups[group_id]
@@ -205,11 +207,14 @@ class AlgorithmState:
             return group.pillars_view()
         cached = self._pillar_cache.get(group_id)
         if cached is None:
+            height = self._heights[group_id]
+            if height == 0:
+                return frozenset()
             first = self._group_run_bounds[group_id]
             last = self._group_run_bounds[group_id + 1]
             lengths = self._run_lengths[first:last]
             values = self._run_values[first:last]
-            cached = frozenset(values[lengths == self._heights[group_id]].tolist())
+            cached = frozenset(values[lengths == height].tolist())
             self._pillar_cache[group_id] = cached
         return cached
 
@@ -220,7 +225,8 @@ class AlgorithmState:
             return group.values_view()
         first = self._group_run_bounds[group_id]
         last = self._group_run_bounds[group_id + 1]
-        return self._run_values[first:last].tolist()
+        values = self._run_values[first:last]
+        return values[self._run_lengths[first:last] > 0].tolist()
 
     def group_count_of(self, group_id: int, value: int) -> int:
         """``h(Q, v)`` without materializing the group."""
@@ -233,37 +239,29 @@ class AlgorithmState:
         position = int(np.searchsorted(values, value))
         if position >= values.shape[0] or int(values[position]) != value:
             return 0
-        return int(
-            self._run_bounds[first + position + 1] - self._run_bounds[first + position]
-        )
+        return int(self._run_lengths[first + position])
 
-    def ineligible_group_ids(self) -> list[int]:
-        """Ascending ids of the groups violating Definition 2, one fused pass."""
-        l = self._l
-        mask = self._heights * l > self._sizes
-        for group_id in self._materialized:
-            mask[group_id] = not self._groups[group_id].is_l_eligible(l)
-        return np.flatnonzero(mask).tolist()
+    def values_to_groups(self) -> dict[int, list[int]]:
+        """``{sensitive value: ascending ids of non-empty groups holding it}``.
 
-    def values_to_groups(self) -> dict[int, set[int]]:
-        """``{sensitive value: ids of non-empty groups holding it}``.
-
-        Phase two's seeding index: one stable argsort over the run values
-        instead of a per-group Python loop; materialized groups are merged
-        in from their dicts.
+        Phase two's candidate lists: one stable argsort over the present
+        runs instead of a per-group Python loop.  Runs are laid out in group
+        order, so each list comes out ascending — a valid min-heap as it
+        stands.  Materialized groups are merged in from their dicts.
         """
-        result: dict[int, set[int]] = {}
+        result: dict[int, list[int]] = {}
         run_gids = self._context.run_group_ids
-        values = self._run_values
+        present = self._run_lengths > 0
         if self._materialized:
             stale = np.zeros(len(self._groups), dtype=bool)
             stale[list(self._materialized)] = True
-            keep = ~stale[run_gids]
-            values = values[keep]
-            run_gids = run_gids[keep]
+            present &= ~stale[run_gids]
+        values = self._run_values[present]
+        run_gids = run_gids[present]
         if values.size:
-            sort = np.argsort(values, kind="stable")
-            sorted_values = values[sort]
+            sort, sorted_values = kernels.stable_sort_pairs(
+                values.astype(np.int64), self._table.schema.sensitive.size
+            )
             sorted_gids = run_gids[sort].tolist()
             boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
             starts = np.concatenate(([0], boundaries))
@@ -271,28 +269,32 @@ class AlgorithmState:
             for value, start, end in zip(
                 sorted_values[starts].tolist(), starts.tolist(), ends.tolist()
             ):
-                result[value] = set(sorted_gids[start:end])
+                result[value] = sorted_gids[start:end]
+        merged: set[int] = set()
         for group_id in sorted(self._materialized):
             group = self._groups[group_id]
-            if group.size == 0:
-                continue
             for value in group.values_view():
-                result.setdefault(value, set()).add(group_id)
+                result.setdefault(value, []).append(group_id)
+                merged.add(value)
+        for value in merged:
+            result[value].sort()
         return result
 
     def pillar_overlap_counts(self, pending: set[int]) -> np.ndarray:
         """``|pillars(Q) ∩ pending|`` for every group.
 
-        Backs the greedy SET-COVER step of phase three: the static pillar
-        runs (valid for every never-mutated group) go through the chunked
-        :func:`~repro.core.kernels.pillar_overlap_counts` kernel, and the
-        few materialized groups are overridden from their live pillar sets.
-        Entries of *empty* materialized groups are 0; callers mask
+        Backs the greedy SET-COVER step of phase three: the pillar runs of
+        the post-shave arrays (valid for every never-materialized group) go
+        through the chunked :func:`~repro.core.kernels.pillar_overlap_counts`
+        kernel, and the few materialized groups are overridden from their
+        live pillar sets.  Entries of empty groups are 0; callers mask
         candidates by size anyway.
         """
         if self._pillar_runs is None:
             run_gids = self._context.run_group_ids
-            is_pillar = self._run_lengths == self._heights[run_gids]
+            lengths = self._run_lengths
+            # A group shaved to height 0 keeps zero-length runs: no pillars.
+            is_pillar = (lengths == self._heights[run_gids]) & (lengths > 0)
             self._pillar_runs = (run_gids[is_pillar], self._run_values[is_pillar])
         gids, values = self._pillar_runs
         counts = kernels.pillar_overlap_counts(
@@ -325,53 +327,71 @@ class AlgorithmState:
         self._residue.add(value, row)
         return row
 
-    def shave_group_bulk(self, group_id: int) -> int:
-        """Phase one's whole shave of one group as a single bulk operation.
+    def shave_ineligible_groups(self) -> tuple[int, int]:
+        """Phase one's shave of every ineligible group, as one array pass.
 
         Equivalent to ``move_to_residue(group_id, min(pillars))`` repeated
-        until the group is l-eligible: the stopping height has a closed form
-        (:func:`~repro.core.kernels.phase_one_stop_height`), the surviving
-        histogram is exactly ``min(c_v, stop)``, and — because
-        :meth:`GroupState.remove_one` pops row indices from the tail of the
-        ascending per-value lists — the removed rows are exactly the highest
-        ``c_v - stop`` indices of each over-tall value.  The group is
-        materialized directly in its post-shave form.  Returns the number of
-        tuples moved.
+        until each group is l-eligible:
+        :func:`~repro.core.kernels.phase_one_stop_heights` gives every
+        group's stopping height, the surviving histogram is exactly
+        ``min(c_v, stop)``, and — because :meth:`GroupState.remove_one` pops
+        row indices from the tail of the ascending per-value lists — the
+        removed rows are exactly the highest ``c_v - stop`` rows of each
+        over-tall run.  Those rows go to ``R`` with one gather; the state
+        swaps in post-shave run lengths, row order, sizes and heights of its
+        own, and materializes no group.  Returns ``(groups shaved, tuples
+        moved)``.
 
-        Phase one runs first, so the group must still be untouched; shaving
-        a group some earlier move already materialized raises
+        Phase one runs first, so every group must still be untouched and
+        ``R`` empty; anything else raises
         :class:`~repro.errors.AlgorithmInvariantError`.
         """
-        if self._groups[group_id] is not None:
+        if self._materialized or self._residue.size:
             raise AlgorithmInvariantError(
-                f"group {group_id} was mutated before its phase-one shave"
+                "the state was mutated before its phase-one shave"
             )
-        l = self._l
-        size = int(self._sizes[group_id])
-        height = int(self._heights[group_id])
-        if height * l <= size:
-            return 0
-        first = int(self._group_run_bounds[group_id])
-        last = int(self._group_run_bounds[group_id + 1])
-        values = self._run_values[first:last].tolist()
-        bounds = self._run_bounds[first : last + 1].tolist()
-        lengths = [end - start for start, end in zip(bounds[:-1], bounds[1:])]
-        stop, removed = kernels.phase_one_stop_height(lengths, size, height, l)
-        order = self._order
-        counts: dict[int, int] = {}
-        rows: dict[int, list[int]] = {}
-        shaved: list[tuple[int, list[int]]] = []
-        for value, start, end in zip(values, bounds[:-1], bounds[1:]):
-            count = end - start
-            keep = count if count <= stop else stop
-            if keep:
-                counts[value] = keep
-                rows[value] = order[start : start + keep].tolist()
-            if keep != count:
-                shaved.append((value, order[start + keep : end].tolist()))
-        self._adopt(group_id, counts, rows, stop if counts else 0, size - removed)
-        self._residue.bulk_append(shaved)
-        return removed
+        stops, removed = kernels.phase_one_stop_heights(
+            self._run_lengths,
+            self._group_run_bounds,
+            self._sizes,
+            self._heights,
+            self._l,
+        )
+        shaved_groups = int(np.count_nonzero(removed))
+        if not shaved_groups:
+            return 0, 0
+        lengths = self._run_lengths
+        kept = np.minimum(lengths, stops[self._context.run_group_ids])
+        cut = lengths - kept
+        cut_runs = np.flatnonzero(cut)
+        cut_counts = cut[cut_runs]
+        # Positions (in ``order``) of the last ``cut`` rows of every cut run.
+        skip = np.cumsum(cut_counts) - cut_counts
+        run_ends = self._run_bounds[1:][cut_runs]
+        positions = np.repeat(run_ends - cut_counts - skip, cut_counts)
+        positions += np.arange(positions.shape[0])
+        # R gains each value's shaved rows in run order (groups ascending).
+        shaved_values = np.repeat(self._run_values[cut_runs], cut_counts)
+        by_value, _ = kernels.stable_sort_pairs(
+            shaved_values.astype(np.int64), self._table.schema.sensitive.size
+        )
+        counts = np.bincount(shaved_values)
+        values = np.flatnonzero(counts)
+        chunks = np.split(self._order[positions][by_value], np.cumsum(counts[values])[:-1])
+        self._residue.bulk_append(
+            zip(values.tolist(), (chunk.tolist() for chunk in chunks))
+        )
+        keep = np.ones(self._order.shape[0], dtype=bool)
+        keep[positions] = False
+        self._order = self._order[keep]
+        self._run_lengths = kept
+        self._run_bounds = np.concatenate(([0], np.cumsum(kept)))
+        self._group_row_bounds = self._run_bounds[self._group_run_bounds]
+        self._sizes = self._sizes - removed
+        self._heights = stops
+        self._pillar_cache.clear()
+        self._pillar_runs = None
+        return shaved_groups, int(removed.sum())
 
     # ------------------------------------------------------------ vocabulary
 
@@ -415,8 +435,9 @@ class AlgorithmState:
     def retained_group_arrays(self) -> list:
         """Row indices of the non-empty QI-groups (zero stars each).
 
-        Untouched groups come back as read-only ndarray spans of ``order``
-        (sensitive-value runs, ascending rows within a run); materialized
+        Untouched groups come back as read-only ndarray spans of the
+        post-shave row order (sensitive-value runs, the lowest rows of each
+        run, ascending); groups shaved away are skipped, and materialized
         groups yield :meth:`GroupState.rows` lists, in the same order.  The
         vectorized publish path consumes either without materializing
         millions of Python ints.
@@ -424,7 +445,9 @@ class AlgorithmState:
         order = self._order
         row_bounds = self._group_row_bounds
         collected: list = []
-        for group_id, group in enumerate(self._groups):
+        # Groups only lose tuples, so a group empty in the arrays stays empty.
+        for group_id in np.flatnonzero(self._sizes).tolist():
+            group = self._groups[group_id]
             if group is None:
                 collected.append(order[row_bounds[group_id] : row_bounds[group_id + 1]])
             elif group.size > 0:

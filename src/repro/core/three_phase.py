@@ -115,16 +115,20 @@ def run_state(table: Table, l: int) -> tuple[AlgorithmState, ThreePhaseStats]:
     with trace.span("state-init"):
         state = AlgorithmState(table, l)
 
-    with trace.span("phase1"):
+    with trace.span("phase1") as span:
         phase1: PhaseOneReport = run_phase_one(state)
+    if span is not None:
+        span.attributes.update(phase1.counters)
     phase2: PhaseTwoReport | None = None
     phase3: PhaseThreeReport | None = None
 
     if phase1.satisfied:
         phase_reached = 1
     else:
-        with trace.span("phase2"):
+        with trace.span("phase2") as span:
             phase2 = run_phase_two(state)
+        if span is not None:
+            span.attributes.update(phase2.counters)
         if phase2.satisfied:
             phase_reached = 2
         else:

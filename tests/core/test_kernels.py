@@ -10,10 +10,11 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
+from tests.tp_oracle import phase_one_stop_height_reference
 
 
 # --------------------------------------------------------------------- sizes
@@ -39,24 +40,38 @@ def test_group_sizes_heights_match_python(groups_runs):
 # --------------------------------------------------------------- phase one
 
 
-@given(
+#: Histograms of one group: single values, ties at the top (several equal
+#: large counts), and more or fewer distinct values than ``l``.
+_HISTOGRAMS = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=1),
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda top: st.tuples(
+            st.lists(st.just(top), min_size=2, max_size=5),
+            st.lists(st.integers(min_value=1, max_value=top), max_size=5),
+        ).map(lambda parts: parts[0] + parts[1])
+    ),
     st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=10),
-    st.integers(min_value=2, max_value=6),
 )
-def test_phase_one_stop_height_matches_simulation(counts, l):
-    size = sum(counts)
-    height = max(counts)
-    # Eligible groups never reach the bulk path (state checks eligibility
-    # first), so the closed form only has to agree on ineligible inputs.
-    assume(height * l > size)
-    expected = kernels.phase_one_stop_height_reference(counts, l)
-    assert kernels.phase_one_stop_height(counts, size, height, l) == expected
 
 
-def test_phase_one_stop_height_degenerate_single_value():
-    # One value, c tuples: every removal keeps height == size, so the shave
-    # runs to extinction.
-    assert kernels.phase_one_stop_height([5], 5, 5, 2) == (0, 5)
+@given(st.lists(_HISTOGRAMS, min_size=1, max_size=8), st.integers(min_value=2, max_value=12))
+def test_phase_one_stop_heights_match_the_one_at_a_time_shave(histograms, l):
+    """Every group of one encoding, eligible or not, against the simulation;
+    ``l`` often exceeds a group's distinct-value count (shaved away)."""
+    run_lengths = np.asarray([c for counts in histograms for c in counts], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(counts) for counts in histograms])
+    sizes, heights = kernels.group_sizes_heights(run_lengths, bounds)
+    stops, removed = kernels.phase_one_stop_heights(run_lengths, bounds, sizes, heights, l)
+    expected = [phase_one_stop_height_reference(counts, l) for counts in histograms]
+    assert list(zip(stops.tolist(), removed.tolist())) == expected
+
+
+def test_phase_one_stop_heights_of_an_empty_encoding():
+    empty = np.zeros(0, dtype=np.int64)
+    stops, removed = kernels.phase_one_stop_heights(
+        empty, np.zeros(1, dtype=np.int64), empty, empty, 3
+    )
+    assert stops.tolist() == [] and removed.tolist() == []
 
 
 # ------------------------------------------------------------ overlap counts

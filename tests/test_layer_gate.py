@@ -96,8 +96,62 @@ class TestCheck:
         assert all("has no budget" in failure for failure in failures)
 
 
+def _counted(name: str, start: float, seconds: float, **counters) -> Span:
+    return Span(name, start=start, seconds=seconds, attributes=counters)
+
+
+class TestCounters:
+    def test_counters_are_read_from_phase_spans_and_summed_per_path(self):
+        tree = _span(
+            "run", 0.0, 10.0,
+            _span(
+                "anonymize", 1.0, 7.0,
+                _span("shard", 1.0, 2.0, _counted("phase1", 1.5, 1.0, moved=3, groups_shaved=1)),
+                _span("shard", 3.0, 3.0, _counted("phase1", 3.0, 0.5, moved=4, groups_shaved=2)),
+                _counted("merge", 6.5, 1.0, rows=9),
+            ),
+        )
+        tree.children[0].children[0].attributes["index"] = 0
+        tree.children[0].children[0].children[0].attributes["fanout"] = True
+        assert layer_gate.stage_counters(tree) == {
+            "run/anonymize/shard/phase1": {"moved": 7, "groups_shaved": 3},
+        }
+
+    RECORDED = {"op": {"run/phase2": {"iterations": 5, "moved": 9}}}
+
+    def test_equal_counters_pass(self):
+        assert layer_gate.check_counters(self.RECORDED, self.RECORDED) == []
+
+    def test_a_counter_mismatch_names_op_stage_and_both_values(self):
+        measured = {"op": {"run/phase2": {"iterations": 5, "moved": 12}}}
+        assert layer_gate.check_counters(measured, self.RECORDED) == [
+            "op run/phase2 moved: counted 12, recorded 9"
+        ]
+
+    def test_a_missing_or_new_counter_fails(self):
+        measured = {"op": {"run/phase2": {"iterations": 5}, "run/phase3": {"moved": 1}}}
+        assert layer_gate.check_counters(measured, self.RECORDED) == [
+            "op run/phase2 moved: counted None, recorded 9",
+            "op run/phase3 moved: counted 1, recorded None",
+        ]
+
+
+class TestRecord:
+    PREVIOUS = {"op": {"run/phase1": {"seconds": 0.1, "budget": 0.21}}}
+
+    def test_a_budget_only_tightens(self):
+        looser = layer_gate.record({"op": {"run/phase1": 0.5}}, self.PREVIOUS)
+        assert looser["op"]["run/phase1"] == self.PREVIOUS["op"]["run/phase1"]
+        tighter = layer_gate.record({"op": {"run/phase1": 0.01}}, self.PREVIOUS)
+        assert tighter["op"]["run/phase1"]["budget"] == pytest.approx(1.6 * 0.01 + 0.05)
+
+
 def test_the_committed_budgets_cover_every_op():
-    budgets = json.loads(layer_gate.BUDGETS.read_text())["ops"]
+    recorded = json.loads(layer_gate.BUDGETS.read_text())
+    budgets = recorded["ops"]
     assert set(budgets) == set(layer_gate.OPS)
     for stages in budgets.values():
         assert all(limit["budget"] > limit["seconds"] >= 0 for limit in stages.values())
+    assert set(recorded["counters"]) == set(layer_gate.OPS)
+    for op, stages in recorded["counters"].items():
+        assert any(stage.endswith("/phase1") for stage in stages), op

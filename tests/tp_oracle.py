@@ -16,6 +16,11 @@ The production algorithm (``repro.core.state`` and the phase modules) works
 on the table's run encoding instead and shaves, covers and seeds in bulk;
 this module shares none of that code, so agreement is a real check.
 
+Phase one's shave of one histogram also has a scalar oracle here, the
+one-removal-at-a-time simulation (:func:`phase_one_stop_height_reference`),
+against which the vectorized
+:func:`repro.core.kernels.phase_one_stop_heights` is checked.
+
 :class:`NaiveGroupState` is :class:`~repro.core.groups.GroupState` without
 the Section 5.5 inverted lists: the pillar height and set are recomputed on
 every read.  It is the property-test oracle of ``GroupState`` and the
@@ -27,14 +32,20 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.core.eligibility import is_l_eligible_counts
 from repro.core.groups import GroupState
 from repro.core.three_phase import ThreePhaseStats
 
-__all__ = ["NaiveGroupState", "OracleRun", "initial_groups", "run_tp"]
+__all__ = [
+    "NaiveGroupState",
+    "OracleRun",
+    "initial_groups",
+    "phase_one_stop_height_reference",
+    "run_tp",
+]
 
 
 class NaiveGroupState:
@@ -152,6 +163,26 @@ class OracleRun:
         if self.residue.size:
             groups.append(self.residue_rows())
         return groups
+
+
+def phase_one_stop_height_reference(counts: Sequence[int], l: int) -> tuple[int, int]:
+    """Simulate the one-removal-at-a-time shave on a histogram."""
+    histogram = Counter()
+    for index, count in enumerate(counts):
+        histogram[index] = count
+    size = sum(histogram.values())
+    removed = 0
+    while histogram:
+        height = max(histogram.values())
+        if height * l <= size:
+            return height, removed
+        pillar = min(v for v, c in histogram.items() if c == height)
+        histogram[pillar] -= 1
+        if histogram[pillar] == 0:
+            del histogram[pillar]
+        size -= 1
+        removed += 1
+    return 0, removed
 
 
 def initial_groups(table, state_factory: Callable[[], object] = GroupState) -> list:
