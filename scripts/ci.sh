@@ -30,8 +30,8 @@
 #                    restart: every job ends terminal, the poison job is
 #                    quarantined, every recovery counter moves
 #   scale smoke      10^5 rows: mmap bit-identity, order.npy warm start,
-#                    span-recorder overhead < 2%, parallel kernels
-#                    bit-identical to their serial oracles and >= 2x faster
+#                    span-recorder overhead < 2%, encode/publish kernels
+#                    bit-identical to their oracles and >= 2x faster
 #   layer gate       TP / TP+ runs at 10^5 and 10^6 rows: every stage of each
 #                    run's span tree within its budget in BENCH_layers.json
 #

@@ -19,8 +19,7 @@ and checks the acceptance properties of the zero-copy pipeline:
 4. **Encode/publish kernels** — the packed-sort encode
    (:meth:`GroupingContext.build`) and the columnar publish
    (:meth:`GeneralizedTable.from_partition`) are bit-identical to their
-   retained serial oracles (including with the chunked pool paths forced)
-   and beat them combined by at least ``MIN_SPEEDUP``x.
+   retained oracles and beat them combined by at least ``MIN_SPEEDUP``x.
 
 Run with ``PYTHONPATH=src python scripts/scale_smoke.py`` (wired into
 ``scripts/ci.sh``).
@@ -186,16 +185,13 @@ def _check_telemetry_overhead(mmap_source) -> bool:
 
 
 def _check_encode_publish(table) -> bool:
-    """Parallel encode/publish vs the serial oracles: identical and >= 2x.
+    """Vectorized encode/publish vs their oracles: identical and >= 2x.
 
     The encode side compares every array of the key-derived
     :class:`GroupingContext` against the wide-scan reference; the publish
     side compares the lazily materialized cells of the columnar
-    ``from_partition`` against the row-by-row reference.  Both are re-run
-    with the chunked pool paths forced (``PARALLEL_THRESHOLD=1``,
-    ``MIN_SORT_CHUNKS=4``) so chunk stitching is covered at this scale too.
+    ``from_partition`` against the row-by-row reference.
     """
-    from repro.core import kernels
     from repro.core.grouping import GroupingContext
     from repro.dataset.generalized import GeneralizedTable, Partition
 
@@ -221,7 +217,7 @@ def _check_encode_publish(table) -> bool:
     encode_reference = time.perf_counter() - started
     for name in context_arrays:
         if getattr(fast_context, name).tolist() != getattr(oracle_context, name).tolist():
-            print(f"FAIL: parallel encode diverges from the serial oracle ({name})")
+            print(f"FAIL: encode diverges from the wide-scan oracle ({name})")
             return False
 
     partition = Partition.by_qi(table)
@@ -237,28 +233,7 @@ def _check_encode_publish(table) -> bool:
         or fast.group_ids != oracle.group_ids
         or fast.star_count() != oracle.star_count()
     ):
-        print("FAIL: parallel publish diverges from the serial oracle")
-        return False
-
-    saved_threshold = kernels.PARALLEL_THRESHOLD
-    saved_chunks = kernels.MIN_SORT_CHUNKS
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 4
-    try:
-        chunked_context = GroupingContext.build(*args)
-        chunked = GeneralizedTable.from_partition(table, partition)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved_threshold
-        kernels.MIN_SORT_CHUNKS = saved_chunks
-    for name in context_arrays:
-        if (
-            getattr(chunked_context, name).tolist()
-            != getattr(oracle_context, name).tolist()
-        ):
-            print(f"FAIL: forced-chunk encode diverges ({name})")
-            return False
-    if chunked.cell_rows != oracle.cell_rows:
-        print("FAIL: forced-chunk publish diverges from the serial oracle")
+        print("FAIL: publish diverges from the row-by-row oracle")
         return False
 
     fast_seconds = encode_seconds + publish_seconds
@@ -267,7 +242,7 @@ def _check_encode_publish(table) -> bool:
     print(
         f"encode+publish: fast {encode_seconds:.3f}s+{publish_seconds:.3f}s, "
         f"reference {encode_reference:.3f}s+{publish_reference:.3f}s "
-        f"-> {ratio:.2f}x (outputs identical, chunked paths identical)"
+        f"-> {ratio:.2f}x (outputs identical)"
     )
     if ratio < MIN_SPEEDUP:
         print(f"FAIL: encode+publish speedup below the {MIN_SPEEDUP:g}x floor")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.hilbert.curve import bits_needed, hilbert_index, hilbert_indices_vectorized
-from repro.core import kernels
 from repro.core.eligibility import is_l_eligible
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
@@ -72,12 +71,7 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
             coords = table.qi_columns[row_index]
         if row_index.size == 0:
             return []
-        # The Skilling transform is embarrassingly row-parallel and NumPy
-        # releases the GIL, so large batches are encoded in chunks across
-        # the kernel thread pool.
-        keys = kernels.row_chunked(
-            lambda chunk: hilbert_indices_vectorized(chunk, bits), coords
-        )
+        keys = hilbert_indices_vectorized(coords, bits)
         # lexsort sorts by the last key first: primary = Hilbert key,
         # ties broken by ascending row index, as in the reference path.
         order = np.lexsort((row_index, keys))

@@ -104,12 +104,13 @@ def hilbert_indices(points: Sequence[Sequence[int]], bits: int) -> list[int]:
 def hilbert_indices_vectorized(points: np.ndarray, bits: int) -> np.ndarray:
     """Hilbert indices for an ``(n, d)`` coordinate matrix, as an int64 array.
 
-    Skilling's transform applied column-wise: every mask-and-xor step runs
-    over all ``n`` points at once.  Falls back to the scalar implementation
-    when ``bits * d`` exceeds 62 (the index no longer fits an int64 — only
-    reachable far beyond the paper's Table 6 domains).
+    Skilling's transform applied across all points at once: the points are
+    copied into one contiguous ``(d, n)`` row per dimension, and every
+    mask-and-xor step sweeps whole rows.  Falls back to the scalar
+    implementation when ``bits * d`` exceeds 62 (the index no longer fits an
+    int64 — only reachable far beyond the paper's Table 6 domains).
     """
-    coords = np.asarray(points, dtype=np.int64)
+    coords = np.asarray(points)
     if coords.ndim != 2:
         raise ValueError(f"points must be a 2-D array, got shape {coords.shape}")
     n, d = coords.shape
@@ -117,46 +118,47 @@ def hilbert_indices_vectorized(points: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("points must have at least one dimension")
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
+    # A fresh copy: the transform below works in place.
+    x = np.array(coords.T, dtype=np.int64, order="C")
     limit = 1 << bits
-    if n and (coords.min() < 0 or coords.max() >= limit):
-        bad = int(coords.min() if coords.min() < 0 else coords.max())
+    if n and (x.min() < 0 or x.max() >= limit):
+        bad = int(x.min() if x.min() < 0 else x.max())
         raise ValueError(f"coordinate {bad} out of range for bits={bits} (limit {limit})")
     if d == 1:
-        return coords[:, 0].copy()
+        return x[0]
     if bits * d > 62:  # pragma: no cover - beyond any realistic domain
         return np.array(
-            [hilbert_index([int(c) for c in row], bits) for row in coords], dtype=object
+            [hilbert_index([int(c) for c in row], bits) for row in x.T], dtype=object
         )
 
-    x = coords.copy()
     m = 1 << (bits - 1)
 
-    # Inverse undo excess work (column-wise over all points).
+    # Inverse undo excess work (row-wise over all points).
     q = m
     while q > 1:
         p = q - 1
         for i in range(d):
-            hit = (x[:, i] & q) != 0
-            # Hit rows flip the low bits of x[:, 0]; the rest exchange the
-            # differing low bits between x[:, 0] and x[:, i].
-            t = np.where(hit, 0, (x[:, 0] ^ x[:, i]) & p)
-            x[:, 0] ^= np.where(hit, p, t)
-            x[:, i] ^= t
+            hit = (x[i] & q) != 0
+            # Hit points flip the low bits of x[0]; the rest exchange the
+            # differing low bits between x[0] and x[i].
+            t = np.where(hit, 0, (x[0] ^ x[i]) & p)
+            x[0] ^= np.where(hit, p, t)
+            x[i] ^= t
         q >>= 1
 
     # Gray encode.
     for i in range(1, d):
-        x[:, i] ^= x[:, i - 1]
+        x[i] ^= x[i - 1]
     t = np.zeros(n, dtype=np.int64)
     q = m
     while q > 1:
-        t ^= np.where((x[:, d - 1] & q) != 0, q - 1, 0)
+        t ^= np.where((x[d - 1] & q) != 0, q - 1, 0)
         q >>= 1
-    x ^= t[:, None]
+    x ^= t
 
     # Interleave the transposed bits into the final index.
     index = np.zeros(n, dtype=np.int64)
     for bit in range(bits - 1, -1, -1):
         for i in range(d):
-            index = (index << 1) | ((x[:, i] >> bit) & 1)
+            index = (index << 1) | ((x[i] >> bit) & 1)
     return index

@@ -285,7 +285,7 @@ class AlgorithmState:
 
         Backs the greedy SET-COVER step of phase three: the pillar runs of
         the post-shave arrays (valid for every never-materialized group) go
-        through the chunked :func:`~repro.core.kernels.pillar_overlap_counts`
+        through the :func:`~repro.core.kernels.pillar_overlap_counts`
         kernel, and the few materialized groups are overridden from their
         live pillar sets.  Entries of empty groups are 0; callers mask
         candidates by size anyway.

@@ -316,15 +316,15 @@ class GeneralizedTable:
         Within each QI-group, attribute ``A_i`` keeps its value when all
         tuples of the group agree on it, and becomes :data:`STAR` otherwise.
 
-        The group reduction runs on the kernel pool in group-aligned chunks
-        (:func:`repro.core.kernels.grouped_min_max`, the ``publish-chunks``
-        span of the run's tree) and the result adopts the *columnar* group form
+        The group reduction is one min/max pass
+        (:func:`repro.core.kernels.grouped_min_max`, the ``min-max`` span of
+        the run's tree) and the result adopts the *columnar* group form
         — ``(g, d)`` surviving codes plus star flags plus the row->group map
         — without materializing per-row cell tuples; those build lazily on
         first row access.  Every consumer on the bench/serving hot path
         (star counts, group histograms, the privacy checks, the CSV result
         artifact) reads the columnar form directly.
-        :meth:`from_partition_reference` is the retained serial oracle.
+        :meth:`from_partition_reference` is the retained per-row oracle.
         """
         if partition.n_rows != len(table):
             raise ValueError("partition size does not match table size")
@@ -337,11 +337,10 @@ class GeneralizedTable:
         members = np.concatenate([np.asarray(group, dtype=np.intp) for group in groups])
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         # An attribute survives in a group exactly when its min equals its max
-        # over the group — one reduceat pair (chunked across the kernel pool
-        # for large tables) replaces the per-row scan.
+        # over the group — one reduceat pair replaces the per-row scan.
         from repro.core import kernels  # deferred: repro.core imports this module
 
-        with trace.span("publish-chunks"):
+        with trace.span("min-max"):
             minima, maxima = kernels.grouped_min_max(columns, members, starts)
         star = minima != maxima
 

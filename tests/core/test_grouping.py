@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import kernels
 from repro.core.grouping import GroupingContext, sort_qi_sa
 from repro.dataset.table import Attribute, Schema, Table
 from tests.strategies import small_tables
@@ -88,22 +87,6 @@ class TestGroupingContextOracle:
             runs = run_lengths[group_bounds[group_id] : group_bounds[group_id + 1]]
             assert sizes[group_id] == runs.sum()
             assert heights[group_id] == runs.max()
-
-    @given(table=small_tables(max_rows=12, max_dimension=3, max_sensitive=4))
-    @settings(deadline=None, max_examples=25)
-    def test_chunk_sort_path_is_bit_identical(self, table):
-        serial = _build(table).arrays()
-        saved_threshold = kernels.PARALLEL_THRESHOLD
-        saved_chunks = kernels.MIN_SORT_CHUNKS
-        kernels.PARALLEL_THRESHOLD = 1
-        kernels.MIN_SORT_CHUNKS = 3
-        try:
-            chunked = _build(table).arrays()
-        finally:
-            kernels.PARALLEL_THRESHOLD = saved_threshold
-            kernels.MIN_SORT_CHUNKS = saved_chunks
-        for fast, slow in zip(chunked, serial):
-            assert np.array_equal(fast, slow)
 
     def test_empty_table(self):
         schema = Schema(
@@ -227,26 +210,6 @@ class TestBuildAgainstReference:
         _assert_contexts_identical(
             GroupingContext.build(*args), GroupingContext.build_reference(*args)
         )
-
-    @given(table=small_tables(max_rows=12, max_dimension=2, max_sensitive=3))
-    @settings(deadline=None, max_examples=25)
-    def test_forced_chunked_encode_is_bit_identical(self, table):
-        args = (
-            table.qi_columns,
-            table.sa_array,
-            [attribute.size for attribute in table.schema.qi],
-            table.schema.sensitive.size,
-        )
-        saved_threshold = kernels.PARALLEL_THRESHOLD
-        saved_chunks = kernels.MIN_SORT_CHUNKS
-        kernels.PARALLEL_THRESHOLD = 1
-        kernels.MIN_SORT_CHUNKS = 4
-        try:
-            fast = GroupingContext.build(*args)
-        finally:
-            kernels.PARALLEL_THRESHOLD = saved_threshold
-            kernels.MIN_SORT_CHUNKS = saved_chunks
-        _assert_contexts_identical(fast, GroupingContext.build_reference(*args))
 
     @given(table=small_tables(max_rows=12, max_dimension=2, max_sensitive=3))
     @settings(deadline=None, max_examples=25)

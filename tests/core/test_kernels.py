@@ -10,10 +10,15 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import kernels
+from tests.kernel_oracles import (
+    grouped_min_max_reference,
+    pillar_overlap_counts_reference,
+    stable_argsort_reference,
+)
 from tests.tp_oracle import phase_one_stop_height_reference
 
 
@@ -101,25 +106,7 @@ def test_pillar_overlap_counts_match_python(case):
     ids = np.asarray(group_ids, dtype=np.intp)
     vals = np.asarray(values, dtype=np.int32)
     fast = kernels.pillar_overlap_counts(ids, vals, pending, group_count)
-    oracle = kernels.pillar_overlap_counts_reference(ids, vals, pending, group_count)
-    assert fast.tolist() == oracle.tolist()
-
-
-@settings(max_examples=25)
-@given(case=overlap_cases())
-def test_pillar_overlap_counts_parallel_path_is_exact(case):
-    # Force the thread-pool chunked path even for tiny inputs; per-chunk
-    # bincount addition must reproduce the single-pass result exactly.
-    group_count, group_ids, values, pending = case
-    ids = np.asarray(group_ids, dtype=np.intp)
-    vals = np.asarray(values, dtype=np.int32)
-    saved = kernels.PARALLEL_THRESHOLD
-    kernels.PARALLEL_THRESHOLD = 1
-    try:
-        fast = kernels.pillar_overlap_counts(ids, vals, pending, group_count)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved
-    oracle = kernels.pillar_overlap_counts_reference(ids, vals, pending, group_count)
+    oracle = pillar_overlap_counts_reference(ids, vals, pending, group_count)
     assert fast.tolist() == oracle.tolist()
 
 
@@ -147,75 +134,41 @@ def test_composite_codes_order_matches_lexsort(rows):
     assert by_key.tolist() == by_lexsort.tolist()
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=(1 << 20) - 1),
+            st.integers(min_value=0, max_value=(1 << 21) - 1),
+            st.integers(min_value=0, max_value=(1 << 21) - 1),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_composite_codes_are_exact_at_the_62_bit_limit(rows):
+    qi_sizes, sa_size = [1 << 20, 1 << 21], 1 << 21
+    # int32 codes, as a Table stores them.
+    columns = np.asarray([row[:2] for row in rows], dtype=np.int32)
+    sa = np.asarray([row[2] for row in rows], dtype=np.int32)
+    keys = kernels.composite_codes(columns, sa, qi_sizes, sa_size)
+    expected = [(a * qi_sizes[1] + b) * sa_size + s for a, b, s in rows]
+    assert keys.tolist() == expected
+
+
 def test_composite_codes_refuses_oversized_domains():
     columns = np.zeros((2, 1), dtype=np.int64)
     sa = np.zeros(2, dtype=np.int64)
     assert kernels.composite_codes(columns, sa, [1 << 40], 1 << 40) is None
 
 
-# ------------------------------------------------------------ stable argsort
-
-
-@given(
-    st.lists(st.integers(min_value=-50, max_value=50), max_size=60),
-    st.integers(min_value=1, max_value=7),
-)
-def test_stable_argsort_chunked_matches_reference(values, chunks):
-    keys = np.asarray(values, dtype=np.int64)
-    fast = kernels.stable_argsort(keys, chunks=chunks)
-    assert fast.tolist() == kernels.stable_argsort_reference(keys).tolist()
-
-
-@settings(max_examples=25)
-@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=40))
-def test_stable_argsort_default_chunking_under_forced_parallelism(values):
-    keys = np.asarray(values, dtype=np.int64)
-    saved_threshold = kernels.PARALLEL_THRESHOLD
-    saved_chunks = kernels.MIN_SORT_CHUNKS
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 4
-    try:
-        fast = kernels.stable_argsort(keys)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved_threshold
-        kernels.MIN_SORT_CHUNKS = saved_chunks
-    assert fast.tolist() == kernels.stable_argsort_reference(keys).tolist()
-
-
-def test_stable_argsort_empty():
-    assert kernels.stable_argsort(np.asarray([], dtype=np.int64)).tolist() == []
-
-
-# --------------------------------------------------------------- row_chunked
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)),
-        max_size=50,
-    ),
-    st.integers(min_value=1, max_value=6),
-)
-def test_row_chunked_concatenation_is_bit_identical(rows, chunks):
-    matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), 2)
-    whole = matrix.sum(axis=1) * 3 + matrix[:, 0]
-    chunked = kernels.row_chunked(
-        lambda chunk: chunk.sum(axis=1) * 3 + chunk[:, 0], matrix, chunks=chunks
-    )
-    assert chunked.tolist() == whole.tolist()
-
-
 # ------------------------------------------------------- stable sort pairs
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), max_size=50),
-    st.integers(min_value=1, max_value=7),
-)
-def test_stable_sort_pairs_matches_argsort_and_gather(values, chunks):
+@given(st.lists(st.integers(min_value=0, max_value=30), max_size=50))
+def test_stable_sort_pairs_matches_argsort_and_gather(values):
     keys = np.asarray(values, dtype=np.int64)
-    order, sorted_keys = kernels.stable_sort_pairs(keys, 31, chunks=chunks)
-    expected = kernels.stable_argsort_reference(keys)
+    order, sorted_keys = kernels.stable_sort_pairs(keys, 31)
+    expected = stable_argsort_reference(keys)
     assert order.tolist() == expected.tolist()
     assert sorted_keys.tolist() == keys[expected].tolist()
 
@@ -226,25 +179,7 @@ def test_stable_sort_pairs_oversized_span_falls_back_identically(values):
     # fallback and still honour the exact same contract.
     keys = np.asarray(values, dtype=np.int64)
     order, sorted_keys = kernels.stable_sort_pairs(keys, 1 << 62)
-    expected = kernels.stable_argsort_reference(keys)
-    assert order.tolist() == expected.tolist()
-    assert sorted_keys.tolist() == keys[expected].tolist()
-
-
-@settings(max_examples=25)
-@given(st.lists(st.integers(min_value=0, max_value=9), max_size=40))
-def test_stable_sort_pairs_forced_chunked_packing_is_exact(values):
-    keys = np.asarray(values, dtype=np.int64)
-    saved_threshold = kernels.PARALLEL_THRESHOLD
-    saved_chunks = kernels.MIN_SORT_CHUNKS
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 4
-    try:
-        order, sorted_keys = kernels.stable_sort_pairs(keys, 10)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved_threshold
-        kernels.MIN_SORT_CHUNKS = saved_chunks
-    expected = kernels.stable_argsort_reference(keys)
+    expected = stable_argsort_reference(keys)
     assert order.tolist() == expected.tolist()
     assert sorted_keys.tolist() == keys[expected].tolist()
 
@@ -255,48 +190,7 @@ def test_stable_sort_pairs_empty():
     assert sorted_keys.tolist() == []
 
 
-# ----------------------------------------------------- gather / group reduce
-
-
-@given(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=30),
-    st.lists(st.integers(min_value=0, max_value=1000), max_size=40),
-    st.integers(min_value=1, max_value=7),
-)
-def test_take_chunked_matches_reference(values, picks, chunks):
-    source = np.asarray(values, dtype=np.int64)
-    indices = np.asarray([pick % len(values) for pick in picks], dtype=np.intp)
-    fast = kernels.take(source, indices, chunks=chunks)
-    assert fast.tolist() == kernels.take_reference(source, indices).tolist()
-
-
-@settings(max_examples=25)
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)),
-        min_size=1,
-        max_size=20,
-    ),
-    st.lists(st.integers(min_value=0, max_value=1000), max_size=25),
-)
-def test_take_rows_under_forced_parallelism(rows, picks):
-    matrix = np.asarray(rows, dtype=np.int64)
-    indices = np.asarray([pick % len(rows) for pick in picks], dtype=np.intp)
-    saved_threshold = kernels.PARALLEL_THRESHOLD
-    saved_chunks = kernels.MIN_SORT_CHUNKS
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 4
-    try:
-        fast = kernels.take(matrix, indices)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved_threshold
-        kernels.MIN_SORT_CHUNKS = saved_chunks
-    assert fast.tolist() == kernels.take_reference(matrix, indices).tolist()
-
-
-def test_take_empty_indices():
-    source = np.asarray([[1, 2], [3, 4]], dtype=np.int64)
-    assert kernels.take(source, np.asarray([], dtype=np.intp)).tolist() == []
+# ------------------------------------------------------------ group reduce
 
 
 @st.composite
@@ -315,29 +209,11 @@ def grouped_reduce_cases(draw):
     return columns, members, starts
 
 
-@given(grouped_reduce_cases(), st.integers(min_value=1, max_value=5))
-def test_grouped_min_max_chunked_matches_reference(case, chunks):
-    columns, members, starts = case
-    fast_min, fast_max = kernels.grouped_min_max(columns, members, starts, chunks=chunks)
-    oracle_min, oracle_max = kernels.grouped_min_max_reference(columns, members, starts)
-    assert fast_min.tolist() == oracle_min.tolist()
-    assert fast_max.tolist() == oracle_max.tolist()
-
-
-@settings(max_examples=25)
 @given(grouped_reduce_cases())
-def test_grouped_min_max_under_forced_parallelism(case):
+def test_grouped_min_max_matches_reference(case):
     columns, members, starts = case
-    saved_threshold = kernels.PARALLEL_THRESHOLD
-    saved_chunks = kernels.MIN_SORT_CHUNKS
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 4
-    try:
-        fast_min, fast_max = kernels.grouped_min_max(columns, members, starts)
-    finally:
-        kernels.PARALLEL_THRESHOLD = saved_threshold
-        kernels.MIN_SORT_CHUNKS = saved_chunks
-    oracle_min, oracle_max = kernels.grouped_min_max_reference(columns, members, starts)
+    fast_min, fast_max = kernels.grouped_min_max(columns, members, starts)
+    oracle_min, oracle_max = grouped_min_max_reference(columns, members, starts)
     assert fast_min.tolist() == oracle_min.tolist()
     assert fast_max.tolist() == oracle_max.tolist()
 
@@ -360,20 +236,15 @@ def test_grouped_min_max_single_group_is_whole_table_reduction():
 
 # ------------------------------------------------------------- fork safety
 
-_WARM_POOL_THEN_SHARD = textwrap.dedent(
+_WARM_RUN_THEN_SHARD = textwrap.dedent(
     """
-    import time
-    from repro.core import kernels
     from repro.dataset.synthetic import make_sal
     from repro.engine import Engine
     from repro.engine.cache import ResultCache
 
-    kernels.PARALLEL_THRESHOLD = 1
-    kernels.MIN_SORT_CHUNKS = 2
-    for _ in range(4):
-        kernels._pool().submit(int).result()
-    time.sleep(0.2)  # let the warmed threads park as idle
-    report = Engine(cache=ResultCache()).run_table(
+    engine = Engine(cache=ResultCache())
+    engine.run_table(make_sal(4000, seed=7), "TP+", 4, shards=1, workers=1, use_cache=False)
+    report = engine.run_table(
         make_sal(4000, seed=7), "TP+", 4, shards=2, workers=2, use_cache=False
     )
     assert len(report.shard_sizes) == 2
@@ -382,19 +253,14 @@ _WARM_POOL_THEN_SHARD = textwrap.dedent(
 
 
 def test_sharded_process_pool_after_warm_kernel_pool():
-    """A forked shard worker must not inherit the parent's kernel pool.
+    """A sharded run forked from a process that already ran the engine finishes.
 
-    The child got the executor object without its threads; with the parent's
-    workers parked as idle, the child's first kernel submit waited forever.
-    Runs in its own session so a hang can be killed with its workers.
+    Forked shard workers once inherited a kernel thread pool without its
+    threads and waited forever on their first submit.  Runs in its own
+    session so a hang can be killed with its workers.
     """
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parents[1])
-    paths = (src, os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     process = subprocess.Popen(
-        [sys.executable, "-c", _WARM_POOL_THEN_SHARD], env=env, start_new_session=True
+        [sys.executable, "-c", _WARM_RUN_THEN_SHARD], env=_child_env(), start_new_session=True
     )
     try:
         assert process.wait(timeout=60) == 0
@@ -402,3 +268,45 @@ def test_sharded_process_pool_after_warm_kernel_pool():
         os.killpg(process.pid, signal.SIGKILL)
         process.wait()
         raise AssertionError("sharded run deadlocked in a forked shard worker") from None
+
+
+_THREADS_AROUND_A_LARGE_RUN = textwrap.dedent(
+    """
+    import threading
+    from repro.dataset.synthetic import make_sal
+    from repro.engine import Engine
+    from repro.engine.cache import ResultCache
+
+    table = make_sal(300_000, seed=7)
+    before = threading.active_count()
+    Engine(cache=ResultCache()).run_table(
+        table, "TP+", 6, shards=1, workers=1, use_cache=False
+    )
+    after = threading.active_count()
+    assert after == before, (before, after)
+    """
+)
+
+
+def test_unsharded_run_past_2_18_rows_starts_no_threads():
+    """An in-process run over more than 2^18 rows stays on the calling thread.
+
+    A fresh interpreter, so no earlier test has already started a thread
+    that the run could reuse.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS_AROUND_A_LARGE_RUN],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _child_env() -> dict[str, str]:
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

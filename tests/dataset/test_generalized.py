@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hypothesis import settings
 
-from repro.core import kernels
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition, cell_contains, cell_size
 from tests.conftest import make_random_table
 from tests.strategies import tables_with_partitions
@@ -204,23 +203,6 @@ class TestColumnarPublishOracle:
         fast = GeneralizedTable.from_partition(table, partition)
         oracle = GeneralizedTable.from_partition_reference(table, partition)
         self._assert_identical(fast, oracle)
-
-    @given(case=tables_with_partitions(max_rows=10))
-    @settings(deadline=None, max_examples=25)
-    def test_forced_chunked_publish_is_bit_identical(self, case):
-        table, partition = case
-        saved_threshold = kernels.PARALLEL_THRESHOLD
-        saved_chunks = kernels.MIN_SORT_CHUNKS
-        kernels.PARALLEL_THRESHOLD = 1
-        kernels.MIN_SORT_CHUNKS = 4
-        try:
-            fast = GeneralizedTable.from_partition(table, partition)
-        finally:
-            kernels.PARALLEL_THRESHOLD = saved_threshold
-            kernels.MIN_SORT_CHUNKS = saved_chunks
-        self._assert_identical(
-            fast, GeneralizedTable.from_partition_reference(table, partition)
-        )
 
     @given(case=tables_with_partitions(max_rows=10))
     @settings(deadline=None, max_examples=25)

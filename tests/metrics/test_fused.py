@@ -6,8 +6,6 @@ form a suppression table carries and the explicit-cells rebuild of the same
 table (they share summation orders by construction), and must agree with
 the pure-Python ``*_reference`` oracles — exactly for integer metrics, to
 float tolerance for the KL/NCP oracles (which sum in a different order).
-The chunk-sort path is forced via ``PARALLEL_THRESHOLD = 1`` to prove the
-parallel sort does not perturb any downstream metric.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import math
 
 import pytest
 
-from repro.core import kernels
 from repro.dataset.generalized import GeneralizedTable
 from repro.engine import metric_registry
 from repro.engine.core import run_with_spec
@@ -141,28 +138,3 @@ class TestMergedShardsWithEmptyGroups:
         assert generalized._cells_rows is None
         assert values == _all_metrics(small_census, _explicit_cells(generalized))
         _assert_matches_oracles(small_census, generalized, values)
-
-
-class TestChunkSortPath:
-    def test_forced_chunk_sort_leaves_every_metric_bit_identical(self, small_census):
-        spec = FrequencyLDiversity(l=2)
-        serial_table = small_census
-        serial = _all_metrics(serial_table, _published(serial_table, "TP+", spec))
-
-        from repro.dataset.table import Table
-
-        chunked_table = Table(
-            small_census.schema, small_census.qi_rows, small_census.sa_values
-        )
-        saved_threshold = kernels.PARALLEL_THRESHOLD
-        saved_chunks = kernels.MIN_SORT_CHUNKS
-        kernels.PARALLEL_THRESHOLD = 1
-        kernels.MIN_SORT_CHUNKS = 3
-        try:
-            chunked = _all_metrics(
-                chunked_table, _published(chunked_table, "TP+", spec)
-            )
-        finally:
-            kernels.PARALLEL_THRESHOLD = saved_threshold
-            kernels.MIN_SORT_CHUNKS = saved_chunks
-        assert chunked == serial  # bit-equal across the parallel sort

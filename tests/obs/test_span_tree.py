@@ -253,8 +253,8 @@ class TestEngineTree:
         assert names[:2] == ["cache-lookup", "encode"]
         assert {"state-init", "phase1", "publish", "cache-put"} <= set(names)
         encode = anonymize.children[1]
-        assert {child.name for child in encode.children} >= {"encode-chunks", "sort"}
-        assert report.trace.find("publish").find("publish-chunks") is not None
+        assert {child.name for child in encode.children} >= {"pack", "sort"}
+        assert report.trace.find("publish").find("min-max") is not None
 
     def test_csv_load_splits_into_parse_and_remap(self, census_10k, tmp_path):
         path = tmp_path / "census.csv"
