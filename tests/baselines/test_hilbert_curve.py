@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines.hilbert.curve import bits_needed, hilbert_index, hilbert_indices
+from repro.baselines.hilbert.curve import (
+    bits_needed,
+    hilbert_index,
+    hilbert_indices,
+    hilbert_indices_vectorized,
+)
 
 
 class TestBitsNeeded:
@@ -111,3 +117,68 @@ class TestProperties:
         if first == second:
             return
         assert hilbert_index(first, 3) != hilbert_index(second, 3)
+
+
+def _grid_points(dimension: int, bits: int) -> np.ndarray:
+    side = 1 << bits
+    return np.array(list(itertools.product(range(side), repeat=dimension)), dtype=np.int64)
+
+
+def _scalar_indices(points: np.ndarray, bits: int) -> list[int]:
+    return [hilbert_index([int(c) for c in row], bits) for row in points]
+
+
+class TestVectorizedTransform:
+    """The batch transform works column-major on a private copy of its input."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["c-int64", "fortran-int64", "c-int32", "strided-columns", "gathered-rows"],
+    )
+    def test_every_input_layout_matches_scalar(self, layout):
+        bits = 3
+        grid = _grid_points(3, bits)
+        if layout == "c-int64":
+            points = np.ascontiguousarray(grid)
+        elif layout == "fortran-int64":
+            points = np.asfortranarray(grid)
+        elif layout == "c-int32":
+            points = grid.astype(np.int32)
+        elif layout == "strided-columns":
+            wide = np.zeros((grid.shape[0], 6), dtype=np.int64)
+            wide[:, ::2] = grid
+            points = wide[:, ::2]
+            assert not points.flags.c_contiguous
+        else:
+            points = grid[np.arange(grid.shape[0] - 1, -1, -3)]
+        assert hilbert_indices_vectorized(points, bits).tolist() == _scalar_indices(
+            points, bits
+        )
+
+    def test_input_is_left_untouched(self):
+        points = _grid_points(4, 2)
+        before = points.copy()
+        hilbert_indices_vectorized(points, 2)
+        assert np.array_equal(points, before)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4])
+    def test_bijective_on_full_grid(self, dimension):
+        bits = 2
+        indices = hilbert_indices_vectorized(_grid_points(dimension, bits), bits)
+        assert indices.dtype == np.int64
+        assert sorted(indices.tolist()) == list(range(1 << (bits * dimension)))
+
+    @pytest.mark.parametrize(
+        ("points", "bits"),
+        [
+            (np.zeros(3, dtype=np.int64), 2),
+            (np.zeros((3, 0), dtype=np.int64), 2),
+            (np.zeros((3, 2), dtype=np.int64), 0),
+            (np.array([[4, 0]], dtype=np.int64), 2),
+            (np.array([[0, -1]], dtype=np.int64), 2),
+        ],
+        ids=["one-dimensional-array", "no-dimensions", "zero-bits", "too-large", "negative"],
+    )
+    def test_invalid_input_rejected(self, points, bits):
+        with pytest.raises(ValueError):
+            hilbert_indices_vectorized(points, bits)
