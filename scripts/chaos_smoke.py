@@ -1,9 +1,11 @@
 """CI chaos smoke: the serving stack under injected crashes and a hard restart.
 
-Boots ``ldiversity serve`` with a fixed-seed :class:`repro.server.faults.FaultPlan`
-exported through ``REPRO_FAULTS`` (workers killed every Nth job, a poison
-seed that dies on every attempt, delayed seeds that trip the per-job
-timeout), then proves the at-least-once contract end to end:
+Boots the server through the launcher in ``tests/fault_plan.py``, which
+starts it exactly as ``ldiversity serve`` does but hands its pool a job
+function wrapped with a fixed :class:`FaultPlan` (workers killed every Nth
+job, a poison seed that dies on every attempt, delayed seeds that trip the
+per-job timeout).  The plan travels as the launcher's first argument.  The
+smoke then proves the at-least-once contract end to end:
 
 1. **worker-death recovery** — ~100 jobs stream in from 4 client threads
    while the fault plan keeps killing pool worker processes; the pool must
@@ -35,7 +37,8 @@ timeout), then proves the at-least-once contract end to end:
    existing ``<input>.colstore``: the old store must still open with its old
    fingerprint, and a rerun must succeed and sweep the dead staging directory.
 
-Exit code 0 on success, 1 on any violation::
+Exit code 0 on success, 1 on any violation.  The temp workspace is removed
+when the smoke passes and kept, with its path printed, when it fails::
 
     PYTHONPATH=src python scripts/chaos_smoke.py
 """
@@ -43,6 +46,7 @@ Exit code 0 on success, 1 on any violation::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import signal
@@ -63,7 +67,6 @@ from repro.errors import DataSourceError
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.trace import grafted_problems
 from repro.privacy.spec import privacy_from_dict
-from repro.server.faults import FaultPlan
 
 WORKERS = 2
 QUEUE_CAP = 32
@@ -75,7 +78,8 @@ KILL_EVERY = 15
 CONVERT_ROWS = 300_000
 POISON_SEED = 666
 DELAY_SEEDS = (777, 778, 779)
-PLAN_SEED = 20260807
+#: Boots the server with a fault plan (see ``tests/fault_plan.py``).
+LAUNCHER = Path(__file__).resolve().parents[1] / "tests" / "fault_plan.py"
 
 
 def fail(message: str, log_paths: list[Path] | None = None) -> None:
@@ -197,12 +201,13 @@ class ChaosWorker(threading.Thread):
             self.completed += 1
 
 
-def boot_server(port: int, workspace: str, env: dict, log_path: Path) -> subprocess.Popen:
-    """Launch ``ldiversity serve`` in its own session (killpg reaches workers)."""
+def boot_server(port: int, workspace: str, plan: str, log_path: Path) -> subprocess.Popen:
+    """Launch the server under ``plan`` in its own session (killpg reaches
+    workers)."""
     log = open(log_path, "ab")
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "serve",
+            sys.executable, str(LAUNCHER), plan, "serve",
             "--port", str(port),
             "--workers", str(WORKERS),
             "--queue-cap", str(QUEUE_CAP),
@@ -213,7 +218,6 @@ def boot_server(port: int, workspace: str, env: dict, log_path: Path) -> subproc
         ],
         stdout=log,
         stderr=subprocess.STDOUT,
-        env=env,
         start_new_session=True,
     )
 
@@ -365,36 +369,28 @@ def check_result_artifacts(workspace: str, logs: list[Path]) -> None:
     print(f"result artifacts: all {len(entries)} entries under results/ open or are temps")
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--jobs", type=int, default=96, help="total streamed jobs")
-    arguments = parser.parse_args()
-
-    workspace = tempfile.mkdtemp(prefix="chaos-smoke-ws-")
+def run(arguments: argparse.Namespace, workspace: str) -> None:
     check_conversion_kill(workspace)
     scratch = Path(workspace) / "fault-tokens"
     scratch.mkdir(parents=True, exist_ok=True)
-    plan = FaultPlan(
-        kill_every=KILL_EVERY,
-        kill_seeds=(POISON_SEED,),
-        delay_seconds=JOB_TIMEOUT + 1.5,
-        delay_seeds=DELAY_SEEDS,
-        delay_once=True,
-        scratch_dir=str(scratch),
-        seed=PLAN_SEED,
-    )
-    env = dict(os.environ, REPRO_FAULTS=plan.to_env())
+    plan = json.dumps({
+        "kill_every": KILL_EVERY,
+        "kill_seeds": [POISON_SEED],
+        "delay_seconds": JOB_TIMEOUT + 1.5,
+        "delay_seeds": list(DELAY_SEEDS),
+        "delay_once": True,
+        "scratch_dir": str(scratch),
+    })
     port = pick_port()
     base_url = f"http://127.0.0.1:{port}"
     logs = [Path(workspace) / "server-1.log", Path(workspace) / "server-2.log"]
     started = time.perf_counter()
-    process: subprocess.Popen | None = boot_server(port, workspace, env, logs[0])
+    process: subprocess.Popen | None = boot_server(port, workspace, plan, logs[0])
     counters_before_kill: dict = {}
     try:
         probe = Client(base_url, client_id="probe", retries=0, timeout=10.0)
         probe.wait_until_ready(timeout=30.0)
-        print(f"server 1 ready at {base_url} (fault plan: {plan.to_env()})")
+        print(f"server 1 ready at {base_url} (fault plan: {plan})")
 
         per_client = arguments.jobs // arguments.clients
         workers = [
@@ -439,7 +435,7 @@ def main() -> None:
         check_result_artifacts(workspace, logs)
         print("server 1 SIGKILL'd mid-stream; booting replacement on the same port")
 
-        process = boot_server(port, workspace, env, logs[1])
+        process = boot_server(port, workspace, plan, logs[1])
         probe.wait_until_ready(timeout=30.0)
         health = probe.health()
         if health["jobs"]["replayed"] < 1:
@@ -594,6 +590,20 @@ def main() -> None:
             except ProcessLookupError:
                 pass
             process.wait(timeout=10)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--clients", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=96, help="total streamed jobs")
+    arguments = parser.parse_args()
+    workspace = tempfile.mkdtemp(prefix="chaos-smoke-ws-")
+    try:
+        run(arguments, workspace)
+    except BaseException:
+        print(f"workspace kept for inspection: {workspace}")
+        raise
+    shutil.rmtree(workspace)
 
 
 if __name__ == "__main__":

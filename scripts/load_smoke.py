@@ -41,7 +41,8 @@ running server), then:
 7. **clean shutdown** — the server subprocess must exit with code 0 on
    SIGTERM.
 
-Exit code 0 on success, 1 on any violation::
+Exit code 0 on success, 1 on any violation.  The temp workspace is removed
+when the smoke passes and kept, with its path printed, when it fails::
 
     PYTHONPATH=src python scripts/load_smoke.py
     PYTHONPATH=src python scripts/load_smoke.py --base-url http://127.0.0.1:8350
@@ -54,6 +55,7 @@ import csv
 import io
 import json
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -487,19 +489,8 @@ def phase_backpressure(base_url: str) -> None:
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=200, help="total jobs in phase 1")
-    parser.add_argument(
-        "--base-url", default=None, help="target an already-running server instead"
-    )
-    arguments = parser.parse_args()
-    if arguments.clients < 1 or arguments.jobs < arguments.clients:
-        parser.error("need at least one client and one job per client")
-
+def run(arguments: argparse.Namespace, workspace: str) -> None:
     process: subprocess.Popen | None = None
-    workspace = tempfile.mkdtemp(prefix="load-smoke-ws-")
     base_url = arguments.base_url
     started = time.perf_counter()
     try:
@@ -599,6 +590,25 @@ def main() -> None:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.communicate(timeout=10)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--clients", type=int, default=8)
+    parser.add_argument("--jobs", type=int, default=200, help="total jobs in phase 1")
+    parser.add_argument(
+        "--base-url", default=None, help="target an already-running server instead"
+    )
+    arguments = parser.parse_args()
+    if arguments.clients < 1 or arguments.jobs < arguments.clients:
+        parser.error("need at least one client and one job per client")
+    workspace = tempfile.mkdtemp(prefix="load-smoke-ws-")
+    try:
+        run(arguments, workspace)
+    except BaseException:
+        print(f"workspace kept for inspection: {workspace}")
+        raise
+    shutil.rmtree(workspace)
 
 
 if __name__ == "__main__":

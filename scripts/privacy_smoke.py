@@ -19,7 +19,9 @@ Three guarantees, each cheap enough for every CI run:
    run of the same workload must never share a cache entry (the PR's
    regression-style key bugfix).
 
-Exit code 0 on success, 1 on any violation::
+Exit code 0 on success, 1 on any violation.  The temp directory of published
+CSVs is removed when the smoke passes and kept, with its path printed, when
+it fails::
 
     PYTHONPATH=src python scripts/privacy_smoke.py
 """
@@ -27,6 +29,7 @@ Exit code 0 on success, 1 on any violation::
 from __future__ import annotations
 
 import hashlib
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -74,8 +77,7 @@ def _run(tmp: Path, name: str, **plan_fields):
     return report, digest, path
 
 
-def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="privacy-smoke-"))
+def run(tmp: Path) -> None:
 
     # 1. bit-identity of the default frequency path, unsharded + sharded
     _report, digest, _path = _run(tmp, "unsharded", algorithm="TP+", l=2, shards=1)
@@ -161,6 +163,16 @@ def main() -> None:
     print("cache: specs with equal l never share an entry")
 
     print("OK: privacy smoke passed")
+
+
+def main() -> None:
+    tmp = Path(tempfile.mkdtemp(prefix="privacy-smoke-"))
+    try:
+        run(tmp)
+    except BaseException:
+        print(f"outputs kept for inspection: {tmp}")
+        raise
+    shutil.rmtree(tmp)
 
 
 if __name__ == "__main__":

@@ -67,8 +67,8 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
             row_index = np.arange(len(table), dtype=np.int64)
             coords = table.qi_columns
         else:
-            row_index = np.asarray(list(rows), dtype=np.int64)
-            coords = table.qi_columns[row_index]
+            row_index = np.asarray(rows, dtype=np.int64)
+            coords = np.take(table.qi_columns, row_index, axis=0)
         if row_index.size == 0:
             return []
         keys = hilbert_indices_vectorized(coords, bits)

@@ -59,7 +59,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.engine import (
     CsvSink,
@@ -638,12 +638,16 @@ def _command_verify(arguments: argparse.Namespace) -> int:
     return 1
 
 
-def _command_serve(arguments: argparse.Namespace) -> int:
+def _command_serve(
+    arguments: argparse.Namespace, run_job: Callable[..., dict] | None = None
+) -> int:
+    """Boot the server; ``run_job`` replaces the pool's job function
+    (:func:`repro.server.execute_job` when ``None``)."""
     import asyncio
     import signal
 
     from repro.obs.log import configure_logging
-    from repro.server import AnonymizationServer
+    from repro.server import AnonymizationServer, execute_job
 
     # Recovery events (retries, pool restarts, replay, quarantine) log at
     # INFO/WARNING on the repro.server logger; surface them on stderr so an
@@ -663,6 +667,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         max_attempts=arguments.max_attempts,
         retry_backoff_seconds=arguments.retry_backoff,
         replay=not arguments.no_replay,
+        run_job=run_job or execute_job,
     )
 
     async def _serve() -> None:

@@ -474,7 +474,9 @@ class GeneralizedTable:
         columnar form of the per-group Counter histograms the privacy checks
         consume.  Computed via one bincount over the composite
         ``gid * m + sa`` code (dense) or ``np.unique`` when the composite
-        domain is too large; cached.
+        domain is too large; cached.  Explicit constructors may use negative
+        group ids: the composite code is shifted up by the smallest id, and
+        the returned ids are the original ones.
         """
         if self._group_sa_counts_cache is None:
             gids = self.group_ids_array().astype(np.int64, copy=False)
@@ -484,19 +486,18 @@ class GeneralizedTable:
                 empty = np.zeros(0, dtype=np.int64)
                 self._group_sa_counts_cache = (empty, empty, empty)
             else:
+                low = min(int(gids.min()), 0)
                 combo = gids * m + sa
-                span = (int(gids.max()) + 1) * m
+                if low:
+                    combo -= low * m
+                span = (int(gids.max()) - low + 1) * m
                 if span <= max(1 << 20, 4 * gids.size):
                     counts = np.bincount(combo, minlength=span)
                     present = np.flatnonzero(counts)
-                    self._group_sa_counts_cache = (
-                        present // m,
-                        present % m,
-                        counts[present],
-                    )
+                    counts = counts[present]
                 else:
                     present, counts = np.unique(combo, return_counts=True)
-                    self._group_sa_counts_cache = (present // m, present % m, counts)
+                self._group_sa_counts_cache = (present // m + low, present % m, counts)
         return self._group_sa_counts_cache
 
     def group_star_flags(self) -> np.ndarray | None:
@@ -661,9 +662,6 @@ class GeneralizedTable:
             raise ValueError(f"l must be >= 1, got {l}")
         if not len(self):
             return True
-        gids = self.group_ids_array()
-        if int(gids.min()) < 0:  # non-dense explicit ids: stay on the oracle
-            return self.is_l_diverse_reference(l)
         triple_gids, _values, counts = self.group_sa_counts()
         starts = np.concatenate(
             ([0], np.flatnonzero(triple_gids[1:] != triple_gids[:-1]) + 1)
@@ -672,17 +670,6 @@ class GeneralizedTable:
         sizes = np.add.reduceat(counts, starts)
         return not bool(np.any(heights * l > sizes))
 
-    def is_l_diverse_reference(self, l: int) -> bool:
-        """Pure-Python l-diversity check (the oracle for the vectorized path)."""
-        if l < 1:
-            raise ValueError(f"l must be >= 1, got {l}")
-        sa_values = self.sa_values
-        for rows in self.groups().values():
-            counts = Counter(sa_values[index] for index in rows)
-            if max(counts.values()) * l > len(rows):
-                return False
-        return True
-
     def is_k_anonymous(self, k: int) -> bool:
         """Whether every QI-group has at least ``k`` rows."""
         if k < 1:
@@ -690,17 +677,11 @@ class GeneralizedTable:
         if not len(self):
             return True
         gids = self.group_ids_array()
-        if int(gids.min()) < 0:  # non-dense explicit ids: stay on the oracle
-            return self.is_k_anonymous_reference(k)
-        sizes = self.group_sizes_array()
+        low = int(gids.min())
+        # Negative explicit ids shift up to index the bincount.
+        sizes = np.bincount(gids - low) if low < 0 else self.group_sizes_array()
         present = sizes[sizes > 0]
         return bool((present >= k).all())
-
-    def is_k_anonymous_reference(self, k: int) -> bool:
-        """Pure-Python k-anonymity check (the oracle for the vectorized path)."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return all(len(rows) >= k for rows in self.groups().values())
 
     # ---------------------------------------------------------------- display
 

@@ -425,11 +425,18 @@ class Table:
         indices = rng.sample(range(len(self)), size)
         return self.subset(indices)
 
-    def subset(self, indices: Sequence[int]) -> "Table":
-        """Return a table containing exactly the given rows (in the given order)."""
-        index_array = np.asarray(list(indices), dtype=np.intp)
+    def subset(self, indices: Sequence[int] | np.ndarray) -> "Table":
+        """Return a table containing exactly the given rows (in the given order).
+
+        ``indices`` may be a list, a ``range`` or an integer array; none is
+        copied through a Python list.
+        """
+        if isinstance(indices, range):
+            index = np.arange(indices.start, indices.stop, indices.step, dtype=np.intp)
+        else:
+            index = np.asarray(indices, dtype=np.intp)
         return Table.from_arrays(
-            self._schema, self.qi_columns[index_array], self.sa_array[index_array]
+            self._schema, np.take(self.qi_columns, index, axis=0), self.sa_array[index]
         )
 
     def group_by_qi(self) -> dict[tuple[int, ...], list[int]]:

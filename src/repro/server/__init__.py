@@ -14,10 +14,6 @@ network service — stdlib only, no third-party web framework:
   :class:`~repro.service.store.RunStore`;
 * :mod:`repro.server.ratelimit` — per-client token buckets behind the
   ``429 + Retry-After`` backpressure contract;
-* :mod:`repro.server.faults` — deterministic fault injection (worker kills,
-  job delays, ledger-append failures) behind an env/flag-gated
-  :class:`~repro.server.faults.FaultPlan`, used by the failure-matrix tests
-  and the chaos smoke;
 * :mod:`repro.server.app` — the :class:`AnonymizationServer` routing table
   and handlers (``/v1/jobs`` lifecycle, registry introspection, planner
   explanations, health).
@@ -45,7 +41,6 @@ The matching client SDK lives in :mod:`repro.client`.
 """
 
 from repro.server.app import AnonymizationServer
-from repro.server.faults import FaultPlan, clear_plan, install_plan
 from repro.server.jobspec import build_source
 from repro.server.pool import QueueFullError, WorkerPool, execute_job
 from repro.server.protocol import HttpError, Request
@@ -53,7 +48,6 @@ from repro.server.ratelimit import RateLimiter
 
 __all__ = [
     "AnonymizationServer",
-    "FaultPlan",
     "HttpError",
     "QueueFullError",
     "RateLimiter",
@@ -61,6 +55,4 @@ __all__ = [
     "WorkerPool",
     "build_source",
     "execute_job",
-    "clear_plan",
-    "install_plan",
 ]

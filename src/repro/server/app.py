@@ -92,7 +92,7 @@ from repro.server.jobspec import (
     privacy_and_l,
     require_int,
 )
-from repro.server.pool import QueueFullError, WorkerPool
+from repro.server.pool import QueueFullError, WorkerPool, execute_job
 from repro.server.protocol import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
@@ -194,6 +194,7 @@ class AnonymizationServer:
         max_attempts: int = 3,
         retry_backoff_seconds: float = 0.5,
         replay: bool = True,
+        run_job: Callable[..., dict] = execute_job,
     ) -> None:
         self.workspace = (
             workspace if isinstance(workspace, Workspace) else Workspace(workspace)
@@ -237,6 +238,7 @@ class AnonymizationServer:
             max_attempts=max_attempts,
             retry_backoff_seconds=retry_backoff_seconds,
             metrics=self.telemetry,
+            run_job=run_job,
         )
         self._http_requests = self.telemetry.counter(
             "repro_http_requests_total",

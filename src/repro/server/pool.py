@@ -28,7 +28,7 @@ waiting out a retry backoff.
 
 **Fault tolerance** (the at-least-once half of the serving contract):
 
-* a worker dying mid-job (segfault, OOM kill, injected fault) surfaces as
+* a worker dying mid-job (segfault, OOM kill) surfaces as
   :class:`~concurrent.futures.BrokenExecutor`; the pool rebuilds the
   executor *without dropping queued work* (counted by
   ``repro_pool_restarts_total``) and re-enqueues the job with exponential
@@ -68,7 +68,6 @@ from repro.engine.core import Engine
 from repro.errors import JobTimeoutError, WorkerCrashError
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
-from repro.server.faults import apply_worker_faults
 from repro.server.jobspec import JobSpec
 from repro.service.workspace import Workspace
 
@@ -132,7 +131,6 @@ def execute_job(
     payload's ``trace`` is the job's measured span tree.
     """
     job = JobSpec.from_json(spec)
-    apply_worker_faults(job.plan.seed)
     if job.include_rows:
         artifact_dir = _result_artifact_dir(job.job_id, workspace_root)
     plan = replace(job.plan, workers=core_budget)
@@ -228,6 +226,7 @@ class WorkerPool:
         retry_backoff_seconds: float = 0.5,
         max_retry_backoff_seconds: float = 30.0,
         metrics: MetricsRegistry | None = None,
+        run_job: Callable[..., dict] = execute_job,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -257,6 +256,9 @@ class WorkerPool:
         self._executor_kind = executor_kind
         self._workspace_root = workspace_root
         self._use_store = use_store
+        #: What the executor runs per attempt: :func:`execute_job`'s
+        #: arguments and result.  Tests wrap it to kill or delay workers.
+        self._run_job = run_job
         self.job_timeout_seconds = job_timeout_seconds
         self.max_attempts = max_attempts
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -585,7 +587,7 @@ class WorkerPool:
                     assert executor is not None
                     call = loop.run_in_executor(
                         executor,
-                        execute_job,
+                        self._run_job,
                         # The ledger job id rides along so the worker can key
                         # its result artifact by it (server-minted: path-safe
                         # and unique across concurrent jobs).
@@ -620,9 +622,9 @@ class WorkerPool:
                         ),
                     )
                 except BrokenExecutor as broken:
-                    # The worker died mid-job (segfault, OOM kill, injected
-                    # fault).  Heal the pool, then retry: the crash says
-                    # nothing about the job until its budget runs out.
+                    # The worker died mid-job (segfault, OOM kill).  Heal the
+                    # pool, then retry: the crash says nothing about the job
+                    # until its budget runs out.
                     self._attempt_seconds.observe(
                         loop.time() - started, outcome="crashed"
                     )

@@ -96,20 +96,6 @@ def can_transition(current: str, status: str) -> bool:
     return status in _TRANSITIONS.get(current, ())
 
 
-def _ledger_fault_hook() -> None:
-    """Chaos-testing gate over ledger appends (no-op unless a plan is active).
-
-    Imported lazily: the service layer must not depend on the server package
-    at import time (the server imports *us*), and the hook resolves to
-    nothing when no :class:`~repro.server.faults.FaultPlan` is installed.
-    """
-    try:
-        from repro.server.faults import maybe_fail_ledger_append
-    except ImportError:  # pragma: no cover - server package unavailable
-        return
-    maybe_fail_ledger_append()
-
-
 @dataclass(frozen=True)
 class JobRecord:
     """One job's state, as persisted in the workspace ledger."""
@@ -287,7 +273,6 @@ class JobLedger:
         return self._latest
 
     def _append(self, record: JobRecord) -> None:
-        _ledger_fault_hook()
         with open(self._path, "a") as handle:
             handle.write(json.dumps(asdict(record), separators=(",", ":")) + "\n")
 

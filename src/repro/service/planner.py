@@ -257,12 +257,10 @@ class ExecutionPlanner:
         return tuple(sorted(candidates))
 
 
-_default_planner: ExecutionPlanner | None = None
+#: Built once at import: the constructor only reads ``os.cpu_count()``.
+_DEFAULT_PLANNER = ExecutionPlanner()
 
 
 def default_planner() -> ExecutionPlanner:
-    """A process-global planner with the built-in calibration."""
-    global _default_planner
-    if _default_planner is None:
-        _default_planner = ExecutionPlanner()
-    return _default_planner
+    """The shared planner with the built-in calibration."""
+    return _DEFAULT_PLANNER

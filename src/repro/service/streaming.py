@@ -100,9 +100,8 @@ def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int
     (:meth:`~repro.dataset.table.Table.qi_sa_runs_arrays`): every ``(QI key,
     sensitive value)`` run contributes a single Counter update weighted by
     its length, so the Python-level work is O(distinct runs) instead of
-    O(rows).  The histograms are identical to the per-tuple
-    :func:`_scan_reference` (the regression test asserts this) because a
-    histogram is order-insensitive.
+    O(rows).  The histograms equal a per-tuple Counter scan (a regression
+    test asserts this) because a histogram is order-insensitive.
     """
     key_histograms: dict[tuple, Counter] = {}
     n = 0
@@ -118,25 +117,6 @@ def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int
                 histogram = key_histograms.setdefault(key, Counter())
                 for run in range(bounds[group_id], bounds[group_id + 1]):
                     histogram[values[run]] += run_lengths[run]
-        n += len(chunk)
-    return key_histograms, n
-
-
-def _scan_chunk_reference(chunk: Table, key_histograms: dict[tuple, Counter]) -> None:
-    """Per-tuple Counter accumulation — the oracle the fast scan is tested against."""
-    sa_values = chunk.sa_values
-    for key, rows in chunk.group_by_qi().items():
-        histogram = key_histograms.setdefault(key, Counter())
-        for row in rows:
-            histogram[sa_values[row]] += 1
-
-
-def _scan_reference(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int]:
-    """The pre-vectorization scan, kept as the regression oracle for :func:`_scan`."""
-    key_histograms: dict[tuple, Counter] = {}
-    n = 0
-    for chunk in source.iter_chunks(chunk_rows):
-        _scan_chunk_reference(chunk, key_histograms)
         n += len(chunk)
     return key_histograms, n
 
@@ -162,7 +142,7 @@ def _spill_chunk(chunk: Table, shard_of: dict, spills: list, d: int) -> None:
     sa = chunk.sa_array
     order = np.lexsort(columns.T[::-1])
     block = np.empty((len(chunk), d + 1), dtype=np.int32)
-    block[:, :d] = columns[order]
+    block[:, :d] = np.take(columns, order, axis=0)
     block[:, d] = sa[order]
     starts = np.empty(len(chunk), dtype=bool)
     starts[0] = True

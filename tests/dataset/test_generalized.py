@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition, cell_contains, cell_size
 from tests.conftest import make_random_table
+from tests.group_oracles import is_k_anonymous_reference, is_l_diverse_reference
 from tests.strategies import tables_with_partitions
 
 
@@ -126,6 +127,45 @@ class TestSuppression:
         generalized = GeneralizedTable.from_partition(hospital, partition)
         groups = generalized.groups()
         assert sorted(len(rows) for rows in groups.values()) == [2, 4, 4]
+
+
+class TestPrivacyChecksOverExplicitGroupIds:
+    """Dense, gapped and negative explicit group ids all take the array path
+    and agree with the row-at-a-time oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), case=tables_with_partitions(max_rows=12))
+    def test_checks_match_the_oracles(self, data, case):
+        table, partition = case
+        published = GeneralizedTable.from_partition(table, partition)
+        group_count = len(partition)
+        kind = data.draw(st.sampled_from(["dense", "gapped", "negative"]))
+        if kind == "dense":
+            ids = list(range(group_count))
+        else:
+            low = -40 if kind == "negative" else 0
+            ids = data.draw(
+                st.lists(
+                    st.integers(low, 40), min_size=group_count,
+                    max_size=group_count, unique=True,
+                )
+            )
+            if kind == "negative":
+                ids[0] = -41
+        group_of = {row: gid for gid, rows in zip(ids, partition.groups) for row in rows}
+        relabelled = GeneralizedTable(
+            published.schema,
+            published.cell_rows,
+            published.sa_values,
+            [group_of[row] for row in range(len(table))],
+        )
+        for bound in (1, 2, 3, 4):
+            assert relabelled.is_l_diverse(bound) == is_l_diverse_reference(
+                relabelled, bound
+            )
+            assert relabelled.is_k_anonymous(bound) == is_k_anonymous_reference(
+                relabelled, bound
+            )
 
 
 class TestGeneralizedTableValidation:

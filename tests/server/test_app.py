@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -12,11 +13,11 @@ import urllib.request
 import pytest
 
 from repro.client import Client, ClientError, JobFailedError
-from repro.server.faults import FaultPlan, clear_plan, install_plan
 from repro.privacy.spec import EntropyLDiversity, KAnonymity, privacy_registry
 from repro.service import JobLedger, verify_csv_l_diverse
 
 from server_harness import ServerHandle
+from tests.fault_plan import FaultPlan, faulty_execute_job
 from tests.server.test_telemetry import parse_exposition, sample
 
 
@@ -596,12 +597,15 @@ class TestCancel:
 
     def test_shutdown_closes_jobs_that_outlive_the_grace_window(self, tmp_path):
         """A run interrupted by shutdown must not stay 'running' in the ledger."""
-        handle = ServerHandle(workspace=tmp_path / "ws-grace", workers=1, queue_cap=4)
-        client = Client(handle.base_url, retries=0)
         # Wedge the worker with a delay fault so the run reliably outlives the
         # grace window — the engine is fast enough that a plain job can finish
         # inside it.
-        install_plan(FaultPlan(delay_seconds=3.0, delay_seeds=(777,)))
+        plan = FaultPlan(delay_seconds=3.0, delay_seeds=(777,))
+        handle = ServerHandle(
+            workspace=tmp_path / "ws-grace", workers=1, queue_cap=4,
+            run_job=functools.partial(faulty_execute_job, plan),
+        )
+        client = Client(handle.base_url, retries=0)
         try:
             job_id = client.submit(
                 source={"kind": "synthetic", "n": 30_000, "dimension": 3},
@@ -617,7 +621,6 @@ class TestCancel:
             assert record.status == "cancelled"
             assert "before the result was recorded" in record.error
         finally:
-            clear_plan()
             handle.stop()
 
 

@@ -1,65 +1,56 @@
-"""Unit tests for the fault-injection module itself.
+"""Unit tests for the fault plan itself (``tests/fault_plan.py``).
 
-The recovery tests (``test_recovery.py``) use these hooks to break a live
-server; here the hooks' own contract is pinned down — gating, env encoding,
-one-shot semantics, and the deterministic kill/delay schedules.
+The recovery tests (``test_recovery.py``) hand the faulty job function to a
+live server; here the plan's own contract is pinned down: an empty plan is
+inert, the launcher argument round-trips, one-shots fire once, and the
+kill/delay schedules are deterministic.
 """
 
 from __future__ import annotations
 
-import pytest
+import functools
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.server import faults
-from repro.server.faults import (
-    FAULTS_ENV_VAR,
-    FaultPlan,
-    active_plan,
-    apply_worker_faults,
-    clear_plan,
-    install_plan,
-    maybe_fail_ledger_append,
-)
+import pytest
+
+import tests.fault_plan as fault_plan
+from repro.server.pool import execute_job
+from repro.service.jobs import JobLedger
+from tests.fault_plan import FaultPlan, apply_faults, fail_next_append, faulty_execute_job
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    """Every test starts with no plan and a zeroed per-process job counter."""
-    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-    monkeypatch.setattr(faults, "_jobs_executed", 0)
-    clear_plan()
-    yield
-    clear_plan()
+def _zero_job_counter(monkeypatch):
+    """Every test starts with a zeroed per-process job counter."""
+    monkeypatch.setattr(fault_plan, "_jobs_executed", 0)
 
 
 class TestGating:
     def test_no_plan_means_every_hook_is_a_noop(self):
-        assert active_plan() is None
-        apply_worker_faults(0)  # must not raise
-        maybe_fail_ledger_append()
+        apply_faults(FaultPlan(), 0)  # must not raise
 
-    def test_installed_plan_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, FaultPlan(kill_every=7).to_env())
-        install_plan(FaultPlan(kill_every=3))
-        assert active_plan().kill_every == 3
-        clear_plan()
-        assert active_plan().kill_every == 7
+    def test_empty_plan_runs_the_real_job(self, tmp_path):
+        spec = {
+            "algorithm": "TP", "l": 2, "seed": 666, "include_rows": False,
+            "source": {"kind": "synthetic", "dataset": "SAL", "n": 80, "seed": 1,
+                       "dimension": 2},
+        }
+        run_job = functools.partial(faulty_execute_job, FaultPlan())
+        faulty = run_job(spec, str(tmp_path), False, 1)
+        plain = execute_job(spec, str(tmp_path), False, 1)
+        assert faulty["stars"] == plain["stars"]
+        assert faulty["verified"] is plain["verified"] is True
 
-    def test_env_round_trip(self, monkeypatch):
+    def test_launcher_argument_round_trip(self):
         plan = FaultPlan(
             kill_every=5,
             kill_seeds=(666,),
             delay_seconds=1.5,
-            delay_seeds=(777,),
-            fail_ledger_append_once=True,
-            seed=42,
+            delay_seeds=(777, 778),
+            delay_once=False,
+            scratch_dir="/tmp/tokens",
         )
-        monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_env())
-        assert active_plan() == plan
-
-    def test_malformed_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "{not json")
-        assert active_plan() is None
+        assert FaultPlan.from_json(plan.to_json()) == plan
 
 
 class TestOneShots:
@@ -73,45 +64,48 @@ class TestOneShots:
         """Two deserialized copies of one plan (two processes in real life)
         must agree on who claimed a token."""
         first = FaultPlan(scratch_dir=str(tmp_path))
-        second = FaultPlan.from_dict(first.to_dict())
+        second = FaultPlan.from_json(first.to_json())
         assert first.consume_once("t") is True
         assert second.consume_once("t") is False
 
-    def test_ledger_append_fails_exactly_once(self):
-        install_plan(FaultPlan(fail_ledger_append_once=True))
+    def test_ledger_append_fails_exactly_once(self, tmp_path):
+        ledger = JobLedger(tmp_path / "jobs.jsonl")
+        record = ledger.create(label="x", algorithm="TP", l=2)
+        fail_next_append(ledger, "running")
         with pytest.raises(OSError):
-            maybe_fail_ledger_append()
-        maybe_fail_ledger_append()  # consumed: no longer raises
+            ledger.transition(record.id, "running")
+        ledger.transition(record.id, "running")  # consumed: no longer raises
+        assert ledger.get(record.id).status == "running"
 
 
 class TestWorkerFaults:
     def test_kill_every_nth_job(self):
-        install_plan(FaultPlan(kill_every=3))
-        apply_worker_faults(1)
-        apply_worker_faults(2)
+        plan = FaultPlan(kill_every=3)
+        apply_faults(plan, 1)
+        apply_faults(plan, 2)
         with pytest.raises(BrokenProcessPool):
-            apply_worker_faults(3)
+            apply_faults(plan, 3)
 
     def test_poison_seed_kills_every_attempt(self):
-        install_plan(FaultPlan(kill_seeds=(666,)))
-        apply_worker_faults(1)
+        plan = FaultPlan(kill_seeds=(666,))
+        apply_faults(plan, 1)
         for _ in range(3):
             with pytest.raises(BrokenProcessPool):
-                apply_worker_faults(666)
+                apply_faults(plan, 666)
 
     def test_delay_once_applies_to_the_first_attempt_only(self, monkeypatch):
         slept: list[float] = []
-        monkeypatch.setattr(faults.time, "sleep", slept.append)
-        install_plan(FaultPlan(delay_seconds=2.0, delay_seeds=(777,)))
-        apply_worker_faults(1)  # not a delayed seed
-        apply_worker_faults(777)
-        apply_worker_faults(777)  # delay_once consumed
+        monkeypatch.setattr(fault_plan.time, "sleep", slept.append)
+        plan = FaultPlan(delay_seconds=2.0, delay_seeds=(777,))
+        apply_faults(plan, 1)  # not a delayed seed
+        apply_faults(plan, 777)
+        apply_faults(plan, 777)  # delay_once consumed
         assert slept == [2.0]
 
     def test_delay_every_attempt_when_delay_once_is_off(self, monkeypatch):
         slept: list[float] = []
-        monkeypatch.setattr(faults.time, "sleep", slept.append)
-        install_plan(FaultPlan(delay_seconds=0.5, delay_once=False))
-        apply_worker_faults(1)
-        apply_worker_faults(2)
+        monkeypatch.setattr(fault_plan.time, "sleep", slept.append)
+        plan = FaultPlan(delay_seconds=0.5, delay_once=False)
+        apply_faults(plan, 1)
+        apply_faults(plan, 2)
         assert slept == [0.5, 0.5]

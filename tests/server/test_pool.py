@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+import functools
 
 import pytest
 
 from repro.engine import Engine, ResultCache, RunPlan
 from repro.engine.columnstore import ResultArtifact
-from repro.server.faults import FaultPlan, clear_plan, install_plan
 from repro.server.jobspec import build_source
 from repro.server.pool import QueueFullError, WorkerPool, execute_job
 from repro.server.ratelimit import RateLimiter
 from repro.service import verify_csv_l_diverse
+from tests.fault_plan import FaultPlan, faulty_execute_job
 from tests.render_oracle import legacy_csv, legacy_rows
 
 
@@ -244,6 +245,11 @@ class TestWorkerPool:
         """
         events: list[tuple[str, str]] = []
 
+        # Wedge the worker with a delay fault so the run reliably outlives the
+        # grace window — the engine is fast enough that a plain job can finish
+        # inside it.
+        plan = FaultPlan(delay_seconds=1.0, delay_seeds=(777,))
+
         async def scenario():
             pool = WorkerPool(
                 workers=1,
@@ -252,6 +258,7 @@ class TestWorkerPool:
                 executor_kind="thread",
                 workspace_root=str(tmp_path / "ws"),
                 use_store=False,
+                run_job=functools.partial(faulty_execute_job, plan),
             )
             await pool.start()
             pool.submit(
@@ -263,14 +270,7 @@ class TestWorkerPool:
                 await asyncio.sleep(0.005)
             return await pool.shutdown(grace_seconds=0.01)
 
-        # Wedge the worker with a delay fault so the run reliably outlives the
-        # grace window — the engine is fast enough that a plain job can finish
-        # inside it.
-        install_plan(FaultPlan(delay_seconds=1.0, delay_seeds=(777,)))
-        try:
-            abandoned, interrupted = self._run(scenario())
-        finally:
-            clear_plan()
+        abandoned, interrupted = self._run(scenario())
         assert abandoned == []
         assert interrupted == ["job-slow"]
         # its drainer was cancelled, so no terminal transition was recorded

@@ -1,14 +1,16 @@
 """Failure-matrix tests: the server surviving the failures it promises to.
 
-Each test breaks a live loopback server with an installed
-:class:`~repro.server.faults.FaultPlan` (worker kills, injected delays,
-one-shot ledger-append failures) or a staged ledger (restart replay) and
+Each test breaks a live loopback server through the job function its pool
+runs (``run_job``, wrapped with a :class:`tests.fault_plan.FaultPlan`: worker
+kills, injected delays), a one-shot ledger-append failure or a staged ledger
+(restart replay) and
 asserts the at-least-once contract: every submitted job reaches a terminal
 state, retryable failures are retried with the counters to prove it, and
 poison jobs are quarantined instead of crash-looping the pool.
 
 Jobs run on a *thread* executor here (like the rest of the server suite);
-worker death is injected as :class:`BrokenProcessPool` by the fault hook, so
+worker death is injected as :class:`BrokenProcessPool` by the faulty job
+function, so
 the pool's recovery path sees the identical exception the production process
 pool would raise.  ``scripts/chaos_smoke.py`` covers real process kills and
 a real SIGKILL server restart end to end.
@@ -16,6 +18,7 @@ a real SIGKILL server restart end to end.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -24,21 +27,19 @@ from server_harness import ServerHandle
 
 from repro.client import Client, JobFailedError
 from repro.privacy.spec import resolve_privacy
-from repro.server import faults
-from repro.server.faults import FAULTS_ENV_VAR, FaultPlan, clear_plan, install_plan
 from repro.service.jobs import JobLedger
+import tests.fault_plan as fault_plan
+from tests.fault_plan import FaultPlan, fail_next_append, faulty_execute_job
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-    monkeypatch.setattr(faults, "_jobs_executed", 0)
-    clear_plan()
-    yield
-    clear_plan()
+def _zero_job_counter(monkeypatch):
+    monkeypatch.setattr(fault_plan, "_jobs_executed", 0)
 
 
-def _handle(tmp_path, **kwargs) -> ServerHandle:
+def _handle(tmp_path, plan: FaultPlan | None = None, **kwargs) -> ServerHandle:
+    if plan is not None:
+        kwargs["run_job"] = functools.partial(faulty_execute_job, plan)
     kwargs.setdefault("workspace", tmp_path / "server-ws")
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("queue_cap", 8)
@@ -79,19 +80,17 @@ def _wait_status(client: Client, job_id: str, statuses, timeout: float = 10.0) -
 class TestWorkerDeathRecovery:
     def test_broken_pool_mid_job_is_retried_and_succeeds(self, tmp_path):
         """kill_every: one attempt dies with its worker, the retry lands."""
-        handle = _handle(tmp_path)
+        # The 2nd execution in this process dies; with one drainer the
+        # schedule is deterministic: job-a runs clean, job-b's first attempt
+        # dies, its retry (execution #3) runs clean.
+        handle = _handle(tmp_path, FaultPlan(kill_every=2))
         try:
             client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
-            # The 2nd execution in this process dies; with one drainer the
-            # schedule is deterministic: job-a runs clean, job-b's first
-            # attempt dies, its retry (execution #3) runs clean.
-            install_plan(FaultPlan(kill_every=2))
             job_a = client.submit(l=2, source=_synthetic_source(1))
             job_b = client.submit(l=2, source=_synthetic_source(2))
             record_a = client.wait(job_a, timeout=15)
             record_b = client.wait(job_b, timeout=15)
             assert record_a["status"] == record_b["status"] == "done"
-            clear_plan()  # health must not trip kill_every bookkeeping
             health = client.health()
             assert health["pool"]["retries"] >= 1
             assert health["pool"]["pool_restarts"] >= 1
@@ -104,10 +103,9 @@ class TestWorkerDeathRecovery:
             handle.stop()
 
     def test_poison_job_is_quarantined_after_max_attempts(self, tmp_path):
-        handle = _handle(tmp_path, max_attempts=2)
+        handle = _handle(tmp_path, FaultPlan(kill_seeds=(666,)), max_attempts=2)
         try:
             client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
-            install_plan(FaultPlan(kill_seeds=(666,)))
             healthy = client.submit(l=2, source=_synthetic_source(1))
             poison = client.submit(l=2, source=_synthetic_source(666), seed=666)
             assert client.wait(healthy, timeout=15)["status"] == "done"
@@ -118,7 +116,6 @@ class TestWorkerDeathRecovery:
             assert record["quarantined"] is True
             assert record["attempts"] == 2
             assert "quarantined after 2 attempts" in record["error"]
-            clear_plan()
             assert client.health()["pool"]["quarantined"] == 1
             # quarantine is terminal in the ledger too, not just in memory
             ledger = JobLedger(handle.server.workspace.jobs_path)
@@ -128,20 +125,40 @@ class TestWorkerDeathRecovery:
             handle.stop()
 
 
+class TestNoFaultSwitch:
+    def test_a_served_job_ignores_a_fault_plan_in_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        """Only the job function a server is built with can inject faults: a
+        plan in ``REPRO_FAULTS`` must not kill a production job."""
+        monkeypatch.setenv("REPRO_FAULTS", '{"kill_seeds":[666]}')
+        handle = _handle(tmp_path, executor_kind="thread")
+        try:
+            client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
+            job_id = client.submit(l=2, source=_synthetic_source(666), seed=666)
+            record = client.wait(job_id, timeout=15)
+            assert record["status"] == "done"
+            assert record["attempts"] == 1
+        finally:
+            handle.stop()
+
+
 class TestJobTimeout:
     def test_timeout_then_succeed(self, tmp_path):
         """delay_once wedges the first attempt past --job-timeout; the retry
         runs clean and the job still completes."""
-        handle = _handle(tmp_path, job_timeout_seconds=0.2)
+        handle = _handle(
+            tmp_path,
+            FaultPlan(delay_seconds=1.5, delay_seeds=(777,)),
+            job_timeout_seconds=0.2,
+        )
         try:
             client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
-            install_plan(FaultPlan(delay_seconds=1.5, delay_seeds=(777,)))
             job_id = client.submit(l=2, source=_synthetic_source(777), seed=777)
             record = client.wait(job_id, timeout=20)
             assert record["status"] == "done"
             assert record["attempts"] == 2
             assert "JobTimeoutError" in record["last_error"]
-            clear_plan()
             health = client.health()
             assert health["pool"]["timeouts"] >= 1
             assert health["pool"]["retries"] >= 1
@@ -267,22 +284,16 @@ class TestLedgerAppendFailure:
     def test_job_reaches_terminal_state_despite_lost_retry_append(self, tmp_path):
         """The one-shot ledger failure lands on the 'retrying' append of a
         poison job; the job must still end quarantined (memory and ledger)."""
-        handle = _handle(tmp_path, max_attempts=2)
+        handle = _handle(tmp_path, FaultPlan(kill_seeds=(666,)), max_attempts=2)
         try:
             client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
-            # Pause so the plan is installed after the submission's own
-            # ledger 'create' append — the one-shot must hit the retry
-            # transition, the hardest append to lose.
-            handle.run(handle.server.pool.pause)
+            # The one-shot must hit the retry transition, the hardest append
+            # to lose.
+            fail_next_append(handle.server.jobs.ledger, "retrying")
             job_id = client.submit(l=2, source=_synthetic_source(666), seed=666)
-            install_plan(
-                FaultPlan(kill_seeds=(666,), fail_ledger_append_once=True)
-            )
-            handle.run(handle.server.pool.resume)
             with pytest.raises(JobFailedError) as failure:
                 client.wait(job_id, timeout=20)
             assert failure.value.record["quarantined"] is True
-            clear_plan()
             ledger = JobLedger(handle.server.workspace.jobs_path)
             final = ledger.get(job_id)
             assert final.status == "failed"
@@ -293,10 +304,12 @@ class TestLedgerAppendFailure:
 
 class TestRetryingCancel:
     def test_a_job_waiting_out_its_backoff_can_be_cancelled(self, tmp_path):
-        handle = _handle(tmp_path, max_attempts=5, retry_backoff_seconds=5.0)
+        handle = _handle(
+            tmp_path, FaultPlan(kill_seeds=(666,)), max_attempts=5,
+            retry_backoff_seconds=5.0,
+        )
         try:
             client = Client(handle.base_url, retries=3, backoff_seconds=0.01)
-            install_plan(FaultPlan(kill_seeds=(666,)))
             job_id = client.submit(l=2, source=_synthetic_source(666), seed=666)
             _wait_status(client, job_id, ("retrying",))
             record = client.cancel(job_id)

@@ -7,7 +7,8 @@ import pytest
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.engine import CsvSource
 from repro.service.planner import ExecutionPlanner, PlannerCalibration
-from repro.service.streaming import _scan, _scan_reference
+from repro.service.streaming import _scan
+from tests.group_oracles import scan_reference
 from repro.engine.registry import algorithm_registry
 
 QI = ("Age", "Gender", "Race")
@@ -30,7 +31,7 @@ class TestVectorizedScan:
     def test_matches_per_tuple_oracle(self, census_csv):
         source = CsvSource(census_csv, QI, SA)
         histograms, n = _scan(source, chunk_rows=333)
-        expected_histograms, expected_n = _scan_reference(source, chunk_rows=333)
+        expected_histograms, expected_n = scan_reference(source, chunk_rows=333)
         assert n == expected_n
         assert histograms == expected_histograms
 

@@ -1,10 +1,10 @@
-"""The algorithm packages hold no process-global mutable switch.
+"""No module of ``repro`` holds a process-global mutable switch.
 
 Concurrent jobs share one process, so a module-level value that code
 rebinds at run time (a ``global`` statement) or a fork hook that resets one
 (``os.register_at_fork``) decides one job's behaviour by what another job
-did.  This test parses every module of the algorithm packages and names
-each such statement it finds.
+did.  This test parses every module under ``src/repro`` (every package and
+the top-level modules) and names each such statement it finds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 import repro
 
-PACKAGES = ("core", "dataset", "baselines", "metrics")
+ROOT = Path(repro.__file__).resolve().parent
 
 
 def _offences(path: Path) -> list[str]:
@@ -37,9 +37,9 @@ def _offences_in(source: str, filename: str) -> list[str]:
 
 
 def test_algorithm_packages_have_no_global_or_fork_hook():
-    root = Path(repro.__file__).resolve().parent
-    modules = [path for package in PACKAGES for path in sorted((root / package).rglob("*.py"))]
-    assert modules
+    modules = sorted(ROOT.rglob("*.py"))
+    scanned = {path.relative_to(ROOT).parts[0] for path in modules}
+    assert {"core", "engine", "server", "service", "cli.py"} <= scanned
     offences = [offence for path in modules for offence in _offences(path)]
     assert offences == []
 
