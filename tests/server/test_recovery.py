@@ -1,18 +1,17 @@
 """Failure-matrix tests: the server surviving the failures it promises to.
 
 Each test breaks a live loopback server through the job function its pool
-runs (``run_job``, wrapped with a :class:`tests.fault_plan.FaultPlan`: worker
+runs (``run_job`` wrapped with a :class:`tests.fault_plan.FaultPlan`: worker
 kills, injected delays), a one-shot ledger-append failure or a staged ledger
-(restart replay) and
-asserts the at-least-once contract: every submitted job reaches a terminal
-state, retryable failures are retried with the counters to prove it, and
-poison jobs are quarantined instead of crash-looping the pool.
+(restart replay), and asserts the at-least-once contract: every submitted
+job reaches a terminal state, retryable failures are retried with the
+counters to prove it, and poison jobs are quarantined instead of
+crash-looping the pool.
 
 Jobs run on a *thread* executor here (like the rest of the server suite);
 worker death is injected as :class:`BrokenProcessPool` by the faulty job
-function, so
-the pool's recovery path sees the identical exception the production process
-pool would raise.  ``scripts/chaos_smoke.py`` covers real process kills and
+function, so the pool's recovery path sees the identical exception the
+production process pool would raise.  ``scripts/chaos_smoke.py`` covers real process kills and
 a real SIGKILL server restart end to end.
 """
 
@@ -298,6 +297,8 @@ class TestLedgerAppendFailure:
             final = ledger.get(job_id)
             assert final.status == "failed"
             assert final.quarantined is True
+            # the one-shot fired: the retry transition never reached the file
+            assert "retrying" not in [r.status for r in ledger.history(job_id)]
         finally:
             handle.stop()
 
