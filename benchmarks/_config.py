@@ -5,7 +5,8 @@ whole suite finishes in a few minutes on a laptop.  ``BENCH_CONFIG`` mirrors
 the structure of the paper's experiments (same sweeps, same algorithms); only
 ``n``, the number of projections averaged, and the QI domain scale are
 reduced.  Run the figure drivers with ``ExperimentConfig.default()`` (or
-``paper_scale()``) to reproduce the EXPERIMENTS.md numbers at full size.
+``paper_scale()``), e.g. through ``scripts/run_experiments.py``, for the
+figures at full size.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Ablation: the Section 5.5 inverted-list buckets vs a naive recount.
 
-DESIGN.md calls out the bucketed pillar maintenance as a key implementation
-choice; this benchmark quantifies it.  A TP run of the per-tuple oracle is
+Section 5.5 of the paper presents the bucketed pillar maintenance (inverted
+lists) as a key implementation choice; this benchmark quantifies it.  A TP run of the per-tuple oracle is
 recorded as its sequence of ``add`` / ``remove_one`` / ``pillars_view``
 calls; the sequence is then replayed on
 :class:`~repro.core.groups.GroupState` and on the test-side

@@ -20,12 +20,7 @@ from repro.core import three_phase
 from repro.core.preprocess import anonymize_with_coarsening
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.metrics import gcp, kl_divergence
-from repro.privacy.principles import (
-    max_t_closeness_distance,
-    satisfies_alpha_k_anonymity,
-    satisfies_entropy_l_diversity,
-    satisfies_recursive_cl_diversity,
-)
+from repro.privacy import AlphaKAnonymity, EntropyLDiversity, RecursiveCLDiversity, TCloseness
 
 
 def preprocessing_tradeoff(table, l: int = 6) -> None:
@@ -48,12 +43,14 @@ def privacy_audits(table, l: int = 6) -> None:
     print(f"\n== auditing the TP output against other principles (l={l}) ==")
     generalized = three_phase.anonymize(table, l).generalized
     print(f"  frequency {l}-diverse      : {generalized.is_l_diverse(l)}")
-    print(f"  entropy  {l}-diverse       : {satisfies_entropy_l_diversity(generalized, l)}")
-    print(f"  entropy  2-diverse        : {satisfies_entropy_l_diversity(generalized, 2)}")
-    print(f"  recursive (3, 2)-diverse  : {satisfies_recursive_cl_diversity(generalized, 3.0, 2)}")
+    print(f"  entropy  {l}-diverse       : {EntropyLDiversity(l).check_generalized(generalized)}")
+    print(f"  entropy  2-diverse        : {EntropyLDiversity(2).check_generalized(generalized)}")
+    print(f"  recursive (3, 2)-diverse  : "
+          f"{RecursiveCLDiversity(3.0, 2).check_generalized(generalized)}")
     print(f"  (1/{l}, {l})-anonymous       : "
-          f"{satisfies_alpha_k_anonymity(generalized, alpha=1 / l, k=l)}")
-    print(f"  worst t-closeness distance: {max_t_closeness_distance(generalized):.3f}")
+          f"{AlphaKAnonymity(1 / l, l).check_generalized(generalized)}")
+    for t in (0.5, 0.9, 0.95):
+        print(f"  {t:.2f}-close               : {TCloseness(t).check_generalized(generalized)}")
 
 
 def main() -> None:

@@ -11,10 +11,12 @@ smoke then proves the at-least-once contract end to end:
    while the fault plan keeps killing pool worker processes; the pool must
    rebuild itself (``pool_restarts``) and retry the dead attempts
    (``retries``) with every job still reaching ``done``;
-2. **SIGKILL restart replay** — once recovery is observably underway, the
+2. **SIGKILL restart replay** — once recovery is observably underway and a
+   job the plan holds ``running`` (seed ``HOLD_SEED``) has started, the
    whole server process group is SIGKILL'd (no shutdown hooks, like an OOM
    kill) and a fresh server boots on the same port and workspace; it must
-   compact the ledger, re-enqueue every non-terminal job (``replayed``), and
+   compact the ledger, re-enqueue every non-terminal job (``replayed``, the
+   held job among them, which must then reach ``done``), and
    the client threads — who only see a connection outage — must still
    complete every job, and right after the kill every ``results/<job_id>``
    directory must open with ``ResultArtifact.mmap`` or be a publish temp;
@@ -78,6 +80,10 @@ KILL_EVERY = 15
 CONVERT_ROWS = 300_000
 POISON_SEED = 666
 DELAY_SEEDS = (777, 778, 779)
+#: The job held ``running`` (for ``HOLD_SECONDS``, under ``JOB_TIMEOUT``)
+#: while server 1 is SIGKILL'd, so server 2 always has a job to replay.
+HOLD_SEED = 888
+HOLD_SECONDS = JOB_TIMEOUT - 1.0
 #: Boots the server with a fault plan (see ``tests/fault_plan.py``).
 LAUNCHER = Path(__file__).resolve().parents[1] / "tests" / "fault_plan.py"
 
@@ -379,6 +385,8 @@ def run(arguments: argparse.Namespace, workspace: str) -> None:
         "delay_seconds": JOB_TIMEOUT + 1.5,
         "delay_seeds": list(DELAY_SEEDS),
         "delay_once": True,
+        "hold_seconds": HOLD_SECONDS,
+        "hold_seeds": [HOLD_SEED],
         "scratch_dir": str(scratch),
     })
     port = pick_port()
@@ -401,32 +409,40 @@ def run(arguments: argparse.Namespace, workspace: str) -> None:
             worker.start()
 
         # Let recovery become observable before pulling the plug: at least
-        # one worker kill has been healed, a batch of jobs is done, and at
-        # least one job is still in flight, so the restarted server has an
-        # unfinished ledger entry to replay.
+        # one worker kill has been healed and a batch of jobs is done.  The
+        # streamed jobs finish in milliseconds, so none of them is sure to be
+        # in flight at the kill; the held job is, so the restarted server has
+        # an unfinished ledger entry to replay.
         kill_floor = max(10, arguments.jobs // 4)
 
         def ready_to_kill(h: dict) -> bool:
-            jobs = h["jobs"]
-            in_flight = (
-                jobs["submitted"] - jobs["done"] - jobs["failed"] - jobs["cancelled"]
-            )
-            return (
-                h["pool"]["pool_restarts"] >= 1
-                and jobs["done"] >= kill_floor
-                and in_flight >= 1
-            )
+            return h["pool"]["pool_restarts"] >= 1 and h["jobs"]["done"] >= kill_floor
 
-        health = wait_for_condition(
+        wait_for_condition(
             probe,
             ready_to_kill,
             deadline_seconds=180.0,
-            what=f"{kill_floor} done jobs, a healed worker kill and a job in flight",
+            what=f"{kill_floor} done jobs and a healed worker kill",
         )
+        holder = Client(base_url, client_id="hold", retries=60, backoff_seconds=0.05,
+                        max_backoff_seconds=0.5, timeout=60.0)
+        held_id = holder.submit(
+            l=2,
+            algorithm="TP",
+            seed=HOLD_SEED,
+            source={"kind": "synthetic", "dataset": "SAL", "n": 200,
+                    "seed": HOLD_SEED, "dimension": 3},
+        )
+        deadline = time.monotonic() + 60.0
+        while holder.status(held_id)["status"] != "running":
+            if time.monotonic() >= deadline:
+                fail(f"held job {held_id} never started running", logs)
+            time.sleep(0.02)
+        health = probe.health()
         counters_before_kill = dict(health["pool"])
         print(
-            f"pre-kill: {health['jobs']['done']} done, pool counters "
-            f"{counters_before_kill}"
+            f"pre-kill: {health['jobs']['done']} done, held job {held_id} running, "
+            f"pool counters {counters_before_kill}"
         )
 
         os.killpg(process.pid, signal.SIGKILL)  # the whole group: server + workers
@@ -444,6 +460,11 @@ def run(arguments: argparse.Namespace, workspace: str) -> None:
             f"server 2 ready: replayed {health['jobs']['replayed']} jobs, "
             f"compaction reclaimed {health['jobs']['compaction_reclaimed']} lines"
         )
+        try:
+            holder.wait(held_id, timeout=120.0)
+        except JobFailedError as error:
+            fail(f"held job {held_id} did not replay to done: {error}", logs)
+        print(f"held job {held_id} replayed to done on server 2")
 
         for worker in workers:
             worker.join(timeout=420)

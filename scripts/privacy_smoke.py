@@ -12,8 +12,9 @@ Three guarantees, each cheap enough for every CI run:
 2. **Spec-targeted anonymization** — the synthetic dataset is anonymized
    under ``entropy-l`` and ``recursive-cl`` (in-memory and streaming) and
    each output is verified with the *matching independent checker* from
-   :mod:`repro.privacy.principles` — not the spec's own ``check`` — so the
-   enforcement pass is audited by code that knows nothing about it.
+   the tests' ``tests/principle_oracles.py`` — not the spec's own
+   ``check`` — so the enforcement pass is audited by code that knows
+   nothing about it.
 
 3. **Cache-key separation** — a frequency-l run followed by an entropy-l
    run of the same workload must never share a cache entry (the PR's
@@ -35,16 +36,19 @@ import tempfile
 from pathlib import Path
 
 from repro.engine import CsvSink, CsvSource, Engine, ResultCache, RunPlan, SyntheticSource
-from repro.privacy.principles import (
-    satisfies_entropy_l_diversity,
-    satisfies_recursive_cl_diversity,
-)
 from repro.privacy.spec import (
     EntropyLDiversity,
     FrequencyLDiversity,
     RecursiveCLDiversity,
 )
 from repro.service import stream_anonymize, verify_csv_satisfies
+
+# The repository root, so the tests' oracles import as ``tests.*``.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.principle_oracles import (  # noqa: E402
+    satisfies_entropy_l_diversity,
+    satisfies_recursive_cl_diversity,
+)
 
 #: The fixed workload every check runs against.
 N, SEED, DIMENSION = 2_500, 7, 3
@@ -101,7 +105,7 @@ def run(tmp: Path) -> None:
         fail("explicit FrequencyLDiversity(2) differs from the bare l=2 sugar")
     print(f"bit-identity: default path matches the pre-refactor seed ({digest[:12]}…)")
 
-    # 2. spec-targeted runs, each audited by the matching principles checker
+    # 2. spec-targeted runs, each audited by the matching oracle checker
     entropy = EntropyLDiversity(2.0)
     report, _digest, entropy_csv = _run(
         tmp, "entropy", algorithm="TP+", privacy=entropy
@@ -120,7 +124,7 @@ def run(tmp: Path) -> None:
     if report.enforcement_merges == 0:
         fail("recursive-cl at c=0.5 should have exercised the enforcement pass")
     print(
-        f"specs: entropy-l and recursive-cl verified by the principles checkers "
+        f"specs: entropy-l and recursive-cl verified by the oracle checkers "
         f"({report.enforcement_merges} repair merges on recursive-cl)"
     )
 

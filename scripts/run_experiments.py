@@ -1,6 +1,6 @@
 """Run every figure of the paper at a chosen scale and write a report.
 
-Used to produce the numbers recorded in EXPERIMENTS.md::
+The report goes to ``--output`` (default ``experiment_results.txt``)::
 
     python scripts/run_experiments.py [--scale default|smoke|paper|report] \
         [--output results.txt] [--workspace DIR]
@@ -32,8 +32,7 @@ def _config(scale: str) -> ExperimentConfig:
     if scale in presets:
         return presets[scale]()
     if scale == "report":
-        # The scale used for EXPERIMENTS.md: full l/d sweeps, two projections
-        # per family, 12k rows.
+        # Full l/d sweeps, two projections per family, 12k rows.
         return dataclasses.replace(
             ExperimentConfig.default(),
             n=12_000,

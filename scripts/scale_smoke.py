@@ -19,7 +19,7 @@ and checks the acceptance properties of the zero-copy pipeline:
 4. **Encode/publish kernels** — the packed-sort encode
    (:meth:`GroupingContext.build`) and the columnar publish
    (:meth:`GeneralizedTable.from_partition`) are bit-identical to their
-   retained oracles and beat them combined by at least ``MIN_SPEEDUP``x.
+   oracles in ``tests/group_oracles.py`` and beat them combined by at least ``MIN_SPEEDUP``x.
 
 Run with ``PYTHONPATH=src python scripts/scale_smoke.py`` (wired into
 ``scripts/ci.sh``).
@@ -45,6 +45,9 @@ from repro.engine.cache import ResultCache
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.obs import trace
 from repro.obs.trace import TraceStore
+
+# The repository root, so the tests' oracles import as ``tests.*``.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 N = 100_000
 L = 6
@@ -190,10 +193,12 @@ def _check_encode_publish(table) -> bool:
     The encode side compares every array of the key-derived
     :class:`GroupingContext` against the wide-scan reference; the publish
     side compares the lazily materialized cells of the columnar
-    ``from_partition`` against the row-by-row reference.
+    ``from_partition`` against the row-by-row reference.  Both oracles are
+    the tests' (``tests/group_oracles.py``).
     """
     from repro.core.grouping import GroupingContext
     from repro.dataset.generalized import GeneralizedTable, Partition
+    from tests.group_oracles import from_partition_reference, grouping_context_reference
 
     args = (
         table.qi_columns,
@@ -213,7 +218,7 @@ def _check_encode_publish(table) -> bool:
     fast_context = GroupingContext.build(*args)
     encode_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    oracle_context = GroupingContext.build_reference(*args)
+    oracle_context = grouping_context_reference(*args)
     encode_reference = time.perf_counter() - started
     for name in context_arrays:
         if getattr(fast_context, name).tolist() != getattr(oracle_context, name).tolist():
@@ -225,7 +230,7 @@ def _check_encode_publish(table) -> bool:
     fast = GeneralizedTable.from_partition(table, partition)
     publish_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    oracle = GeneralizedTable.from_partition_reference(table, partition)
+    oracle = from_partition_reference(table, partition)
     publish_reference = time.perf_counter() - started
     if (
         fast.cell_rows != oracle.cell_rows

@@ -31,7 +31,6 @@ from repro.engine import (
     SyntheticSource,
     suppression_merge_bound,
 )
-from repro.privacy.checks import verify_l_diversity
 
 N = 10_000
 SHARDS = 4
@@ -57,7 +56,7 @@ def main() -> None:
     )
 
     for name, report in (("unsharded", unsharded), ("sharded", sharded), ("pooled", pooled)):
-        if not verify_l_diversity(report.generalized, L):
+        if not report.generalized.is_l_diverse(L):
             fail(f"{name} output violates {L}-diversity")
     if len(sharded.shard_sizes) != SHARDS:
         fail(f"expected {SHARDS} shards, got {sharded.shard_sizes}")

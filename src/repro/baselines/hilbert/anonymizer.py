@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.hilbert.curve import bits_needed, hilbert_index, hilbert_indices_vectorized
+from repro.baselines.hilbert.curve import bits_needed, hilbert_key_words
 from repro.core.eligibility import is_l_eligible
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
@@ -31,7 +31,6 @@ __all__ = [
     "HilbertResult",
     "anonymize",
     "hilbert_order",
-    "hilbert_order_reference",
     "hilbert_refiner",
     "partition_rows",
 ]
@@ -59,34 +58,23 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
     """Row indices sorted by Hilbert index over the QI space.
 
     Ties (identical QI vectors) are broken by row index so the order is
-    deterministic.  Keys wider than 62 bits take the pure-Python path.
+    deterministic.  Keys of any width sort as their int64 words
+    (:func:`~repro.baselines.hilbert.curve.hilbert_key_words`).
     """
-    bits = bits_needed([attribute.size for attribute in table.schema.qi])
-    if bits * table.dimension <= 62:
-        if rows is None:
-            row_index = np.arange(len(table), dtype=np.int64)
-            coords = table.qi_columns
-        else:
-            row_index = np.asarray(rows, dtype=np.int64)
-            coords = np.take(table.qi_columns, row_index, axis=0)
-        if row_index.size == 0:
-            return []
-        keys = hilbert_indices_vectorized(coords, bits)
-        # lexsort sorts by the last key first: primary = Hilbert key,
-        # ties broken by ascending row index, as in the reference path.
-        order = np.lexsort((row_index, keys))
-        return row_index[order].tolist()
-    return hilbert_order_reference(table, rows)
-
-
-def hilbert_order_reference(table: Table, rows: Sequence[int] | None = None) -> list[int]:
-    """Pure-Python Hilbert ordering (the oracle for the vectorized path)."""
     if rows is None:
-        rows = range(len(table))
+        row_index = np.arange(len(table), dtype=np.int64)
+        coords = table.qi_columns
+    else:
+        row_index = np.asarray(rows, dtype=np.int64)
+        coords = np.take(table.qi_columns, row_index, axis=0)
+    if row_index.size == 0:
+        return []
     bits = bits_needed([attribute.size for attribute in table.schema.qi])
-    keyed = [(hilbert_index(table.qi_row(row), bits), row) for row in rows]
-    keyed.sort()
-    return [row for _key, row in keyed]
+    words = hilbert_key_words(coords, bits)
+    # lexsort sorts by the last key first: primary = the most significant
+    # word, ties broken by ascending row index.
+    order = np.lexsort((row_index, *words[::-1]))
+    return row_index[order].tolist()
 
 
 def partition_rows(table: Table, rows: Sequence[int], l: int) -> list[list[int]]:

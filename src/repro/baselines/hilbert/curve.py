@@ -7,11 +7,13 @@ in QI space and therefore cheap to generalize together.
 
 This module implements John Skilling's compact algorithm ("Programming the
 Hilbert curve", AIP 2004) for converting a d-dimensional coordinate vector
-into its Hilbert index, for arbitrary dimension and bit depth.  Two variants
-are provided: the scalar :func:`hilbert_index` (the reference) and the
-batch :func:`hilbert_indices_vectorized`, which runs the same bit
-transformation across all points at once with NumPy integer arrays — the
-per-point Python loop is the dominant cost of the Hilbert baseline.
+into its Hilbert index, for arbitrary dimension and bit depth.  The scalar
+:func:`hilbert_index` is the reference; the batch :func:`hilbert_key_words`
+runs the same bit transformation across all points at once with NumPy
+integer arrays and returns each index as int64 words, most significant
+first, so indices wider than one int64 still sort as arrays.
+:func:`hilbert_indices_vectorized` (one word) and :func:`hilbert_indices`
+(Python ints) are views of it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["hilbert_index", "hilbert_indices", "hilbert_indices_vectorized", "bits_needed"]
+__all__ = [
+    "bits_needed",
+    "hilbert_index",
+    "hilbert_indices",
+    "hilbert_indices_vectorized",
+    "hilbert_key_words",
+]
+
+#: Index bits per int64 word of :func:`hilbert_key_words`.
+WORD_BITS = 62
 
 
 def bits_needed(domain_sizes: Sequence[int]) -> int:
@@ -97,18 +108,46 @@ def hilbert_index(coords: Sequence[int], bits: int) -> int:
 
 
 def hilbert_indices(points: Sequence[Sequence[int]], bits: int) -> list[int]:
-    """Hilbert indices for a batch of points (same bit depth for all)."""
-    return [hilbert_index(point, bits) for point in points]
+    """Hilbert indices for a batch of points (same bit depth for all), as Python ints.
+
+    Runs :func:`hilbert_key_words` and joins each point's words, so any
+    ``bits * d`` is exact.
+    """
+    if not len(points):
+        return []
+    words = hilbert_key_words(np.asarray(points, dtype=np.int64), bits)
+    indices = words[0].tolist()
+    for word in words[1:].tolist():
+        indices = [(high << WORD_BITS) | low for high, low in zip(indices, word)]
+    return indices
 
 
 def hilbert_indices_vectorized(points: np.ndarray, bits: int) -> np.ndarray:
     """Hilbert indices for an ``(n, d)`` coordinate matrix, as an int64 array.
 
+    The single word of :func:`hilbert_key_words`; raises ``ValueError`` when
+    ``bits * d`` exceeds :data:`WORD_BITS`, where the index needs more words.
+    """
+    words = hilbert_key_words(points, bits)
+    if words.shape[0] > 1:
+        raise ValueError(
+            f"a {bits}-bit, {np.asarray(points).shape[1]}-dimensional index needs "
+            f"{words.shape[0]} words; use hilbert_key_words"
+        )
+    return words[0]
+
+
+def hilbert_key_words(points: np.ndarray, bits: int) -> np.ndarray:
+    """Hilbert indices for an ``(n, d)`` coordinate matrix, as ``(w, n)`` int64 words.
+
     Skilling's transform applied across all points at once: the points are
     copied into one contiguous ``(d, n)`` row per dimension, and every
-    mask-and-xor step sweeps whole rows.  Falls back to the scalar
-    implementation when ``bits * d`` exceeds 62 (the index no longer fits an
-    int64 — only reachable far beyond the paper's Table 6 domains).
+    mask-and-xor step sweeps whole rows.  The ``bits * d`` index bits are
+    then interleaved into ``w = ceil(bits * d / WORD_BITS)`` words, most
+    significant first, each holding :data:`WORD_BITS` bits except the first,
+    which holds the remainder.  Comparing the words in order compares the
+    indices; when ``bits * d <= WORD_BITS`` (and always when ``d == 1``,
+    where the index is the coordinate) the single word is the index.
     """
     coords = np.asarray(points)
     if coords.ndim != 2:
@@ -124,13 +163,8 @@ def hilbert_indices_vectorized(points: np.ndarray, bits: int) -> np.ndarray:
     if n and (x.min() < 0 or x.max() >= limit):
         bad = int(x.min() if x.min() < 0 else x.max())
         raise ValueError(f"coordinate {bad} out of range for bits={bits} (limit {limit})")
-    if d == 1:
-        return x[0]
-    if bits * d > 62:  # pragma: no cover - beyond any realistic domain
-        return np.array(
-            [hilbert_index([int(c) for c in row], bits) for row in x.T], dtype=object
-        )
-
+    if d == 1:  # the 1-D Hilbert curve is the identity ordering
+        return x
     m = 1 << (bits - 1)
 
     # Inverse undo excess work (row-wise over all points).
@@ -156,9 +190,14 @@ def hilbert_indices_vectorized(points: np.ndarray, bits: int) -> np.ndarray:
         q >>= 1
     x ^= t
 
-    # Interleave the transposed bits into the final index.
-    index = np.zeros(n, dtype=np.int64)
+    # Interleave the transposed bits, most significant first; ``position``
+    # counts from the least significant bit of the whole index.
+    words = np.zeros((-(-bits * d // WORD_BITS), n), dtype=np.int64)
+    position = bits * d
     for bit in range(bits - 1, -1, -1):
         for i in range(d):
-            index = (index << 1) | ((x[i] >> bit) & 1)
-    return index
+            position -= 1
+            word = words[-1 - position // WORD_BITS]
+            word <<= 1
+            word |= (x[i] >> bit) & 1
+    return words

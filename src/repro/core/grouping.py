@@ -149,8 +149,9 @@ class GroupingContext:
         reference scan with one int64 gather plus O(n) compares — the QI
         vectors and SA codes are then gathered only at the ``s`` group
         starts and ``r`` run starts.  The packing, and on a warm start the
-        gather of the packed keys into ``order``, are the ``pack`` spans;
-        :meth:`build_reference` is the full-width oracle.
+        gather of the packed keys into ``order``, are the ``pack`` spans.
+        The oracle, ``grouping_context_reference`` in
+        ``tests/group_oracles.py``, always takes the full-width scan.
         """
         n, dimension = columns.shape
         if n == 0:
@@ -205,8 +206,8 @@ class GroupingContext:
     ) -> "GroupingContext":
         """Boundary scan over the full gathered QI matrix.
 
-        Used when the composite packing overflows 62 bits, and as the body
-        of :meth:`build_reference`.
+        Used when the composite packing overflows 62 bits, and by the
+        tests' oracle of :meth:`build` at every width.
         """
         n = columns.shape[0]
         ordered_columns = columns[order]
@@ -229,31 +230,6 @@ class GroupingContext:
             ordered_sa[run_starts],
             order,
         )
-
-    @classmethod
-    def build_reference(
-        cls,
-        columns: np.ndarray,
-        sa: np.ndarray,
-        qi_sizes: Sequence[int],
-        sa_size: int,
-        order: np.ndarray | None = None,
-    ) -> "GroupingContext":
-        """Oracle for :meth:`build`: the serial full-width boundary scan."""
-        n, dimension = columns.shape
-        if n == 0:
-            return cls(
-                np.zeros((0, dimension), dtype=np.int32),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(0, dtype=np.int32),
-                np.zeros(0, dtype=np.intp),
-            )
-        if order is None:
-            order = sort_qi_sa(columns, sa, qi_sizes, sa_size)
-        else:
-            order = np.asarray(order, dtype=np.intp)
-        return cls._build_from_wide_scan(columns, sa, order)
 
     # ----------------------------------------------------------------- basics
 

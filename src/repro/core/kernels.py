@@ -10,8 +10,9 @@ on the calling thread.
 
 The kernels' pure-Python oracles live in ``tests/kernel_oracles.py``, and
 phase one's with the per-tuple TP oracle in ``tests/tp_oracle.py``; the
-algorithm-level oracles are the ``*_reference`` paths the equivalence tests
-swap in, plus the pinned digests of ``scripts/privacy_smoke.py``.
+algorithm-level oracles are the per-tuple TP and the row-at-a-time
+grouping and suppression oracles beside it, plus the pinned digests of
+``scripts/privacy_smoke.py``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ This module provides:
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -182,14 +181,6 @@ class Partition:
         """The finest zero-star partition: group rows by identical QI vector."""
         return cls.trusted([list(rows) for rows in table.group_by_qi().values()], len(table))
 
-    def is_l_diverse(self, table: Table, l: int) -> bool:
-        """Whether every group of the partition is l-eligible w.r.t. ``table``."""
-        for group in self._groups:
-            counts = Counter(table.sa_value(index) for index in group)
-            if max(counts.values()) * l > len(group):
-                return False
-        return True
-
 
 class GeneralizedTable:
     """An anonymized table: generalized QI cells plus retained SA values.
@@ -323,8 +314,8 @@ class GeneralizedTable:
         — without materializing per-row cell tuples; those build lazily on
         first row access.  Every consumer on the bench/serving hot path
         (star counts, group histograms, the privacy checks, the CSV result
-        artifact) reads the columnar form directly.
-        :meth:`from_partition_reference` is the retained per-row oracle.
+        artifact) reads the columnar form directly.  Its per-cell oracle is
+        ``from_partition_reference`` in ``tests/group_oracles.py``.
         """
         if partition.n_rows != len(table):
             raise ValueError("partition size does not match table size")
@@ -370,27 +361,6 @@ class GeneralizedTable:
         result._group_star = rep_star
         result._group_reps = rep_codes
         return result
-
-    @classmethod
-    def from_partition_reference(cls, table: Table, partition: Partition) -> "GeneralizedTable":
-        """Pure-Python suppression (the oracle for the vectorized path)."""
-        if partition.n_rows != len(table):
-            raise ValueError("partition size does not match table size")
-        dimension = table.dimension
-        cells: list[tuple[Cell, ...] | None] = [None] * len(table)
-        group_ids = [0] * len(table)
-        for group_id, group in enumerate(partition.groups):
-            representative: list[Cell] = list(table.qi_row(group[0]))
-            for index in group[1:]:
-                row = table.qi_row(index)
-                for position in range(dimension):
-                    if representative[position] is not STAR and representative[position] != row[position]:
-                        representative[position] = STAR
-            generalized = tuple(representative)
-            for index in group:
-                cells[index] = generalized
-                group_ids[index] = group_id
-        return cls(table.schema, cells, list(table.sa_values), group_ids)
 
     # ----------------------------------------------------------------- basics
 
@@ -499,6 +469,20 @@ class GeneralizedTable:
                     present, counts = np.unique(combo, return_counts=True)
                 self._group_sa_counts_cache = (present // m + low, present % m, counts)
         return self._group_sa_counts_cache
+
+    def group_sizes_heights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every present group's size and tallest SA count, by ascending id.
+
+        One ``reduceat`` pair over the :meth:`group_sa_counts` triples; the
+        l-diversity check and the diversity report both read it.
+        """
+        triple_gids, _values, counts = self.group_sa_counts()
+        if not counts.size:
+            return counts, counts
+        starts = np.concatenate(
+            ([0], np.flatnonzero(triple_gids[1:] != triple_gids[:-1]) + 1)
+        )
+        return np.add.reduceat(counts, starts), np.maximum.reduceat(counts, starts)
 
     def group_star_flags(self) -> np.ndarray | None:
         """Per-group ``(g, d)`` star flags, or ``None`` when unknown.
@@ -629,19 +613,11 @@ class GeneralizedTable:
             self._star_count = int(np.count_nonzero(self.star_mask()))
         return self._star_count
 
-    def star_count_reference(self) -> int:
-        """Pure-Python star count (the oracle for the vectorized path)."""
-        return sum(1 for row in self._cells for cell in row if cell is STAR)
-
     def suppressed_tuple_count(self) -> int:
         """Number of rows with at least one star (the Problem 2 objective)."""
         if self._suppressed_count is None:
             self._suppressed_count = int(self.star_mask().any(axis=1).sum())
         return self._suppressed_count
-
-    def suppressed_tuple_count_reference(self) -> int:
-        """Pure-Python suppressed-row count (the oracle for the vectorized path)."""
-        return sum(1 for row in self._cells if any(cell is STAR for cell in row))
 
     def generalized_cell_count(self) -> int:
         """Number of QI cells that are not exact values (stars or sub-domains)."""
@@ -654,20 +630,12 @@ class GeneralizedTable:
     def is_l_diverse(self, l: int) -> bool:
         """Whether every QI-group satisfies l-diversity (Definition 2).
 
-        One sweep over the sparse per-(group, SA) histogram triples — per
-        group, the tallest SA count times ``l`` must not exceed the group
-        size — instead of a Python Counter per group.
+        Per group, the tallest SA count times ``l`` must not exceed the
+        group size (:meth:`group_sizes_heights`).
         """
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
-        if not len(self):
-            return True
-        triple_gids, _values, counts = self.group_sa_counts()
-        starts = np.concatenate(
-            ([0], np.flatnonzero(triple_gids[1:] != triple_gids[:-1]) + 1)
-        )
-        heights = np.maximum.reduceat(counts, starts)
-        sizes = np.add.reduceat(counts, starts)
+        sizes, heights = self.group_sizes_heights()
         return not bool(np.any(heights * l > sizes))
 
     def is_k_anonymous(self, k: int) -> bool:

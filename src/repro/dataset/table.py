@@ -524,13 +524,6 @@ class Table:
         """
         return self.grouping().arrays()
 
-    def group_by_qi_reference(self) -> dict[tuple[int, ...], list[int]]:
-        """Pure-Python QI-grouping (the oracle for the vectorized path)."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for index, row in enumerate(self.qi_rows):
-            groups.setdefault(row, []).append(index)
-        return groups
-
     @property
     def distinct_qi_count(self) -> int:
         """The number ``s`` of distinct QI vectors."""

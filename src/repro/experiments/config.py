@@ -7,8 +7,8 @@ hours in pure Python, so the harness is parameterized by an
 
 * :meth:`ExperimentConfig.smoke` — seconds; used by the test suite and the
   pytest benchmarks;
-* :meth:`ExperimentConfig.default` — minutes on a laptop; the scale used to
-  fill in EXPERIMENTS.md;
+* :meth:`ExperimentConfig.default` — minutes on a laptop; the base of
+  ``scripts/run_experiments.py``'s default and report scales;
 * :meth:`ExperimentConfig.paper_scale` — the paper's nominal parameters
   (600k rows, full projection families); provided for completeness.
 
@@ -72,7 +72,7 @@ class ExperimentConfig:
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
-        """Laptop-scale preset used to produce EXPERIMENTS.md."""
+        """Laptop-scale preset (``scripts/run_experiments.py --scale default``)."""
         return cls()
 
     @classmethod

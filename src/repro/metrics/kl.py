@@ -34,21 +34,20 @@ exact integer weight sums, so they agree bit for bit.  Sub-domain cells, or
 a sparse key past 62 bits, fall back to per-SA membership-matrix products.
 Re-sorting the runs stably by SA keeps QI vectors ascending within each SA
 bucket — the lexicographic ``(SA, QI..)`` order — so the summation order is
-fixed.  :func:`kl_divergence_reference` retains a direct pure-Python
-evaluation of Equation 2 as the oracle for the property tests.
+fixed.  The property tests check it against a direct pure-Python evaluation
+of Equation 2 in ``tests/metric_oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.dataset.table import Table
 
-__all__ = ["kl_divergence", "kl_divergence_reference"]
+__all__ = ["kl_divergence"]
 
 
 def kl_divergence(table: Table, generalized: GeneralizedTable) -> float:
@@ -376,50 +375,4 @@ def _kl_from_points(
             return math.inf
         divergence += float(contribution.sum())
     # Numerical noise can push a perfect reconstruction epsilon-negative.
-    return max(divergence, 0.0)
-
-
-def kl_divergence_reference(table: Table, generalized: GeneralizedTable) -> float:
-    """Pure-Python evaluation of Equation 2 (the oracle for the vectorized path)."""
-    if len(table) != len(generalized):
-        raise ValueError("table and generalization must have the same number of rows")
-    n = len(table)
-    if n == 0:
-        return 0.0
-    dimension = table.dimension
-    domain_sizes = [attribute.size for attribute in table.schema.qi]
-
-    points: Counter[tuple[int, tuple[int, ...]]] = Counter(
-        (table.sa_value(row), table.qi_row(row)) for row in range(n)
-    )
-    combos: Counter[tuple[int, tuple[object, ...]]] = Counter(
-        (generalized.sa_value(row), generalized.row_cells(row)) for row in range(n)
-    )
-
-    divergence = 0.0
-    for (sa, point), count in points.items():
-        fstar = 0.0
-        for (combo_sa, cells), weight in combos.items():
-            if combo_sa != sa:
-                continue
-            probability = 1.0
-            for position in range(dimension):
-                cell = cells[position]
-                if cell is STAR:
-                    probability *= 1.0 / domain_sizes[position]
-                elif isinstance(cell, frozenset):
-                    if point[position] in cell:
-                        probability *= 1.0 / len(cell)
-                    else:
-                        probability = 0.0
-                        break
-                elif cell != point[position]:
-                    probability = 0.0
-                    break
-            fstar += weight * probability
-        fstar /= n
-        f = count / n
-        if fstar <= 0.0:
-            return math.inf
-        divergence += f * math.log(f / fstar)
     return max(divergence, 0.0)

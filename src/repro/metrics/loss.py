@@ -13,22 +13,20 @@ NCP and discernibility run as group-level reductions over the generalized
 table's shared per-group caches (star flags and sizes seeded by
 ``from_partition``, the bincount of the group-id vector otherwise).  Tables
 without that group form (sub-domain baselines, negative group ids) take
-row-level reductions instead.  The ``*_reference`` variants retain the
-pure-Python loops as oracles for the property tests.
+row-level reductions instead.  Their pure-Python oracles live in
+``tests/metric_oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dataset.generalized import GeneralizedTable, cell_size
+from repro.dataset.generalized import GeneralizedTable
 
 __all__ = [
     "ncp",
-    "ncp_reference",
     "gcp",
     "discernibility",
-    "discernibility_reference",
     "average_group_size",
 ]
 
@@ -66,20 +64,6 @@ def ncp(generalized: GeneralizedTable) -> float:
     return float(penalties.sum())
 
 
-def ncp_reference(generalized: GeneralizedTable) -> float:
-    """Pure-Python NCP (the oracle for the vectorized path)."""
-    total = 0.0
-    sizes = [attribute.size for attribute in generalized.schema.qi]
-    for row in range(len(generalized)):
-        cells = generalized.row_cells(row)
-        for position, size in enumerate(sizes):
-            if size <= 1:
-                continue
-            width = cell_size(cells[position], size)
-            total += (width - 1) / (size - 1)
-    return total
-
-
 def gcp(generalized: GeneralizedTable) -> float:
     """Global Certainty Penalty: NCP normalized to [0, 1] by ``n * d``."""
     cells = len(generalized) * generalized.dimension
@@ -104,11 +88,6 @@ def discernibility(generalized: GeneralizedTable) -> int:
         return int((sizes**2).sum())
     _ids, counts = np.unique(gids, return_counts=True)
     return int((counts.astype(np.int64) ** 2).sum())
-
-
-def discernibility_reference(generalized: GeneralizedTable) -> int:
-    """Pure-Python discernibility (the oracle for the vectorized path)."""
-    return sum(len(rows) ** 2 for rows in generalized.groups().values())
 
 
 def average_group_size(generalized: GeneralizedTable) -> float:

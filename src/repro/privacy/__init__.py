@@ -1,15 +1,15 @@
 """Privacy verification and attack simulation.
 
-* :mod:`repro.privacy.checks` — verify that published tables satisfy
-  l-diversity / k-anonymity and quantify the worst-case adversary confidence;
+* :mod:`repro.privacy.checks` — quantify the diversity a published table
+  achieves and the worst-case adversary confidence;
 * :mod:`repro.privacy.attack` — simulate the linking and homogeneity attacks
   of Section 1 against a published table, given an adversary who knows every
   individual's QI values;
-* :mod:`repro.privacy.principles` — checkers for the related SA-aware
-  principles surveyed in Section 2 (entropy / recursive l-diversity,
-  (alpha, k)-anonymity, t-closeness);
 * :mod:`repro.privacy.spec` — the first-class :class:`PrivacySpec` hierarchy
-  and registry those principles are requested/enforced/served through.
+  and registry: frequency l-diversity and the related SA-aware principles
+  surveyed in Section 2 (entropy / recursive l-diversity,
+  (alpha, k)-anonymity, k-anonymity, t-closeness), each checked, requested,
+  enforced and served through its spec class.
 """
 
 from repro.privacy.attack import AttackReport, simulate_linking_attack
@@ -17,15 +17,6 @@ from repro.privacy.checks import (
     DiversityReport,
     adversary_confidence,
     diversity_report,
-    verify_k_anonymity,
-    verify_l_diversity,
-)
-from repro.privacy.principles import (
-    max_t_closeness_distance,
-    satisfies_alpha_k_anonymity,
-    satisfies_entropy_l_diversity,
-    satisfies_recursive_cl_diversity,
-    satisfies_t_closeness,
 )
 from repro.privacy.spec import (
     AlphaKAnonymity,
@@ -58,15 +49,8 @@ __all__ = [
     "adversary_confidence",
     "diversity_report",
     "enforce_spec",
-    "max_t_closeness_distance",
     "privacy_from_dict",
     "privacy_registry",
     "resolve_privacy",
-    "satisfies_alpha_k_anonymity",
-    "satisfies_entropy_l_diversity",
-    "satisfies_recursive_cl_diversity",
-    "satisfies_t_closeness",
     "simulate_linking_attack",
-    "verify_k_anonymity",
-    "verify_l_diversity",
 ]

@@ -1,8 +1,7 @@
-"""Verification of anonymization principles on published tables."""
+"""The diversity a published table achieves, as an adversary sees it."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.dataset.generalized import GeneralizedTable
@@ -11,8 +10,6 @@ __all__ = [
     "DiversityReport",
     "adversary_confidence",
     "diversity_report",
-    "verify_k_anonymity",
-    "verify_l_diversity",
 ]
 
 
@@ -32,34 +29,16 @@ class DiversityReport:
     achieved_l: int
 
 
-def verify_l_diversity(generalized: GeneralizedTable, l: int) -> bool:
-    """Whether the published table satisfies l-diversity (Definition 2)."""
-    return generalized.is_l_diverse(l)
-
-
-def verify_k_anonymity(generalized: GeneralizedTable, k: int) -> bool:
-    """Whether every QI-group of the published table has at least ``k`` rows."""
-    return generalized.is_k_anonymous(k)
-
-
 def diversity_report(generalized: GeneralizedTable) -> DiversityReport:
     """Summarise the privacy level actually achieved by a published table."""
-    groups = generalized.groups()
-    if not groups:
+    sizes, heights = generalized.group_sizes_heights()
+    if not sizes.size:
         return DiversityReport(group_count=0, min_group_size=0, max_confidence=0.0, achieved_l=0)
-    min_size = min(len(rows) for rows in groups.values())
-    max_confidence = 0.0
-    achieved_l = len(generalized)
-    for rows in groups.values():
-        counts = Counter(generalized.sa_value(row) for row in rows)
-        top = max(counts.values())
-        max_confidence = max(max_confidence, top / len(rows))
-        achieved_l = min(achieved_l, len(rows) // top)
     return DiversityReport(
-        group_count=len(groups),
-        min_group_size=min_size,
-        max_confidence=max_confidence,
-        achieved_l=achieved_l,
+        group_count=int(sizes.size),
+        min_group_size=int(sizes.min()),
+        max_confidence=float((heights / sizes).max()),
+        achieved_l=int((sizes // heights).min()),
     )
 
 

@@ -1,10 +1,9 @@
 """First-class privacy models: the :class:`PrivacySpec` hierarchy and registry.
 
 Section 7 of the paper names "hardness and approximation for other privacy
-principles" as the open direction, and :mod:`repro.privacy.principles`
-already *checks* several of them — but historically every layer of the stack
-threaded a bare ``l: int`` and could only request frequency l-diversity.
-This module promotes the scalar into a first-class abstraction:
+principles" as the open direction.  This module makes the privacy model a
+first-class abstraction instead of a bare ``l: int``, and is the one
+implementation of each principle's check:
 
 * :class:`FrequencyLDiversity` — the paper's optimization target and the
   default everywhere (``l=`` keeps working as sugar for it);
@@ -61,7 +60,6 @@ import numpy as np
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import DuplicateRegistrationError, UnknownEntryError, VerificationError
-from repro.privacy.principles import TOLERANCE as _EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -83,47 +81,45 @@ __all__ = [
     "resolve_privacy",
 ]
 
+#: Floating-point slack applied to every boundary comparison of a check.
+TOLERANCE = 1e-12
+
+
 def group_histograms(generalized: GeneralizedTable) -> list[Counter]:
     """Per-QI-group sensitive-value histograms of a published table.
 
     Histograms come out in the same first-appearance group order as
     ``generalized.groups()``.  The Counters are assembled from the table's
     sparse per-(group, SA) count triples — one columnar pass instead of a
-    Python Counter fill per group — unless the group ids are negative.
+    Python Counter fill per group — for any group ids, negative included.
     """
-    if len(generalized):
-        gids = generalized.group_ids_array()
-        if int(gids.min()) >= 0:
-            triple_gids, values, counts = generalized.group_sa_counts()
-            starts = np.concatenate(
-                ([0], np.flatnonzero(triple_gids[1:] != triple_gids[:-1]) + 1)
-            )
-            ends = np.concatenate((starts[1:], [triple_gids.shape[0]]))
-            # First forward occurrence of each group id: reversed fancy
-            # assignment leaves the smallest row index in each slot, which
-            # ranks the blocks in the groups() first-appearance order.
-            position = np.empty(int(gids.max()) + 1, dtype=np.int64)
-            position[gids[::-1]] = np.arange(gids.shape[0] - 1, -1, -1)
-            appearance = np.argsort(position[triple_gids[starts]], kind="stable")
-            values_list = values.tolist()
-            counts_list = counts.tolist()
-            starts_list = starts.tolist()
-            ends_list = ends.tolist()
-            return [
-                Counter(
-                    dict(
-                        zip(
-                            values_list[starts_list[block] : ends_list[block]],
-                            counts_list[starts_list[block] : ends_list[block]],
-                        )
-                    )
-                )
-                for block in appearance.tolist()
-            ]
-    sa_values = generalized.sa_values
+    triple_gids, values, counts = generalized.group_sa_counts()
+    if not counts.size:
+        return []
+    gids = generalized.group_ids_array()
+    starts = np.concatenate(([0], np.flatnonzero(triple_gids[1:] != triple_gids[:-1]) + 1))
+    ends = np.concatenate((starts[1:], [triple_gids.shape[0]]))
+    # First forward occurrence of each group id: reversed fancy assignment
+    # leaves the smallest row index in each slot, which ranks the blocks in
+    # the groups() first-appearance order.  Ids shift up by the smallest one.
+    low = int(gids.min())
+    position = np.empty(int(gids.max()) - low + 1, dtype=np.int64)
+    position[gids[::-1] - low] = np.arange(gids.shape[0] - 1, -1, -1)
+    appearance = np.argsort(position[triple_gids[starts] - low], kind="stable")
+    values_list = values.tolist()
+    counts_list = counts.tolist()
+    starts_list = starts.tolist()
+    ends_list = ends.tolist()
     return [
-        Counter(sa_values[row] for row in rows)
-        for rows in generalized.groups().values()
+        Counter(
+            dict(
+                zip(
+                    values_list[starts_list[block] : ends_list[block]],
+                    counts_list[starts_list[block] : ends_list[block]],
+                )
+            )
+        )
+        for block in appearance.tolist()
     ]
 
 
@@ -316,7 +312,7 @@ class EntropyLDiversity(PrivacySpec):
         entropy = -sum(
             (count / size) * math.log(count / size) for count in histogram.values()
         )
-        return entropy + _EPSILON >= math.log(self.l)
+        return entropy + TOLERANCE >= math.log(self.l)
 
     def group_floor(self) -> int:
         # log(l) entropy needs at least ceil(l) distinct values, hence rows.
@@ -390,7 +386,7 @@ class AlphaKAnonymity(PrivacySpec):
         size = sum(histogram.values())
         if size < self.k:
             return False
-        return max(histogram.values()) <= self.alpha * size + _EPSILON
+        return max(histogram.values()) <= self.alpha * size + TOLERANCE
 
     def group_floor(self) -> int:
         return max(self.k, math.ceil(1.0 / self.alpha))
@@ -479,7 +475,7 @@ class TCloseness(PrivacySpec):
             abs(histogram.get(value, 0) / size - count / n)
             for value, count in total.items()
         )
-        return distance <= self.t + _EPSILON
+        return distance <= self.t + TOLERANCE
 
     def group_floor(self) -> int:
         return 1

@@ -2,16 +2,46 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import hilbert
+from repro.baselines.hilbert.curve import WORD_BITS
 from repro.core.eligibility import is_l_eligible
+from repro.dataset.table import Attribute, Schema, Table
 from repro.errors import IneligibleTableError
 from tests.conftest import make_random_table
+from tests.group_oracles import hilbert_order_reference
+
+
+@functools.lru_cache(maxsize=None)
+def _attribute(position: int, bits: int) -> Attribute:
+    return Attribute(f"Q{position}", tuple(range(1 << bits)))
+
+
+@st.composite
+def wide_key_tables(draw) -> Table:
+    """Tables whose Hilbert keys take 63-128 bits (two or three int64 words).
+
+    Rows repeat a few drawn QI vectors, so ties on the key are common.
+    """
+    d = draw(st.integers(min_value=5, max_value=8))
+    bits = draw(st.integers(min_value=-(-63 // d), max_value=min(16, 128 // d)))
+    assert WORD_BITS < bits * d <= 128
+    coordinate = st.integers(min_value=0, max_value=(1 << bits) - 1)
+    pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=12))
+    schema = Schema(
+        qi=tuple(_attribute(position, bits) for position in range(d)),
+        sensitive=Attribute("S", (0, 1)),
+    )
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    return Table.from_arrays(schema, columns, np.zeros(len(rows), dtype=np.int64))
 
 
 class TestHilbertOrder:
@@ -31,6 +61,14 @@ class TestHilbertOrder:
 
     def test_deterministic(self, random_table):
         assert hilbert.hilbert_order(random_table) == hilbert.hilbert_order(random_table)
+
+    @given(table=wide_key_tables(), data=st.data())
+    @settings(deadline=None)
+    def test_wide_keys_match_scalar_oracle(self, table, data):
+        assert hilbert.hilbert_order(table) == hilbert_order_reference(table)
+        shuffled = data.draw(st.permutations(range(len(table))))
+        rows = shuffled[: data.draw(st.integers(min_value=0, max_value=len(table)))]
+        assert hilbert.hilbert_order(table, rows) == hilbert_order_reference(table, rows)
 
 
 class TestPartitionRows:

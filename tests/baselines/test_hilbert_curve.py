@@ -168,6 +168,16 @@ class TestVectorizedTransform:
         assert indices.dtype == np.int64
         assert sorted(indices.tolist()) == list(range(1 << (bits * dimension)))
 
+    @given(d=st.integers(min_value=2, max_value=8), data=st.data())
+    def test_wide_indices_match_scalar(self, d, data):
+        """63-128-bit indices: the joined words equal the scalar index."""
+        bits = data.draw(st.integers(min_value=-(-63 // d), max_value=min(62, 128 // d)))
+        coordinate = st.integers(min_value=0, max_value=(1 << bits) - 1)
+        points = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8))
+        assert hilbert_indices(points, bits) == [hilbert_index(point, bits) for point in points]
+        with pytest.raises(ValueError, match="hilbert_key_words"):
+            hilbert_indices_vectorized(np.array(points, dtype=np.int64), bits)
+
     @pytest.mark.parametrize(
         ("points", "bits"),
         [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from repro.core.grouping import GroupingContext, sort_qi_sa
 from repro.dataset.table import Attribute, Schema, Table
+from tests.group_oracles import group_by_qi_reference, grouping_context_reference
 from tests.strategies import small_tables
 
 
@@ -63,7 +64,7 @@ class TestGroupingContextOracle:
     @settings(deadline=None)
     def test_group_by_qi_matches_table_reference(self, table):
         context = _build(table)
-        assert context.group_by_qi() == table.group_by_qi_reference()
+        assert context.group_by_qi() == group_by_qi_reference(table)
 
     @given(table=small_tables(max_rows=12, max_dimension=3, max_sensitive=4))
     @settings(deadline=None)
@@ -208,7 +209,7 @@ class TestBuildAgainstReference:
             table.schema.sensitive.size,
         )
         _assert_contexts_identical(
-            GroupingContext.build(*args), GroupingContext.build_reference(*args)
+            GroupingContext.build(*args), grouping_context_reference(*args)
         )
 
     @given(table=small_tables(max_rows=12, max_dimension=2, max_sensitive=3))
@@ -220,7 +221,7 @@ class TestBuildAgainstReference:
             [attribute.size for attribute in table.schema.qi],
             table.schema.sensitive.size,
         )
-        oracle = GroupingContext.build_reference(*args)
+        oracle = grouping_context_reference(*args)
         warm = GroupingContext.build(*args, order=oracle.order)
         _assert_contexts_identical(warm, oracle)
 
@@ -228,7 +229,7 @@ class TestBuildAgainstReference:
         columns = np.zeros((0, 2), dtype=np.int64)
         sa = np.zeros(0, dtype=np.int64)
         fast = GroupingContext.build(columns, sa, [3, 3], 2)
-        oracle = GroupingContext.build_reference(columns, sa, [3, 3], 2)
+        oracle = grouping_context_reference(columns, sa, [3, 3], 2)
         _assert_contexts_identical(fast, oracle)
         assert fast.n == 0 and fast.group_count == 0 and fast.run_count == 0
 
@@ -236,6 +237,6 @@ class TestBuildAgainstReference:
         columns = np.asarray([[1, 2]], dtype=np.int64)
         sa = np.asarray([1], dtype=np.int64)
         fast = GroupingContext.build(columns, sa, [3, 3], 2)
-        oracle = GroupingContext.build_reference(columns, sa, [3, 3], 2)
+        oracle = grouping_context_reference(columns, sa, [3, 3], 2)
         _assert_contexts_identical(fast, oracle)
         assert fast.group_count == 1 and fast.run_count == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +11,15 @@ from hypothesis import strategies as st
 from hypothesis import settings
 
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition, cell_contains, cell_size
+from repro.privacy.checks import diversity_report
+from repro.privacy.spec import group_histograms
 from tests.conftest import make_random_table
-from tests.group_oracles import is_k_anonymous_reference, is_l_diverse_reference
+from tests.group_oracles import (
+    diversity_report_reference,
+    from_partition_reference,
+    is_k_anonymous_reference,
+    is_l_diverse_reference,
+)
 from tests.strategies import tables_with_partitions
 
 
@@ -68,10 +77,10 @@ class TestPartition:
     def test_is_l_diverse(self, hospital):
         # The paper's Table 3 partition: {1,2,3,4}, {5..8}, {9,10} (0-based).
         table3 = Partition([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]], 10)
-        assert table3.is_l_diverse(hospital, 2)
+        assert GeneralizedTable.from_partition(hospital, table3).is_l_diverse(2)
         # The Table 2 partition is 2-anonymous but not 2-diverse (HIV group).
         table2 = Partition([[0, 1], [2, 3], [4, 5, 6, 7], [8, 9]], 10)
-        assert not table2.is_l_diverse(hospital, 2)
+        assert not GeneralizedTable.from_partition(hospital, table2).is_l_diverse(2)
 
 
 class TestSuppression:
@@ -166,6 +175,11 @@ class TestPrivacyChecksOverExplicitGroupIds:
             assert relabelled.is_k_anonymous(bound) == is_k_anonymous_reference(
                 relabelled, bound
             )
+        assert diversity_report(relabelled) == diversity_report_reference(relabelled)
+        sa_values = relabelled.sa_values
+        assert group_histograms(relabelled) == [
+            Counter(sa_values[row] for row in rows) for rows in relabelled.groups().values()
+        ]
 
 
 class TestGeneralizedTableValidation:
@@ -241,7 +255,7 @@ class TestColumnarPublishOracle:
     def test_bit_identical_to_reference(self, case):
         table, partition = case
         fast = GeneralizedTable.from_partition(table, partition)
-        oracle = GeneralizedTable.from_partition_reference(table, partition)
+        oracle = from_partition_reference(table, partition)
         self._assert_identical(fast, oracle)
 
     @given(case=tables_with_partitions(max_rows=10))
@@ -284,5 +298,5 @@ class TestColumnarPublishOracle:
 
     def test_reference_output_has_no_columnar_form(self, hospital):
         partition = Partition.by_qi(hospital)
-        oracle = GeneralizedTable.from_partition_reference(hospital, partition)
+        oracle = from_partition_reference(hospital, partition)
         assert oracle.columnar_publish() is None

@@ -17,7 +17,6 @@ from repro.engine import (
 )
 from repro.engine.registry import algorithm_registry
 from repro.errors import IneligibleTableError, UnknownEntryError
-from repro.privacy import checks, principles
 from repro.privacy.spec import (
     AlphaKAnonymity,
     EntropyLDiversity,
@@ -26,6 +25,7 @@ from repro.privacy.spec import (
     RecursiveCLDiversity,
     TCloseness,
 )
+from tests import principle_oracles
 
 
 def _plan(source, **fields) -> RunPlan:
@@ -156,7 +156,7 @@ class TestShardedRuns:
         sharded = engine.run(_plan(census_source, l=l, shards=4, use_cache=False))
         assert len(sharded.shard_sizes) >= 4
         assert sharded.n >= 10_000
-        assert checks.verify_l_diversity(sharded.generalized, l)
+        assert sharded.generalized.is_l_diverse(l)
         assert sharded.verified
         stars_delta = abs(
             sharded.generalized.star_count() - unsharded.generalized.star_count()
@@ -337,7 +337,7 @@ class TestPrivacySpecs:
             )
         )
         assert report.verified
-        assert principles.satisfies_entropy_l_diversity(report.generalized, 3.0)
+        assert principle_oracles.satisfies_entropy_l_diversity(report.generalized, 3.0)
         assert report.privacy == EntropyLDiversity(3.0)
 
     def test_entropy_run_sharded(self, small_census):
@@ -352,7 +352,7 @@ class TestPrivacySpecs:
         )
         assert len(report.shard_sizes) > 1
         assert report.verified
-        assert principles.satisfies_entropy_l_diversity(report.generalized, 2.0)
+        assert principle_oracles.satisfies_entropy_l_diversity(report.generalized, 2.0)
 
     def test_strict_recursive_spec_triggers_the_enforcement_pass(self, small_census):
         # c <= 1 is NOT implied by the frequency guarantee the algorithms
@@ -363,7 +363,7 @@ class TestPrivacySpecs:
         )
         assert report.enforcement_merges > 0
         assert report.verified
-        assert principles.satisfies_recursive_cl_diversity(report.generalized, 0.5, 2)
+        assert principle_oracles.satisfies_recursive_cl_diversity(report.generalized, 0.5, 2)
         assert sorted(report.generalized.sa_values) == sorted(small_census.sa_values)
 
     def test_alpha_k_run(self, small_census):
@@ -371,7 +371,7 @@ class TestPrivacySpecs:
             _plan(TableSource(small_census), privacy=AlphaKAnonymity(0.25, 4))
         )
         assert report.verified
-        assert principles.satisfies_alpha_k_anonymity(report.generalized, 0.25, 4)
+        assert principle_oracles.satisfies_alpha_k_anonymity(report.generalized, 0.25, 4)
 
     def test_k_anonymity_is_sa_blind(self, hospital):
         # A single-valued SA column is never frequency-2-eligible, but

@@ -15,6 +15,7 @@ from repro.engine.columnstore import (
     ResultArtifact,
 )
 from repro.errors import DataSourceError
+from tests.group_oracles import from_partition_reference
 from tests.render_oracle import legacy_csv, legacy_rows
 
 
@@ -71,7 +72,7 @@ def test_hospital_stars_render_as_star_text():
 
 def test_tables_with_explicit_cells_group_by_distinct_cells(published):
     table, generalized = published
-    reference = GeneralizedTable.from_partition_reference(table, Partition.by_qi(table))
+    reference = from_partition_reference(table, Partition.by_qi(table))
     assert reference.columnar_publish() is None
     artifact = ResultArtifact.from_generalized(reference)
     assert artifact.g == len(set(reference.cell_rows))

@@ -69,6 +69,11 @@ class FaultPlan:
     #: Delay each matching seed only once (the first attempt times out, the
     #: retry runs clean).  ``False`` delays every attempt.
     delay_once: bool = True
+    #: Sleep injected into every attempt of the ``hold_seeds`` jobs.  Kept
+    #: under the job timeout, it holds a job ``running`` for that long and
+    #: then lets it complete (0 = off).
+    hold_seconds: float = 0.0
+    hold_seeds: tuple[int, ...] = ()
     #: Directory for one-shot tokens shared by every process (atomic ``O_EXCL``
     #: files).  Empty = tokens are tracked on this plan object only.
     scratch_dir: str = ""
@@ -83,7 +88,7 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         payload = json.loads(text)
-        for name in ("kill_seeds", "delay_seeds"):
+        for name in ("kill_seeds", "delay_seeds", "hold_seeds"):
             payload[name] = tuple(payload.get(name, ()))
         return cls(**payload)
 
@@ -115,13 +120,15 @@ def _kill_worker(cause: str) -> None:
 
 
 def apply_faults(plan: FaultPlan, seed: int) -> None:
-    """Delay or kill the job with this seed as the plan says.
+    """Hold, delay or kill the job with this seed as the plan says.
 
-    Delays land before kills, so a seed listed in both first wedges (tripping
-    the job timeout) and then dies.
+    Holds and delays land before kills, so a seed listed in both first wedges
+    (tripping the job timeout) and then dies.
     """
     global _jobs_executed
     _jobs_executed += 1
+    if seed in plan.hold_seeds:
+        time.sleep(plan.hold_seconds)
     if plan.delay_seconds > 0 and (not plan.delay_seeds or seed in plan.delay_seeds):
         if not plan.delay_once or plan.consume_once(f"delay-{seed}"):
             time.sleep(plan.delay_seconds)

@@ -1,19 +1,19 @@
-"""Additional anonymization principles (extension beyond the paper's figures).
+"""Row-at-a-time oracles of the SA-aware principles surveyed in Section 2.
 
-Section 2 of the paper surveys the SA-aware principles that followed
-k-anonymity; Section 7 lists "hardness and approximation for other privacy
-principles" as future work.  This module implements *verification* for the
-most common of those principles so that the tables produced by the package's
-algorithms can be audited against them:
+Each checker answers one :mod:`repro.privacy.spec` class's
+``check_generalized`` from ``Counter`` histograms over the ``groups()`` row
+lists, sharing no code with the spec (``tests/privacy/test_spec.py``
+compares them; ``scripts/privacy_smoke.py`` audits the engine's output with
+them):
 
-* entropy l-diversity and recursive (c, l)-diversity — the two stricter
-  instantiations of "well-represented" from Machanavajjhala et al. [31];
-* (alpha, k)-anonymity — Wong et al. [46];
-* t-closeness — Li et al. [29], with the variational-distance instantiation
-  for categorical sensitive attributes.
-
-These are checkers, not publication algorithms: the frequency-based
-l-diversity of the paper remains the optimization target.
+* :func:`satisfies_entropy_l_diversity` and
+  :func:`satisfies_recursive_cl_diversity` — the two stricter
+  instantiations of "well-represented" from Machanavajjhala et al. [31]
+  (``EntropyLDiversity``, ``RecursiveCLDiversity``);
+* :func:`satisfies_alpha_k_anonymity` — Wong et al. [46] (``AlphaKAnonymity``);
+* :func:`satisfies_t_closeness` and :func:`max_t_closeness_distance` —
+  Li et al. [29], the variational-distance instantiation for categorical
+  sensitive attributes (``TCloseness``).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ __all__ = [
     "max_t_closeness_distance",
 ]
 
-#: Floating-point slack applied to every boundary comparison.  Shared with
-#: :mod:`repro.privacy.spec` (which imports it), so the first-class spec
-#: checks and these standalone checkers can never disagree on boundary
-#: histograms.
+#: Floating-point slack applied to every boundary comparison.  Equal to
+#: ``repro.privacy.spec.TOLERANCE`` (``tests/privacy/test_spec.py`` checks),
+#: so the specs and these checkers never disagree on boundary histograms.
 TOLERANCE = 1e-12
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from repro.core import three_phase
 from repro.dataset.generalized import GeneralizedTable, Partition
-from repro.privacy.checks import (
-    adversary_confidence,
-    diversity_report,
-    verify_k_anonymity,
-    verify_l_diversity,
-)
+from repro.privacy.checks import adversary_confidence, diversity_report
 
 
 def _table2(hospital):
@@ -31,18 +26,18 @@ def _table3(hospital):
 class TestVerification:
     def test_table2_k_anonymous_not_diverse(self, hospital):
         generalized = _table2(hospital)
-        assert verify_k_anonymity(generalized, 2)
-        assert not verify_l_diversity(generalized, 2)
+        assert generalized.is_k_anonymous(2)
+        assert not generalized.is_l_diverse(2)
 
     def test_table3_diverse(self, hospital):
         generalized = _table3(hospital)
-        assert verify_l_diversity(generalized, 2)
-        assert verify_k_anonymity(generalized, 2)
-        assert not verify_l_diversity(generalized, 3)
+        assert generalized.is_l_diverse(2)
+        assert generalized.is_k_anonymous(2)
+        assert not generalized.is_l_diverse(3)
 
     def test_tp_output_verifies(self, hospital):
         result = three_phase.anonymize(hospital, 2)
-        assert verify_l_diversity(result.generalized, 2)
+        assert result.generalized.is_l_diverse(2)
 
 
 class TestDiversityReport:

@@ -1,4 +1,4 @@
-"""Tests for the additional anonymization principles (extension module)."""
+"""Tests for the test-side checkers of the SA-aware principles (``tests/principle_oracles.py``)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.core import three_phase
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
-from repro.privacy.principles import (
+from tests.principle_oracles import (
     max_t_closeness_distance,
     satisfies_alpha_k_anonymity,
     satisfies_entropy_l_diversity,

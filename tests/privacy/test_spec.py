@@ -9,13 +9,8 @@ import pytest
 
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.errors import DuplicateRegistrationError, UnknownEntryError, VerificationError
-from repro.privacy.principles import (
-    satisfies_alpha_k_anonymity,
-    satisfies_entropy_l_diversity,
-    satisfies_recursive_cl_diversity,
-    satisfies_t_closeness,
-)
 from repro.privacy.spec import (
+    TOLERANCE,
     AlphaKAnonymity,
     EntropyLDiversity,
     FrequencyLDiversity,
@@ -27,6 +22,13 @@ from repro.privacy.spec import (
     privacy_from_dict,
     privacy_registry,
     resolve_privacy,
+)
+from tests.principle_oracles import TOLERANCE as ORACLE_TOLERANCE
+from tests.principle_oracles import (
+    satisfies_alpha_k_anonymity,
+    satisfies_entropy_l_diversity,
+    satisfies_recursive_cl_diversity,
+    satisfies_t_closeness,
 )
 
 ALL_SPECS = [
@@ -202,6 +204,7 @@ class TestSemantics:
         assert FrequencyLDiversity(2).check_generalized(generalized) == (
             generalized.is_l_diverse(2)
         )
+        assert ORACLE_TOLERANCE == TOLERANCE
 
     def test_eligibility_generalizes_l_eligibility(self, hospital):
         counts = hospital.sa_counts()

@@ -48,6 +48,8 @@ class TestGating:
             delay_seconds=1.5,
             delay_seeds=(777, 778),
             delay_once=False,
+            hold_seconds=0.5,
+            hold_seeds=(888,),
             scratch_dir="/tmp/tokens",
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -109,3 +111,12 @@ class TestWorkerFaults:
         apply_faults(plan, 1)
         apply_faults(plan, 2)
         assert slept == [0.5, 0.5]
+
+    def test_hold_applies_to_every_attempt_of_a_held_seed(self, monkeypatch):
+        slept: list[float] = []
+        monkeypatch.setattr(fault_plan.time, "sleep", slept.append)
+        plan = FaultPlan(hold_seconds=1.5, hold_seeds=(888,))
+        apply_faults(plan, 1)  # not a held seed
+        apply_faults(plan, 888)
+        apply_faults(plan, 888)
+        assert slept == [1.5, 1.5]

@@ -65,7 +65,7 @@ class TestSubpackageImports:
             "repro.privacy",
             "repro.privacy.checks",
             "repro.privacy.attack",
-            "repro.privacy.principles",
+            "repro.privacy.spec",
             "repro.hardness",
             "repro.hardness.three_dm",
             "repro.hardness.reduction",

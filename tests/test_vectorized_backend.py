@@ -2,8 +2,9 @@
 
 Every vectorized hot path — columnar construction, QI-grouping, suppression
 (Definition 1), star/NCP/discernibility/KL metrics and Hilbert keys — is
-validated against its retained ``*_reference`` implementation on random
-tables.  The three-phase algorithm, which runs on the table's run encoding
+validated against its pure-Python ``*_reference`` oracle in
+``tests/group_oracles.py`` or ``tests/metric_oracles.py`` on random tables.
+The three-phase algorithm, which runs on the table's run encoding
 and shaves, covers and seeds in bulk, is validated against the per-tuple
 oracle of ``tests/tp_oracle.py``, whose published partition goes through the
 reference suppression.
@@ -18,20 +19,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.hilbert.anonymizer import hilbert_order, hilbert_order_reference
+from repro.baselines.hilbert.anonymizer import hilbert_order
 from repro.baselines.hilbert.curve import hilbert_index, hilbert_indices_vectorized
 from repro.core import three_phase
 from repro.core.state import AlgorithmState
 from repro.dataset.examples import phase_three_example
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition
 from repro.dataset.table import Attribute, DomainError, Schema, Table
-from repro.metrics.kl import kl_divergence, kl_divergence_reference
-from repro.metrics.loss import discernibility, discernibility_reference, ncp, ncp_reference
-from repro.metrics.stars import (
-    star_count_by_attribute,
-    star_count_by_attribute_reference,
-)
+from repro.metrics.kl import kl_divergence
+from repro.metrics.loss import discernibility, ncp
+from repro.metrics.stars import star_count_by_attribute
 from tests.conftest import make_random_table
+from tests.group_oracles import (
+    from_partition_reference,
+    group_by_qi_reference,
+    hilbert_order_reference,
+)
+from tests.metric_oracles import (
+    discernibility_reference,
+    kl_divergence_reference,
+    ncp_reference,
+    star_count_by_attribute_reference,
+    star_count_reference,
+    suppressed_tuple_count_reference,
+)
 from tests.strategies import small_tables, tables_with_partitions
 from tests.tp_oracle import initial_groups, run_tp
 
@@ -103,7 +114,7 @@ class TestColumnarTable:
     @given(table=small_tables(max_rows=12, max_dimension=4))
     def test_group_by_qi_matches_reference(self, table):
         vectorized = table.group_by_qi()
-        reference = table.group_by_qi_reference()
+        reference = group_by_qi_reference(table)
         assert vectorized == reference  # same keys AND same ascending row lists
 
     def test_group_by_qi_empty_table(self):
@@ -113,7 +124,7 @@ class TestColumnarTable:
 
     @given(table=small_tables(max_rows=10, max_dimension=1))
     def test_group_by_qi_matches_reference_d1(self, table):
-        assert table.group_by_qi() == table.group_by_qi_reference()
+        assert table.group_by_qi() == group_by_qi_reference(table)
 
 
 class TestGeneralizationEquivalence:
@@ -121,14 +132,14 @@ class TestGeneralizationEquivalence:
     def test_from_partition_matches_reference(self, data):
         table, partition = data
         vectorized = GeneralizedTable.from_partition(table, partition)
-        reference = GeneralizedTable.from_partition_reference(table, partition)
+        reference = from_partition_reference(table, partition)
         assert vectorized.cell_rows == reference.cell_rows
         assert vectorized.group_ids == reference.group_ids
         assert vectorized.sa_values == reference.sa_values
-        assert vectorized.star_count() == reference.star_count_reference()
+        assert vectorized.star_count() == star_count_reference(reference)
         assert (
             vectorized.suppressed_tuple_count()
-            == reference.suppressed_tuple_count_reference()
+            == suppressed_tuple_count_reference(reference)
         )
 
     @given(data=tables_with_partitions(max_rows=10, max_dimension=3))
@@ -155,9 +166,9 @@ class TestGeneralizationEquivalence:
     def test_single_group_partition(self, hospital):
         partition = Partition.single_group(len(hospital))
         vectorized = GeneralizedTable.from_partition(hospital, partition)
-        reference = GeneralizedTable.from_partition_reference(hospital, partition)
+        reference = from_partition_reference(hospital, partition)
         assert vectorized.cell_rows == reference.cell_rows
-        assert vectorized.star_count() == reference.star_count_reference()
+        assert vectorized.star_count() == star_count_reference(reference)
 
     def test_zero_star_partition_by_qi(self, hospital):
         """Empty residue / untouched groups: no stars on either path."""
@@ -165,7 +176,7 @@ class TestGeneralizationEquivalence:
         vectorized = GeneralizedTable.from_partition(hospital, partition)
         assert vectorized.star_count() == 0
         assert vectorized.suppressed_tuple_count() == 0
-        reference = GeneralizedTable.from_partition_reference(hospital, partition)
+        reference = from_partition_reference(hospital, partition)
         assert vectorized.cell_rows == reference.cell_rows
 
     def test_groups_cached(self, hospital):
@@ -238,11 +249,11 @@ def _assert_matches_oracle(table: Table, l: int) -> int:
     oracle = run_tp(table, l)
     assert result.residue_rows == oracle.residue_rows()
     assert result.stats == oracle.stats
-    expected = GeneralizedTable.from_partition_reference(
+    expected = from_partition_reference(
         table, Partition(oracle.partition_groups(), len(table))
     )
     assert result.generalized.cell_rows == expected.cell_rows
-    assert result.star_count == expected.star_count_reference()
+    assert result.star_count == star_count_reference(expected)
     return result.stats.phase_reached
 
 
