@@ -12,12 +12,14 @@
 #                    benchmarks/ (bench_*.py), timing disabled
 #   examples         every examples/*.py runs to a zero exit
 #   shard smoke      a 4-shard engine run is bit-identical to the unsharded
-#                    one and within the suppression merge bound
+#                    one and within the suppression merge bound; its replay
+#                    through a temp run store is a bit-identical store hit
 #   streaming smoke  50k-row CSV->CSV under a capped chunk size, verified
 #                    independently; a rerun is served from the run store
 #   privacy smoke    entropy-l and recursive-cl outputs pass independent
 #                    checkers; the default path matches pinned SHA-256
-#                    digests; specs sharing an l never share a cache key
+#                    digests; specs sharing an l never share a run-store
+#                    record
 #   load smoke       200 jobs from 8 clients against `ldiversity serve`:
 #                    l-diverse results, store hits, a run store of whole
 #                    records only (no temp dirs, within its cap, each one

@@ -17,8 +17,9 @@ Three guarantees, each cheap enough for every CI run:
    nothing about it.
 
 3. **Cache-key separation** — a frequency-l run followed by an entropy-l
-   run of the same workload must never share a cache entry (the PR's
-   regression-style key bugfix).
+   run of the same workload, through one run store in the temp directory,
+   must never share a store record, and a frequency-l rerun must replay its
+   own.
 
 Exit code 0 on success, 1 on any violation.  The temp directory of published
 CSVs is removed when the smoke passes and kept, with its path printed, when
@@ -42,6 +43,7 @@ from repro.privacy.spec import (
     RecursiveCLDiversity,
 )
 from repro.service import stream_anonymize, verify_csv_satisfies
+from repro.service.store import RunStore
 
 # The repository root, so the tests' oracles import as ``tests.*``.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -72,8 +74,7 @@ def _source() -> SyntheticSource:
 
 
 def _run(tmp: Path, name: str, **plan_fields):
-    engine = Engine(cache=ResultCache())
-    report = engine.run(RunPlan(source=_source(), **plan_fields))
+    report = Engine().run(RunPlan(source=_source(), **plan_fields))
     path = tmp / f"{name}.csv"
     with CsvSink(str(path)) as sink:
         sink.write_table(report.generalized)
@@ -154,17 +155,19 @@ def run(tmp: Path) -> None:
     )
 
     # 3. cache-key separation between specs sharing an l
-    engine = Engine(cache=ResultCache())
-    engine.run(RunPlan(source=_source(), algorithm="TP", l=2))
+    engine = Engine(cache=ResultCache(store=RunStore(tmp / "runs")))
+    first = engine.run(RunPlan(source=_source(), algorithm="TP", l=2))
     entropy_report = engine.run(
         RunPlan(source=_source(), algorithm="TP", privacy=EntropyLDiversity(2.0))
     )
-    if entropy_report.cache_hit:
-        fail("entropy-l run replayed the frequency-l cache entry (key collision)")
+    if entropy_report.store_hit:
+        fail("entropy-l run replayed the frequency-l store record (key collision)")
     replay = engine.run(RunPlan(source=_source(), algorithm="TP", l=2))
-    if not replay.cache_hit:
-        fail("frequency-l rerun missed its own cache entry")
-    print("cache: specs with equal l never share an entry")
+    if not replay.store_hit:
+        fail("frequency-l rerun missed its own store record")
+    if replay.generalized.cell_rows != first.generalized.cell_rows:
+        fail("frequency-l store replay diverged from the original output")
+    print("cache: specs with equal l never share a store record")
 
     print("OK: privacy smoke passed")
 

@@ -12,7 +12,8 @@ and sharded on a 2-process pool — and asserts:
 3. independently of (2), suppression differences stay within the documented
    merge bound ``2 * (shards - 1) * l * d`` (see repro.engine.sharding) —
    the guarantee the engine documents for *every* seed;
-4. a cache replay of the sharded run returns the identical output.
+4. a replay of the sharded run through a run store in a temp directory is
+   a store hit and returns the identical output.
 
 Exit code 0 on success, 1 on any violation::
 
@@ -22,6 +23,7 @@ Exit code 0 on success, 1 on any violation::
 from __future__ import annotations
 
 import sys
+import tempfile
 
 from repro.dataset.synthetic import CensusConfig
 from repro.engine import (
@@ -31,6 +33,7 @@ from repro.engine import (
     SyntheticSource,
     suppression_merge_bound,
 )
+from repro.service.store import RunStore
 
 N = 10_000
 SHARDS = 4
@@ -44,7 +47,11 @@ def fail(message: str) -> None:
 
 
 def main() -> None:
-    engine = Engine(cache=ResultCache())
+    with tempfile.TemporaryDirectory(prefix="shard-smoke-") as tmp:
+        check(Engine(cache=ResultCache(store=RunStore(tmp))))
+
+
+def check(engine: Engine) -> None:
     print(f"shard smoke: {SOURCE.label}, l={L}, shards={SHARDS}")
 
     unsharded = engine.run(RunPlan(source=SOURCE, algorithm="TP", l=L, use_cache=False))
@@ -86,14 +93,14 @@ def main() -> None:
         )
 
     replay = engine.run(RunPlan(source=SOURCE, algorithm="TP", l=L, shards=SHARDS))
-    if not replay.cache_hit:
-        fail("second sharded run did not hit the result cache")
+    if not replay.store_hit:
+        fail("second sharded run did not hit the run store")
     if replay.generalized.cell_rows != sharded.generalized.cell_rows:
-        fail("cache replay diverged from the original sharded output")
+        fail("store replay diverged from the original sharded output")
 
     print(
         "OK: sharded output bit-identical to unsharded, within merge bound "
-        f"(stars delta {stars_delta} <= {stars_bound}), cache replay identical"
+        f"(stars delta {stars_delta} <= {stars_bound}), store replay identical"
     )
 
 

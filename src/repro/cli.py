@@ -430,9 +430,10 @@ def _plan_source(arguments: argparse.Namespace):
 
 
 def _engine(arguments: argparse.Namespace) -> Engine:
-    """An engine whose cache reads through the workspace run store."""
+    """An engine that caches through the workspace run store, or not at all
+    under ``--no-store``."""
     if getattr(arguments, "no_store", False):
-        return Engine(cache=ResultCache())
+        return Engine()
     from repro.service import Workspace
 
     store = Workspace(arguments.workspace).run_store()
@@ -450,12 +451,12 @@ def _run_plan(arguments: argparse.Namespace, spec: PrivacySpec) -> RunPlan:
     )
 
 
-def _cache_line(report) -> str:
+def _cache_line(report, arguments: argparse.Namespace) -> str:
     if report.store_hit:
-        return "served from the persistent run store (cross-process hit)"
-    if report.cache_hit:
-        return "served from the in-memory result cache"
-    return "computed (result cached for future runs)"
+        return "served from the persistent run store"
+    if getattr(arguments, "no_store", False):
+        return "computed (not stored: --no-store)"
+    return "computed (result stored for future runs)"
 
 
 def _command_anonymize(arguments: argparse.Namespace) -> int:
@@ -495,7 +496,7 @@ def _command_anonymize(arguments: argparse.Namespace) -> int:
         print(
             f"planner: shards={report.decision.shards} workers={report.decision.workers}"
         )
-    print(_cache_line(report))
+    print(_cache_line(report, arguments))
     if arguments.output:
         print(f"published table written to {arguments.output}")
     return 0
@@ -564,9 +565,9 @@ def _job_service(arguments: argparse.Namespace):
 
     workspace = Workspace(arguments.workspace)
     if getattr(arguments, "no_store", False):
-        # Still record the job in the ledger, but run on an isolated
-        # in-memory cache so nothing is read from or written to the store.
-        return JobService(workspace, engine=Engine(cache=ResultCache()))
+        # Still record the job in the ledger, but run uncached so nothing is
+        # read from or written to the store.
+        return JobService(workspace, engine=Engine())
     return JobService(workspace)
 
 
@@ -582,7 +583,7 @@ def _command_jobs(arguments: argparse.Namespace) -> int:
             _run_plan(arguments, spec), output=arguments.output or None
         )
         print(format_records([record_from_report(report, dataset=arguments.input)]))
-        print(f"job {record.id}: {record.status} ({_cache_line(report)})")
+        print(f"job {record.id}: {record.status} ({_cache_line(report, arguments)})")
         if record.output:
             print(f"published table written to {record.output}")
         return 0

@@ -403,7 +403,7 @@ class Client:
             self._sleep(poll_seconds)
 
     def result(self, job_id: str) -> dict:
-        """The JSON result payload of a done job (header, rows, metrics, tiers)."""
+        """The JSON result payload of a done job (header, rows, metrics, store hit)."""
         return self._json("GET", f"/v1/jobs/{job_id}/result")
 
     def result_csv(self, job_id: str) -> str:

@@ -473,8 +473,10 @@ class GeneralizedTable:
     def group_sizes_heights(self) -> tuple[np.ndarray, np.ndarray]:
         """Every present group's size and tallest SA count, by ascending id.
 
-        One ``reduceat`` pair over the :meth:`group_sa_counts` triples; the
-        l-diversity check and the diversity report both read it.
+        One ``reduceat`` pair over the :meth:`group_sa_counts` triples, so
+        any group ids work, negative ones included; the l-diversity and
+        k-anonymity checks, the diversity report and the size metrics read
+        it.
         """
         triple_gids, _values, counts = self.group_sa_counts()
         if not counts.size:
@@ -642,14 +644,8 @@ class GeneralizedTable:
         """Whether every QI-group has at least ``k`` rows."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not len(self):
-            return True
-        gids = self.group_ids_array()
-        low = int(gids.min())
-        # Negative explicit ids shift up to index the bincount.
-        sizes = np.bincount(gids - low) if low < 0 else self.group_sizes_array()
-        present = sizes[sizes > 0]
-        return bool((present >= k).all())
+        sizes, _heights = self.group_sizes_heights()
+        return bool((sizes >= k).all())
 
     # ---------------------------------------------------------------- display
 

@@ -19,8 +19,8 @@ consumers (CLI, experiment harness, scripts) and consists of:
 * :mod:`repro.engine.sinks` — incremental CSV export of published tables
   (:class:`CsvSink`), shared by the CLI and the streaming pipeline;
 * :mod:`repro.engine.cache` — per-run result caching keyed by
-  ``(fingerprint, algorithm, l, shards, seed, privacy)``, optionally
-  read-through over the persistent :class:`~repro.service.store.RunStore`;
+  ``(fingerprint, algorithm, l, shards, seed, privacy)``, through the
+  persistent :class:`~repro.service.store.RunStore` an engine is given;
 * :mod:`repro.engine.core` — the :class:`Engine` executor tying it together;
   plan dimensions left unset are resolved by the cost-based
   :class:`~repro.service.planner.ExecutionPlanner`, and every plan targets a
@@ -40,7 +40,7 @@ Quickstart::
     assert report.verified
 """
 
-from repro.engine.cache import CachedRun, ResultCache, default_cache
+from repro.engine.cache import CachedRun, ResultCache
 from repro.engine.columnstore import ColumnStore, ColumnStoreSource
 from repro.engine.core import Engine, RunPlan, RunReport, run_with_spec
 from repro.engine.registry import (
@@ -89,7 +89,6 @@ __all__ = [
     "TableSource",
     "algorithm_registry",
     "concat_tables",
-    "default_cache",
     "infer_csv_schema",
     "merge_shard_outputs",
     "metric_registry",

@@ -25,11 +25,12 @@ harness, the job service and the scripts run anonymization:
   resolved by the cost-based
   :class:`~repro.service.planner.ExecutionPlanner` from the loaded table's
   statistics, replacing hand-tuned per-invocation defaults;
-* results are memoized in a :class:`~repro.engine.cache.ResultCache` keyed
-  by ``(fingerprint, algorithm, l, shards, seed, privacy)``; when
-  the cache is backed by a persistent :class:`~repro.service.store.RunStore`,
-  repeated runs are served across processes and the report says which tier
-  answered.
+* results are memoized only through the persistent
+  :class:`~repro.service.store.RunStore` behind the engine's
+  :class:`~repro.engine.cache.ResultCache`, keyed by ``(fingerprint,
+  algorithm, l, shards, seed, privacy)``; repeated runs are then served
+  across processes and the report says whether the store answered.  An
+  engine given no store caches nothing.
 
 Every run records one measured span tree (:mod:`repro.obs.trace`), from
 ``run`` down to the algorithms' own stages, so each second is charged to
@@ -47,7 +48,7 @@ from repro.dataset.generalized import GeneralizedTable
 from repro.dataset.table import Table
 from repro.engine import algorithms as _builtin_algorithms  # noqa: F401 - registers entries
 from repro.engine import metrics as _builtin_metrics  # noqa: F401 - registers entries
-from repro.engine.cache import CachedRun, ResultCache, default_cache
+from repro.engine.cache import CachedRun, ResultCache
 from repro.engine.registry import (
     AlgorithmOutput,
     AlgorithmRegistry,
@@ -69,7 +70,6 @@ from repro.privacy.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - layering: service imports engine
     from repro.service.planner import ExecutionDecision, ExecutionPlanner
-    from repro.service.store import RunStore
 
 __all__ = ["Engine", "RunPlan", "RunReport", "run_with_spec"]
 
@@ -131,12 +131,8 @@ class RunReport:
     phase_reached: int | None = None
     #: Metric name -> value, for the metrics requested by the plan.
     metric_values: dict[str, float] = field(default_factory=dict)
-    #: Whether the anonymization was replayed from a cache tier at all.
-    cache_hit: bool = False
-    #: Whether the hit came from the *persistent* store tier (cross-process).
+    #: Whether the anonymization was replayed from the persistent run store.
     store_hit: bool = False
-    #: Snapshot of the engine cache's hit/miss counters after this run.
-    cache_stats: dict[str, int] = field(default_factory=dict)
     #: Row count of each executed shard (one entry, ``n``, when unsharded).
     shard_sizes: tuple[int, ...] = ()
     #: Whether the published table was verified against the privacy spec.
@@ -159,7 +155,7 @@ class RunReport:
     @property
     def anonymize_seconds(self) -> float:
         """Compute cost of the anonymization: measured on a miss, and on a
-        cache hit the cost of the miss that filled the entry."""
+        store hit the cost of the miss that filled the record."""
         return self.trace.find("anonymize").attributes["compute_seconds"]
 
 
@@ -216,20 +212,10 @@ class Engine:
         metrics: MetricRegistry | None = None,
         cache: ResultCache | None = None,
         planner: "ExecutionPlanner | None" = None,
-        store: "RunStore | None" = None,
     ) -> None:
         self.algorithms = algorithms if algorithms is not None else algorithm_registry
         self.metrics = metrics if metrics is not None else metric_registry
-        if cache is None:
-            cache = ResultCache(store=store) if store is not None else default_cache()
-        elif store is not None and cache.store is not store:
-            # Attaching the store to a caller-owned cache (possibly the
-            # process-global default) would be a lasting side effect the
-            # caller never asked for; make the conflict explicit instead.
-            raise ValueError(
-                "pass either cache= or store=, or a cache already backed by that store"
-            )
-        self.cache = cache
+        self.cache = cache if cache is not None else ResultCache()
         if planner is None:
             from repro.service.planner import default_planner
 
@@ -268,11 +254,13 @@ class Engine:
                     privacy=spec,
                 )
             with trace.span("anonymize") as stage:
-                output, tier, shard_sizes, merges, compute_seconds = self._anonymize(
+                output, store_hit, shard_sizes, merges, compute_seconds = self._anonymize(
                     plan, info.name, table, decision, cacheable=info.deterministic,
                     spec=spec,
                 )
-                stage.attributes.update(tier=tier, compute_seconds=compute_seconds)
+                stage.attributes.update(
+                    tier="store" if store_hit else None, compute_seconds=compute_seconds
+                )
             verified = False
             if plan.verify:
                 with trace.span("verify"):
@@ -297,9 +285,7 @@ class Engine:
                 trace=root,
                 phase_reached=output.phase_reached,
                 metric_values=metric_values,
-                cache_hit=tier is not None,
-                store_hit=tier == "store",
-                cache_stats=self.cache.stats(),
+                store_hit=store_hit,
                 shard_sizes=shard_sizes,
                 verified=verified,
                 decision=decision,
@@ -323,9 +309,9 @@ class Engine:
         decision: "ExecutionDecision",
         cacheable: bool,
         spec: PrivacySpec,
-    ) -> tuple[AlgorithmOutput, str | None, tuple[int, ...], int, float]:
-        """Returns the output, the answering cache tier (``None`` on a miss),
-        the shard sizes, the enforcement merges and the compute seconds."""
+    ) -> tuple[AlgorithmOutput, bool, tuple[int, ...], int, float]:
+        """Returns the output, whether the run store answered, the shard
+        sizes, the enforcement merges and the compute seconds."""
         use_cache = plan.use_cache and cacheable
         key = None
         if use_cache:
@@ -342,11 +328,11 @@ class Engine:
                 privacy=spec,
             )
             with trace.span("cache-lookup"):
-                cached, tier = self.cache.lookup(key, table)
+                cached = self.cache.lookup(key, table)
             if cached is not None:
                 # Cached entries were enforced before being stored.
                 return (
-                    cached.output, tier, cached.shard_sizes,
+                    cached.output, True, cached.shard_sizes,
                     cached.enforcement_merges, cached.anonymize_seconds,
                 )
 
@@ -385,7 +371,7 @@ class Engine:
                         enforcement_merges=merges,
                     ),
                 )
-        return output, None, shard_sizes, merges, compute_seconds
+        return output, False, shard_sizes, merges, compute_seconds
 
     def _run_sharded(
         self,

@@ -303,7 +303,7 @@ def phase3_frequency(
 
     The paper reports that on all 128 census tables and all ``l`` in 2..10,
     TP terminates before phase three; this driver re-runs that census on the
-    synthetic workloads, through the same cached, verified runs as every
+    synthetic workloads, through the same verified engine runs as every
     figure.
     """
     config = config or ExperimentConfig.default()

@@ -7,16 +7,11 @@ runnable here and the CLI's choices can never drift from the harness.
 
 Every run goes through :meth:`Engine.run <repro.engine.core.Engine.run>`
 unsharded and sequentially, so figure runs are timed by the engine's span
-tree, verified against frequency l-diversity and memoized in the engine's
-result cache (keyed by table fingerprint, algorithm, ``l``, shard count,
-seed and privacy spec) like any other run.  A hit replays the stored output
-and its original timing.  The stars-vs-l and time-vs-l figures request the
-same runs, but the process-global cache holds only the 64 most recent, and
-a full sweep visits far more than that between the two figures: at default
-scale ``scripts/run_experiments.py`` gets 9 hits in each dataset's 383
-figure runs.  Backed by a persistent :class:`~repro.service.store.RunStore`,
-repeated sweeps replay across processes; :func:`cache_summary` renders the
-per-tier hit statistics for report footers.
+tree and verified against frequency l-diversity like any other run.  Runs
+are uncached unless the caller passes a
+:class:`~repro.engine.cache.ResultCache` backed by a
+:class:`~repro.service.store.RunStore`; a store hit replays the stored
+output and its original timing.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.dataset.table import Table
-from repro.engine.cache import ResultCache, default_cache
+from repro.engine.cache import ResultCache
 from repro.engine.core import Engine, RunPlan, RunReport
 from repro.engine.registry import AlgorithmOutput, algorithm_registry
 from repro.engine.sources import TableSource
@@ -37,7 +32,6 @@ __all__ = [
     "AlgorithmOutput",
     "RunRecord",
     "average_by",
-    "cache_summary",
     "format_records",
     "record_from_report",
     "run_algorithm",
@@ -93,10 +87,8 @@ def run_algorithm(
     """Run one algorithm on one table through :meth:`Engine.run
     <repro.engine.core.Engine.run>` and collect the standard metrics.
 
-    The run is unsharded and sequential, verified against frequency
-    l-diversity and memoized like any engine run.  ``cache`` defaults to the
-    engine's process-global result cache; pass an isolated
-    :class:`~repro.engine.cache.ResultCache` to control reuse.
+    The run is unsharded and sequential and verified against frequency
+    l-diversity.  It is uncached unless ``cache`` is backed by a run store.
     """
     plan = RunPlan(
         TableSource(table),
@@ -158,20 +150,6 @@ def average_by(
             continue
         buckets.setdefault(key(record), []).append(float(value))
     return {group: statistics.fmean(values) for group, values in buckets.items()}
-
-
-def cache_summary(cache: ResultCache | None = None) -> str:
-    """One-line per-tier hit summary for harness reports and CLI footers."""
-    cache = cache if cache is not None else default_cache()
-    stats = cache.stats()
-    line = (
-        f"run cache: {stats['memory_hits']} memory hits, "
-        f"{stats['store_hits']} store hits, {stats['misses']} misses "
-        f"({stats['entries']} entries retained"
-    )
-    if "store_entries" in stats:
-        line += f", {stats['store_entries']} persisted"
-    return line + ")"
 
 
 def format_records(records: Sequence[RunRecord]) -> str:

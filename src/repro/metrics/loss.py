@@ -9,11 +9,13 @@ generalization baselines on equal footing:
 * discernibility — the classic ``sum over groups of |G|^2`` penalty;
 * average group size.
 
-NCP and discernibility run as group-level reductions over the generalized
-table's shared per-group caches (star flags and sizes seeded by
-``from_partition``, the bincount of the group-id vector otherwise).  Tables
-without that group form (sub-domain baselines, negative group ids) take
-row-level reductions instead.  Their pure-Python oracles live in
+NCP runs as a group-level reduction over the generalized table's shared
+per-group caches (star flags and sizes seeded by ``from_partition``, the
+bincount of the group-id vector otherwise); tables without star flags
+(sub-domain baselines) take a row-level reduction instead.  Discernibility
+and average group size read every present group's size from
+:meth:`~repro.dataset.generalized.GeneralizedTable.group_sizes_heights`,
+which takes any group ids.  Their pure-Python oracles live in
 ``tests/metric_oracles.py``.
 """
 
@@ -73,32 +75,12 @@ def gcp(generalized: GeneralizedTable) -> float:
 
 
 def discernibility(generalized: GeneralizedTable) -> int:
-    """The discernibility metric: ``sum over QI-groups of |G|^2``.
-
-    Reads the cached per-group size array (a bincount shared with the other
-    metrics and the privacy checks) instead of running its own full-table
-    ``np.unique`` pass; explicitly constructed tables with negative group
-    ids still take the ``np.unique`` pass.
-    """
-    if len(generalized) == 0:
-        return 0
-    gids = generalized.group_ids_array()
-    if int(gids.min()) >= 0:
-        sizes = generalized.group_sizes_array().astype(np.int64)
-        return int((sizes**2).sum())
-    _ids, counts = np.unique(gids, return_counts=True)
-    return int((counts.astype(np.int64) ** 2).sum())
+    """The discernibility metric: ``sum over QI-groups of |G|^2``."""
+    sizes, _heights = generalized.group_sizes_heights()
+    return int((sizes.astype(np.int64) ** 2).sum())
 
 
 def average_group_size(generalized: GeneralizedTable) -> float:
     """Average QI-group size of the anonymized table."""
-    if len(generalized):
-        gids = generalized.group_ids_array()
-        if int(gids.min()) >= 0:
-            sizes = generalized.group_sizes_array()
-            occupied = int(np.count_nonzero(sizes))
-            return len(generalized) / occupied
-    groups = generalized.groups()
-    if not groups:
-        return 0.0
-    return len(generalized) / len(groups)
+    sizes, _heights = generalized.group_sizes_heights()
+    return len(generalized) / sizes.size if sizes.size else 0.0

@@ -10,7 +10,7 @@ small JSON-over-HTTP surface (all under ``/v1``):
 ``GET  /v1/jobs``                     latest record of every job in the workspace ledger
 ``GET  /v1/jobs/{id}``                job status (ledger record + queue position info)
 ``GET  /v1/jobs/{id}/result``         published table (``?format=json`` or ``csv``)
-``GET  /v1/jobs/{id}/metrics``        metric values / seconds / cache tier of a done job
+``GET  /v1/jobs/{id}/metrics``        metric values / seconds / store hit of a done job
 ``GET  /v1/jobs/{id}/trace``          span tree of a recent job (submit -> queue-wait ->
                                       attempt(s) -> engine stages -> publish)
 ``POST /v1/jobs/{id}/cancel``         cancel a still-queued job

@@ -174,8 +174,8 @@ EFFECTS: dict[str, tuple[Callable[[JobTable, Move], None], ...]] = {
 
 #: Record fields a done move copies from the worker's payload.
 _RESULT_FIELDS = (
-    "n", "d", "stars", "suppressed_tuples", "groups", "seconds", "cache_hit",
-    "store_hit", "metric_values",
+    "n", "d", "stars", "suppressed_tuples", "groups", "seconds", "store_hit",
+    "metric_values",
 )
 
 

@@ -13,11 +13,11 @@ without limit, and the HTTP layer turns that into ``429 + Retry-After``.
 :func:`execute_job` (the executor entry point) parses that dict once
 (:meth:`~repro.server.jobspec.JobSpec.from_json`) and runs the spec's plan,
 at the job's core budget, on a fresh :class:`~repro.engine.core.Engine`
-whose cache reads through the workspace's persistent
-:class:`~repro.service.store.RunStore`.  Each job re-opens the
-store, which reads nothing until a lookup memory-maps its one record, so a
-repeated identical submission is a **store hit** even though every job runs
-in a different process.
+that caches through the workspace's persistent
+:class:`~repro.service.store.RunStore` (or not at all without
+``use_store``).  Each job re-opens the store, which reads nothing until a
+lookup memory-maps its one record, so a repeated identical submission is a
+**store hit** even though every job runs in a different process.
 
 Lifecycle transitions (``running``/``retrying``/``done``/``failed``) are
 reported through a single callback invoked on the event-loop thread; the
@@ -166,7 +166,6 @@ def execute_job(
         "groups": len(generalized.groups()),
         "phase_reached": report.phase_reached,
         "metric_values": dict(report.metric_values),
-        "cache_hit": report.cache_hit,
         "store_hit": report.store_hit,
         "verified": report.verified,
         "seconds": report.seconds,

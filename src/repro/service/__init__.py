@@ -5,8 +5,8 @@ long-lived deployment needs beyond a single in-process run:
 
 * :mod:`repro.service.store` — the persistent :class:`RunStore` (one
   memory-mapped group-form directory per record under a workspace
-  directory) that the engine's result cache reads through, so repeated
-  CLI invocations and figure sweeps reuse results **across processes**;
+  directory), the engine's one result cache, so repeated CLI invocations
+  and served jobs reuse results **across processes**;
 * :mod:`repro.service.planner` — the cost-based :class:`ExecutionPlanner`
   that picks shards / workers from table statistics and built-in
   per-algorithm rates;

@@ -5,8 +5,8 @@ workspace's persistent :class:`~repro.service.store.RunStore` backing the
 result cache — and records it in the workspace's ``jobs.jsonl`` ledger.
 ``jobs list`` / ``jobs show`` read the ledger back, so a sweep of CLI
 invocations (or a server's worker pool) leaves an auditable history of what
-ran, how it was planned, how long it took, and whether it was served from a
-cache tier instead of recomputed.
+ran, how it was planned, how long it took, and whether it was served from
+the run store instead of recomputed.
 
 Jobs move through a real state machine persisted as ledger transitions::
 
@@ -123,7 +123,6 @@ class JobRecord:
     suppressed_tuples: int = 0
     groups: int = 0
     seconds: float = 0.0
-    cache_hit: bool = False
     store_hit: bool = False
     output: str = ""
     error: str = ""
@@ -151,7 +150,7 @@ class JobRecord:
 
     def summary_row(self) -> tuple[str, ...]:
         """The fixed-width row rendered by ``ldiversity jobs list``."""
-        served = "store" if self.store_hit else ("memory" if self.cache_hit else "-")
+        served = "store" if self.store_hit else "-"
         return (
             self.id,
             self.status,
@@ -215,8 +214,8 @@ class JobLedger:
     def _parse(line: str) -> JobRecord | None:
         """Parse one JSONL line; ``None`` for corrupt or malformed records.
 
-        Unknown keys (from a newer writer) are dropped rather than fatal, the
-        same forward-compatibility stance as the run store's ``_parse``.
+        Unknown keys are dropped rather than fatal: a newer writer's fields,
+        and fields an older writer kept that records no longer carry.
         """
         try:
             payload = json.loads(line)
@@ -408,10 +407,10 @@ class JobService:
         planner: "ExecutionPlanner | None" = None,
     ) -> None:
         self.workspace = workspace if workspace is not None else Workspace()
-        self.store = self.workspace.run_store()
         self.ledger = JobLedger(self.workspace.jobs_path)
         if engine is None:
-            engine = Engine(cache=ResultCache(store=self.store), planner=planner)
+            store = self.workspace.run_store()
+            engine = Engine(cache=ResultCache(store=store), planner=planner)
         self.engine = engine
 
     # ----------------------------------------------------------------- ledger
@@ -474,7 +473,6 @@ class JobService:
             suppressed_tuples=report.generalized.suppressed_tuple_count(),
             groups=len(report.generalized.groups()),
             seconds=report.seconds,
-            cache_hit=report.cache_hit,
             store_hit=report.store_hit,
             output=output or "",
             metric_values=dict(report.metric_values),

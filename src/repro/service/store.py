@@ -1,11 +1,12 @@
 """Persistent run store: one memory-mapped result artifact per record.
 
-The :class:`RunStore` is the durable tier of result caching: the engine's
-:class:`~repro.engine.cache.ResultCache` reads through it, so figure sweeps,
-repeated CLI invocations and pool workers reuse results **across
-processes**.  Records are keyed exactly like the in-memory cache —
+The :class:`RunStore` is the engine's one result cache: an engine given a
+:class:`~repro.engine.cache.ResultCache` over a store looks every run up in
+it and writes every miss back, so repeated CLI invocations and pool workers
+reuse results **across processes**.  Records are keyed by
 ``(fingerprint, algorithm, l, shards, seed, privacy)``, where ``privacy`` is
-the canonical privacy-spec token.
+the canonical privacy-spec token.  A file at the store's path is not a
+store: opening one raises :class:`FileExistsError`.
 
 **Layout.**  The store is a directory holding one
 :class:`~repro.engine.columnstore.ResultArtifact` directory per record,
@@ -179,8 +180,6 @@ class RunStore:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._path = Path(path)
-        if self._path.is_file():  # a legacy JSONL store at this path
-            self._path.unlink(missing_ok=True)
         self._path.mkdir(parents=True, exist_ok=True)
         self._max_entries = max_entries
         self.hits = 0

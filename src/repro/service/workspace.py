@@ -4,8 +4,8 @@ A :class:`Workspace` is a directory holding everything the job layer
 persists between processes:
 
 * ``runs/`` — the :class:`~repro.service.store.RunStore` of memoized
-  anonymization runs, one directory per record (read through by the
-  engine's result cache);
+  anonymization runs, one directory per record (the engine's one result
+  cache);
 * ``jobs.jsonl`` — the :class:`~repro.service.jobs.JobService` ledger of
   submitted jobs;
 * ``tmp/`` — spill space for the streaming pipeline's per-shard buffers;
@@ -69,9 +69,7 @@ class Workspace:
         return path
 
     def run_store(self, max_entries: int = 256) -> RunStore:
-        """Open (creating if needed) the workspace's persistent run store,
-        deleting a legacy JSONL store so its runs are recomputed."""
-        (self.root / "runs.jsonl").unlink(missing_ok=True)
+        """Open (creating if needed) the workspace's persistent run store."""
         return RunStore(self.runs_path, max_entries=max_entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

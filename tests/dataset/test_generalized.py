@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis import settings
 
 from repro.dataset.generalized import STAR, GeneralizedTable, Partition, cell_contains, cell_size
+from repro.metrics.loss import average_group_size, discernibility
 from repro.privacy.checks import diversity_report
 from repro.privacy.spec import group_histograms
 from tests.conftest import make_random_table
@@ -20,6 +21,7 @@ from tests.group_oracles import (
     is_k_anonymous_reference,
     is_l_diverse_reference,
 )
+from tests.metric_oracles import discernibility_reference
 from tests.strategies import tables_with_partitions
 
 
@@ -140,7 +142,8 @@ class TestSuppression:
 
 class TestPrivacyChecksOverExplicitGroupIds:
     """Dense, gapped and negative explicit group ids all take the array path
-    and agree with the row-at-a-time oracles."""
+    and agree with the row-at-a-time oracles, for the privacy checks and the
+    group-size metrics alike."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), case=tables_with_partitions(max_rows=12))
@@ -176,6 +179,11 @@ class TestPrivacyChecksOverExplicitGroupIds:
                 relabelled, bound
             )
         assert diversity_report(relabelled) == diversity_report_reference(relabelled)
+        assert discernibility(relabelled) == discernibility_reference(relabelled)
+        groups = relabelled.groups()
+        assert average_group_size(relabelled) == (
+            len(relabelled) / len(groups) if groups else 0.0
+        )
         sa_values = relabelled.sa_values
         assert group_histograms(relabelled) == [
             Counter(sa_values[row] for row in rows) for rows in relabelled.groups().values()

@@ -25,6 +25,7 @@ from repro.privacy.spec import (
     RecursiveCLDiversity,
     TCloseness,
 )
+from repro.service.store import RunStore
 from tests import principle_oracles
 
 
@@ -35,8 +36,13 @@ def _plan(source, **fields) -> RunPlan:
 
 
 def _engine() -> Engine:
-    """An engine with an isolated cache (tests must not share hits)."""
-    return Engine(cache=ResultCache())
+    """An uncached engine."""
+    return Engine()
+
+
+def _stored_engine(tmp_path, **engine_fields) -> Engine:
+    """An engine caching through a run store of its own under ``tmp_path``."""
+    return Engine(cache=ResultCache(store=RunStore(tmp_path / "runs")), **engine_fields)
 
 
 class TestUnshardedRuns:
@@ -90,53 +96,54 @@ class TestUnshardedRuns:
 
 
 class TestResultCache:
-    def test_second_run_hits_and_replays_identical_output(self, hospital):
+    def test_second_run_hits_and_replays_identical_output(self, hospital, tmp_path):
+        engine = _stored_engine(tmp_path)
+        first = engine.run(_plan(TableSource(hospital)))
+        second = engine.run(_plan(TableSource(hospital)))
+        assert not first.store_hit
+        assert second.store_hit
+        assert second.generalized.cell_rows == first.generalized.cell_rows
+        assert second.anonymize_seconds == first.anonymize_seconds
+        assert (engine.cache.hits, engine.cache.misses) == (1, 1)
+
+    def test_engine_without_a_store_caches_nothing(self, hospital):
         engine = _engine()
         first = engine.run(_plan(TableSource(hospital)))
         second = engine.run(_plan(TableSource(hospital)))
-        assert not first.cache_hit
-        assert second.cache_hit
-        assert second.generalized is first.generalized
-        assert second.anonymize_seconds == first.anonymize_seconds
-        assert engine.cache.stats()["hits"] == 1
+        assert not first.store_hit and not second.store_hit
+        assert second.trace.find("anonymize").attributes["tier"] is None
+        assert (engine.cache.hits, engine.cache.misses) == (0, 2)
 
-    def test_cache_key_includes_l_algorithm_and_shards(self, small_census):
-        engine = _engine()
+    def test_cache_key_includes_l_algorithm_and_shards(self, small_census, tmp_path):
+        engine = _stored_engine(tmp_path)
         source = TableSource(small_census)
         engine.run(_plan(source, l=2))
-        assert engine.run(_plan(source, l=3)).cache_hit is False
-        assert engine.run(_plan(source, algorithm="Hilbert", l=2)).cache_hit is False
-        assert engine.run(_plan(source, l=2, shards=2)).cache_hit is False
-        assert engine.run(_plan(source, l=2)).cache_hit is True
+        assert engine.run(_plan(source, l=3)).store_hit is False
+        assert engine.run(_plan(source, algorithm="Hilbert", l=2)).store_hit is False
+        assert engine.run(_plan(source, l=2, shards=2)).store_hit is False
+        assert engine.run(_plan(source, l=2)).store_hit is True
 
-    def test_use_cache_false_bypasses(self, hospital):
-        engine = _engine()
+    def test_use_cache_false_bypasses(self, hospital, tmp_path):
+        engine = _stored_engine(tmp_path)
         engine.run(_plan(TableSource(hospital)))
         report = engine.run(_plan(TableSource(hospital), use_cache=False))
-        assert not report.cache_hit
+        assert not report.store_hit
 
-    def test_equal_content_different_instances_share_entries(self, hospital):
-        engine = _engine()
+    def test_equal_content_different_instances_share_entries(self, hospital, tmp_path):
+        engine = _stored_engine(tmp_path)
         copy = hospital.subset(range(len(hospital)))
         engine.run(_plan(TableSource(hospital)))
-        assert engine.run(_plan(TableSource(copy))).cache_hit
+        assert engine.run(_plan(TableSource(copy))).store_hit
 
-    def test_nondeterministic_algorithms_are_not_cached(self, hospital):
+    def test_nondeterministic_algorithms_are_not_cached(self, hospital, tmp_path):
         registry = AlgorithmRegistry()
         runner = algorithm_registry.get("TP").runner
         registry.register("Rand", deterministic=False)(runner)
-        engine = Engine(algorithms=registry, cache=ResultCache())
+        engine = _stored_engine(tmp_path, algorithms=registry)
         engine.run(_plan(TableSource(hospital), algorithm="Rand"))
         report = engine.run(_plan(TableSource(hospital), algorithm="Rand"))
-        assert not report.cache_hit
-        assert len(engine.cache) == 0
-
-    def test_lru_bound_evicts(self, hospital):
-        engine = Engine(cache=ResultCache(max_entries=1))
-        engine.run(_plan(TableSource(hospital), l=2))
-        engine.run(_plan(TableSource(hospital), algorithm="Hilbert", l=2))
-        assert len(engine.cache) == 1
-        assert not engine.run(_plan(TableSource(hospital), l=2)).cache_hit
+        assert not report.store_hit
+        assert len(engine.cache.store) == 0
 
 
 class TestShardedRuns:
@@ -193,11 +200,11 @@ class TestShardedRuns:
         with pytest.raises(ValueError, match="NoShard"):
             engine.run(_plan(TableSource(hospital), algorithm="NoShard", shards=2))
 
-    def test_cached_sharded_replay_keeps_shard_sizes(self, small_census):
-        engine = _engine()
+    def test_cached_sharded_replay_keeps_shard_sizes(self, small_census, tmp_path):
+        engine = _stored_engine(tmp_path)
         first = engine.run(_plan(TableSource(small_census), shards=2))
         replay = engine.run(_plan(TableSource(small_census), shards=2))
-        assert replay.cache_hit
+        assert replay.store_hit
         assert replay.shard_sizes == first.shard_sizes
         assert len(replay.shard_sizes) == 2
 
@@ -207,81 +214,52 @@ class TestShardedRuns:
 
 
 class TestHarnessIntegration:
-    def test_run_algorithm_uses_shared_cache(self, hospital):
+    def test_run_algorithm_uses_shared_cache(self, hospital, tmp_path):
         from repro.experiments.harness import run_algorithm
 
-        cache = ResultCache()
+        cache = ResultCache(store=RunStore(tmp_path / "runs"))
         first = run_algorithm("TP", hospital, 2, cache=cache)
         second = run_algorithm("TP", hospital, 2, cache=cache)
-        assert cache.stats()["hits"] == 1
+        assert cache.hits == 1
         assert second.stars == first.stars
         assert second.seconds == first.seconds  # replayed timing, not re-run
 
-    def test_harness_entry_replays_shard_sizes(self, hospital):
+    def test_harness_entry_replays_shard_sizes(self, hospital, tmp_path):
         """Regression: an entry the harness filled made a later engine hit
         report ``shard_sizes == ()`` instead of ``(n,)``."""
         from repro.experiments.harness import run_algorithm
 
-        cache = ResultCache()
+        cache = ResultCache(store=RunStore(tmp_path / "runs"))
         run_algorithm("TP", hospital, 2, cache=cache)
         hit = Engine(cache=cache).run_table(hospital, "TP", 2, shards=1, workers=1)
-        assert hit.cache_hit
+        assert hit.store_hit
         assert hit.shard_sizes == (len(hospital),)
 
 
 class TestCacheKeySeed:
     """Regression: changing the seed must never replay stale runs."""
 
-    def test_seed_is_part_of_the_key(self, hospital):
-        engine = _engine()
+    def test_seed_is_part_of_the_key(self, hospital, tmp_path):
+        engine = _stored_engine(tmp_path)
         engine.run(_plan(TableSource(hospital), seed=0))
-        assert not engine.run(_plan(TableSource(hospital), seed=1)).cache_hit
-        assert engine.run(_plan(TableSource(hospital), seed=0)).cache_hit
+        assert not engine.run(_plan(TableSource(hospital), seed=1)).store_hit
+        assert engine.run(_plan(TableSource(hospital), seed=0)).store_hit
 
 
 class TestStoreBackedEngine:
     def test_fresh_engine_is_served_from_the_store(self, hospital, tmp_path):
-        from repro.service.store import RunStore
-
         path = tmp_path / "runs"
         first = Engine(cache=ResultCache(store=RunStore(path))).run(
             _plan(TableSource(hospital))
         )
-        assert not first.cache_hit
+        assert not first.store_hit
         # Fresh engine + fresh cache + fresh store instance = fresh process.
         replay = Engine(cache=ResultCache(store=RunStore(path))).run(
             _plan(TableSource(hospital))
         )
-        assert replay.cache_hit
         assert replay.store_hit
         assert replay.generalized.cell_rows == first.generalized.cell_rows
         assert replay.anonymize_seconds == first.anonymize_seconds
-
-    def test_engine_store_argument_wires_the_cache(self, hospital, tmp_path):
-        from repro.service.store import RunStore
-
-        store = RunStore(tmp_path / "runs")
-        engine = Engine(store=store)
-        engine.run(_plan(TableSource(hospital)))
-        assert len(store) == 1
-
-    def test_conflicting_cache_and_store_rejected(self, tmp_path):
-        from repro.service.store import RunStore
-
-        store = RunStore(tmp_path / "runs")
-        with pytest.raises(ValueError, match="cache"):
-            Engine(cache=ResultCache(), store=store)
-        # A cache already backed by that store is fine.
-        Engine(cache=ResultCache(store=store), store=store)
-
-    def test_report_surfaces_cache_stats(self, hospital):
-        engine = _engine()
-        first = engine.run(_plan(TableSource(hospital)))
-        assert first.cache_stats["misses"] == 1
-        second = engine.run(_plan(TableSource(hospital)))
-        assert second.cache_stats["memory_hits"] == 1
-        assert second.cache_stats["hits"] == 1
-        assert not second.store_hit  # memory tier, not the persistent one
 
 
 class TestPlannerIntegration:
@@ -397,16 +375,16 @@ class TestPrivacySpecs:
                 _plan(TableSource(hospital), privacy=EntropyLDiversity(1000.0))
             )
 
-    def test_cache_keys_distinguish_specs_with_equal_l(self, small_census):
-        engine = _engine()
+    def test_cache_keys_distinguish_specs_with_equal_l(self, small_census, tmp_path):
+        engine = _stored_engine(tmp_path)
         source = TableSource(small_census)
         engine.run(_plan(source, l=2))
         entropy = engine.run(_plan(source, privacy=EntropyLDiversity(2.0)))
-        assert not entropy.cache_hit  # would have replayed pre-refactor
+        assert not entropy.store_hit  # would have replayed pre-refactor
         recursive = engine.run(_plan(source, privacy=RecursiveCLDiversity(2.0, 2)))
-        assert not recursive.cache_hit
-        assert engine.run(_plan(source, l=2)).cache_hit
-        assert engine.run(_plan(source, privacy=EntropyLDiversity(2.0))).cache_hit
+        assert not recursive.store_hit
+        assert engine.run(_plan(source, l=2)).store_hit
+        assert engine.run(_plan(source, privacy=EntropyLDiversity(2.0))).store_hit
 
     def test_spec_dict_encoding_accepted_by_runplan(self, hospital):
         report = _engine().run(
@@ -448,22 +426,23 @@ class TestPrivacySpecs:
                     )
                 )
 
-    def test_cached_hits_replay_the_enforcement_merge_count(self, small_census):
-        engine = _engine()
+    def test_cached_hits_replay_the_enforcement_merge_count(self, small_census, tmp_path):
+        engine = _stored_engine(tmp_path)
         spec = RecursiveCLDiversity(0.5, 2)
         first = engine.run(_plan(TableSource(small_census), privacy=spec))
         assert first.enforcement_merges > 0
         replay = engine.run(_plan(TableSource(small_census), privacy=spec))
-        assert replay.cache_hit
+        assert replay.store_hit
+        assert replay.generalized.cell_rows == first.generalized.cell_rows
         assert replay.enforcement_merges == first.enforcement_merges
 
     def test_cache_key_ignores_the_l_display_hint_under_an_explicit_spec(
-        self, hospital
+        self, hospital, tmp_path
     ):
         # plan.l is only a display hint once privacy is explicit; different
         # hints (CLI vs HTTP defaults) must share one cache entry.
-        engine = _engine()
+        engine = _stored_engine(tmp_path)
         spec = KAnonymity(2)
         engine.run(_plan(TableSource(hospital), l=1, privacy=spec))
         hinted = engine.run(_plan(TableSource(hospital), l=2, privacy=spec))
-        assert hinted.cache_hit
+        assert hinted.store_hit

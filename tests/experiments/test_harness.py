@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     run_algorithm,
     run_suite,
 )
+from repro.service.store import RunStore
 
 
 class TestRunAlgorithm:
@@ -115,25 +116,40 @@ class TestEngineRunPath:
         with pytest.raises(VerificationError):
             run_algorithm("TP", hospital, 2, cache=ResultCache())
 
-    def test_repeated_suite_is_replayed_from_the_cache(self, hospital):
-        """A second identical sweep is all hits and replays the first sweep's
-        records, timings included."""
-        cache = ResultCache()
+    def test_repeated_suite_is_replayed_from_the_cache(self, hospital, tmp_path):
+        """A second identical sweep is all store hits and replays the first
+        sweep's records, timings included."""
+        cache = ResultCache(store=RunStore(tmp_path / "runs"))
         tables = [("h1", hospital), ("h2", hospital)]
         first = run_suite(tables, 2, ["TP", "Hilbert"], cache=cache)
-        misses = cache.stats()["misses"]
+        misses = cache.misses
         second = run_suite(tables, 2, ["TP", "Hilbert"], cache=cache)
-        assert cache.stats()["misses"] == misses
-        assert cache.stats()["hits"] == 4 + 2  # h2 already hit h1's entries
+        assert cache.misses == misses
+        assert cache.hits == 4 + 2  # h2 already hit h1's entries
         assert [(r.stars, r.seconds) for r in second] == [(r.stars, r.seconds) for r in first]
 
-    def test_cache_hit_still_computes_requested_metrics(self, hospital):
+    def test_suite_without_a_cache_computes_every_run(self, hospital, monkeypatch):
+        info = algorithm_registry.get("TP")
+        calls = []
+
+        def counted(table, l):
+            calls.append(l)
+            return info.runner(table, l)
+
+        monkeypatch.setitem(algorithm_registry._entries, "TP", replace(info, runner=counted))
+        tables = [("h1", hospital), ("h2", hospital)]
+        first = run_suite(tables, 2, ["TP"])
+        second = run_suite(tables, 2, ["TP"])
+        assert len(calls) == 4
+        assert [r.stars for r in second] == [r.stars for r in first]
+
+    def test_cache_hit_still_computes_requested_metrics(self, hospital, tmp_path):
         """KL is computed per request, so a run cached without it still
         reports it when a later request asks."""
-        cache = ResultCache()
+        cache = ResultCache(store=RunStore(tmp_path / "runs"))
         plain = run_algorithm("TP+", hospital, 2, cache=cache)
         with_kl = run_algorithm("TP+", hospital, 2, with_kl=True, cache=cache)
-        assert cache.stats()["hits"] == 1
+        assert cache.hits == 1
         assert plain.kl is None
         assert with_kl.kl is not None and with_kl.kl >= 0
         assert with_kl.stars == plain.stars
@@ -146,27 +162,3 @@ class TestEngineRunPath:
         assert (record.algorithm, record.l, record.n, record.d) == ("TP", 2, 10, 3)
         assert record.seconds == report.anonymize_seconds
         assert record_from_report(report, dataset="other").dataset == "other"
-
-
-class TestCacheSummary:
-    def test_summary_reports_both_tiers(self, hospital, tmp_path):
-        from repro.engine.cache import ResultCache
-        from repro.experiments.harness import cache_summary, run_algorithm
-        from repro.service.store import RunStore
-
-        path = tmp_path / "runs"
-        warm = ResultCache(store=RunStore(path))
-        run_algorithm("TP", hospital, 2, cache=warm)  # miss; persisted
-        # Fresh cache over the same store file: the hit must come from the
-        # persistent tier and the summary line must say so.
-        cold = ResultCache(store=RunStore(path))
-        run_algorithm("TP", hospital, 2, cache=cold)
-        summary = cache_summary(cold)
-        assert "1 store hits" in summary
-        assert "0 memory hits" in summary
-        assert "persisted" in summary
-
-    def test_summary_defaults_to_the_process_cache(self):
-        from repro.experiments.harness import cache_summary
-
-        assert cache_summary().startswith("run cache:")

@@ -186,9 +186,11 @@ class TestEngineTree:
         "shards,workers", [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)]
     )
     def test_tree_invariants_on_miss_and_hit(
-        self, census_10k, algorithm, shards, workers
+        self, census_10k, algorithm, shards, workers, tmp_path
     ):
-        engine = Engine(cache=ResultCache())
+        from repro.service.store import RunStore
+
+        engine = Engine(cache=ResultCache(store=RunStore(tmp_path / "runs")))
         plan = RunPlan(
             source=TableSource(fresh(census_10k)),
             algorithm=algorithm,
@@ -199,7 +201,7 @@ class TestEngineTree:
         )
         miss, miss_wall = timed_run(engine, plan)
         hit, hit_wall = timed_run(engine, plan)
-        assert not miss.cache_hit and hit.cache_hit
+        assert not miss.store_hit and hit.store_hit
         for report, wall in ((miss, miss_wall), (hit, hit_wall)):
             root = report.trace
             assert_sound(root)
@@ -208,12 +210,12 @@ class TestEngineTree:
             assert [child.name for child in root.children] == [
                 "load", "plan", "anonymize", "verify", "metrics",
             ]
-        # Memory hits take well under a millisecond, where 1% is below the
-        # cost of the call itself; the next test checks hits at scale.
+        # Hits on this small table take a few milliseconds, where 1% is below
+        # the cost of the call itself; the next test checks hits at scale.
         assert miss.seconds >= 0.99 * miss_wall
         # A hit replays the miss's compute cost but measures its own time.
         assert hit.anonymize_seconds == miss.anonymize_seconds
-        assert hit.trace.find("anonymize").attributes["tier"] == "memory"
+        assert hit.trace.find("anonymize").attributes["tier"] == "store"
         assert hit.trace.find("shard") is None
         effective = len(miss.shard_sizes)
         if effective > 1:

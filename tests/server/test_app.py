@@ -63,6 +63,17 @@ class TestLifecycle:
         assert second != first
         assert client.result(second)["store_hit"] is True
 
+    def test_served_job_record_carries_the_store_hit_flag(self, client, hospital_rows):
+        first = client.wait(_submit_hospital(client, hospital_rows))
+        second_id = _submit_hospital(client, hospital_rows)
+        client.wait(second_id)
+        second = client.status(second_id)
+        assert (first["store_hit"], second["store_hit"]) == (False, True)
+        assert "cache_hit" not in first and "cache_hit" not in second
+        assert {job["id"]: job["store_hit"] for job in client.jobs()} == {
+            first["id"]: False, second_id: True,
+        }
+
     def test_lifecycle_is_persisted_to_the_ledger(self, server, client, hospital_rows):
         job_id = _submit_hospital(client, hospital_rows)
         client.wait(job_id)

@@ -58,7 +58,7 @@ _examples = itertools.count()
 def _payload(store_hit: bool) -> dict:
     return {
         "n": 4, "d": 2, "stars": 1, "suppressed_tuples": 1, "groups": 2,
-        "seconds": 0.01, "cache_hit": store_hit, "store_hit": store_hit,
+        "seconds": 0.01, "store_hit": store_hit,
         "metric_values": {}, "decision": None,
     }
 

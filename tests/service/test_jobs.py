@@ -210,6 +210,26 @@ class TestRetryLifecycle:
         assert record.quarantined is False
         assert record.spec == {}
 
+    def test_records_with_the_retired_cache_hit_flag_load_and_list(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        base = {
+            "created": 1.0, "status": "done", "label": "t", "algorithm": "TP",
+            "l": 2, "n": 10, "stars": 3, "seconds": 0.5,
+        }
+        with open(path, "w") as handle:
+            for job_id, store_hit in (("job-0001", True), ("job-0002", False)):
+                line = {**base, "id": job_id, "cache_hit": True, "store_hit": store_hit}
+                handle.write(json.dumps(line) + "\n")
+        ledger = JobLedger(path)
+        records = ledger.list()
+        assert [record.id for record in records] == ["job-0001", "job-0002"]
+        assert ledger.recovered == 0
+        assert not hasattr(records[0], "cache_hit")
+        assert [record.summary_row() for record in records] == [
+            ("job-0001", "done", "TP", "2", "10", "3", "0.500", "store", "t"),
+            ("job-0002", "done", "TP", "2", "10", "3", "0.500", "-", "t"),
+        ]
+
 
 class TestCompaction:
     def test_compact_keeps_one_latest_record_per_job(self, tmp_path):

@@ -443,19 +443,18 @@ class TestOpenTime:
 
 
 class TestReadThroughCache:
-    def test_cache_falls_through_to_store(self, hospital, tmp_path):
+    def test_cache_reads_the_store(self, hospital, tmp_path):
         path = tmp_path / "runs"
         run = _cached_run(hospital)
         key = _key(hospital)
         RunStore(path).put(key, run)
 
         cache = ResultCache(store=RunStore(path))
-        entry, tier = cache.lookup(key, hospital)
-        assert entry is not None and tier == "store"
-        assert cache.stats()["store_hits"] == 1
-        # The hit was promoted: next lookup answers from memory.
-        entry, tier = cache.lookup(key, hospital)
-        assert tier == "memory"
+        entry = cache.lookup(key, hospital)
+        assert entry is not None
+        assert entry.output.generalized.cell_rows == run.output.generalized.cell_rows
+        assert cache.lookup(_key(hospital, l=3), hospital) is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_cache_writes_through(self, hospital, tmp_path):
         path = tmp_path / "runs"
@@ -464,12 +463,11 @@ class TestReadThroughCache:
         cache.put(key, _cached_run(hospital))
         assert RunStore(path).get(key, hospital) is not None
 
-    def test_without_table_store_tier_is_skipped(self, hospital, tmp_path):
-        path = tmp_path / "runs"
-        RunStore(path).put(_key(hospital), _cached_run(hospital))
-        cache = ResultCache(store=RunStore(path))
-        # No table to rehydrate against: only the memory tier is consulted.
-        assert cache.lookup(_key(hospital)) == (None, None)
+    def test_cache_without_a_store_misses_and_keeps_nothing(self, hospital):
+        cache = ResultCache()
+        cache.put(_key(hospital), _cached_run(hospital))
+        assert cache.lookup(_key(hospital), hospital) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
 
 class TestValidation:
@@ -596,11 +594,15 @@ class TestKeyMigration:
     """The key grew a privacy-spec token, then lost its backend element; the
     JSONL store became one directory per record."""
 
-    def test_default_key_carries_the_frequency_token(self, hospital):
+    def test_default_key_carries_the_frequency_token(self, hospital, tmp_path):
         # A plan that gives only ``l`` is keyed under the frequency-l token.
-        cache = ResultCache()
-        Engine(cache=cache).run_table(hospital, "TP", 2, shards=1, workers=1, seed=5)
-        assert (hospital.fingerprint(), "TP", 2, 1, 5, FrequencyLDiversity(2).token()) in cache
+        store = RunStore(tmp_path / "runs")
+        Engine(cache=ResultCache(store=store)).run_table(
+            hospital, "TP", 2, shards=1, workers=1, seed=5
+        )
+        assert store.keys() == [
+            (hospital.fingerprint(), "TP", 2, 1, 5, FrequencyLDiversity(2).token())
+        ]
 
     def test_specs_with_equal_l_never_share_a_record(self, hospital, tmp_path):
         # Regression: pre-migration an entropy-checked rerun could replay a
@@ -641,23 +643,12 @@ class TestKeyMigration:
         assert fresh.recovered == 2
         assert len(_record_dirs(path)) == 1
 
-    def test_legacy_jsonl_store_is_deleted_and_recomputed(self, hospital, tmp_path):
-        root = tmp_path / "ws"
-        root.mkdir()
-        key = _key(hospital)
-        legacy = {
-            "key": list(key), "n": len(hospital),
-            "group_cells": [[0] * hospital.dimension], "group_ids": [0] * len(hospital),
-            "anonymize_seconds": 0.1, "shard_sizes": [len(hospital)], "phase_reached": 1,
-            "enforcement_merges": 0,
-        }
-        (root / "runs.jsonl").write_text(json.dumps(legacy) + "\n")
-        store = Workspace(root).run_store()
-        assert not (root / "runs.jsonl").exists()
-        assert len(store) == 0 and store.recovered == 0
-        # A legacy file at the store's own path is replaced the same way.
-        (tmp_path / "flat").write_text(json.dumps(legacy) + "\n")
-        assert len(RunStore(tmp_path / "flat")) == 0
+    def test_a_file_at_the_store_path_raises_at_open(self, tmp_path):
+        path = tmp_path / "flat"
+        path.write_text('{"key": ["x"]}\n')
+        with pytest.raises(FileExistsError, match="flat"):
+            RunStore(path)
+        assert path.read_text() == '{"key": ["x"]}\n'  # never deleted
 
     @pytest.mark.parametrize("algorithm", ["TP", "Mondrian"])
     def test_a_v1_record_is_a_recovered_miss_then_recomputed(self, hospital, algorithm, tmp_path):
@@ -718,5 +709,5 @@ class TestKeyMigration:
                        "dimension": 3},
         }
         assert not execute_job(spec, str(root), True)["store_hit"]
-        assert not (root / "runs.jsonl").exists()
+        assert (root / "runs.jsonl").exists()  # left alone and never read
         assert execute_job(spec, str(root), True)["store_hit"]

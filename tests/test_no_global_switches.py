@@ -1,10 +1,13 @@
 """No module of ``repro`` holds a process-global mutable switch.
 
 Concurrent jobs share one process, so a module-level value that code
-rebinds at run time (a ``global`` statement) or a fork hook that resets one
-(``os.register_at_fork``) decides one job's behaviour by what another job
+rebinds at run time (a ``global`` statement), a fork hook that resets one
+(``os.register_at_fork``) or an attribute assigned on the object a call
+returns (``default_cache().store = ...``, which mutates whatever shared
+object the call hands out) decides one job's behaviour by what another job
 did.  This test parses every module under ``src/repro`` (every package and
-the top-level modules) and names each such statement it finds.
+the top-level modules) and every script under ``scripts/``, and names each
+such statement it finds.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 import repro
 
 ROOT = Path(repro.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _offences(path: Path) -> list[str]:
@@ -33,6 +37,13 @@ def _offences_in(source: str, filename: str) -> list[str]:
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name == "register_at_fork":
                 found.append(f"{filename}:{node.lineno}: register_at_fork call")
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Call):
+                    found.append(
+                        f"{filename}:{node.lineno}: assignment to {ast.unparse(target)}"
+                    )
     return found
 
 
@@ -41,6 +52,13 @@ def test_algorithm_packages_have_no_global_or_fork_hook():
     scanned = {path.relative_to(ROOT).parts[0] for path in modules}
     assert {"core", "engine", "server", "service", "cli.py"} <= scanned
     offences = [offence for path in modules for offence in _offences(path)]
+    assert offences == []
+
+
+def test_scripts_assign_no_attribute_of_a_call_result():
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert "run_experiments.py" in {path.name for path in scripts}
+    offences = [offence for path in scripts for offence in _offences(path)]
     assert offences == []
 
 
@@ -56,8 +74,17 @@ def test_algorithm_packages_have_no_global_or_fork_hook():
             "from os import register_at_fork\nregister_at_fork(before=print)\n",
             ["m.py:2: register_at_fork call"],
         ),
+        (
+            "from repro.engine.cache import default_cache\n"
+            "default_cache().store = None\n",
+            ["m.py:2: assignment to default_cache().store"],
+        ),
+        ("registry().hits += 1\n", ["m.py:1: assignment to registry().hits"]),
     ],
-    ids=["global-statement", "os-attribute-call", "imported-name-call"],
+    ids=[
+        "global-statement", "os-attribute-call", "imported-name-call",
+        "call-result-attribute", "call-result-augmented",
+    ],
 )
 def test_guard_names_each_offence(source, expected):
     assert _offences_in(source, "m.py") == expected
@@ -70,8 +97,9 @@ def test_guard_names_each_offence(source, expected):
         "def outer():\n    count = 0\n"
         "    def inner():\n        nonlocal count\n        count += 1\n",
         "import os\nos.getpid()\n",
+        "cache = make_cache()\ncache.store = None\n",
     ],
-    ids=["module-constant", "nonlocal-statement", "other-os-call"],
+    ids=["module-constant", "nonlocal-statement", "other-os-call", "plain-name-attribute"],
 )
 def test_guard_passes_module_constants_and_closures(source):
     assert _offences_in(source, "m.py") == []
