@@ -57,7 +57,6 @@ help text can never drift from what is implemented.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections.abc import Callable, Sequence
 
@@ -70,6 +69,7 @@ from repro.engine import (
     algorithm_registry,
     metric_registry,
 )
+from repro.engine.sources import CsvDecoder
 from repro.errors import DataSourceError, UnknownEntryError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-rows",
         type=int,
         default=None,
-        help="with --stream: rows per input CSV chunk (default 50000)",
+        help="with --stream: rows per scan/spill slice (default 50000)",
     )
     anonymize.add_argument(
         "--mmap",
@@ -539,21 +539,21 @@ def _command_plan(arguments: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     info = algorithm_registry.get(arguments.algorithm)
-    source = _csv_source(arguments)
-    schema = source.resolved_schema()
-    with open(arguments.input, newline="") as handle:
-        n = sum(1 for _row in csv.DictReader(handle))
+    qi_names = _qi_names(arguments)
+    # One decoding pass that keeps no blocks: the planner needs only n.
+    n = sum(map(len, CsvDecoder(arguments.input, qi_names, arguments.sa).batches()))
+    d = len(qi_names)
     decision = default_planner().decide(
         info,
         n=n,
-        d=schema.dimension,
+        d=d,
         l=spec.anonymize_l(),
         shards=arguments.shards,
         workers=arguments.workers,
         privacy=spec,
     )
     print(
-        f"workload: n={n} d={schema.dimension} l={spec.anonymize_l()} "
+        f"workload: n={n} d={d} l={spec.anonymize_l()} "
         f"privacy={spec.describe()} algorithm={info.name}"
     )
     print(decision.explain())

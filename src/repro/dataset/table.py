@@ -570,21 +570,6 @@ class Table:
         sa_values = [schema.sensitive.encode(record[sa_name]) for record in records]
         return cls(schema, qi_rows, sa_values)
 
-    @classmethod
-    def from_csv(
-        cls,
-        path: str,
-        qi_names: Sequence[str],
-        sa_name: str,
-        schema: Schema | None = None,
-        delimiter: str = ",",
-    ) -> "Table":
-        """Load a table from a CSV file with a header row."""
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle, delimiter=delimiter)
-            records = [dict(row) for row in reader]
-        return cls.from_records(records, qi_names, sa_name, schema=schema)
-
     def to_csv(self, path: str, delimiter: str = ",") -> None:
         """Write the decoded table to a CSV file with a header row."""
         names = list(self._schema.qi_names) + [self._schema.sensitive.name]

@@ -8,12 +8,13 @@ consumers (CLI, experiment harness, scripts) and consists of:
   can run (``repro.engine.algorithms`` / ``repro.engine.metrics`` register
   the built-ins at import time);
 * :mod:`repro.engine.sources` — dataset adapters unifying CSV files,
-  synthetic generators and in-memory columnar tables behind one loader with
-  schema inference and chunked reads;
+  synthetic generators and in-memory columnar tables behind one loader
+  (CSV domains are inferred in the same pass that decodes the rows);
 * :mod:`repro.engine.columnstore` — zero-copy columnar storage: encoded
   tables persisted as memory-mappable ``.npy`` column buffers
   (:class:`ColumnStore`) plus a :class:`ColumnStoreSource` adapter, the
-  physical layout behind ``--mmap`` runs and the scale benchmarks;
+  physical layout behind ``--mmap`` and ``--stream`` runs and the scale
+  benchmarks;
 * :mod:`repro.engine.sharding` — QI-prefix sharding and shard-output
   merging for out-of-core / large-``n`` runs;
 * :mod:`repro.engine.sinks` — incremental CSV export of published tables
@@ -64,8 +65,6 @@ from repro.engine.sources import (
     DataSource,
     SyntheticSource,
     TableSource,
-    concat_tables,
-    infer_csv_schema,
 )
 
 __all__ = [
@@ -88,8 +87,6 @@ __all__ = [
     "SyntheticSource",
     "TableSource",
     "algorithm_registry",
-    "concat_tables",
-    "infer_csv_schema",
     "merge_shard_outputs",
     "metric_registry",
     "qi_prefix_shards",

@@ -18,9 +18,8 @@ Python row tuples.  :meth:`ColumnStore.convert_csv` decodes the CSV in one
 pass (:class:`~repro.engine.sources.CsvDecoder`) into a sibling temp
 directory.  :meth:`ColumnStore.table`
 wraps the buffers in a ``Table`` without validation (the store validated
-codes when it was built) and :meth:`ColumnStore.slice` /
-:meth:`ColumnStore.take` give zero-copy / fancy-indexed views for chunked
-pipelines.
+codes when it was built) and :meth:`ColumnStore.iter_slices` gives the
+zero-copy row slices the streaming pipeline reads.
 
 :class:`ColumnStoreSource` adapts a store directory to the
 :class:`~repro.engine.sources.DataSource` interface, which is what
@@ -150,6 +149,16 @@ def _save_npy(path: Path, array: np.ndarray) -> None:
         np.save(handle, array)
 
 
+def _truncate_npy(path: Path, array: np.memmap, rows: int) -> np.memmap:
+    """Rewrite the ``.npy`` buffer ``array`` maps at ``path`` to its first
+    ``rows`` rows; returns the new buffer, mapped for writing."""
+    array.flush()
+    part = path.with_name(path.name + ".part")
+    _save_npy(part, array[:rows])
+    os.replace(part, path)
+    return np.load(path, mmap_mode="r+")
+
+
 def _alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -265,11 +274,6 @@ class ColumnStore:
         """A zero-copy view of rows ``[start, stop)`` (shares the buffers)."""
         return ColumnStore(self.schema, self.qi[start:stop], self.sa[start:stop])
 
-    def take(self, indices: Sequence[int] | np.ndarray) -> "ColumnStore":
-        """A store holding exactly the given rows (fancy indexing copies)."""
-        index_array = np.asarray(indices, dtype=np.intp)
-        return ColumnStore(self.schema, self.qi[index_array], self.sa[index_array])
-
     def iter_slices(self, chunk_rows: int) -> Iterator["ColumnStore"]:
         """Yield contiguous zero-copy slices of at most ``chunk_rows`` rows."""
         if chunk_rows < 1:
@@ -289,30 +293,6 @@ class ColumnStore:
         return cls(table.schema, table.qi_columns, table.sa_array)
 
     @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        qi_names: Sequence[str],
-        sa_name: str,
-        schema: Schema | None = None,
-        delimiter: str = ",",
-        chunk_rows: int = CSV_BATCH_ROWS,
-    ) -> "ColumnStore":
-        """Decode a CSV file straight into in-memory column buffers.
-
-        One pass of :class:`~repro.engine.sources.CsvDecoder` in batches of
-        ``chunk_rows`` rows — rows never exist as Python tuples.  For tables
-        larger than RAM use :meth:`convert_csv`, which writes the buffers
-        out-of-core.
-        """
-        schema, qi, sa = CsvDecoder(path, qi_names, sa_name, schema, delimiter).decode(
-            chunk_rows
-        )
-        if not len(sa):
-            raise DataSourceError(f"{path}: no data rows to store")
-        return cls(schema, np.ascontiguousarray(qi), sa.copy())
-
-    @classmethod
     def convert_csv(
         cls,
         csv_path: str | Path,
@@ -328,9 +308,11 @@ class ColumnStore:
         A line count sizes the buffers, then one decoding pass
         (:class:`~repro.engine.sources.CsvDecoder`, batches of ``chunk_rows``
         rows) writes first-seen codes straight into
-        :func:`numpy.lib.format.open_memmap` buffers, and one fancy-index per
-        column remaps them to the sorted domains (no remap when ``schema`` is
-        given).  Peak memory is one batch plus one column of codes.
+        :func:`numpy.lib.format.open_memmap` buffers, which are then remapped
+        to the sorted domains one batch at a time (no remap when ``schema``
+        is given).  Peak memory is one batch of rows.  A quoted field that
+        spans lines makes the line count overshoot; the buffers are then
+        rewritten to the rows decoded.
 
         The store is built in a temp directory that :func:`publish` renames
         over ``store_dir`` whole, so a failed or killed conversion leaves an
@@ -365,15 +347,16 @@ class ColumnStore:
                     qi[filled : filled + len(block)] = block[:, :-1]
                     sa[filled : filled + len(block)] = block[:, -1]
                     filled += len(block)
-            if filled != row_count:
-                raise DataSourceError(
-                    f"{csv_path}: decoded {filled} rows but counted {row_count}"
-                )
+            if not filled:
+                raise DataSourceError(f"{csv_path}: no data rows to store")
+            if filled < row_count:
+                qi = _truncate_npy(staging / QI_FILE, qi, filled)
+                sa = _truncate_npy(staging / SA_FILE, sa, filled)
             with trace.span("remap"):
-                remapped = decoder.remap(qi, sa)
+                remapped = decoder.remap(qi, sa, chunk_rows)
             qi.flush()
             sa.flush()
-            cls._write_schema(staging, remapped, row_count)
+            cls._write_schema(staging, remapped, filled)
 
         return cls.mmap(publish(store_dir, write))
 
@@ -815,8 +798,7 @@ class ColumnStoreSource(DataSource):
 
     ``mmap=True`` (the default) opens the buffers as zero-copy memory maps —
     the ``--mmap`` execution path; ``mmap=False`` reads them into memory.
-    Chunked iteration yields zero-copy slice views either way.  Full-table
-    loads attach a :class:`StoreOrderCache`, so the first run's ``(QI, SA)``
+    Loads attach a :class:`StoreOrderCache`, so the first run's ``(QI, SA)``
     sort permutation persists beside the store and repeat runs skip the
     sort.
     """
@@ -837,9 +819,3 @@ class ColumnStoreSource(DataSource):
         table = self.store().table()
         table.attach_order_cache(StoreOrderCache(self.path))
         return table
-
-    def iter_chunks(self, chunk_rows: int) -> Iterator[Table]:
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        for piece in self.store().iter_slices(chunk_rows):
-            yield piece.table()

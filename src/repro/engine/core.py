@@ -30,7 +30,7 @@ harness, the job service and the scripts run anonymization:
   :class:`~repro.engine.cache.ResultCache`, keyed by ``(fingerprint,
   algorithm, l, shards, seed, privacy)``; repeated runs are then served
   across processes and the report says whether the store answered.  An
-  engine given no store caches nothing.
+  engine given no store caches nothing and never hashes its table.
 
 Every run records one measured span tree (:mod:`repro.obs.trace`), from
 ``run`` down to the algorithms' own stages, so each second is charged to
@@ -312,8 +312,9 @@ class Engine:
     ) -> tuple[AlgorithmOutput, bool, tuple[int, ...], int, float]:
         """Returns the output, whether the run store answered, the shard
         sizes, the enforcement merges and the compute seconds."""
-        use_cache = plan.use_cache and cacheable
-        key = None
+        # Without a store every lookup would miss, so a storeless engine
+        # neither hashes the table nor opens cache spans.
+        use_cache = plan.use_cache and cacheable and self.cache.store is not None
         if use_cache:
             # The key's l component is derived from the spec, not plan.l:
             # with an explicit spec, plan.l is only a display hint and
@@ -360,7 +361,7 @@ class Engine:
                 output = AlgorithmOutput(enforced, phase_reached=output.phase_reached)
         compute_seconds = time.perf_counter() - started
 
-        if use_cache and key is not None:
+        if use_cache:
             with trace.span("cache-put"):
                 self.cache.put(
                     key,

@@ -5,17 +5,17 @@ A :class:`DataSource` is a recipe for obtaining an encoded
 sources rather than tables or file paths, so the same run plan works for
 
 * :class:`CsvSource` — a CSV file with a header row; the schema (attribute
-  domains) is inferred from the observed values unless supplied.  A full
-  load decodes the file in one pass (:class:`CsvDecoder`); chunked reads,
-  which must know the schema before their first chunk, stream it in two
-  (one to infer the domains, one to encode);
+  domains) is inferred from the observed values unless supplied.  A load
+  decodes the file in one pass (:class:`CsvDecoder`, the package's one
+  decoder of input CSV rows);
 * :class:`SyntheticSource` — the seeded census-like SAL / OCC generators used
   by the experiments;
 * :class:`TableSource` — an already-built (possibly columnar) in-memory table.
 
-Chunked reads yield tables that all share one schema object, so their
-columnar arrays can be concatenated without re-encoding
-(:func:`concat_tables`).
+A CSV too large for memory goes through a column store instead
+(:meth:`ColumnStore.convert_csv
+<repro.engine.columnstore.ColumnStore.convert_csv>`, the same decoder
+writing into memory-mapped buffers).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "DataSource",
     "SyntheticSource",
     "TableSource",
-    "concat_tables",
-    "infer_csv_schema",
 ]
 
 
@@ -56,62 +54,6 @@ class DataSource(ABC):
     @abstractmethod
     def load(self) -> Table:
         """Materialize the full table."""
-
-    def iter_chunks(self, chunk_rows: int) -> Iterator[Table]:
-        """Yield the table in chunks of at most ``chunk_rows`` rows.
-
-        All chunks share one schema, so they concatenate without re-encoding.
-        The default implementation slices the fully-loaded table; file-backed
-        sources override it to stream.
-        """
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        table = self.load()
-        for start in range(0, len(table), chunk_rows):
-            yield table.subset(range(start, min(start + chunk_rows, len(table))))
-
-
-def concat_tables(chunks: Sequence[Table]) -> Table:
-    """Concatenate schema-sharing chunks back into one table."""
-    if not chunks:
-        raise ValueError("cannot concatenate zero chunks")
-    schema = chunks[0].schema
-    for chunk in chunks[1:]:
-        if chunk.schema != schema:
-            raise DataSourceError("chunks do not share a schema")
-    if len(chunks) == 1:
-        return chunks[0]
-    return Table.from_arrays(
-        schema,
-        np.concatenate([chunk.qi_columns for chunk in chunks], axis=0),
-        np.concatenate([chunk.sa_array for chunk in chunks]),
-    )
-
-
-def infer_csv_schema(
-    path: str, qi_names: Sequence[str], sa_name: str, delimiter: str = ","
-) -> Schema:
-    """Infer attribute domains from one streaming pass over a CSV file."""
-    observed: dict[str, set] = {name: set() for name in (*qi_names, sa_name)}
-    try:
-        handle = open(path, newline="")
-    except OSError as error:
-        raise DataSourceError(f"cannot load {path}: {error}") from error
-    with handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise DataSourceError(f"{path}: empty CSV file (no header row)")
-        _column_positions(path, reader.fieldnames, tuple(observed))
-        for row in reader:
-            for name, values in observed.items():
-                values.add(row[name])
-    for name, values in observed.items():
-        if not values:
-            raise DataSourceError(f"{path}: no rows to infer a domain for {name!r}")
-    return Schema(
-        qi=tuple(Attribute.from_values(name, observed[name]) for name in qi_names),
-        sensitive=Attribute.from_values(sa_name, observed[sa_name]),
-    )
 
 
 #: Rows per ``csv.reader`` batch of :class:`CsvDecoder`.  Kept small on
@@ -140,9 +82,9 @@ class CsvDecoder:
 
     Each column encodes through a label dictionary.  Without a schema the
     dictionaries hand out codes in first-seen order, and :meth:`remap` then
-    builds the sorted domains :func:`infer_csv_schema` would and rewrites the
-    codes into them, one fancy-index per column.  With a schema the
-    dictionaries are its domains, a value outside one raises
+    builds the sorted domains of the observed values and rewrites the codes
+    into them, one batch of rows at a time.  With a schema the dictionaries
+    are its domains, a value outside one raises
     :class:`~repro.dataset.table.DomainError`, and nothing is remapped.
     """
 
@@ -198,11 +140,15 @@ class CsvDecoder:
         except (OSError, IndexError) as error:  # IndexError: a short or blank row
             raise DataSourceError(f"cannot load {self.path}: {error}") from error
 
-    def remap(self, qi: np.ndarray, sa: np.ndarray) -> Schema:
+    def remap(
+        self, qi: np.ndarray, sa: np.ndarray, batch_rows: int = CSV_BATCH_ROWS
+    ) -> Schema:
         """The decoded table's schema; rewrites first-seen codes in place.
 
-        ``qi`` and ``sa`` hold every decoded block in order.  A supplied
-        schema is returned as-is, its codes already final.
+        ``qi`` and ``sa`` hold every decoded block in order.  Codes are
+        rewritten ``batch_rows`` rows at a time, so a memory-mapped target
+        never needs a whole column of temporaries.  A supplied schema is
+        returned as-is, its codes already final.
         """
         if self.schema is not None:
             return self.schema
@@ -214,11 +160,16 @@ class CsvDecoder:
             Attribute.from_values(name, index)
             for name, index in zip(self.names, self._indexes)
         ]
-        targets = [qi[:, column] for column in range(qi.shape[1])] + [sa]
-        for attribute, index, codes in zip(attributes, self._indexes, targets):
-            # Dictionary order is code order, so this maps first-seen -> sorted.
-            remap = np.fromiter(map(attribute.encode, index), dtype=np.int32, count=len(index))
-            codes[...] = remap[codes]
+        # Dictionary order is code order, so each table maps first-seen -> sorted.
+        tables = [
+            np.fromiter(map(attribute.encode, index), dtype=np.int32, count=len(index))
+            for attribute, index in zip(attributes, self._indexes)
+        ]
+        for start in range(0, len(sa), batch_rows):
+            rows = qi[start : start + batch_rows]
+            for column, table in enumerate(tables[:-1]):
+                rows[:, column] = table[rows[:, column]]
+            sa[start : start + batch_rows] = tables[-1][sa[start : start + batch_rows]]
         return Schema(qi=tuple(attributes[:-1]), sensitive=attributes[-1])
 
     def decode(self, batch_rows: int = CSV_BATCH_ROWS) -> tuple[Schema, np.ndarray, np.ndarray]:
@@ -228,7 +179,7 @@ class CsvDecoder:
         codes = np.concatenate(blocks) if blocks else np.empty((0, len(self.names)), np.int32)
         qi, sa = codes[:, :-1], codes[:, -1]
         with trace.span("remap"):
-            schema = self.remap(qi, sa)
+            schema = self.remap(qi, sa, batch_rows)
         return schema, qi, sa
 
 
@@ -236,12 +187,7 @@ class CsvDecoder:
 class CsvSource(DataSource):
     """A CSV file with a header row, encoded against an inferred or given schema.
 
-    :meth:`load` decodes the file in one pass (:class:`CsvDecoder`) and
-    keeps the schema it resolved, so later reads of this source only
-    *validate* values against it.  :meth:`iter_chunks` needs the schema
-    before its first chunk, so without one it first infers the domains in a
-    streaming pass (:func:`infer_csv_schema`), then decodes one batch per
-    chunk against them — rows never exist as per-row Python dicts.
+    :meth:`load` decodes the file in one pass (:class:`CsvDecoder`).
     """
 
     path: str
@@ -252,44 +198,19 @@ class CsvSource(DataSource):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qi_names", tuple(self.qi_names))
-        # Cache slot for the lazily-resolved schema (not a dataclass field:
-        # it is derived state, invisible to __eq__ / repr).
-        object.__setattr__(self, "_resolved", self.schema)
 
     @property
     def label(self) -> str:
         return self.path
 
-    def resolved_schema(self) -> Schema:
-        """The supplied schema, or one inferred (once) from the file's values."""
-        resolved = self._resolved  # type: ignore[attr-defined]
-        if resolved is None:
-            resolved = infer_csv_schema(
-                self.path, self.qi_names, self.sa_name, self.delimiter
-            )
-            object.__setattr__(self, "_resolved", resolved)
-        return resolved
-
     def load(self) -> Table:
         """Materialize the full table in one decoding pass."""
-        resolved = self._resolved  # type: ignore[attr-defined]
         decoder = CsvDecoder(
-            self.path, self.qi_names, self.sa_name, resolved, self.delimiter
+            self.path, self.qi_names, self.sa_name, self.schema, self.delimiter
         )
         schema, qi, sa = decoder.decode()
-        object.__setattr__(self, "_resolved", schema)
         # The label dictionaries are the validation: every code is in-domain.
         return Table.from_arrays(schema, qi, sa, validate=False)
-
-    def iter_chunks(self, chunk_rows: int) -> Iterator[Table]:
-        """Stream the file in chunks of at most ``chunk_rows`` rows."""
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        schema = self.resolved_schema()
-        decoder = CsvDecoder(self.path, self.qi_names, self.sa_name, schema, self.delimiter)
-        for block in decoder.batches(chunk_rows):
-            # The schema's dictionaries are the validation: every code is in-domain.
-            yield Table.from_arrays(schema, block[:, :-1], block[:, -1], validate=False)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.engine.cache import ResultCache
 from repro.engine.columnstore import publish
@@ -67,9 +67,6 @@ try:  # pragma: no cover - platform dependent
     import fcntl
 except ImportError:  # pragma: no cover - Windows fallback: best-effort appends
     fcntl = None  # type: ignore[assignment]
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.planner import ExecutionPlanner
 
 __all__ = [
     "JobLedger", "JobRecord", "JobService", "JobStateError", "can_transition",
@@ -404,13 +401,12 @@ class JobService:
         self,
         workspace: Workspace | None = None,
         engine: Engine | None = None,
-        planner: "ExecutionPlanner | None" = None,
     ) -> None:
         self.workspace = workspace if workspace is not None else Workspace()
         self.ledger = JobLedger(self.workspace.jobs_path)
         if engine is None:
             store = self.workspace.run_store()
-            engine = Engine(cache=ResultCache(store=store), planner=planner)
+            engine = Engine(cache=ResultCache(store=store))
         self.engine = engine
 
     # ----------------------------------------------------------------- ledger

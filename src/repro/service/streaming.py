@@ -2,21 +2,32 @@
 
 ``ldiversity anonymize big.csv --stream --output anon.csv`` must work at
 ``n`` far beyond memory.  The in-memory engine path materializes the full
-table before sharding; this module instead drives the whole pipeline off
-:meth:`~repro.engine.sources.CsvSource.iter_chunks` in three passes, never
-holding more than one chunk plus one shard:
+table before sharding; this module instead decodes the file once into a
+temporary memory-mapped column store
+(:meth:`~repro.engine.columnstore.ColumnStore.convert_csv`) and drives the
+rest of the pipeline off the store's zero-copy row slices
+(:meth:`~repro.engine.columnstore.ColumnStore.iter_slices`):
 
-1. **Scan** — stream the file once, accumulating per-QI-key row counts and
-   sensitive-value histograms (memory is O(distinct QI keys), not O(n));
-   check global l-eligibility from the aggregate histogram.
-2. **Partition + spill** — pack the sorted QI keys into contiguous
+1. **Convert** — one decoding pass writes the encoded codes into the store
+   (one decoder batch resident at a time, then a remap to the sorted
+   domains in batches of the same size).
+2. **Scan** — read the store slice by slice, accumulating per-QI-key row
+   counts and sensitive-value histograms (memory is O(distinct QI keys),
+   not O(n)); check global eligibility from the aggregate histogram.
+3. **Partition + spill** — pack the sorted QI keys into contiguous
    QI-prefix shards by the same quota/eligibility-repair rules as
    :func:`repro.engine.sharding.qi_prefix_shards` (computed from the
-   histograms alone), then stream the file again, routing each row's
-   *encoded codes* to its shard's spill file on disk.
-3. **Anonymize + emit** — load one spill at a time, run the algorithm,
-   verify the shard l-diverse and append its published rows to the
+   histograms alone), then read the store again, routing each row's codes
+   to its shard's spill file on disk.
+4. **Anonymize + emit** — load one spill at a time, run the algorithm,
+   verify the shard against the spec and append its published rows to the
    :class:`~repro.engine.sinks.CsvSink`.
+
+Memory never holds more than one decoder batch or one ``chunk_rows`` slice
+plus one shard (and the O(distinct QI keys) histograms).  Temp disk peaks at
+the store plus the spills, about twice the encoded table (``4 (d + 1)``
+bytes per row each); both live in one temporary directory (``spill_dir``)
+that is deleted when the run ends.
 
 Each shard is a union of complete QI-groups and is enforced/verified against
 the requested privacy spec before it is emitted, so the concatenation of the
@@ -31,6 +42,7 @@ smoke uses as an independent oracle.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import time
 from collections import Counter
@@ -40,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dataset.table import Table
+from repro.engine.columnstore import ColumnStore
 from repro.engine.core import run_with_spec
 from repro.engine.registry import algorithm_registry
 from repro.engine.sharding import partition_group_keys
@@ -60,7 +73,7 @@ __all__ = [
     "verify_csv_satisfies",
 ]
 
-#: Default number of CSV rows decoded per chunk during the scan/spill passes.
+#: Default number of store rows per slice during the scan/spill passes.
 DEFAULT_CHUNK_ROWS = 50_000
 
 
@@ -93,10 +106,10 @@ class StreamReport:
         )
 
 
-def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int]:
-    """Pass 1: per-QI-key sensitive-value histograms, streamed.
+def _scan(store: ColumnStore, chunk_rows: int) -> tuple[dict[tuple, Counter], int]:
+    """Pass 1: per-QI-key sensitive-value histograms, slice by slice.
 
-    Each chunk is reduced with one run-length encoding pass
+    Each slice is reduced with one run-length encoding pass
     (:meth:`~repro.dataset.table.Table.qi_sa_runs_arrays`): every ``(QI key,
     sensitive value)`` run contributes a single Counter update weighted by
     its length, so the Python-level work is O(distinct runs) instead of
@@ -105,7 +118,8 @@ def _scan(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int
     """
     key_histograms: dict[tuple, Counter] = {}
     n = 0
-    for chunk in source.iter_chunks(chunk_rows):
+    for piece in store.iter_slices(chunk_rows):
+        chunk = piece.table()
         if len(chunk):
             group_keys, group_run_bounds, run_bounds, run_values, _ = (
                 chunk.qi_sa_runs_arrays()
@@ -167,7 +181,6 @@ def stream_anonymize(
     l: int = 2,
     shards: int | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    planner=None,
     spill_dir: str | Path | None = None,
     privacy: "PrivacySpec | dict | None" = None,
 ) -> StreamReport:
@@ -194,43 +207,33 @@ def stream_anonymize(
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
 
-    schema = source.resolved_schema()
-    bounded_source = CsvSource(
-        source.path, source.qi_names, source.sa_name, schema=schema,
-        delimiter=source.delimiter,
-    )
-
-    key_histograms, n = _scan(bounded_source, chunk_rows)
-    if n == 0:
-        raise IneligibleTableError(f"{source.path}: no data rows to anonymize")
-    total: Counter = Counter()
-    for histogram in key_histograms.values():
-        total.update(histogram)
-    if not spec.eligible(total, n):
-        raise IneligibleTableError(
-            f"table is not eligible for {spec.describe()}; "
-            "no satisfying generalization exists"
-        )
-
-    if shards is None:
-        if planner is None:
-            from repro.service.planner import default_planner
-
-            planner = default_planner()
-        shards = planner.decide(info, n=n, d=schema.dimension, l=l, privacy=spec).shards
-    key_shards = partition_group_keys(
-        sorted(key_histograms), key_histograms, shards, spec, n
-    )
-    shard_of = {key: index for index, keys in enumerate(key_shards) for key in keys}
-
-    d = schema.dimension
-    stars = 0
-    suppressed = 0
-    groups = 0
-    shard_sizes: list[int] = []
     with tempfile.TemporaryDirectory(
         dir=None if spill_dir is None else str(spill_dir)
     ) as tmp:
+        store = ColumnStore.convert_csv(
+            source.path, Path(tmp) / "store", source.qi_names, source.sa_name,
+            schema=source.schema, delimiter=source.delimiter,
+        )
+        schema, d = store.schema, store.d
+        key_histograms, n = _scan(store, chunk_rows)
+        total: Counter = Counter()
+        for histogram in key_histograms.values():
+            total.update(histogram)
+        if not spec.eligible(total, n):
+            raise IneligibleTableError(
+                f"table is not eligible for {spec.describe()}; "
+                "no satisfying generalization exists"
+            )
+
+        if shards is None:
+            from repro.service.planner import default_planner
+
+            shards = default_planner().decide(info, n=n, d=d, l=l, privacy=spec).shards
+        key_shards = partition_group_keys(
+            sorted(key_histograms), key_histograms, shards, spec, n
+        )
+        shard_of = {key: index for index, keys in enumerate(key_shards) for key in keys}
+
         # Spill files are raw little-endian int32 row blocks of width d + 1
         # (QI codes then the SA code): they are written with ndarray.tobytes()
         # and read back with one np.fromfile + reshape — no text round-trip.
@@ -239,12 +242,20 @@ def stream_anonymize(
             for index in range(len(key_shards))
         ]
         try:
-            for chunk in bounded_source.iter_chunks(chunk_rows):
-                _spill_chunk(chunk, shard_of, spills, d)
+            for piece in store.iter_slices(chunk_rows):
+                _spill_chunk(piece.table(), shard_of, spills, d)
         finally:
             for spill in spills:
                 spill.close()
+        # Every row is in a spill now: unmap and delete the store before the
+        # shards load, so neither its pages nor its files outlive the spill.
+        del store, piece
+        shutil.rmtree(Path(tmp) / "store")
 
+        stars = 0
+        suppressed = 0
+        groups = 0
+        shard_sizes: list[int] = []
         with CsvSink(str(output_path), delimiter=source.delimiter) as sink:
             sink.open(schema)
             for index in range(len(key_shards)):

@@ -8,7 +8,7 @@ persists between processes:
   cache);
 * ``jobs.jsonl`` — the :class:`~repro.service.jobs.JobService` ledger of
   submitted jobs;
-* ``tmp/`` — spill space for the streaming pipeline's per-shard buffers;
+* ``tmp/`` — uploaded CSVs the server spools until a worker loads them;
 * ``results/`` — per-job published-output artifacts
   (:class:`~repro.engine.columnstore.ResultArtifact` directories) the
   server streams ``/result`` responses from.

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dataset.table import Attribute, DomainError, Schema, Table
+from repro.engine import CsvSource
 from tests.conftest import make_random_table
 
 
@@ -125,7 +126,7 @@ class TestTableConstruction:
     def test_csv_round_trip(self, tmp_path, hospital):
         path = tmp_path / "hospital.csv"
         hospital.to_csv(str(path))
-        reloaded = Table.from_csv(str(path), hospital.schema.qi_names, "Disease")
+        reloaded = CsvSource(str(path), hospital.schema.qi_names, "Disease").load()
         assert len(reloaded) == len(hospital)
         assert reloaded.decoded_records() == hospital.decoded_records()
 

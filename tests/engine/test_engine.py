@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dataset.synthetic import CensusConfig
+from repro.dataset.table import Table
 from repro.engine import (
     AlgorithmRegistry,
     CsvSource,
@@ -112,7 +113,18 @@ class TestResultCache:
         second = engine.run(_plan(TableSource(hospital)))
         assert not first.store_hit and not second.store_hit
         assert second.trace.find("anonymize").attributes["tier"] is None
-        assert (engine.cache.hits, engine.cache.misses) == (0, 2)
+        # No store means no lookup at all, not a lookup that misses.
+        assert (engine.cache.hits, engine.cache.misses) == (0, 0)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_engine_without_a_store_never_hashes_the_table(
+        self, small_census, monkeypatch, shards
+    ):
+        hashed = []
+        monkeypatch.setattr(Table, "fingerprint", lambda table: hashed.append(table))
+        report = _engine().run(_plan(TableSource(small_census), shards=shards))
+        assert report.verified and not report.store_hit
+        assert hashed == []
 
     def test_cache_key_includes_l_algorithm_and_shards(self, small_census, tmp_path):
         engine = _stored_engine(tmp_path)

@@ -1,9 +1,9 @@
 """One-pass CSV ingest against the two-pass oracle (``tests/ingest_oracle.py``).
 
-``CsvSource.load``, ``ColumnStore.from_csv`` and ``ColumnStore.convert_csv``
-decode each file once; their tables and store bytes must equal what the
-historical infer-then-encode path produced, and every error case must keep
-its exception type and message.
+``CsvSource.load`` and ``ColumnStore.convert_csv`` decode each file once;
+their tables and store bytes must equal what the historical
+infer-then-encode path produced, and every error case must keep its
+exception type and message.
 """
 
 from __future__ import annotations
@@ -58,17 +58,13 @@ def outcome(call):
 def assert_matches_oracle(path: Path, qi, sa, delimiter=",", batch_rows=CSV_BATCH_ROWS):
     expected = outcome(lambda: oracle_table(path, qi, sa, delimiter=delimiter))
     loaded = outcome(lambda: CsvSource(str(path), qi, sa, delimiter=delimiter).load())
-    in_memory = outcome(
-        lambda: ColumnStore.from_csv(path, qi, sa, delimiter=delimiter, chunk_rows=batch_rows)
-    )
     if isinstance(expected, tuple):
-        assert loaded == in_memory == expected
+        assert loaded == expected
     else:
-        for got in (loaded, in_memory.table()):
-            assert got.schema == expected.schema
-            np.testing.assert_array_equal(got.qi_columns, expected.qi_columns)
-            np.testing.assert_array_equal(got.sa_array, expected.sa_array)
-            assert got.fingerprint() == expected.fingerprint()
+        assert loaded.schema == expected.schema
+        np.testing.assert_array_equal(loaded.qi_columns, expected.qi_columns)
+        np.testing.assert_array_equal(loaded.sa_array, expected.sa_array)
+        assert loaded.fingerprint() == expected.fingerprint()
 
     reference, converted = path.parent / "oracle-store", path.parent / "store"
     expected = outcome(lambda: oracle_store(path, reference, qi, sa, delimiter=delimiter))
@@ -157,13 +153,11 @@ def test_a_label_first_seen_in_a_late_batch(tmp_path):
     assert_matches_oracle(path, ("q", "r"), "s")
 
 
-def test_load_caches_the_schema_it_resolved(tmp_path):
-    path = write_csv(tmp_path / "t.csv", ["a", "b", "s"], [["1", "2", "3"], ["4", "5", "6"]])
-    source = CsvSource(str(path), QI, SA)
-    table = source.load()
-    assert source.resolved_schema() is table.schema
-    chunks = list(source.iter_chunks(1))
-    assert all(chunk.schema is table.schema for chunk in chunks)
+def test_a_quoted_field_spanning_lines(tmp_path):
+    rows = [[f"a\nb{i % 2}", "x\r\ny", str(i % 3)] for i in range(9)]
+    path = write_csv(tmp_path / "t.csv", ["q", "r", "s"], rows)
+    assert ColumnStore.convert_csv(path, tmp_path / "lines", ("q", "r"), "s").n == 9
+    assert_matches_oracle(path, ("q", "r"), "s", batch_rows=2)
 
 
 @pytest.mark.parametrize("entry", ["load", "convert_csv"])
@@ -186,12 +180,11 @@ def test_the_file_is_read_through_one_csv_reader(tmp_path, monkeypatch, entry):
 
 ENTRY_POINTS = {
     "load": lambda path, schema: CsvSource(str(path), QI, SA, schema=schema).load(),
-    "from_csv": lambda path, schema: ColumnStore.from_csv(path, QI, SA, schema=schema),
     "convert_csv": lambda path, schema: ColumnStore.convert_csv(
         path, path.parent / "store", QI, SA, schema=schema
     ),
 }
-ANY = ("load", "from_csv", "convert_csv")
+ANY = ("load", "convert_csv")
 NO_DATA_ROWS = (DataSourceError, "no data rows to store")
 # (text, supplied schema?, entry points) -> (exception, message pattern)
 ERROR_CASES = [
@@ -202,9 +195,9 @@ ERROR_CASES = [
     ("a,b,s\n1,2,3\n\n4,5,6\n", False, ANY, (DataSourceError, "cannot load .*list index out of range")),
     ("a,b,s\n1,2,3\n\n4,5,6\n", True, ANY, (DataSourceError, "cannot load .*list index out of range")),
     ("a,b,s\n", False, ANY, (DataSourceError, "no rows to infer a domain for 'a'")),
-    ("a,b,s\n", True, ("from_csv", "convert_csv"), NO_DATA_ROWS),
+    ("a,b,s\n", True, ("convert_csv",), NO_DATA_ROWS),
     ("", False, ANY, (DataSourceError, r"empty CSV file \(no header row\)")),
-    ("", True, ("load", "from_csv"), (DataSourceError, r"empty CSV file \(no header row\)")),
+    ("", True, ("load",), (DataSourceError, r"empty CSV file \(no header row\)")),
     ("", True, ("convert_csv",), NO_DATA_ROWS),
     ("a,b,s\n1,2,3\n4,9,6\n", True, ANY,
      (DomainError, "value '9' is not in the domain of attribute 'b'")),

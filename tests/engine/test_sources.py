@@ -6,13 +6,7 @@ import pytest
 
 from repro.dataset.examples import hospital_microdata
 from repro.dataset.synthetic import CensusConfig
-from repro.engine.sources import (
-    CsvSource,
-    SyntheticSource,
-    TableSource,
-    concat_tables,
-    infer_csv_schema,
-)
+from repro.engine.sources import CsvSource, SyntheticSource, TableSource
 from repro.errors import DataSourceError
 
 QI = ("Age", "Gender", "Education")
@@ -34,7 +28,7 @@ class TestCsvSource:
         assert loaded.decoded_records() == original.decoded_records()
 
     def test_schema_inference_matches_observed_domains(self, hospital_csv):
-        schema = infer_csv_schema(hospital_csv, QI, SA)
+        schema = CsvSource(hospital_csv, QI, SA).load().schema
         assert schema.qi_names == QI
         assert schema.sensitive.name == SA
         table = hospital_microdata()
@@ -44,7 +38,7 @@ class TestCsvSource:
 
     def test_missing_column_raises(self, hospital_csv):
         with pytest.raises(DataSourceError, match="Nope"):
-            infer_csv_schema(hospital_csv, ("Age", "Nope"), SA)
+            CsvSource(hospital_csv, ("Age", "Nope"), SA).load()
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataSourceError):
@@ -54,21 +48,7 @@ class TestCsvSource:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DataSourceError):
-            infer_csv_schema(str(path), QI, SA)
-
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10, 100])
-    def test_chunked_read_equals_full_load(self, hospital_csv, chunk_rows):
-        source = CsvSource(hospital_csv, QI, SA)
-        chunks = list(source.iter_chunks(chunk_rows))
-        assert all(len(chunk) <= chunk_rows for chunk in chunks)
-        # All chunks share one schema object, so concatenation never re-encodes.
-        assert all(chunk.schema == chunks[0].schema for chunk in chunks)
-        reassembled = concat_tables(chunks)
-        assert reassembled.fingerprint() == source.load().fingerprint()
-
-    def test_chunk_rows_must_be_positive(self, hospital_csv):
-        with pytest.raises(ValueError):
-            list(CsvSource(hospital_csv, QI, SA).iter_chunks(0))
+            CsvSource(str(path), QI, SA).load()
 
     def test_label_is_path(self, hospital_csv):
         assert CsvSource(hospital_csv, QI, SA).label == hospital_csv
@@ -95,29 +75,9 @@ class TestSyntheticSource:
         with pytest.raises(DataSourceError):
             SyntheticSource("XYZ", n=10)
 
-    def test_default_chunking_slices(self):
-        source = SyntheticSource("SAL", n=250, config=CensusConfig.scaled(0.2))
-        chunks = list(source.iter_chunks(100))
-        assert [len(chunk) for chunk in chunks] == [100, 100, 50]
-        assert concat_tables(chunks).fingerprint() == source.load().fingerprint()
-
 
 class TestTableSource:
     def test_wraps_table(self, hospital):
         source = TableSource(hospital, name="hospital")
         assert source.load() is hospital
         assert source.label == "hospital"
-
-
-class TestConcatTables:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            concat_tables([])
-
-    def test_rejects_mixed_schemas(self, hospital):
-        other = SyntheticSource("SAL", n=50, config=CensusConfig.scaled(0.2)).load()
-        with pytest.raises(DataSourceError):
-            concat_tables([hospital, other])
-
-    def test_single_chunk_is_identity(self, hospital):
-        assert concat_tables([hospital]) is hospital

@@ -143,15 +143,13 @@ def diversity_report_reference(generalized: GeneralizedTable) -> DiversityReport
     )
 
 
-def scan_reference(source: CsvSource, chunk_rows: int) -> tuple[dict[tuple, Counter], int]:
+def scan_reference(source: CsvSource) -> tuple[dict[tuple, Counter], int]:
     """Per-QI-key SA histograms and the row count, one tuple at a time."""
+    table = source.load()
+    sa_values = table.sa_values
     key_histograms: dict[tuple, Counter] = {}
-    n = 0
-    for chunk in source.iter_chunks(chunk_rows):
-        sa_values = chunk.sa_values
-        for key, rows in chunk.group_by_qi().items():
-            histogram = key_histograms.setdefault(key, Counter())
-            for row in rows:
-                histogram[sa_values[row]] += 1
-        n += len(chunk)
-    return key_histograms, n
+    for key, rows in table.group_by_qi().items():
+        histogram = key_histograms.setdefault(key, Counter())
+        for row in rows:
+            histogram[sa_values[row]] += 1
+    return key_histograms, len(table)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dataset.synthetic import CensusConfig, make_sal
-from repro.engine import CsvSource
+from repro.engine import ColumnStore, CsvSource
 from repro.service.planner import ExecutionPlanner, PlannerCalibration
 from repro.service.streaming import _scan
 from tests.group_oracles import scan_reference
@@ -24,21 +24,26 @@ def census_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def census_store(census_csv, tmp_path_factory):
+    return ColumnStore.convert_csv(
+        census_csv, tmp_path_factory.mktemp("scale-store") / "store", QI, SA
+    )
+
+
 # ------------------------------------------------------------ scan regression
 
 
 class TestVectorizedScan:
-    def test_matches_per_tuple_oracle(self, census_csv):
-        source = CsvSource(census_csv, QI, SA)
-        histograms, n = _scan(source, chunk_rows=333)
-        expected_histograms, expected_n = scan_reference(source, chunk_rows=333)
+    def test_matches_per_tuple_oracle(self, census_csv, census_store):
+        histograms, n = _scan(census_store, chunk_rows=333)
+        expected_histograms, expected_n = scan_reference(CsvSource(census_csv, QI, SA))
         assert n == expected_n
         assert histograms == expected_histograms
 
-    def test_chunk_size_invariant(self, census_csv):
-        source = CsvSource(census_csv, QI, SA)
-        small, n_small = _scan(source, chunk_rows=7)
-        large, n_large = _scan(source, chunk_rows=10_000)
+    def test_chunk_size_invariant(self, census_store):
+        small, n_small = _scan(census_store, chunk_rows=7)
+        large, n_large = _scan(census_store, chunk_rows=10_000)
         assert n_small == n_large
         assert small == large
 

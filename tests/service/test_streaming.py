@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import pytest
 
 from repro.dataset.synthetic import CensusConfig, make_sal
 from repro.engine import CsvSource, Engine, ResultCache, RunPlan
+from repro.engine.sources import CsvDecoder
 from repro.errors import IneligibleTableError
 from repro.privacy.spec import (
     EntropyLDiversity,
@@ -23,6 +25,9 @@ from repro.service.streaming import (
 
 QI = ("Age", "Gender", "Race")
 SA = "Income"
+#: SHA-256 of the file the pinned run below publishes from the module's
+#: census CSV; how the input is read must never move it.
+PINNED_SHA256 = "d770532c93c80883562d10a4009306e740189d56bc97af2ac9c941ae0213761d"
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,35 @@ class TestStreamAnonymize:
             for record in in_memory.generalized.decoded_records()
         )
         assert sorted(_published_rows(output)) == expected
+
+    def test_published_bytes_are_pinned(self, census_csv, tmp_path):
+        path, _table = census_csv
+        output = tmp_path / "pinned.csv"
+        stream_anonymize(
+            _source(path), output, algorithm="TP", l=3, shards=3, chunk_rows=250
+        )
+        assert hashlib.sha256(output.read_bytes()).hexdigest() == PINNED_SHA256
+
+    def test_the_input_is_decoded_once(self, census_csv, tmp_path, monkeypatch):
+        path, _table = census_csv
+        passes = []
+        batches, dict_reader = CsvDecoder.batches, csv.DictReader
+
+        def counted_batches(decoder, *args, **kwargs):
+            passes.append("batches")
+            return batches(decoder, *args, **kwargs)
+
+        def counted_dict_reader(*args, **kwargs):
+            passes.append("DictReader")
+            return dict_reader(*args, **kwargs)
+
+        monkeypatch.setattr(CsvDecoder, "batches", counted_batches)
+        monkeypatch.setattr(csv, "DictReader", counted_dict_reader)
+        stream_anonymize(
+            _source(path), tmp_path / "once.csv", algorithm="TP", l=3, shards=3,
+            chunk_rows=250,
+        )
+        assert passes == ["batches"]
 
     def test_chunk_size_does_not_change_the_result(self, census_csv, tmp_path):
         path, _table = census_csv
@@ -109,6 +143,17 @@ class TestStreamAnonymize:
             stream_anonymize(
                 CsvSource(str(path), ("Q",), "S"), str(tmp_path / "out.csv"), l=5
             )
+
+    def test_quoted_fields_may_span_lines(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["Q", "S"])
+            writer.writerows([f"line\nbreak{i % 3}", f"s{i % 4}"] for i in range(24))
+        output = str(tmp_path / "out.csv")
+        report = stream_anonymize(CsvSource(str(path), ("Q",), "S"), output, l=2, shards=1)
+        assert report.n == 24
+        assert verify_csv_l_diverse(output, ("Q",), "S", 2)
 
     def test_invalid_chunk_rows_raises(self, census_csv, tmp_path):
         path, _table = census_csv
