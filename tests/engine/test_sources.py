@@ -6,6 +6,7 @@ import pytest
 
 from repro.dataset.examples import hospital_microdata
 from repro.dataset.synthetic import CensusConfig
+from repro.engine.columnstore import ColumnStore
 from repro.engine.sources import CsvSource, SyntheticSource, TableSource
 from repro.errors import DataSourceError
 
@@ -50,6 +51,34 @@ class TestCsvSource:
         with pytest.raises(DataSourceError):
             CsvSource(str(path), QI, SA).load()
 
+    # A CSV is read in chunks by converting it to a store and slicing that.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10, 100])
+    def test_chunked_read_equals_full_load(self, hospital_csv, tmp_path, chunk_rows):
+        source = CsvSource(hospital_csv, QI, SA)
+        full = source.load()
+        store = ColumnStore.convert_csv(
+            hospital_csv, tmp_path / "store", QI, SA, chunk_rows=chunk_rows
+        )
+        chunks = [piece.table() for piece in store.iter_slices(chunk_rows)]
+        assert all(len(chunk) <= chunk_rows for chunk in chunks)
+        assert all(chunk.schema == full.schema for chunk in chunks)
+        start = 0
+        for chunk in chunks:
+            rows = range(start, start + len(chunk))
+            assert chunk.fingerprint() == full.subset(rows).fingerprint()
+            start += len(chunk)
+        assert start == len(full)
+        assert store.fingerprint() == full.fingerprint()
+
+    def test_chunk_rows_must_be_positive(self, hospital_csv, tmp_path):
+        with pytest.raises(ValueError):
+            ColumnStore.convert_csv(hospital_csv, tmp_path / "store", QI, SA, chunk_rows=0)
+        assert not (tmp_path / "store").exists()
+
+    def test_load_keeps_a_supplied_schema(self, hospital_csv):
+        schema = CsvSource(hospital_csv, QI, SA).load().schema
+        assert CsvSource(hospital_csv, QI, SA, schema=schema).load().schema is schema
+
     def test_label_is_path(self, hospital_csv):
         assert CsvSource(hospital_csv, QI, SA).label == hospital_csv
 
@@ -74,6 +103,15 @@ class TestSyntheticSource:
     def test_unknown_dataset_raises(self):
         with pytest.raises(DataSourceError):
             SyntheticSource("XYZ", n=10)
+
+    def test_default_chunking_slices(self):
+        source = SyntheticSource("SAL", n=250, config=CensusConfig.scaled(0.2))
+        table = source.load()
+        pieces = list(ColumnStore.from_table(table).iter_slices(100))
+        assert [piece.n for piece in pieces] == [100, 100, 50]
+        for start, piece in zip(range(0, 250, 100), pieces):
+            rows = range(start, start + piece.n)
+            assert piece.table().fingerprint() == table.subset(rows).fingerprint()
 
 
 class TestTableSource:
